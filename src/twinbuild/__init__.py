@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     NotInImageError,
     NotInvertibleError,
-    SymbolicDegreeError,
     TwinbuildError,
     VerificationError,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "NotInvertibleError",
     "NotInImageError",
     "VerificationError",
-    "SymbolicDegreeError",
     # exact arithmetic
     "GaussRat",
     "LaurentPoly",

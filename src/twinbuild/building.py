@@ -26,6 +26,15 @@ Monomial Weyl representatives are shared by the two sides: the matrix
 of (pi, k) has z^{k_i} in row i = pi(j)-1 of column j, and the twin
 apartment of a basis x consists of the chambers x*n_w*B(side) on both
 sides, with codelta(x n_v B-, x n_w B+) = v^{-1} w.
+
+Both gates come from one run of the reduction engine.  For a chamber c
+and the carrier d of a face, the engine factors c.rep^{-1} d.rep as
+b_L m b^{-1} (b_L in c's Borel, m monomial, b in d's Borel), so the
+basis c.rep b_L m0^{-1} (m0 the monomial part) spans an apartment -- a
+twin apartment when the sides differ -- holding c at 1 and d at the
+position of m.  The gate lies in that apartment, where the residue of
+the face is a coset of the finite group W_J: project takes its shortest
+element, project_twin its longest.
 """
 
 from __future__ import annotations
@@ -37,31 +46,14 @@ from .coxeter import (
     affine_to_word,
     coset_min_split,
     min_double_coset_rep,
+    wcompose,
+    wdescents_right,
+    wgen,
     word_to_affine,
 )
-from .errors import (
-    DomainError,
-    NotInvertibleError,
-    SymbolicDegreeError,
-)
-from .exactalg import (
-    LMat,
-    LP_ONE,
-    LP_ZERO,
-    LaurentPoly,
-    RF_T,
-    RatFunc,
-    Z,
-    qi_roots,
-    zpow,
-)
-from .lattice import (
-    INF,
-    PanelChart,
-    _canonical_plus_cols,
-    _member_plus,
-    vertex_classes_of_basis,
-)
+from .errors import DomainError, NotInvertibleError
+from .exactalg import LMat, LP_ONE, LP_ZERO, LaurentPoly, Z, zpow
+from .lattice import PanelChart, vertex_classes_of_basis
 
 __all__ = [
     "Chamber",
@@ -117,16 +109,12 @@ def _rho(n, side):
     return m
 
 
-def _det_val(side, mat):
-    d = mat.det() if side == "+" else mat.det().subs_zinv()
-    return int(d.val0())
-
-
-def _align(side, mat):
-    """Rotate and scale a representative until its determinant valuation
-    (in the side's own variable) is exactly 0."""
+def _align(side, mat, det):
+    """Rotate and scale a representative with the unit monomial
+    determinant det until its determinant valuation (in the side's own
+    variable) is exactly 0."""
     n = mat.nrows
-    v = _det_val(side, mat)
+    v = int(det.val0()) if side == "+" else -int(det.val0())
     r = v % n
     if r:
         rho = _rho(n, side)
@@ -166,10 +154,11 @@ class Chamber:
         _check_side(side)
         if rep.nrows != rep.ncols:
             raise DomainError("chamber representative must be square")
-        if not rep.det().is_unit_monomial():
+        det = rep.det()
+        if not det.is_unit_monomial():
             raise NotInvertibleError("chamber representative is degenerate")
         self.side = side
-        self.rep = _align(side, rep)
+        self.rep = _align(side, rep, det)
         self.n = rep.nrows
         self._chain = None
         self._classes = None
@@ -358,14 +347,11 @@ def _lead(col, key_plus):
     return best[1], best[2], best[3]
 
 
-def _reduce(cols, bcols, key_plus, ops_plus, collect=None):
+def _reduce(cols, bcols, key_plus, ops_plus):
     """Reduce columns in place until leading rows are distinct; returns
     the final leadings [(exponent, row, coefficient)]."""
     while True:
         leads = [_lead(c, key_plus) for c in cols]
-        if collect is not None:
-            for _, _, c in leads:
-                collect(c)
         byrow = {}
         for j, (e, i, _) in enumerate(leads):
             byrow.setdefault(i, []).append(j)
@@ -526,72 +512,18 @@ def project(x: Simplex, c: Chamber) -> Chamber:
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_panel_basis(chart: PanelChart):
-    """Chamber basis through a panel with the free slot linear in an
-    indeterminate t (entering through rational-function coefficients).
-
-    The slots mimic the chart's own chamber_basis: the varying lattice
-    M(t) = B + <u1 + t u2> contributes u1 + t u2, the fixed chain steps
-    contribute their canonical generators, and the last step contributes
-    z u2, which lies outside z M(t) for every finite t.
-    """
-    n = chart.n
-
-    def lift(p):
-        return p.map_coeffs(RatFunc)
-
-    cols = [None] * n
-    cols[0] = [lift(Z * a) for a in chart._u2]
-    cols[n - 1] = [lift(a) + RF_T * lift(b) for a, b in zip(chart._u1, chart._u2)]
-    chain = chart._chain
-    for j in range(1, n - 1):
-        can = _canonical_plus_cols(chain[j - 1].cols(), n)
-        nxt = _canonical_plus_cols(chain[j].cols(), n)
-        pick = None
-        for cidx in range(n):
-            v = can.col(cidx)
-            if not _member_plus(nxt, v):
-                pick = v
-                break
-        if pick is None:
-            raise DomainError("panel chain degenerate")
-        cols[n - 1 - j] = [lift(a) for a in pick]
-    if chart.side == "-":
-        return LMat.from_cols(list(reversed(cols))).subs_zinv()
-    return LMat.from_cols(cols)
-
-
-def _panel_candidates(chart: PanelChart, c: Chamber):
-    """Panel parameters where the generic codistance to c can drop.
-
-    One engine run over Q(i)(t) on g_c^{-1} h(t) collects every leading
-    coefficient; the Q(i) roots of their numerators and denominators are
-    the only points where the specialised elimination can differ from the
-    generic one, so the projection parameter is among them (or infinity).
-    """
-    h = _symbolic_panel_basis(chart)
-    inv = c.rep.inv().map_entries(lambda p: p.map_coeffs(RatFunc))
-    a = inv @ h
-    seen = set()
-    cols = [list(a.col(j)) for j in range(a.ncols)]
-    _reduce(cols, None, c.side == "+", c.side != "+", collect=seen.add)
-    roots = set()
-    for rf in seen:
-        for part in (rf.num, rf.den):
-            if part.degree() >= 1:
-                roots.update(qi_roots(part))
-    ordered = sorted(roots, key=lambda g: (g.re, g.im))
-    ordered.append(INF)
-    return ordered
-
-
 def project_twin(x: Simplex, c: Chamber) -> Chamber:
     """The twin gate: the chamber of the residue of x with the longest
     codistance to the opposite-side chamber c.
 
-    Greedy panel ascent: while some residue generator lengthens the
-    codistance, the unique longer chamber of that panel is located by the
-    symbolic elimination over a panel parameter.
+    Constructively, like project: one engine run on a = g_c^{-1} g_d
+    (d the carrier of x) factors it as b_L m b^{-1}, so the basis
+    g_c b_L m0^{-1} spans a twin apartment holding c at 1 and d at
+    w = codelta(c, d).  The gate lies in every twin apartment through c
+    that meets the residue, and there the residue is the chambers at
+    w W_J, with codistance to c equal to their position; so the gate is
+    the chamber at the longest element of w W_J, reached by right ascent
+    (W_J is finite because x is not empty).
     """
     if x.side == c.side:
         raise DomainError("project_twin needs a face and a chamber on opposite sides")
@@ -599,33 +531,17 @@ def project_twin(x: Simplex, c: Chamber) -> Chamber:
     if d.n != c.n:
         raise DomainError("dimension mismatch")
     n = d.n
+    a = c.rep.inv() @ d.rep
+    elt, r, _, leads = _relpos(a, c.side == "+", d.side == "+")
+    base = c.rep @ r @ _monomial_inverse(leads, n)
     jset = x.cotype_nodes()
-    v = codelta(d, c)
+    u = elt.to_window()
     while True:
-        step = None
-        for s in jset:
-            sv = word_to_affine((s,), n).compose(v)
-            if sv.length() > v.length():
-                step = (s, sv)
-                break
-        if step is None:
-            return d
-        s, sv = step
-        p = _position_of_node(s, n, d.side)
-        chart = PanelChart([d.chain_classes[t] for t in range(n) if t != p])
-        found = None
-        for t in _panel_candidates(chart, c):
-            cand = Chamber(d.side, chart.chamber_basis(t))
-            if codelta(cand, c) == sv:
-                found = cand
-                break
-        if found is None:
-            raise SymbolicDegreeError(
-                "no panel chamber attains the longer codistance among the "
-                "collected specialisation parameters"
-            )
-        d = found
-        v = sv
+        up = [s for s in jset if s not in wdescents_right(u)]
+        if not up:
+            break
+        u = wcompose(u, wgen(up[0], n))
+    return Chamber(d.side, base @ weyl_matrix(AffineWeylElt.from_window(u)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .errors import (
     DomainError,
     NotInImageError,
     NotInvertibleError,
-    SymbolicDegreeError,
     TwinbuildError,
     VerificationError,
 )
@@ -66,7 +65,6 @@ SCHEMA = "twinbuild/1"
 _ERROR_CODES = {
     NotInvertibleError: "not-invertible",
     NotInImageError: "not-in-image",
-    SymbolicDegreeError: "symbolic-degree",
     VerificationError: "verification",
     DomainError: "domain-error",
     TwinbuildError: "error",
@@ -162,7 +160,10 @@ def _parse_flag(text) -> SubspaceFlag:
 
 
 def _parse_weights(text):
-    return [Fraction(t) for t in text.split(",")]
+    try:
+        return [Fraction(t) for t in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weights {text!r}") from None
 
 
 def _chamber_arg(text, side, n):

@@ -10,7 +10,6 @@ __all__ = [
     "NotInvertibleError",
     "NotInImageError",
     "VerificationError",
-    "SymbolicDegreeError",
 ]
 
 
@@ -41,9 +40,3 @@ class NotInImageError(DomainError):
 
 class VerificationError(TwinbuildError):
     """A self-check suite found a counterexample (CLI exit code 1)."""
-
-
-class SymbolicDegreeError(TwinbuildError):
-    """A one-parameter pencil step hit a coefficient of degree >= 2 in the
-    parameter and no admissible specialization was found; the computation
-    stops with a diagnostic instead of guessing."""

@@ -1,9 +1,10 @@
 """Exact scalar and matrix arithmetic for the building computations.
 
 Everything here is exact: Gaussian rationals (elements of Q(i)), sparse
-Laurent polynomials over them, univariate polynomials and rational
-functions in an auxiliary parameter t, and square matrices of Laurent
-polynomials with the operators used throughout the package:
+Laurent polynomials over them, univariate polynomials in an auxiliary
+parameter t (characteristic polynomials and their roots), and square
+matrices of Laurent polynomials with the operators used throughout the
+package:
 
 * ``valuation`` at zero and at infinity,
 * the Euler operator ``z d/dz``,
@@ -57,10 +58,6 @@ __all__ = [
     "const_inverse",
     "charpoly",
     "UPoly",
-    "RatFunc",
-    "RF_ZERO",
-    "RF_ONE",
-    "RF_T",
 ]
 
 INF = math.inf
@@ -84,8 +81,10 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # Fraction(x) re-normalises even a Fraction; the arithmetic below
+        # always passes Fractions, so skip the copy for them.
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("GaussRat is immutable")
@@ -122,9 +121,12 @@ class GaussRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRat(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b:
+            return GaussRat(a * c, a * d)
+        if not d:
+            return GaussRat(a * c, b * c)
+        return GaussRat(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -209,6 +211,14 @@ def scalar_to_str(c: GaussRat) -> str:
 _RAT = r"[0-9]+(?:/[0-9]+)?"
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), reporting a zero denominator as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+
+
 def parse_scalar(s: str) -> GaussRat:
     """Parse the scalar grammar (whitespace-insensitive).
 
@@ -230,7 +240,7 @@ def parse_scalar(s: str) -> GaussRat:
     else:
         if not re.fullmatch(_RAT, s):
             raise ValueError(f"bad scalar: {s!r}")
-        val = GaussRat(Fraction(s))
+        val = GaussRat(_fraction(s))
     return -val if neg else val
 
 
@@ -239,7 +249,7 @@ def _parse_complex_body(body: str) -> GaussRat:
         raise ValueError("empty scalar")
     if not body.endswith("i"):
         if re.fullmatch(r"[+-]?" + _RAT, body):
-            return GaussRat(Fraction(body))
+            return GaussRat(_fraction(body))
         raise ValueError(f"bad scalar body: {body!r}")
     body = body[:-1]
     # locate the sign separating real and imaginary parts, if any
@@ -257,10 +267,10 @@ def _parse_complex_body(body: str) -> GaussRat:
     elif im_part == "-":
         im = Fraction(-1)
     else:
-        im = Fraction(im_part)
+        im = _fraction(im_part)
     if not re.fullmatch(r"[+-]?" + _RAT, re_part):
         raise ValueError(f"bad real part: {re_part!r}")
-    return GaussRat(Fraction(re_part), im)
+    return GaussRat(_fraction(re_part), im)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +281,8 @@ def _parse_complex_body(body: str) -> GaussRat:
 class LaurentPoly:
     """A finite sum of c*z^e with exponents in Z, stored sparsely.
 
-    Coefficients are duck-typed: any exact field element supporting the
-    arithmetic dunders works (GaussRat everywhere, RatFunc during the
-    one-parameter panel computations).  Zero coefficients are never stored,
-    so the zero polynomial is field-agnostic.
+    Coefficients are Gaussian rationals; zero coefficients are never
+    stored.
 
     >>> str(Z + zpow(-1))
     'z^-1 + z'
@@ -307,7 +315,7 @@ class LaurentPoly:
             return x
         if isinstance(x, (int, Fraction)):
             x = GaussRat(x)
-        if isinstance(x, (GaussRat, RatFunc)):
+        if isinstance(x, GaussRat):
             return LaurentPoly({0: x})
         return None
 
@@ -443,9 +451,6 @@ class LaurentPoly:
     def is_unit_monomial(self) -> bool:
         """True iff the polynomial is a single term c*z^k with c != 0."""
         return len(self.coeffs) == 1
-
-    def map_coeffs(self, fn) -> "LaurentPoly":
-        return LaurentPoly({e: fn(c) for e, c in self.coeffs.items()})
 
     def __str__(self):
         return poly_to_str(self)
@@ -651,7 +656,7 @@ class LMat:
             return x
         if isinstance(x, (int, Fraction)):
             return const(x)
-        if isinstance(x, (GaussRat, RatFunc)):
+        if isinstance(x, GaussRat):
             return LaurentPoly({0: x}) if x else LP_ZERO
         raise TypeError(f"bad matrix entry: {x!r}")
 
@@ -775,9 +780,6 @@ class LMat:
 
     def subs_zinv(self) -> "LMat":
         return LMat([[a.subs_zinv() for a in row] for row in self.rows])
-
-    def map_entries(self, fn) -> "LMat":
-        return LMat([[fn(a) for a in row] for row in self.rows])
 
     def trace(self) -> LaurentPoly:
         if self.nrows != self.ncols:
@@ -1000,7 +1002,7 @@ def charpoly(rows) -> "UPoly":
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials / rational functions in an auxiliary parameter t
+# Univariate polynomials in an auxiliary parameter t
 # ---------------------------------------------------------------------------
 
 
@@ -1140,137 +1142,6 @@ class UPoly:
 
     def __repr__(self):
         return f"<UPoly {self}>"
-
-
-class RatFunc:
-    """A rational function num/den in t over Q(i), kept normalized.
-
-    Normalization: gcd(num, den) = 1 and den monic; this makes equality
-    syntactic.  Supports the field operations required of LaurentPoly
-    coefficients, so matrices of Laurent polynomials with RatFunc
-    coefficients drive the one-parameter panel computations.
-
-    >>> x = RF_T / (RF_T + 1)
-    >>> x + 1 == (2 * RF_T + 1) / (RF_T + 1)
-    True
-    >>> x.eval(GaussRat(1)) == GaussRat(Fraction(1, 2))
-    True
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = UPoly._coerce(num)
-        den = UPoly([1]) if den is None else UPoly._coerce(den)
-        if den is None or num is None:
-            raise TypeError("bad RatFunc parts")
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = UPoly([1])
-        else:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.coeffs[-1]
-            if lead != QI_ONE:
-                inv = lead.inverse()
-                num = num * inv
-                den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, (int, Fraction, GaussRat, UPoly)):
-            return RatFunc(x)
-        return None
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def eval(self, t0: GaussRat) -> GaussRat:
-        d = self.den.eval(t0)
-        if not d:
-            raise ZeroDivisionError("pole of rational function")
-        return self.num.eval(t0) / d
-
-    @property
-    def conj(self):
-        raise DomainError("conjugation of rational functions is not used")
-
-    def __str__(self):
-        if self.den == UPoly([1]):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"<RatFunc {self}>"
-
-
-RF_ZERO = RatFunc(0)
-RF_ONE = RatFunc(1)
-RF_T = RatFunc(UPoly([0, 1]))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -618,6 +618,57 @@ def test_project_twin_apartment_oracle():
                 assert x.classes <= e.classes
 
 
+def parabolic_elements(jset, n):
+    """All elements of the finite group W_J, closed under right
+    multiplication by the generators in J."""
+    gens = [word_to_affine((s,), n) for s in jset]
+    seen = {AffineWeylElt.identity(n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                ug = u.compose(g)
+                if ug not in seen:
+                    seen.add(ug)
+                    nxt.append(ug)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("n, codim", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_project_twin_independent_gate_check(n, codim, side):
+    """The twin gate contains the face, sits at the unique longest element
+    of codelta(c, d) W_J (W_J enumerated from words), and every other
+    sampled chamber of a residue panel through it is strictly closer to c
+    in codistance."""
+    rng = random.Random(1000 * n + 10 * codim + (side == "+"))
+    other = "-" if side == "+" else "+"
+    params = (GaussRat(0), GaussRat(1), GaussRat(-1), GaussRat(0, 1), INF)
+    for _ in range(3):
+        d = rand_chamber(rng, n, side, maxlen=4)
+        c = rand_chamber(rng, n, other, maxlen=4)
+        dropped = rng.sample(range(n), codim)
+        x = d.face(set(range(n)) - set(dropped))
+        gate = project_twin(x, c)
+        assert gate.side == side
+        assert x.classes <= gate.classes
+
+        w = codelta(c, d)
+        coset = [w.compose(u) for u in parabolic_elements(x.cotype_nodes(), n)]
+        top = max(v.length() for v in coset)
+        (longest,) = [v for v in coset if v.length() == top]
+        assert codelta(c, gate) == longest
+
+        for p in dropped:
+            pan = gate.panel(p)
+            for t in params:
+                e = panel_chamber(pan, t)
+                if e != gate:
+                    assert codelta(c, e).length() < top
+
+
 def test_project_twin_residue_rank_two():
     """Gate of a vertex residue (rank 2 for n = 3): the result's
     codistance dominates sampled chambers of the residue."""

@@ -13,8 +13,12 @@ import sys
 import pytest
 
 from twinbuild.building import standard_chamber, weyl_matrix
-from twinbuild.cli import _matrix_text, _parse_matrix, main
+from twinbuild.cli import _ERROR_CODES, _matrix_text, _parse_matrix, main
 from twinbuild.coxeter import word_to_affine
+
+SCHEMA_PATH = (
+    pathlib.Path(__file__).resolve().parent.parent / "docs" / "envelope.schema.json"
+)
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +282,24 @@ def test_usage_error_exits_two(capsys):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("veronese", "spherical", "--flag", "1/0", "--weights", "1"),
+        ("veronese", "spherical", "--flag", "1,0", "--weights", "1/0"),
+        ("coords", "decode", "--n", "2", "--word", "1", "--coords", "1/0"),
+    ],
+)
+def test_zero_denominator_is_usage_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinbuild", *argv],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error:")
+
+
 def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -322,11 +344,7 @@ def test_verify_text_report(capsys):
 
 def test_envelopes_match_shipped_schema(capsys):
     jsonschema = pytest.importorskip("jsonschema")
-    schema_path = (
-        pathlib.Path(__file__).resolve().parent.parent
-        / "docs" / "envelope.schema.json"
-    )
-    schema = json.loads(schema_path.read_text())
+    schema = json.loads(SCHEMA_PATH.read_text())
 
     _, out, _ = run_cli(
         capsys, "poincare", "loop", "--n", "4", "--deg", "6",
@@ -339,6 +357,13 @@ def test_envelopes_match_shipped_schema(capsys):
         "--format", "json",
     )
     jsonschema.validate(json.loads(out), schema)
+
+
+def test_error_codes_listed_in_schema():
+    schema = json.loads(SCHEMA_PATH.read_text())
+    error = schema["oneOf"][1]["properties"]["error"]
+    enum = set(error["properties"]["code"]["enum"])
+    assert set(_ERROR_CODES.values()) <= enum
 
 
 def test_module_entry_point_smoke():

@@ -16,8 +16,6 @@ from twinbuild.exactalg import (
     QI_I,
     QI_ONE,
     QI_ZERO,
-    RF_T,
-    RatFunc,
     UPoly,
     Z,
     charpoly,
@@ -75,6 +73,19 @@ def test_gaussrat_coercion():
     assert 1 - GaussRat(0, 1) == GaussRat(1, -1)
     assert Fraction(1, 2) * GaussRat(2) == QI_ONE
     assert 2 / GaussRat(0, 2) == GaussRat(0, -1)
+
+
+def test_gaussrat_mul_real_and_complex_factors():
+    # Products with a real factor on either side agree with the full
+    # formula (a + bi)(c + di) = (ac - bd) + (ad + bc)i.
+    vals = [Fraction(0), Fraction(-2, 3), Fraction(5, 7)]
+    for a in vals:
+        for b in vals:
+            for c in vals:
+                for d in vals:
+                    got = GaussRat(a, b) * GaussRat(c, d)
+                    assert (got.re, got.im) == (a * c - b * d, a * d + b * c)
+                    assert type(got.re) is Fraction and type(got.im) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +245,12 @@ def test_scalar_grammar_forms():
     assert parse_scalar("-2") == GaussRat(-2)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "(1/0+i)", "(1+2/0i)", "(0/0i)"])
+def test_scalar_zero_denominator_rejected(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(text)
+
+
 def test_poly_grammar_examples():
     assert parse_poly("z^-1+2*z^2") == zpow(-1) + zpow(2, GaussRat(2))
     assert parse_poly("1 - z") == const(1) - Z
@@ -333,7 +350,7 @@ def test_const_inverse_and_charpoly():
 
 
 # ---------------------------------------------------------------------------
-# UPoly / RatFunc
+# UPoly
 # ---------------------------------------------------------------------------
 
 
@@ -344,27 +361,3 @@ def test_upoly_divmod_gcd():
     assert r == UPoly([]) and d == UPoly([-2, 1])
     assert p.gcd(q) == q.monic()
 
-
-def test_ratfunc_field_ops_and_eval():
-    x = RF_T / (RF_T + 1)
-    assert x + 1 == (2 * RF_T + 1) / (RF_T + 1)
-    assert (x - x) == RatFunc(0)
-    assert x.eval(GaussRat(1)) == GaussRat(Fraction(1, 2))
-    with pytest.raises(ZeroDivisionError):
-        x.eval(GaussRat(-1))
-    y = 1 / (RF_T - 1)
-    assert y * (RF_T - 1) == RatFunc(1)
-
-
-def test_laurent_over_ratfunc():
-    # Laurent polynomials with rational-function coefficients support the
-    # same ring operations (used by the one-parameter panel step)
-    f = LaurentPoly({0: RF_T, 1: RF_ONE_like()})
-    g = LaurentPoly({-1: RF_T})
-    p = f * g
-    assert p.coeff(-1, RatFunc(0)) == RF_T * RF_T
-    assert p.coeff(0, RatFunc(0)) == RF_T
-
-
-def RF_ONE_like():
-    return RatFunc(1)
