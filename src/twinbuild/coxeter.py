@@ -4,10 +4,17 @@ Words, deterministic normal forms, length and weighted length, Bruhat
 order, parabolic coset enumeration, and the affine-permutation form of
 group elements.
 
-Group elements are computed on *windows* (see `_wkernel_py`): the finite
-symmetric group embeds as the genuine permutations, the affine symmetric
-group as the periodic bijections of Z.  The window kernel is compiled when
-the extension built; `KERNEL_IMPL` records which implementation is active.
+Group elements are computed on *windows*: the tuple (u(1), ..., u(n)) of
+a bijection u: Z -> Z with
+
+    u(j + n) = u(j) + n      and      sum(u(j) - j) = 0.
+
+The finite symmetric group embeds as the genuine permutations, the affine
+symmetric group as all such periodic bijections.  Generators: s_i for
+i < n swaps i <-> i+1 (and its n-translates); s_n is the wrap-around swap
+of n <-> n+1.  Windows compose as plain functions, length is the
+inversion count of the periodic window, and descents read off
+adjacent-value comparisons.
 
 >>> M = coxeter_matrix("finite-A", 3)
 >>> reduce_word((1, 2, 1, 1, 2, 1), M)
@@ -26,32 +33,16 @@ from functools import lru_cache
 
 from .errors import DomainError
 
-try:  # pragma: no cover - exercised via the parity test
-    from . import _wkernel as _k
-except ImportError:  # pragma: no cover
-    from . import _wkernel_py as _k
-
-KERNEL_IMPL = _k.__name__
-
-widentity = _k.identity
-wgen = _k.gen
-wcompose = _k.compose
-winvert = _k.invert
-wlength = _k.length
-wdescents_right = _k.right_descents
-
 INFBOND = math.inf
 
 __all__ = [
     "INFBOND",
-    "KERNEL_IMPL",
     "CoxeterMatrix",
     "coxeter_matrix",
     "reduce_word",
     "word_length",
     "generalized_length",
     "bruhat_leq",
-    "bruhat_leq_subword",
     "min_coset_reps",
     "longest_element",
     "AffineWeylElt",
@@ -226,7 +217,85 @@ def _check_word(word, M: CoxeterMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Words and windows
+# Windows
+# ---------------------------------------------------------------------------
+
+
+def widentity(n):
+    """The identity window (1, 2, ..., n)."""
+    return tuple(range(1, n + 1))
+
+
+def wgen(i, n):
+    """Window of the generator s_i (1 <= i <= n; i = n is the affine node)."""
+    if not 1 <= i <= n:
+        raise ValueError(f"generator index {i} out of range 1..{n}")
+    u = list(range(1, n + 1))
+    if i < n:
+        u[i - 1], u[i] = u[i], u[i - 1]
+    else:
+        u[0] = 0
+        u[n - 1] = n + 1
+    return tuple(u)
+
+
+def wcompose(u, v):
+    """Window of the composite function u o v (first v, then u)."""
+    n = len(u)
+    out = [0] * n
+    for j in range(n):
+        val = v[j]
+        r = (val - 1) % n
+        m = (val - 1 - r) // n
+        out[j] = u[r] + m * n
+    return tuple(out)
+
+
+def winvert(u):
+    """Window of the inverse function."""
+    n = len(u)
+    out = [0] * n
+    for j in range(n):
+        val = u[j]
+        r = (val - 1) % n
+        m = (val - 1 - r) // n
+        out[r] = j + 1 - m * n
+    return tuple(out)
+
+
+def wlength(u):
+    """Coxeter length: number of inversions of the periodic window."""
+    n = len(u)
+    total = 0
+    for a in range(n):
+        ua = u[a]
+        for b in range(a + 1, n):
+            d = u[b] - ua
+            if d > 0:
+                total += d // n
+            else:
+                total += (-d) // n + 1
+    return total
+
+
+def wdescents_right(u):
+    """Generators i with length(u s_i) < length(u), as a sorted tuple.
+
+    For windows that are genuine permutations (the finite case) the
+    wrap-around generator n never appears.
+    """
+    n = len(u)
+    out = []
+    for i in range(1, n):
+        if u[i - 1] > u[i]:
+            out.append(i)
+    if u[n - 1] > u[0] + n:
+        out.append(n)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Words
 # ---------------------------------------------------------------------------
 
 
@@ -309,15 +378,18 @@ def generalized_length(word, M: CoxeterMatrix, weights):
 
 @lru_cache(maxsize=200_000)
 def _bruhat_leq_windows(v, w):
-    if wlength(v) >= wlength(w):
-        return v == w
-    s = min(wdescents_left(w))
-    g = wgen(s, len(w))
-    sv = wcompose(g, v)
-    sw = wcompose(g, w)
-    if wlength(sv) < wlength(v):
-        return _bruhat_leq_windows(sv, sw)
-    return _bruhat_leq_windows(v, sw)
+    # Lifting property, for a left descent s of w: if s is also a left
+    # descent of v then v <= w iff sv <= sw, otherwise v <= w iff v <= sw.
+    lv, lw = wlength(v), wlength(w)
+    while lv < lw:
+        s = min(wdescents_left(w))
+        g = wgen(s, len(w))
+        if s in wdescents_left(v):
+            v = wcompose(g, v)
+            lv -= 1
+        w = wcompose(g, w)
+        lw -= 1
+    return v == w
 
 
 def bruhat_leq(v, w, M: CoxeterMatrix) -> bool:
@@ -328,28 +400,6 @@ def bruhat_leq(v, w, M: CoxeterMatrix) -> bool:
     True
     """
     return _bruhat_leq_windows(word_to_window(v, M), word_to_window(w, M))
-
-
-def bruhat_leq_subword(v, w, M: CoxeterMatrix) -> bool:
-    """Bruhat order by the subword characterization (test oracle).
-
-    True iff some subsequence of a fixed reduced word for w spells v.
-    Exponential in length(w); kept as an independent cross-check for
-    `bruhat_leq`.
-    """
-    vw = word_to_window(v, M)
-    wred = reduce_word(w, M)
-    target_len = wlength(vw)
-    gens = [wgen(i, M.n) for i in range(1, M.rank + 1)]
-    seen = {widentity(M.n)}
-    for s in wred:
-        extra = set()
-        for u in seen:
-            u2 = wcompose(u, gens[s - 1])
-            if wlength(u2) <= target_len:
-                extra.add(u2)
-        seen |= extra
-    return vw in seen
 
 
 # ---------------------------------------------------------------------------

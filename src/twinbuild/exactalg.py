@@ -942,40 +942,80 @@ def const_inverse(rows):
 
 
 def qi_roots(poly: "UPoly"):
-    """All roots of a UPoly that lie in Q(i), with multiplicity.
+    """The roots of a UPoly that lie in Q, ascending, with multiplicity.
 
-    Linear polynomials are solved directly; beyond that, the exact
-    factorisation over Q(i) is delegated to sympy (the one place it is
-    used in this package).
+    Roots in Q(i) outside Q are not returned.  A rational root of
+    f = g + i*h (g, h with rational coefficients) is a common root of g
+    and h, so the real roots of the squarefree part p of gcd(g, h) are
+    isolated with a Sturm sequence and each is bisected to width
+    1/(2 L^2), L the leading coefficient of p's primitive integer form.
+    A rational root of p has a denominator dividing L, and two such
+    roots lie at least 1/L^2 apart, so the fraction of denominator <= L
+    nearest the interval's midpoint is the only candidate.  It is the
+    interval's root if it lies in the interval and p vanishes there; its
+    multiplicity is the number of times t - root divides f.
     """
-    cs = poly.coeffs
-    if len(cs) <= 1:
+    common = UPoly([c.re for c in poly.coeffs]).gcd(UPoly([c.im for c in poly.coeffs]))
+    if common.degree() < 1:
         return []
-    if len(cs) == 2:
-        return [-cs[0] / cs[1]]
-    import sympy as sp
+    sqf = common.divmod(common.gcd(_derivative(common)))[0]
+    chain = [sqf, _derivative(sqf)]
+    while chain[-1].degree() > 0:
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+    chain = [[c.re for c in q.coeffs] for q in chain]
+    p = chain[0]
 
-    t = sp.Symbol("t")
+    def sign_changes(x):
+        signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    def to_sp(g):
-        return sp.Rational(g.re.numerator, g.re.denominator) + sp.Rational(
-            g.im.numerator, g.im.denominator
-        ) * sp.I
-
-    expr = sp.Add(*[to_sp(c) * t**k for k, c in enumerate(cs)])
+    den = math.lcm(*(c.denominator for c in p))
+    lead = den // math.gcd(*(int(c * den) for c in p))
+    width = Fraction(1, 2 * lead * lead)
+    bound = 1 + max(abs(c) for c in p[:-1])  # p is monic
     out = []
-    for fac, mult in sp.factor_list(expr, t, extension=[sp.I])[1]:
-        p = sp.Poly(fac, t)
-        if p.degree() != 1:
+    # Intervals (a, b] with their sign-change counts; a root of p at a
+    # sample point belongs to the interval it closes.
+    stack = [(-bound, bound, sign_changes(-bound), sign_changes(bound))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb > 1:
+            m = (a + b) / 2
+            vm = sign_changes(m)
+            stack += [(m, b, vm, vb), (a, m, va, vm)]
             continue
-        a, b = p.all_coeffs()
-        r = sp.expand(-b / a)
-        re, im = sp.re(r), sp.im(r)
-        root = GaussRat(
-            Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))
-        )
-        out.extend([root] * mult)
+        if va == vb:
+            continue
+        sb = _sign_at(p, b)
+        while sb and b - a > width:
+            m = (a + b) / 2
+            sm = _sign_at(p, m)
+            if sm in (0, sb):
+                b, sb = m, sm
+            else:
+                a = m
+        r = (b if not sb else (a + b) / 2).limit_denominator(lead)
+        if not a < r <= b or _sign_at(p, r):
+            continue
+        root = GaussRat(r)
+        linear = UPoly([-root, QI_ONE])
+        q, rem = poly.divmod(linear)
+        while not rem:
+            out.append(root)
+            q, rem = q.divmod(linear)
     return out
+
+
+def _derivative(p: "UPoly") -> "UPoly":
+    return UPoly([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def _sign_at(coeffs, x: Fraction) -> int:
+    """Sign of the rational polynomial with ascending coefficients at x."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
 
 
 def charpoly(rows) -> "UPoly":

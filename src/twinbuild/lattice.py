@@ -478,7 +478,7 @@ class PanelChart:
             if isinstance(t, int):
                 t = GaussRat(t)
             v = tuple(a + t * b for a, b in zip(self._u1, self._u2))
-        gap_mat = _hnf_plus_cols_laurent(self._B.cols() + [v], self.n)
+        gap_mat = _canonical_plus_cols(self._B.cols() + [v], self.n)
         chain = [gap_mat] + self._chain
         basis = adapted_basis("+", chain)
         if self.side == "-":
@@ -536,8 +536,3 @@ class PanelChart:
                 return None
             coords[j] = q
         return coords
-
-
-def _hnf_plus_cols_laurent(cols, n) -> LMat:
-    """Canonical Laurent form of a module given by (possibly extra) columns."""
-    return _canonical_plus_cols(cols, n)

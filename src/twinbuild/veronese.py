@@ -226,6 +226,11 @@ def recover_flag(x: LMat) -> SubspaceFlag:
     """The flag of cumulative eigenspaces of a constant hermitian matrix
     with rational spectrum, eigenvalues ascending; inverts
     spherical_veronese whenever the weights have distinct partial sums.
+
+    Raises NotInImageError when the spectrum is not rational (counted
+    with multiplicity, fewer than n eigenvalues lie in Q: this covers
+    irrational and non-real eigenvalues), when the matrix is scalar, and
+    when it is not diagonalizable.
     """
     if x.nrows != x.ncols:
         raise DomainError("recover_flag needs a square matrix")
@@ -233,9 +238,7 @@ def recover_flag(x: LMat) -> SubspaceFlag:
     n = x.nrows
     roots = qi_roots(charpoly(grid))
     if len(roots) < n:
-        raise NotInImageError("characteristic polynomial does not split over Q(i)")
-    if any(r.im for r in roots):
-        raise NotInImageError("complex eigenvalues: not a hermitian image")
+        raise NotInImageError("spectrum is not rational: not a hermitian image")
     distinct = sorted({r.re for r in roots})
     if len(distinct) < 2:
         raise NotInImageError("scalar matrix carries no flag")
@@ -248,8 +251,6 @@ def recover_flag(x: LMat) -> SubspaceFlag:
             for i in range(n)
         ]
         ker = kernel_basis(shifted)
-        if not ker:
-            raise NotInImageError("eigenvalue without eigenvector")
         total += len(ker)
         accumulated.extend(ker)
         if total < n:

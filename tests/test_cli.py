@@ -300,6 +300,18 @@ def test_zero_denominator_is_usage_error(argv):
     assert proc.stderr.startswith("usage error:")
 
 
+def test_bruhat_on_a_long_word_has_no_recursion_limit():
+    long_word = ",".join(["1,2,3,4"] * 400)
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinbuild", "coxeter", "bruhat",
+         "--type", "A~3", "--v", "1", "--w", long_word],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "true\n"
+
+
 def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -343,7 +355,8 @@ def test_verify_text_report(capsys):
 
 
 def test_envelopes_match_shipped_schema(capsys):
-    jsonschema = pytest.importorskip("jsonschema")
+    import jsonschema
+
     schema = json.loads(SCHEMA_PATH.read_text())
 
     _, out, _ = run_cli(

@@ -10,7 +10,6 @@ from twinbuild.coxeter import (
     CoxeterMatrix,
     affine_to_word,
     bruhat_leq,
-    bruhat_leq_subword,
     coset_min_split,
     coxeter_matrix,
     generalized_length,
@@ -211,6 +210,26 @@ def test_bruhat_pinned_affine_relations():
     assert not bruhat_leq((3,), (1, 2, 4, 1), AF4)
 
 
+def bruhat_leq_subword(v, w, M: CoxeterMatrix) -> bool:
+    """Bruhat order by the subword characterization: true iff some
+    subsequence of a fixed reduced word for w spells v.  Exponential in
+    length(w); the independent check of `bruhat_leq`.
+    """
+    vw = word_to_window(v, M)
+    wred = reduce_word(w, M)
+    target_len = wlength(vw)
+    gens = [wgen(i, M.n) for i in range(1, M.rank + 1)]
+    seen = {widentity(M.n)}
+    for s in wred:
+        extra = set()
+        for u in seen:
+            u2 = wcompose(u, gens[s - 1])
+            if wlength(u2) <= target_len:
+                extra.add(u2)
+        seen |= extra
+    return vw in seen
+
+
 @pytest.mark.parametrize("M,max_len", [(A3, 6), (AF2, 6)], ids=["A3", "affineA1"])
 def test_bruhat_agrees_with_subword_oracle(M, max_len):
     elts = {}
@@ -391,30 +410,3 @@ def test_ends_of_the_affine_a1_line():
         assert word_length(w, AF2) == k
         w = tuple(2 if i % 2 == 0 else 1 for i in range(k))
         assert word_length(w, AF2) == k
-
-
-# ---------------------------------------------------------------------------
-# kernel parity
-# ---------------------------------------------------------------------------
-
-
-def test_kernel_parity_compiled_vs_python():
-    compiled = pytest.importorskip("twinbuild._wkernel")
-    from twinbuild import _wkernel_py as pure
-
-    rng = random.Random(8)
-    for n in (2, 3, 4, 5):
-        assert compiled.identity(n) == pure.identity(n)
-        for i in range(1, n + 1):
-            assert compiled.gen(i, n) == pure.gen(i, n)
-        for _ in range(200):
-            u = pure.identity(n)
-            v = pure.identity(n)
-            for _ in range(rng.randint(0, 10)):
-                u = pure.compose(u, pure.gen(rng.randint(1, n), n))
-            for _ in range(rng.randint(0, 10)):
-                v = pure.compose(v, pure.gen(rng.randint(1, n), n))
-            assert compiled.compose(u, v) == pure.compose(u, v)
-            assert compiled.invert(u) == pure.invert(u)
-            assert compiled.length(u) == pure.length(u)
-            assert compiled.right_descents(u) == pure.right_descents(u)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbuild.errors import DomainError, NotInvertibleError
@@ -30,6 +30,7 @@ from twinbuild.exactalg import (
     poly_divmod,
     poly_gcd,
     poly_to_str,
+    qi_roots,
     rref,
     solve_right,
     zpow,
@@ -361,3 +362,30 @@ def test_upoly_divmod_gcd():
     assert r == UPoly([]) and d == UPoly([-2, 1])
     assert p.gcd(q) == q.monic()
 
+
+_NON_RATIONAL_FACTORS = {
+    "t^2-2": UPoly([-2, 0, 1]),
+    "t^2+1": UPoly([1, 0, 1]),
+    "t-i": UPoly([-QI_I, QI_ONE]),
+}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.dictionaries(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.integers(1, 3),
+        max_size=4,
+    ),
+    st.sampled_from(sorted(_NON_RATIONAL_FACTORS)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+)
+# sqrt(2) rounds to the planted root 1 at denominator 1.
+@example(planted={Fraction(1): 1}, extra="t^2-2", scale=(0, 1))
+def test_qi_roots_returns_exactly_the_planted_rational_roots(planted, extra, scale):
+    f = UPoly([GaussRat(*scale)]) * _NON_RATIONAL_FACTORS[extra]
+    for r, mult in planted.items():
+        for _ in range(mult):
+            f = f * UPoly([-r, 1])
+    expected = sorted(r for r, mult in planted.items() for _ in range(mult))
+    assert qi_roots(f) == [GaussRat(r) for r in expected]

@@ -4,6 +4,8 @@ caveat."""
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -286,6 +288,45 @@ def test_recover_flag_rejects_zero():
 def test_recover_flag_rejects_irrational_spectrum():
     with pytest.raises(NotInImageError):
         recover_flag(LMat([[QI_ZERO, GaussRat(2)], [QI_ONE, QI_ZERO]]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, -1], [1, 0]],
+        [[1, 1], [0, 1]],
+        [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+    ],
+    ids=["spectrum-plus-minus-i", "jordan-block", "jordan-block-two-eigenvalues"],
+)
+def test_recover_flag_rejects_non_image(rows):
+    with pytest.raises(NotInImageError):
+        recover_flag(LMat([[GaussRat(a) for a in row] for row in rows]))
+
+
+def test_recover_flag_rejects_non_square():
+    with pytest.raises(DomainError):
+        recover_flag(LMat.zeros(2, 3))
+
+
+def test_flag_recovery_loads_only_the_standard_library():
+    """Importing twinbuild and recovering a flag (a cubic characteristic
+    polynomial) loads no module outside twinbuild and the standard
+    library: the package has no runtime dependency."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import twinbuild\n"
+        "from fractions import Fraction\n"
+        "fl = twinbuild.SubspaceFlag(3, [[[1, 0, 0]], [[1, 0, 0], [0, 1, 1]]])\n"
+        "ws = [Fraction(1, 3), Fraction(2, 3)]\n"
+        "assert twinbuild.recover_flag(twinbuild.spherical_veronese(fl, ws)) == fl\n"
+        "tops = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'twinbuild'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_spherical_eigenvalue_pattern():
