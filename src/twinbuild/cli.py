@@ -7,7 +7,8 @@ schema-versioned JSON envelope (``--format json``)::
      "result": ...}
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 domain error.
+3 domain error, 4 internal error (an unexpected exception, that is a
+bug; its envelope code is ``internal``).
 
 Matrices are written ``row;row;...`` with comma-separated polynomial
 entries (``1,z;0,1``), or as a JSON array of entry strings; both parse
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -508,6 +510,18 @@ def _command_name(args) -> str:
     return name
 
 
+def _print_error(fmt, command, err_code, message):
+    if fmt == "json":
+        envelope = {
+            "schema": SCHEMA,
+            "command": command,
+            "error": {"code": err_code, "message": message},
+        }
+        print(json.dumps(envelope, sort_keys=True))
+    else:
+        print(f"error ({err_code}): {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -519,19 +533,23 @@ def main(argv=None) -> int:
             if cls in _ERROR_CODES:
                 err_code = _ERROR_CODES[cls]
                 break
-        envelope = {
-            "schema": SCHEMA,
-            "command": name,
-            "error": {"code": err_code, "message": str(exc)},
-        }
-        if args.format == "json":
-            print(json.dumps(envelope, sort_keys=True))
-        else:
-            print(f"error ({err_code}): {exc}", file=sys.stderr)
+        _print_error(args.format, name, err_code, str(exc))
         return 1 if isinstance(exc, VerificationError) else 3
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Any other exception is a bug.  The envelope names it and the
+        # frame that raised it, in place of a traceback.
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        func = tb.tb_frame.f_code
+        where = f"{os.path.basename(func.co_filename)}:{tb.tb_lineno} in {func.co_name}"
+        _print_error(
+            args.format, name, "internal", f"{type(exc).__name__}: {exc} (at {where})"
+        )
+        return 4
     if args.format == "json":
         envelope = {
             "schema": SCHEMA,

@@ -859,3 +859,38 @@ def test_twinposition_fields_serializable():
     assert isinstance(pos.left, tuple)
     assert isinstance(pos.word, tuple)
     assert isinstance(pos.right, tuple)
+
+
+def dense_basis(rng, n):
+    """A determinant-one basis with every entry filled: 2n elementary
+    factors c*z^d (d in -1..1) at positions that sweep the whole matrix."""
+    m = LMat.identity(n)
+    for k in range(2 * n):
+        i, j = k % n, (k + 1 + k // n) % n
+        if i == j:
+            j = (j + 1) % n
+        if k % 2:
+            i, j = j, i
+        c = rand_gauss(rng) or GaussRat(1)
+        m = m @ elementary(n, i, j, LaurentPoly({rng.randint(-1, 1): c}))
+    return m
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_planted_recovery_on_dense_bases_at_large_n(n):
+    """delta, codelta and opposite recover a planted Weyl element between
+    dense bases x and x n_w b; at these sizes every Chamber, det and
+    inverse is a full n x n Laurent computation."""
+    rng = random.Random(8000 + n)
+    for side in "+-":
+        x = dense_basis(rng, n)
+        w = word_to_affine(rand_affine_word(rng, n, n + 2), n)
+        y = x @ weyl_matrix(w) @ rand_borel(rng, n, side)
+        assert delta(chamber_from_basis(side, x), chamber_from_basis(side, y)) == w
+    x = dense_basis(rng, n)
+    w = word_to_affine(rand_affine_word(rng, n, n + 2), n)
+    cm = chamber_from_basis("-", x @ rand_borel(rng, n, "-"))
+    cp = chamber_from_basis("+", x @ weyl_matrix(w) @ rand_borel(rng, n, "+"))
+    assert codelta(cm, cp) == w
+    assert opposite(cm, cp) == (w == AffineWeylElt.identity(n))
+    assert opposite(cm, chamber_from_basis("+", x @ rand_borel(rng, n, "+")))

@@ -386,3 +386,26 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, fmt):
+    import jsonschema
+
+    import twinbuild.cli as cli_mod
+
+    def broken(args):
+        raise RuntimeError("planted bug")
+
+    monkeypatch.setattr(cli_mod, "_cmd_codelta", broken)
+    code, out, err = run_cli(capsys, "codelta", "--n", "2", "--format", fmt)
+    assert code == 4
+    assert "Traceback" not in err
+    if fmt == "json":
+        doc = json.loads(out)
+        jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
+        assert doc["error"]["code"] == "internal"
+        assert doc["error"]["message"].startswith("RuntimeError: planted bug (at ")
+    else:
+        assert out == ""
+        assert err.startswith("error (internal): RuntimeError: planted bug")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -224,12 +225,101 @@ def test_det_multiplicative():
         assert (a @ b).det() == a.det() * b.det()
 
 
+def cofactor_det(rows):
+    """Independent reference for ``LMat.det``: cofactor expansion along
+    the first row, O(n!)."""
+    if not rows:
+        return LP_ONE
+    out = LP_ZERO
+    for j, a in enumerate(rows[0]):
+        if a:
+            term = a * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+            out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def cofactor_adjugate(m):
+    n = m.nrows
+    return [
+        [
+            (-1) ** (i + j) * cofactor_det(
+                [row[:i] + row[i + 1:] for r, row in enumerate(m.rows) if r != j]
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+small_gauss = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
+    lambda p: GaussRat(*p)
+)
+small_polys = st.dictionaries(st.integers(-1, 1), small_gauss, min_size=1, max_size=2).map(
+    LaurentPoly
+)
+
+
+@st.composite
+def laurent_matrices(draw, n):
+    """n x n Laurent matrices; one in three made singular by a row that is
+    a multiple of another."""
+    rows = [[draw(small_polys) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        src, dst = draw(st.permutations(range(n)))[:2]
+        f = draw(small_polys)
+        rows[dst] = [f * a for a in rows[src]]
+    return LMat(rows)
+
+
+@st.composite
+def unit_det_matrices(draw, n):
+    """Products of elementary matrices c*z^d and a diagonal of units: the
+    determinant is a unit c*z^k."""
+    m = LMat.diag(
+        [zpow(draw(st.integers(-2, 2)), draw(small_gauss.filter(bool))) for _ in range(n)]
+    )
+    for _ in range(draw(st.integers(0, 2 * n if n > 1 else 0))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows = [list(r) for r in LMat.identity(n).rows]
+        rows[i][j] = LaurentPoly({draw(st.integers(-1, 1)): draw(small_gauss)})
+        m = m @ LMat(rows)
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_det_matches_cofactor_oracle(n, data):
+    m = data.draw(laurent_matrices(n))
+    d = m.det()
+    assert d == cofactor_det(m.rows)
+    if not d.is_unit_monomial():
+        with pytest.raises(NotInvertibleError, match=re.escape(poly_to_str(d))):
+            m.inv()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_inv_is_the_adjugate_over_the_unit_determinant(n, data):
+    m = data.draw(unit_det_matrices(n))
+    inv = m.inv()
+    assert m @ inv == LMat.identity(n)
+    assert inv @ m == LMat.identity(n)
+    if n <= 5:
+        (e, c), = cofactor_det(m.rows).coeffs.items()
+        dinv = LaurentPoly({-e: c.inverse()})
+        assert inv == LMat([[a * dinv for a in row] for row in cofactor_adjugate(m)])
+
+
 def test_inverse_of_unit_determinant_matrix():
     m = LMat([[Z, const(1)], [LP_ZERO, zpow(-1)]])
     assert m @ m.inv() == LMat.identity(2)
     assert m.inv() @ m == LMat.identity(2)
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match=re.escape("determinant 1 + z")):
         LMat([[Z + const(1), LP_ZERO], [LP_ZERO, LP_ONE]]).inv()
+    with pytest.raises(NotInvertibleError, match="determinant 0 "):
+        LMat([[Z, Z], [const(2), const(2)]]).inv()
 
 
 # ---------------------------------------------------------------------------
