@@ -39,8 +39,6 @@ element, project_twin its longest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coxeter import (
     AffineWeylElt,
     affine_to_word,
@@ -54,6 +52,7 @@ from .coxeter import (
 from .errors import DomainError, NotInvertibleError
 from .exactalg import LMat, LP_ONE, LP_ZERO, LaurentPoly, Z, zpow
 from .lattice import PanelChart, vertex_classes_of_basis
+from .record import Record
 
 __all__ = [
     "Chamber",
@@ -451,14 +450,16 @@ def opposite(cminus: Chamber, cplus: Chamber) -> bool:
     return codelta(cminus, cplus) == AffineWeylElt.identity(cminus.n)
 
 
-@dataclass(frozen=True)
-class TwinPosition:
+class TwinPosition(Record):
     """Relative position of two simplices: the minimal double-coset
     representative word framed by the two residues' generator sets."""
 
-    left: tuple
-    word: tuple
-    right: tuple
+    __slots__ = ("left", "word", "right")
+
+    def __init__(self, left: tuple, word: tuple, right: tuple):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "right", right)
 
 
 def _double_coset_position(elt, x: Simplex, y: Simplex) -> TwinPosition:

@@ -28,10 +28,10 @@ False
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
+from .record import Record
 
 INFBOND = math.inf
 
@@ -513,20 +513,20 @@ def longest_element(M: CoxeterMatrix):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineWeylElt:
+class AffineWeylElt(Record):
     """An affine Weyl group element as (pi, k): the monomial matrix with
     M e_j = z^{k_{pi(j)}} e_{pi(j)}; the shifts sum to zero."""
 
-    perm: tuple
-    shifts: tuple
+    __slots__ = ("perm", "shifts")
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
+    def __init__(self, perm: tuple, shifts: tuple):
+        n = len(perm)
+        if sorted(perm) != list(range(1, n + 1)):
             raise DomainError("perm is not a permutation of 1..n")
-        if len(self.shifts) != n or sum(self.shifts) != 0:
+        if len(shifts) != n or sum(shifts) != 0:
             raise DomainError("shifts must have length n and sum 0")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "shifts", shifts)
 
     @property
     def n(self):

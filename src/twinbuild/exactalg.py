@@ -4,7 +4,19 @@ Everything here is exact: Gaussian rationals (elements of Q(i)), sparse
 Laurent polynomials over them, univariate polynomials in an auxiliary
 parameter t (characteristic polynomials and their roots), and square
 matrices of Laurent polynomials with the operators used throughout the
-package:
+package.
+
+A Gaussian rational is stored as (a + b*i)/d: three Python ints with
+gcd(a, b, d) == 1 and d > 0, so the arithmetic is integer arithmetic and
+a gcd is taken only when the denominator is not 1 (the common case of
+integer entries skips it).  ``re`` and ``im`` read the parts back as
+``Fraction``s.
+
+>>> x = GaussRat(Fraction(1, 2), Fraction(1, 2)) * 2    # (1+i)/2 * 2
+>>> (x.a, x.b, x.d), x.re
+((1, 1, 1), Fraction(1, 1))
+
+The operators on polynomials and matrices:
 
 * ``valuation`` at zero and at infinity,
 * the Euler operator ``z d/dz``,
@@ -72,122 +84,208 @@ INF = math.inf
 
 
 class GaussRat:
-    """An element a + b*i of Q(i), with a, b exact rationals.
+    """An element (a + b*i)/d of Q(i), stored as three Python ints.
 
-    >>> x = GaussRat(1, 2)
+    The triple is normalised: gcd(a, b, d) == 1 and d > 0, so equal
+    values have equal triples.  ``re`` and ``im`` give the parts as
+    ``Fraction``s; the arithmetic stays on the integers and takes a gcd
+    only when the denominator is not 1.
+
+    >>> x = GaussRat(Fraction(1, 2), Fraction(3, 4))
+    >>> x.a, x.b, x.d
+    (2, 3, 4)
+    >>> x.re, x.im
+    (Fraction(1, 2), Fraction(3, 4))
     >>> str(x * x.conj)
-    '5'
+    '13/16'
     >>> str(GaussRat(0, 1) ** 2)
     '-1'
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        # Fraction(x) re-normalises even a Fraction; the arithmetic below
-        # always passes Fractions, so skip the copy for them.
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            rd, id_ = re.denominator, im.denominator
+            # With d = lcm(rd, id), gcd(a, b, d) is already 1.
+            d = math.lcm(rd, id_)
+            a, b = re.numerator * (d // rd), im.numerator * (d // id_)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("GaussRat is immutable")
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(x)
-        return None
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussRat:
+            other = _as_qi(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _qi(self.a + other.a, self.b + other.b, d)
+        return _qi(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussRat:
+            other = _as_qi(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _qi(self.a - other.a, self.b - other.b, d)
+        return _qi(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _as_qi(other)
+        if other is None:
             return NotImplemented
-        return GaussRat(o.re - self.re, o.im - self.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _qi(other.a - self.a, other.b - self.b, d)
+        return _qi(other.a * d - self.a * e, other.b * d - self.b * e, d * e)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
+        if type(other) is not GaussRat:
+            other = _as_qi(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
         if not b:
-            return GaussRat(a * c, a * d)
-        if not d:
-            return GaussRat(a * c, b * c)
-        return GaussRat(a * c - b * d, a * d + b * c)
+            return _qi(a * c, a * e, self.d * other.d)
+        if not e:
+            return _qi(a * c, b * c, self.d * other.d)
+        return _qi(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        a, b, d = self.a, self.b, self.d
+        if not a and not b:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRat(self.re / n, -self.im / n)
+        return _qi(a * d, -b * d, a * a + b * b)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if type(other) is not GaussRat:
+            other = _as_qi(other)
+            if other is None:
+                return NotImplemented
+        return _div(self, other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _as_qi(other)
+        if other is None:
             return NotImplemented
-        return o * self.inverse()
+        return _div(other, self)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = QI_ONE
+        a, b = 1, 0
         for _ in range(k):
-            out = out * self
-        return out
+            a, b = a * self.a - b * self.b, a * self.b + b * self.a
+        return _qi(a, b, self.d**k)
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _qi(-self.a, -self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is GaussRat:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (
+                not self.b
+                and self.d == other.denominator
+                and self.a == other.numerator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # Equal to hash(int) / hash(Fraction) on real values, as == is.
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        if self.d == 1:
+            return hash(self.a)
+        return hash(Fraction(self.a, self.d))
 
     @property
     def conj(self):
-        return GaussRat(self.re, -self.im)
+        return _qi(self.a, -self.b, self.d)
 
     def is_real(self):
-        return not self.im
+        return not self.b
 
     def __str__(self):
         return scalar_to_str(self)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
+
+
+# GaussRat.__setattr__ refuses assignment; the slot descriptors set the
+# fields of a new instance directly.
+_new = object.__new__
+_set_a = GaussRat.a.__set__
+_set_b = GaussRat.b.__set__
+_set_d = GaussRat.d.__set__
+_gcd = math.gcd
+
+
+def _qi(a, b, d):
+    """The GaussRat (a + b*i)/d, normalised; d must be nonzero."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = _new(GaussRat)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _as_qi(x):
+    """An int or a Fraction as a GaussRat; None for any other type."""
+    if isinstance(x, int):
+        return _qi(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _qi(x.numerator, 0, x.denominator)
+    return None
+
+
+def _div(x, y):
+    """x / y: multiply x by d*(a - b*i)/(a^2 + b^2) for y = (a + b*i)/d."""
+    a, b, c, e = x.a, x.b, y.a, y.b
+    if not e:
+        if not c:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return _qi(a * y.d, b * y.d, x.d * c)
+    return _qi(
+        (a * c + b * e) * y.d, (b * c - a * e) * y.d, x.d * (c * c + e * e)
+    )
 
 
 QI_ZERO = GaussRat(0)
@@ -745,11 +843,17 @@ class LMat:
         for row in self.rows:
             out_row = []
             for colv in ocolumns:
-                acc = LP_ZERO
+                # All coefficient products of the entry go into one dict;
+                # LaurentPoly drops the coefficients that cancelled.
+                acc = {}
                 for a, b in zip(row, colv):
                     if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
+                        for e1, c1 in a.coeffs.items():
+                            for e2, c2 in b.coeffs.items():
+                                e = e1 + e2
+                                s = acc.get(e)
+                                acc[e] = c1 * c2 if s is None else s + c1 * c2
+                out_row.append(LaurentPoly(acc))
             out.append(out_row)
         return LMat(out)
 

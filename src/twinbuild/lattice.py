@@ -13,7 +13,6 @@ vertex_classes_of_basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NotInvertibleError
 from .exactalg import (
@@ -29,6 +28,7 @@ from .exactalg import (
     solve_right,
     zpow,
 )
+from .record import Record
 
 INF = math.inf
 
@@ -62,35 +62,37 @@ def _to_plus(side, mat):
     return mat if side == "+" else _mirror(mat)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """A free module spanned by the columns of ``gens`` over Q(i)[z]
     (side '+') or Q(i)[1/z] (side '-')."""
 
-    side: str
-    gens: LMat
+    __slots__ = ("side", "gens")
 
-    def __post_init__(self):
-        _check_side(self.side)
-        if self.gens.nrows != self.gens.ncols:
+    def __init__(self, side: str, gens: LMat):
+        _check_side(side)
+        if gens.nrows != gens.ncols:
             raise DomainError("generator matrix must be square")
-        if not self.gens.det().is_unit_monomial():
+        if not gens.det().is_unit_monomial():
             raise NotInvertibleError(
                 "degenerate lattice: generator determinant is not a unit c*z^k"
             )
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "gens", gens)
 
     @property
     def n(self):
         return self.gens.nrows
 
 
-@dataclass(frozen=True)
-class LatticeClass:
+class LatticeClass(Record):
     """Projective class [L] = {z^k L}; ``mat`` is the canonical class
     representative, so equality is syntactic."""
 
-    side: str
-    mat: LMat
+    __slots__ = ("side", "mat")
+
+    def __init__(self, side: str, mat: LMat):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "mat", mat)
 
     @property
     def n(self):

@@ -10,7 +10,6 @@ failure descriptions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .building import (
@@ -37,6 +36,7 @@ from .coxeter import (
 )
 from .exactalg import GaussRat, LMat, LaurentPoly, LP_ZERO, QI_ONE
 from .lattice import INF
+from .record import Record
 from .samples import (
     rand_affine_word,
     rand_borel,
@@ -69,13 +69,15 @@ __all__ = ["SuiteResult", "available_suites", "run_all", "run_suite"]
 _MAX_MESSAGES = 5
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    seed: int
-    passed: int
-    failed: int
-    messages: tuple
+class SuiteResult(Record):
+    __slots__ = ("name", "seed", "passed", "failed", "messages")
+
+    def __init__(self, name: str, seed: int, passed: int, failed: int, messages: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failed", failed)
+        object.__setattr__(self, "messages", messages)
 
     @property
     def ok(self) -> bool:

@@ -312,6 +312,21 @@ def test_bruhat_on_a_long_word_has_no_recursion_limit():
     assert proc.stdout == "true\n"
 
 
+def test_cli_import_loads_no_introspection_modules():
+    """`import twinbuild.cli` (the start of every CLI command) loads none
+    of dataclasses, inspect, ast or dis, which together cost about 15 ms
+    of start-up."""
+    code = (
+        "import sys\n"
+        "import twinbuild.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'ast', 'dis')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -90,6 +90,101 @@ def test_gaussrat_mul_real_and_complex_factors():
                     assert type(got.re) is Fraction and type(got.im) is Fraction
 
 
+# Reference model: an element of Q(i) as a pair (re, im) of Fractions,
+# with the textbook field formulas.  GaussRat stores (a + b*i)/d as three
+# normalised ints, so every result is compared against this model.
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
+def assert_matches_reference(g, ref):
+    assert isinstance(g, GaussRat)
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert (g.re, g.im) == ref
+    assert g.d > 0 and math.gcd(g.a, g.b, g.d) == 1
+    assert g == GaussRat(*ref) and hash(g) == hash(GaussRat(*ref))
+    re, im = ref
+    assert bool(g) == bool(re or im)
+    assert g.is_real() == (not im)
+    if not im:
+        assert g == re and re == g and hash(g) == hash(re)
+        if re.denominator == 1:
+            assert g == int(re) and int(re) == g and hash(g) == hash(int(re))
+    else:
+        assert g != re and g != int(re)
+
+
+gauss_parts = st.tuples(
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6])),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6])),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x=gauss_parts, y=gauss_parts, k=st.integers(0, 5))
+@example(x=(Fraction(1, 2), Fraction(1, 2)), y=(Fraction(2), Fraction(0)), k=2)
+@example(x=(Fraction(1, 2), Fraction(1, 2)), y=(Fraction(1, 2), Fraction(-1, 2)), k=4)
+@example(x=(Fraction(0), Fraction(0)), y=(Fraction(0), Fraction(0)), k=0)
+@example(x=(Fraction(3, 4), Fraction(0)), y=(Fraction(0), Fraction(1, 4)), k=3)
+def test_gaussrat_matches_fraction_pair_reference(x, y, k):
+    """Every operation agrees with the Fraction-pair model and returns the
+    normal form; the examples include cancelling denominators such as
+    (1+i)/2 * 2 and (1+i)/2 * (1-i)/2, and zero."""
+    gx, gy = GaussRat(*x), GaussRat(*y)
+    assert_matches_reference(gx, x)
+    assert_matches_reference(gy, y)
+    assert_matches_reference(gx + gy, ref_add(x, y))
+    assert_matches_reference(gx - gy, ref_sub(x, y))
+    assert_matches_reference(gx * gy, ref_mul(x, y))
+    assert_matches_reference(-gx, (-x[0], -x[1]))
+    assert_matches_reference(gx.conj, (x[0], -x[1]))
+    assert_matches_reference(gx**k, ref_pow(x, k))
+    if any(y):
+        assert_matches_reference(gy.inverse(), ref_inverse(y))
+        assert_matches_reference(gx / gy, ref_mul(x, ref_inverse(y)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gy.inverse()
+        with pytest.raises(ZeroDivisionError):
+            gx / gy
+    # Mixed with a plain int or Fraction on either side.
+    zero = Fraction(0)
+    for r in (y[0], y[0].numerator):
+        rr = (Fraction(r), zero)
+        assert_matches_reference(gx + r, ref_add(x, rr))
+        assert_matches_reference(r + gx, ref_add(rr, x))
+        assert_matches_reference(gx - r, ref_sub(x, rr))
+        assert_matches_reference(r - gx, ref_sub(rr, x))
+        assert_matches_reference(gx * r, ref_mul(x, rr))
+        assert_matches_reference(r * gx, ref_mul(rr, x))
+        if r:
+            assert_matches_reference(gx / r, ref_mul(x, ref_inverse(rr)))
+        if any(x):
+            assert_matches_reference(r / gx, ref_mul(rr, ref_inverse(x)))
+
+
 # ---------------------------------------------------------------------------
 # Valuations
 # ---------------------------------------------------------------------------
