@@ -22,10 +22,11 @@ side's Borel (up to constant diagonals).  Chambers compare equal by
 their unordered set of vertex classes, so the rotation is invisible to
 callers.
 
-Monomial Weyl representatives are shared by the two sides: the matrix
-of (pi, k) has z^{k_i} in row i = pi(j)-1 of column j, and the twin
-apartment of a basis x consists of the chambers x*n_w*B(side) on both
-sides, with codelta(x n_v B-, x n_w B+) = v^{-1} w.
+Monomial Weyl representatives are shared by the two sides: for the
+window entry u(j) = r - n k (1 <= r <= n), column j of n_w holds z^k in
+row r, and the engine reads u(j) = i - n e off a column led by z^e in
+row i.  The twin apartment of a basis x is the chambers x*n_w*B(side) on
+both sides, with codelta(x n_v B-, x n_w B+) = v^{-1} w.
 
 Both gates come from one run of the reduction engine.  For a chamber c
 and the carrier d of a face, the engine factors c.rep^{-1} d.rep as
@@ -41,15 +42,17 @@ from __future__ import annotations
 
 from .coxeter import (
     AffineWeylElt,
+    _window_word,
     affine_to_word,
     coset_min_split,
     min_double_coset_rep,
     wcompose,
     wdescents_right,
     wgen,
+    widentity,
     word_to_affine,
 )
-from .errors import DomainError, NotInvertibleError
+from .errors import DomainError, NotInvertibleError, check_rank
 from .exactalg import LMat, LP_ONE, LP_ZERO, LaurentPoly, Z, zpow
 from .lattice import PanelChart, vertex_classes_of_basis
 from .record import Record
@@ -153,6 +156,7 @@ class Chamber:
         _check_side(side)
         if rep.nrows != rep.ncols:
             raise DomainError("chamber representative must be square")
+        check_rank(rep.nrows)
         det = rep.det()
         if not det.is_unit_monomial():
             raise NotInvertibleError("chamber representative is degenerate")
@@ -285,25 +289,28 @@ def borel_membership(side, mat: LMat) -> bool:
     return True
 
 
+def _window_matrix(u) -> LMat:
+    """The monomial matrix n_w of a window (rule in the module docstring)."""
+    n = len(u)
+    rows = [[LP_ZERO] * n for _ in range(n)]
+    for j, v in enumerate(u):
+        k, r = divmod(v - 1, n)
+        rows[r][j] = zpow(-k)
+    return LMat(rows)
+
+
 def weyl_matrix(elt: AffineWeylElt) -> LMat:
     """The monomial representative: z^{k_i} in row i = perm(j)-1 of
     column j.  Both halves of the twin building use the same matrices."""
-    n = elt.n
-    rows = [[LP_ZERO] * n for _ in range(n)]
-    for j in range(n):
-        i = elt.perm[j] - 1
-        rows[i][j] = zpow(elt.shifts[i])
-    return LMat(rows)
+    return _window_matrix(elt.window)
 
 
 def apartment_chambers(basis: LMat, word_or_elt, side="+") -> Chamber:
     """The chamber at Weyl position w in the apartment of the basis."""
     _check_side(side)
-    if isinstance(word_or_elt, AffineWeylElt):
-        elt = word_or_elt
-    else:
-        elt = word_to_affine(tuple(word_or_elt), basis.nrows)
-    return Chamber(side, basis @ weyl_matrix(elt))
+    if not isinstance(word_or_elt, AffineWeylElt):
+        word_or_elt = word_to_affine(tuple(word_or_elt), basis.nrows)
+    return Chamber(side, basis @ _window_matrix(word_or_elt.window))
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +383,27 @@ def _reduce(cols, bcols, key_plus, ops_plus):
                 bcols[j2] = [a - f * b for a, b in zip(bcols[j2], bcols[jr])]
 
 
-def _relpos(a: LMat, left_plus, right_plus, want_b=False):
-    """Normal form of a relative to (left Borel, right Borel).
+def _relpos(c: Chamber, d: Chamber, want_b=False):
+    """Normal form of a = c.rep^{-1} d.rep relative to (c's Borel, d's
+    Borel).
 
-    Returns (elt, r, b, leads): the monomial read-off as an affine Weyl
-    element, the reduced matrix r = a b, the column-operation matrix b
-    (when requested), and the leading monomials of r.
+    Returns (u, r, b, leads): the window of the monomial read-off, the
+    reduced matrix r = a b, the column-operation matrix b (when
+    requested), and the leading monomials of r.
     """
-    n = a.nrows
+    if c.n != d.n:
+        raise DomainError("dimension mismatch")
+    n = c.n
+    a = c.rep.inv() @ d.rep
     cols = [list(a.col(j)) for j in range(n)]
     bcols = [list(LMat.identity(n).col(j)) for j in range(n)] if want_b else None
-    leads = _reduce(cols, bcols, left_plus, right_plus)
-    perm = [0] * n
-    shifts = [0] * n
-    for j, (e, i, _) in enumerate(leads):
-        perm[j] = i + 1
-        shifts[i] = e
-    elt = AffineWeylElt(tuple(perm), tuple(shifts))
+    leads = _reduce(cols, bcols, c.side == "+", d.side == "+")
+    u = tuple(i + 1 - n * e for e, i, _ in leads)
+    if sum(e for e, _, _ in leads):
+        raise DomainError("read-off shifts do not sum to 0; not an affine Weyl element")
     r = LMat.from_cols(cols)
     b = LMat.from_cols(bcols) if want_b else None
-    return elt, r, b, leads
+    return u, r, b, leads
 
 
 def _monomial_inverse(leads, n):
@@ -415,12 +423,8 @@ def delta(c: Chamber, d: Chamber) -> AffineWeylElt:
     """Weyl distance between chambers on the same side."""
     if c.side != d.side:
         raise DomainError("delta needs chambers on the same side; use codelta")
-    if c.n != d.n:
-        raise DomainError("dimension mismatch")
-    plus = c.side == "+"
-    a = c.rep.inv() @ d.rep
-    elt, _, _, _ = _relpos(a, plus, plus)
-    return elt
+    u, _, _, _ = _relpos(c, d)
+    return AffineWeylElt.from_window(u)
 
 
 def codelta(c: Chamber, d: Chamber) -> AffineWeylElt:
@@ -428,11 +432,8 @@ def codelta(c: Chamber, d: Chamber) -> AffineWeylElt:
     codelta(c, d) == codelta(d, c)^{-1})."""
     if c.side == d.side:
         raise DomainError("codelta needs chambers on opposite sides; use delta")
-    if c.n != d.n:
-        raise DomainError("dimension mismatch")
-    a = c.rep.inv() @ d.rep
-    elt, _, _, _ = _relpos(a, c.side == "+", d.side == "+")
-    return elt
+    u, _, _, _ = _relpos(c, d)
+    return AffineWeylElt.from_window(u)
 
 
 def delta_word(c: Chamber, d: Chamber):
@@ -462,24 +463,24 @@ class TwinPosition(Record):
         object.__setattr__(self, "right", right)
 
 
-def _double_coset_position(elt, x: Simplex, y: Simplex) -> TwinPosition:
+def _double_coset_position(x: Simplex, y: Simplex) -> TwinPosition:
     j, k = x.cotype_nodes(), y.cotype_nodes()
-    rep = min_double_coset_rep(elt.to_window(), set(j), set(k))
-    return TwinPosition(j, affine_to_word(AffineWeylElt.from_window(rep)), k)
+    u, _, _, _ = _relpos(x.carrier, y.carrier)
+    return TwinPosition(j, _window_word(min_double_coset_rep(u, set(j), set(k))), k)
 
 
 def simplex_delta(x: Simplex, y: Simplex) -> TwinPosition:
     """W_J w W_K position of two same-side simplices."""
     if x.side != y.side:
         raise DomainError("simplex_delta needs simplices on the same side")
-    return _double_coset_position(delta(x.carrier, y.carrier), x, y)
+    return _double_coset_position(x, y)
 
 
 def simplex_codelta(x: Simplex, y: Simplex) -> TwinPosition:
     """W_J w W_K coposition of two opposite-side simplices."""
     if x.side == y.side:
         raise DomainError("simplex_codelta needs simplices on opposite sides")
-    return _double_coset_position(codelta(x.carrier, y.carrier), x, y)
+    return _double_coset_position(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +497,10 @@ def project(x: Simplex, c: Chamber) -> Chamber:
     """
     if x.side != c.side:
         raise DomainError("project needs a face and a chamber on the same side")
-    d0 = x.carrier
-    if d0.n != c.n:
-        raise DomainError("dimension mismatch")
-    plus = c.side == "+"
-    a = c.rep.inv() @ d0.rep
-    elt, r, _, leads = _relpos(a, plus, plus)
+    u, r, _, leads = _relpos(c, x.carrier)
     bl = r @ _monomial_inverse(leads, r.nrows)
-    wmin, _ = coset_min_split(elt.to_window(), set(x.cotype_nodes()))
-    rep = c.rep @ bl @ weyl_matrix(AffineWeylElt.from_window(wmin))
+    wmin, _ = coset_min_split(u, set(x.cotype_nodes()))
+    rep = c.rep @ bl @ _window_matrix(wmin)
     return Chamber(c.side, rep)
 
 
@@ -528,21 +524,16 @@ def project_twin(x: Simplex, c: Chamber) -> Chamber:
     """
     if x.side == c.side:
         raise DomainError("project_twin needs a face and a chamber on opposite sides")
-    d = x.carrier
-    if d.n != c.n:
-        raise DomainError("dimension mismatch")
-    n = d.n
-    a = c.rep.inv() @ d.rep
-    elt, r, _, leads = _relpos(a, c.side == "+", d.side == "+")
+    n = c.n
+    u, r, _, leads = _relpos(c, x.carrier)
     base = c.rep @ r @ _monomial_inverse(leads, n)
     jset = x.cotype_nodes()
-    u = elt.to_window()
     while True:
         up = [s for s in jset if s not in wdescents_right(u)]
         if not up:
             break
         u = wcompose(u, wgen(up[0], n))
-    return Chamber(d.side, base @ weyl_matrix(AffineWeylElt.from_window(u)))
+    return Chamber(x.side, base @ _window_matrix(u))
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +546,8 @@ def common_basis(cm: Chamber, cp: Chamber) -> LMat:
     chamber_from_basis('+', x) = cp; exists exactly for opposite pairs."""
     if cm.side != "-" or cp.side != "+":
         raise DomainError("common_basis takes a minus chamber then a plus chamber")
-    if cm.n != cp.n:
-        raise DomainError("dimension mismatch")
-    a = cm.rep.inv() @ cp.rep
-    elt, _, b, _ = _relpos(a, False, True, want_b=True)
-    if elt != AffineWeylElt.identity(cm.n):
+    u, _, b, _ = _relpos(cm, cp, want_b=True)
+    if u != widentity(cm.n):
         raise DomainError("chambers are not opposite")
     return cp.rep @ b
 
@@ -590,15 +578,16 @@ def panel_parameter(panel: Simplex, c: Chamber):
     return chart.parameter_of(c.chain_classes[gap])
 
 
-def _validated_word(welt, word, n):
-    if word is None:
-        return affine_to_word(welt)
-    word = tuple(word)
-    if word_to_affine(word, n) != welt:
-        raise DomainError("word does not spell the Weyl distance")
-    if welt.length() != len(word):
-        raise DomainError("word is not reduced")
-    return word
+def _reference_panels(dm: Chamber, x: LMat, word):
+    """The gallery of type word from dm in the twin apartment of x: for
+    each letter s, the chain position of s on the plus side and the
+    s-panel of the minus chamber x n_v B-, v the prefix before s."""
+    n = dm.n
+    prefix = widentity(n)
+    for k, s in enumerate(word):
+        d = Chamber("-", x @ _window_matrix(prefix)) if k else dm
+        yield _position_of_node(s, n, "+"), d.panel(_position_of_node(s, n, "-"))
+        prefix = wcompose(prefix, wgen(s, n))
 
 
 def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
@@ -614,20 +603,20 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
         raise DomainError("encode_coords takes (plus, minus, plus) chambers")
     n = cp.n
     x = common_basis(dm, cp)
-    word = _validated_word(delta(cp, e), word, n)
+    welt = delta(cp, e)
+    if word is None:
+        word = affine_to_word(welt)
+    else:
+        word = tuple(word)
+        if word_to_affine(word, n) != welt:
+            raise DomainError("word does not spell the Weyl distance")
+        if welt.length() != len(word):
+            raise DomainError("word is not reduced")
     coords = []
     cprev = cp
-    dprev = dm
-    prefix = AffineWeylElt.identity(n)
-    for s in word:
-        pp = _position_of_node(s, n, "+")
-        pm = _position_of_node(s, n, "-")
-        cnext = project(cprev.panel(pp), e)
-        xk = project_twin(dprev.panel(pm), cnext)
-        coords.append(panel_parameter(dprev.panel(pm), xk))
-        prefix = prefix.compose(word_to_affine((s,), n))
-        dprev = apartment_chambers(x, prefix, "-")
-        cprev = cnext
+    for pp, panel in _reference_panels(dm, x, word):
+        cprev = project(cprev.panel(pp), e)
+        coords.append(panel_parameter(panel, project_twin(panel, cprev)))
     return coords
 
 
@@ -644,13 +633,6 @@ def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
     if len(word) != len(coords):
         raise DomainError("word and coordinate list differ in length")
     cprev = cp
-    dprev = dm
-    prefix = AffineWeylElt.identity(n)
-    for s, t in zip(word, coords):
-        pp = _position_of_node(s, n, "+")
-        pm = _position_of_node(s, n, "-")
-        xk = panel_chamber(dprev.panel(pm), t)
-        cprev = project_twin(cprev.panel(pp), xk)
-        prefix = prefix.compose(word_to_affine((s,), n))
-        dprev = apartment_chambers(x, prefix, "-")
+    for (pp, panel), t in zip(_reference_panels(dm, x, word), coords):
+        cprev = project_twin(cprev.panel(pp), panel_chamber(panel, t))
     return cprev

@@ -177,8 +177,6 @@ def loop_poincare(n: int, truncation: int) -> PoincareSeries:
     >>> print(loop_poincare(2, 6))
     1 + t^2 + t^4 + t^6
     """
-    if n < 2:
-        raise DomainError(f"rank parameter n = {n} must be at least 2")
     M = coxeter_matrix("affine-A", n)
     finite = set(range(1, n))
     reps = min_coset_reps(M, finite, truncation // 2)

@@ -27,9 +27,9 @@ from fractions import Fraction
 from .building import (
     Simplex,
     chamber_from_basis,
-    codelta,
+    codelta_word,
     decode_coords,
-    delta,
+    delta_word,
     encode_coords,
     opposite,
     project,
@@ -38,7 +38,6 @@ from .building import (
 )
 from .cells import bott_equivalence_check, loop_poincare, schubert_poincare
 from .coxeter import (
-    affine_to_word,
     bruhat_leq,
     coxeter_matrix,
     min_coset_reps,
@@ -96,6 +95,9 @@ def _parse_matrix(text) -> LMat:
     text = text.strip()
     if text.startswith("["):
         rows = json.loads(text)
+        # LMat rejects ragged and empty row lists itself.
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError(f"bad matrix {text!r}; expected a JSON list of row lists")
         return LMat([[parse_poly(str(e)) for e in row] for row in rows])
     return LMat(
         [[parse_poly(e) for e in row.split(",")] for row in text.split(";")]
@@ -233,7 +235,7 @@ def _cmd_coxeter(args):
 def _cmd_delta(args):
     c = _chamber_arg(args.c, args.side, args.n)
     d = chamber_from_basis(args.side, _parse_matrix(args.d))
-    word = affine_to_word(delta(c, d))
+    word = delta_word(c, d)
     params = {"side": args.side, "c": args.c, "d": args.d}
     return params, {"word": list(word)}, _word_str(word), 0
 
@@ -241,7 +243,7 @@ def _cmd_delta(args):
 def _cmd_codelta(args):
     cm = _chamber_arg(args.cminus, "-", args.n)
     cp = _chamber_arg(args.cplus, "+", args.n)
-    word = affine_to_word(codelta(cm, cp))
+    word = codelta_word(cm, cp)
     params = {"cminus": args.cminus, "cplus": args.cplus, "n": args.n}
     return params, {"word": list(word)}, _word_str(word), 0
 
@@ -289,7 +291,7 @@ def _cmd_coords(args):
         word = _parse_word(args.word) if args.word is not None else None
         coords = encode_coords(cp, cm, e, word=word)
         if word is None:
-            word = affine_to_word(delta(cp, e))
+            word = delta_word(cp, e)
         params = {"n": args.n, "chamber": args.chamber, "word": args.word}
         result = {
             "word": list(word),

@@ -1,20 +1,22 @@
 """Coxeter systems of types A_{n-1} and affine A_{n-1}.
 
 Words, deterministic normal forms, length and weighted length, Bruhat
-order, parabolic coset enumeration, and the affine-permutation form of
-group elements.
+order, parabolic coset enumeration, and the affine Weyl group elements
+the building uses.
 
-Group elements are computed on *windows*: the tuple (u(1), ..., u(n)) of
-a bijection u: Z -> Z with
+Group elements are *windows*: the tuple (u(1), ..., u(n)) of a
+bijection u: Z -> Z with
 
-    u(j + n) = u(j) + n      and      sum(u(j) - j) = 0.
+    u(j + n) = u(j) + n      and      sum(u(j) - j) = 0
 
-The finite symmetric group embeds as the genuine permutations, the affine
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, section 8.3).  The
+finite symmetric group embeds as the genuine permutations, the affine
 symmetric group as all such periodic bijections.  Generators: s_i for
 i < n swaps i <-> i+1 (and its n-translates); s_n is the wrap-around swap
 of n <-> n+1.  Windows compose as plain functions, length is the
 inversion count of the periodic window, and descents read off
-adjacent-value comparisons.
+adjacent-value comparisons.  ``AffineWeylElt`` wraps a window; its
+(perm, shifts) pair is only the monomial-matrix view of it.
 
 >>> M = coxeter_matrix("finite-A", 3)
 >>> reduce_word((1, 2, 1, 1, 2, 1), M)
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, check_rank
 from .record import Record
 
 INFBOND = math.inf
@@ -174,8 +176,7 @@ def coxeter_matrix(kind: str, n: int) -> CoxeterMatrix:
     >>> coxeter_matrix("finite-A", 4).bond(1, 3)
     2
     """
-    if n < 2:
-        raise DomainError(f"rank parameter n = {n} must be at least 2")
+    check_rank(n)
     if kind == "finite-A":
         r = n - 1
         return CoxeterMatrix(
@@ -206,14 +207,6 @@ def _require_supported(M: CoxeterMatrix):
         raise DomainError(
             "only path (finite A) and cycle (affine A) diagrams are supported"
         )
-
-
-def _check_word(word, M: CoxeterMatrix):
-    word = tuple(int(i) for i in word)
-    for i in word:
-        if not 1 <= i <= M.rank:
-            raise DomainError(f"generator index {i} outside 1..{M.rank}")
-    return word
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +292,39 @@ def wdescents_right(u):
 # ---------------------------------------------------------------------------
 
 
+def _word_window(word, rank, n):
+    """Multiply out a word over the generators 1..rank into a window of
+    size n."""
+    u = widentity(n)
+    for i in word:
+        i = int(i)
+        if not 1 <= i <= rank:
+            raise DomainError(f"generator index {i} outside 1..{rank}")
+        u = wcompose(u, wgen(i, n))
+    return u
+
+
 def word_to_window(word, M: CoxeterMatrix):
     """Multiply out a generator word into a window."""
     _require_supported(M)
-    word = _check_word(word, M)
-    u = widentity(M.n)
-    for i in word:
-        u = wcompose(u, wgen(i, M.n))
-    return u
+    return _word_window(word, M.rank, M.n)
 
 
 def wdescents_left(u):
     """Generators s with length(s u) < length(u)."""
     return wdescents_right(winvert(u))
+
+
+def _window_word(u):
+    """The lex-least reduced word of a window (see window_to_word)."""
+    n = len(u)
+    word = []
+    e = widentity(n)
+    while u != e:
+        s = min(wdescents_left(u))
+        word.append(s)
+        u = wcompose(wgen(s, n), u)
+    return tuple(word)
 
 
 def window_to_word(u, M: CoxeterMatrix):
@@ -321,13 +334,7 @@ def window_to_word(u, M: CoxeterMatrix):
     lex-least reduced expression under the order s_1 < s_2 < ...
     """
     _require_supported(M)
-    word = []
-    e = widentity(M.n)
-    while u != e:
-        s = min(wdescents_left(u))
-        word.append(s)
-        u = wcompose(wgen(s, M.n), u)
-    return tuple(word)
+    return _window_word(u)
 
 
 def reduce_word(word, M: CoxeterMatrix):
@@ -509,15 +516,22 @@ def longest_element(M: CoxeterMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Affine permutations as (permutation, shift vector) pairs
+# Affine Weyl group elements
 # ---------------------------------------------------------------------------
 
 
 class AffineWeylElt(Record):
-    """An affine Weyl group element as (pi, k): the monomial matrix with
-    M e_j = z^{k_{pi(j)}} e_{pi(j)}; the shifts sum to zero."""
+    """An affine Weyl group element.  Its window is the element, and the
+    group law is ``wcompose``/``winvert``/``wlength`` on it.  The derived
+    (perm, shifts) = (pi, k), which the constructor takes, is the monomial
+    matrix e_j -> z^{k_{pi(j)}} e_{pi(j)}: u(j) = pi(j) - n k_{pi(j)}, and
+    the shifts sum to zero.
 
-    __slots__ = ("perm", "shifts")
+    >>> AffineWeylElt((2, 1), (-1, 1)).window
+    (0, 3)
+    """
+
+    __slots__ = ("window",)
 
     def __init__(self, perm: tuple, shifts: tuple):
         n = len(perm)
@@ -525,73 +539,80 @@ class AffineWeylElt(Record):
             raise DomainError("perm is not a permutation of 1..n")
         if len(shifts) != n or sum(shifts) != 0:
             raise DomainError("shifts must have length n and sum 0")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "shifts", shifts)
-
-    @property
-    def n(self):
-        return len(self.perm)
-
-    @staticmethod
-    def identity(n: int) -> "AffineWeylElt":
-        return AffineWeylElt(tuple(range(1, n + 1)), (0,) * n)
-
-    def to_window(self):
-        return tuple(
-            self.perm[j] - self.n * self.shifts[self.perm[j] - 1]
-            for j in range(self.n)
+        object.__setattr__(
+            self, "window", tuple(p - n * shifts[p - 1] for p in perm)
         )
 
     @staticmethod
     def from_window(u) -> "AffineWeylElt":
+        u = tuple(u)
         n = len(u)
-        perm = [0] * n
+        if sorted(v % n for v in u) != list(range(n)):
+            raise DomainError("perm is not a permutation of 1..n")
+        if sum(u) != n * (n + 1) // 2:
+            raise DomainError("shifts must have length n and sum 0")
+        elt = object.__new__(AffineWeylElt)
+        object.__setattr__(elt, "window", u)
+        return elt
+
+    def to_window(self):
+        return self.window
+
+    @staticmethod
+    def identity(n: int) -> "AffineWeylElt":
+        return AffineWeylElt.from_window(widentity(n))
+
+    @property
+    def n(self):
+        return len(self.window)
+
+    @property
+    def perm(self):
+        n = self.n
+        return tuple((v - 1) % n + 1 for v in self.window)
+
+    @property
+    def shifts(self):
+        n = self.n
         shifts = [0] * n
-        for j in range(n):
-            r = (u[j] - 1) % n + 1
-            perm[j] = r
-            shifts[r - 1] = (r - u[j]) // n
-        return AffineWeylElt(tuple(perm), tuple(shifts))
+        for v in self.window:
+            k, r = divmod(v - 1, n)
+            shifts[r] = -k
+        return tuple(shifts)
 
     def compose(self, other: "AffineWeylElt") -> "AffineWeylElt":
         """Group product self * other (matrix product of monomial forms)."""
         if self.n != other.n:
             raise DomainError("size mismatch")
-        n = self.n
-        perm = tuple(self.perm[other.perm[j] - 1] for j in range(n))
-        shifts = [0] * n
-        for i in range(n):
-            # (pi1 . k2)_i = k2 at pi1^{-1}(i)
-            pre = self.perm.index(i + 1)
-            shifts[i] = self.shifts[i] + other.shifts[pre]
-        return AffineWeylElt(perm, tuple(shifts))
+        return AffineWeylElt.from_window(wcompose(self.window, other.window))
 
     def inverse(self) -> "AffineWeylElt":
-        n = self.n
-        perm = [0] * n
-        for j in range(n):
-            perm[self.perm[j] - 1] = j + 1
-        shifts = [-self.shifts[self.perm[i] - 1] for i in range(n)]
-        return AffineWeylElt(tuple(perm), tuple(shifts))
+        return AffineWeylElt.from_window(winvert(self.window))
 
     def length(self) -> int:
-        return wlength(self.to_window())
+        return wlength(self.window)
+
+    def __repr__(self):
+        return f"AffineWeylElt(perm={self.perm!r}, shifts={self.shifts!r})"
+
+    def __reduce__(self):
+        return AffineWeylElt, (self.perm, self.shifts)
 
 
 def word_to_affine(word, n: int) -> AffineWeylElt:
-    """Multiply out a word over the affine A_{n-1} generators.
+    """Multiply out a word over the affine A_{n-1} generators 1..n.
 
     >>> word_to_affine((2,), 2)
     AffineWeylElt(perm=(2, 1), shifts=(-1, 1))
     """
-    M = coxeter_matrix("affine-A", n)
-    return AffineWeylElt.from_window(word_to_window(word, M))
+    check_rank(n)
+    return AffineWeylElt.from_window(_word_window(word, n, n))
 
 
 def affine_to_word(elt: AffineWeylElt):
     """Normal-form word of an affine permutation."""
-    M = coxeter_matrix("affine-A", elt.n)
-    return window_to_word(elt.to_window(), M)
+    check_rank(elt.n)
+    return _window_word(elt.window)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,6 +10,7 @@ __all__ = [
     "NotInvertibleError",
     "NotInImageError",
     "VerificationError",
+    "check_rank",
 ]
 
 
@@ -40,3 +41,9 @@ class NotInImageError(DomainError):
 
 class VerificationError(TwinbuildError):
     """A self-check suite found a counterexample (CLI exit code 1)."""
+
+
+def check_rank(n: int) -> None:
+    """Reject a rank parameter n < 2: SL_1 has no building."""
+    if n < 2:
+        raise DomainError(f"rank parameter n = {n} must be at least 2")

@@ -41,7 +41,6 @@ __all__ = [
     "type_of",
     "incident",
     "member",
-    "module_contains",
     "lattice_class_of_cols",
     "vertex_classes_of_basis",
     "adapted_basis",
@@ -266,13 +265,6 @@ def member(side, canonical_mat: LMat, v) -> bool:
         canonical_mat = _mirror(canonical_mat)
         v = [a.subs_zinv() for a in v]
     return _member_plus(canonical_mat, v)
-
-
-def module_contains(side, outer_canonical: LMat, inner: LMat) -> bool:
-    """Does the outer lattice contain every column of ``inner``?"""
-    return all(
-        member(side, outer_canonical, inner.col(j)) for j in range(inner.ncols)
-    )
 
 
 def incident(c1: LatticeClass, c2: LatticeClass) -> bool:

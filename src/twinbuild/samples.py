@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .building import Chamber, chamber_from_basis, weyl_matrix
-from .coxeter import AffineWeylElt, word_to_affine
+from .building import chamber_from_basis, weyl_matrix
+from .coxeter import word_to_affine
 from .exactalg import GaussRat, LMat, LP_ONE, LP_ZERO, LaurentPoly
 from .veronese import SubspaceFlag, projector_of, sl_loop_pair
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, NotInImageError
+from .errors import DomainError, NotInImageError, check_rank
 from .exactalg import (
     GaussRat,
     LMat,
@@ -330,6 +330,7 @@ def pi_projector(n, k) -> LMat:
 
 def pi_tls(n, k) -> LMat:
     """The recentred coordinate projector Pi_k - (k/n) 1."""
+    check_rank(n)
     shift = LaurentPoly({0: GaussRat(Fraction(k, n))})
     return pi_projector(n, k) - LMat.diag([shift] * n)
 
@@ -392,6 +393,7 @@ def caveat_check(n, bound, x: LMat | None = None) -> bool:
     equations cover the full image window, so boundary artifacts cannot
     fake a kernel.
     """
+    check_rank(n)
     if x is None:
         a = LaurentPoly({1: QI_ONE, -1: QI_ONE})
         x = LMat.diag([a] * (n - 1) + [a * (1 - n)])

@@ -300,6 +300,37 @@ def test_zero_denominator_is_usage_error(argv):
     assert proc.stderr.startswith("usage error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta", "--n", "1", "--d", "1"),
+        ("opposite", "--n", "1"),
+        ("project", "--basis", "1", "--keep", "0", "--chamber", "1"),
+        ("veronese", "caveat", "--n", "1", "--deg", "2"),
+        ("veronese", "affine", "--n", "1", "--k", "0"),
+    ],
+)
+def test_rank_one_is_a_domain_error(capsys, argv):
+    import jsonschema
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
+    assert doc["error"] == {
+        "code": "domain-error",
+        "message": "rank parameter n = 1 must be at least 2",
+    }
+
+
+@pytest.mark.parametrize("matrix", ["[1]", "[[1], 2]", '[["1","0"], "0,1"]'])
+def test_malformed_json_matrix_is_usage_error(capsys, matrix):
+    code, out, err = run_cli(capsys, "delta", "--n", "2", "--d", matrix)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: bad matrix")
+
+
 def test_bruhat_on_a_long_word_has_no_recursion_limit():
     long_word = ",".join(["1,2,3,4"] * 400)
     proc = subprocess.run(

@@ -1,9 +1,15 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from twinbuild.building import weyl_matrix
 from twinbuild.errors import DomainError
+from twinbuild.exactalg import LMat, LP_ZERO, zpow
 from twinbuild.coxeter import (
     INFBOND,
     AffineWeylElt,
@@ -401,6 +407,124 @@ def test_window_conversion_round_trip():
         w = tuple(rng.choice(range(1, n + 1)) for _ in range(rng.randint(0, 8)))
         e = word_to_affine(w, n)
         assert AffineWeylElt.from_window(e.to_window()) == e
+
+
+def test_from_window_rejects_non_elements():
+    assert AffineWeylElt.from_window((0, 3)) == AffineWeylElt((2, 1), (-1, 1))
+    with pytest.raises(DomainError, match="perm is not a permutation"):
+        AffineWeylElt.from_window((1, 3))
+    with pytest.raises(DomainError, match="sum 0"):
+        AffineWeylElt.from_window((1, 4))
+
+
+def test_affine_words_need_rank_two():
+    for n in (0, 1):
+        with pytest.raises(DomainError, match=f"rank parameter n = {n} must be at least 2"):
+            word_to_affine((), n)
+        with pytest.raises(DomainError, match="must be at least 2"):
+            affine_to_word(AffineWeylElt.identity(n))
+    with pytest.raises(DomainError, match="generator index 4 outside 1..3"):
+        word_to_affine((1, 4), 3)
+
+
+# The perm/shift group law that AffineWeylElt computed with before it
+# held a window, kept as the independent check of the window-backed
+# class: (pi, k) is the monomial matrix with e_j -> z^{k_{pi(j)}} e_{pi(j)},
+# and products and inverses are those of the matrices.
+
+
+def ref_compose(a, b):
+    (p1, k1), (p2, k2) = a, b
+    n = len(p1)
+    perm = tuple(p1[p2[j] - 1] for j in range(n))
+    # (pi1 . k2)_i = k2 at pi1^{-1}(i)
+    shifts = tuple(k1[i] + k2[p1.index(i + 1)] for i in range(n))
+    return perm, shifts
+
+
+def ref_inverse(a):
+    p, k = a
+    n = len(p)
+    perm = [0] * n
+    for j in range(n):
+        perm[p[j] - 1] = j + 1
+    return tuple(perm), tuple(-k[p[i] - 1] for i in range(n))
+
+
+def ref_generator(s, n):
+    perm, shifts = list(range(1, n + 1)), [0] * n
+    if s < n:
+        perm[s - 1], perm[s] = perm[s], perm[s - 1]
+    else:
+        perm[0], perm[n - 1] = n, 1
+        shifts[0], shifts[n - 1] = -1, 1
+    return tuple(perm), tuple(shifts)
+
+
+def ref_length(a):
+    """Shi's inversion formula (Bjorner-Brenti, Prop. 8.3.1) on the
+    periodic bijection j -> pi(j) - n k_{pi(j)}."""
+    p, k = a
+    n = len(p)
+    u = [p[j] - n * k[p[j] - 1] for j in range(n)]
+    return sum(abs((u[j] - u[i]) // n) for i in range(n) for j in range(i + 1, n))
+
+
+def ref_matrix(a):
+    p, k = a
+    n = len(p)
+    rows = [[LP_ZERO] * n for _ in range(n)]
+    for j in range(n):
+        rows[p[j] - 1][j] = zpow(k[p[j] - 1])
+    return LMat(rows)
+
+
+@st.composite
+def reference_cases(draw):
+    """Rank n, two (perm, shifts) pairs and a word over 1..n."""
+    n = draw(st.integers(2, 5))
+
+    def pair():
+        perm = tuple(draw(st.permutations(range(1, n + 1))))
+        head = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        return perm, tuple(head) + (-sum(head),)
+
+    word = tuple(draw(st.lists(st.integers(1, n), max_size=8)))
+    return n, pair(), pair(), word
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=reference_cases())
+@example(case=(2, ((2, 1), (-1, 1)), ((2, 1), (0, 0)), (2, 1)))
+def test_window_elements_match_perm_shift_reference(case):
+    n, a, b, word = case
+    x, y = AffineWeylElt(*a), AffineWeylElt(*b)
+    assert (x.perm, x.shifts) == a and x.n == n
+    xy = x.compose(y)
+    assert (xy.perm, xy.shifts) == ref_compose(a, b)
+    assert (x.inverse().perm, x.inverse().shifts) == ref_inverse(a)
+    assert x.length() == ref_length(a)
+    assert AffineWeylElt.from_window(x.to_window()) == x
+    assert weyl_matrix(x) == ref_matrix(a)
+    assert weyl_matrix(x) @ weyl_matrix(y) == weyl_matrix(xy)
+    spelled = (tuple(range(1, n + 1)), (0,) * n)
+    for s in word:
+        spelled = ref_compose(spelled, ref_generator(s, n))
+    w = word_to_affine(word, n)
+    assert (w.perm, w.shifts) == spelled
+
+
+def test_affine_elt_repr_pickle_and_copy():
+    s = word_to_affine((2,), 2)
+    assert repr(s) == "AffineWeylElt(perm=(2, 1), shifts=(-1, 1))"
+    w = word_to_affine((1, 2, 3, 1, 3), 3)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(w, proto))
+        assert back == w and hash(back) == hash(w)
+        assert (back.perm, back.shifts) == (w.perm, w.shifts)
+    assert copy.copy(w) == w and copy.deepcopy(w) == w
+    with pytest.raises(AttributeError):
+        w.window = (1, 2, 3)
 
 
 def test_ends_of_the_affine_a1_line():
