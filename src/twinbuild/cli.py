@@ -50,6 +50,7 @@ from .errors import (
     NotInvertibleError,
     TwinbuildError,
     VerificationError,
+    check_rank,
 )
 from .exactalg import LMat, parse_poly, parse_scalar, poly_to_str, scalar_to_str
 from .lattice import INF
@@ -174,6 +175,7 @@ def _chamber_arg(text, side, n):
     if text is None:
         if n is None:
             raise ValueError("give --n or an explicit basis matrix")
+        check_rank(n)
         return standard_chamber(side, n)
     return chamber_from_basis(side, _parse_matrix(text))
 
@@ -346,7 +348,11 @@ def _cmd_veronese(args):
         params = {"flag": args.flag, "weights": args.weights}
         return params, {"matrix": _matrix_json(x)}, _matrix_text(x), 0
     if args.sub == "affine":
-        g = _parse_matrix(args.loop) if args.loop else LMat.identity(args.n)
+        if args.loop:
+            g = _parse_matrix(args.loop)
+        else:
+            check_rank(args.n)
+            g = LMat.identity(args.n)
         x = affine_veronese_vertex(g, args.k)
         params = {"n": args.n, "k": args.k, "loop": args.loop}
         return params, {"matrix": _matrix_json(x)}, _matrix_text(x), 0

@@ -1,10 +1,12 @@
 """Exact scalar and matrix arithmetic for the building computations.
 
 Everything here is exact: Gaussian rationals (elements of Q(i)), sparse
-Laurent polynomials over them, univariate polynomials in an auxiliary
-parameter t (characteristic polynomials and their roots), and square
-matrices of Laurent polynomials with the operators used throughout the
-package.
+Laurent polynomials over them, and square matrices of Laurent
+polynomials with the operators used throughout the package.  There is
+one polynomial type: ``charpoly`` and ``qi_roots`` read a LaurentPoly
+with exponents >= 0 as a polynomial in an auxiliary parameter t, and
+divide in Q(i)[t] with the same ``poly_divmod``/``poly_gcd`` as the
+lattice normal form.
 
 A Gaussian rational is stored as (a + b*i)/d: three Python ints with
 gcd(a, b, d) == 1 and d > 0, so the arithmetic is integer arithmetic and
@@ -72,7 +74,6 @@ __all__ = [
     "solve_right",
     "const_inverse",
     "charpoly",
-    "UPoly",
 ]
 
 INF = math.inf
@@ -670,7 +671,7 @@ def parse_poly(s: str) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Division helpers (used by the lattice normal form)
+# Division helpers (lattice normal form, gcds and Sturm chains in t)
 # ---------------------------------------------------------------------------
 
 
@@ -979,12 +980,6 @@ class LMat:
     def ev_inf(self) -> "LMat":
         return LMat([[const(a.ev_inf()) for a in row] for row in self.rows])
 
-    def const_entries(self):
-        """Entries as GaussRat values; requires a constant matrix."""
-        if not self.is_constant():
-            raise DomainError("matrix is not constant")
-        return [[a.coeff(0) for a in row] for row in self.rows]
-
     def __str__(self):
         return "\n".join(
             "[" + ", ".join(poly_to_str(a) for a in row) + "]" for row in self.rows
@@ -1050,12 +1045,13 @@ def mat_from_json(data) -> LMat:
 
 
 # ---------------------------------------------------------------------------
-# Constant linear algebra over a field (GaussRat unless stated otherwise)
+# Constant linear algebra over Q(i) (lists of GaussRat rows)
 # ---------------------------------------------------------------------------
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
+    """Reduced row echelon form of GaussRat rows; returns (new_rows,
+    pivot_columns)."""
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
@@ -1067,7 +1063,7 @@ def rref(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse() if hasattr(rows[r][c], "inverse") else 1 / rows[r][c]
+        inv = rows[r][c].inverse()
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -1121,8 +1117,9 @@ def const_inverse(rows):
     return [row[n:] for row in red[:n]]
 
 
-def qi_roots(poly: "UPoly"):
-    """The roots of a UPoly that lie in Q, ascending, with multiplicity.
+def qi_roots(poly: LaurentPoly):
+    """The roots of a polynomial in t that lie in Q, ascending, with
+    multiplicity; ``poly`` is a LaurentPoly with exponents >= 0.
 
     Roots in Q(i) outside Q are not returned.  A rational root of
     f = g + i*h (g, h with rational coefficients) is a common root of g
@@ -1134,15 +1131,24 @@ def qi_roots(poly: "UPoly"):
     nearest the interval's midpoint is the only candidate.  It is the
     interval's root if it lies in the interval and p vanishes there; its
     multiplicity is the number of times t - root divides f.
+
+    >>> p = charpoly([[GaussRat(1), GaussRat(1)], [QI_ZERO, GaussRat(2)]])
+    >>> str(p)  # (t - 1)(t - 2), printed in the variable z
+    '2 - 3*z + z^2'
+    >>> [str(r) for r in qi_roots(p)]
+    ['1', '2']
     """
-    common = UPoly([c.re for c in poly.coeffs]).gcd(UPoly([c.im for c in poly.coeffs]))
-    if common.degree() < 1:
+    common = poly_gcd(
+        LaurentPoly({e: GaussRat(c.re) for e, c in poly.coeffs.items()}),
+        LaurentPoly({e: GaussRat(c.im) for e, c in poly.coeffs.items()}),
+    )
+    if _degree(common) < 1:
         return []
-    sqf = common.divmod(common.gcd(_derivative(common)))[0]
+    sqf = poly_divmod(common, poly_gcd(common, _derivative(common)))[0]
     chain = [sqf, _derivative(sqf)]
-    while chain[-1].degree() > 0:
-        chain.append(-chain[-2].divmod(chain[-1])[1])
-    chain = [[c.re for c in q.coeffs] for q in chain]
+    while _degree(chain[-1]) > 0:
+        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
+    chain = [[q.coeff(e).re for e in range(_degree(q) + 1)] for q in chain]
     p = chain[0]
 
     def sign_changes(x):
@@ -1178,16 +1184,21 @@ def qi_roots(poly: "UPoly"):
         if not a < r <= b or _sign_at(p, r):
             continue
         root = GaussRat(r)
-        linear = UPoly([-root, QI_ONE])
-        q, rem = poly.divmod(linear)
+        linear = LaurentPoly({0: -root, 1: QI_ONE})
+        q, rem = poly_divmod(poly, linear)
         while not rem:
             out.append(root)
-            q, rem = q.divmod(linear)
+            q, rem = poly_divmod(q, linear)
     return out
 
 
-def _derivative(p: "UPoly") -> "UPoly":
-    return UPoly([k * c for k, c in enumerate(p.coeffs)][1:])
+def _degree(p: LaurentPoly) -> int:
+    """Degree of a polynomial (exponents >= 0); -1 for zero."""
+    return max(p.coeffs, default=-1)
+
+
+def _derivative(p: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly({e - 1: e * c for e, c in p.coeffs.items() if e})
 
 
 def _sign_at(coeffs, x: Fraction) -> int:
@@ -1198,8 +1209,9 @@ def _sign_at(coeffs, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def charpoly(rows) -> "UPoly":
-    """Characteristic polynomial det(t*1 - A) by the trace recursion."""
+def charpoly(rows) -> LaurentPoly:
+    """Characteristic polynomial det(t*1 - A) by the trace recursion, as
+    a LaurentPoly in t with exponents 0..n."""
     n = len(rows)
     coeffs = [QI_ZERO] * (n + 1)
     coeffs[n] = QI_ONE
@@ -1218,150 +1230,7 @@ def charpoly(rows) -> "UPoly":
         coeffs[n - k] = c
         for i in range(n):
             m[i][i] = m[i][i] + c
-    return UPoly(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Univariate polynomials in an auxiliary parameter t
-# ---------------------------------------------------------------------------
-
-
-class UPoly:
-    """Dense univariate polynomial over GaussRat, coefficients ascending.
-
-    >>> p = UPoly([GaussRat(-1), QI_ZERO, QI_ONE])   # t^2 - 1
-    >>> p.eval(GaussRat(3)) == GaussRat(8)
-    True
-    >>> p.degree()
-    2
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [c if isinstance(c, GaussRat) else GaussRat(c) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("UPoly is immutable")
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, UPoly):
-            return x
-        if isinstance(x, (int, Fraction, GaussRat)):
-            return UPoly([x])
-        return None
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [QI_ZERO] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [QI_ZERO] * (n - len(o.coeffs))
-        return UPoly([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self or not o:
-            return UPoly([])
-        out = [QI_ZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "UPoly"):
-        if not other:
-            raise ZeroDivisionError("UPoly division by zero")
-        q = UPoly([])
-        r = self
-        d = other.degree()
-        lead = other.coeffs[-1]
-        while r and r.degree() >= d:
-            k = r.degree() - d
-            c = r.coeffs[-1] / lead
-            t = UPoly([QI_ZERO] * k + [c])
-            q = q + t
-            r = r - t * other
-        return q, r
-
-    def gcd(self, other: "UPoly") -> "UPoly":
-        a, b = self, other
-        while b:
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if a else a
-
-    def monic(self) -> "UPoly":
-        if not self:
-            return self
-        inv = self.coeffs[-1].inverse()
-        return UPoly([c * inv for c in self.coeffs])
-
-    def eval(self, x: GaussRat) -> GaussRat:
-        acc = QI_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self):
-        if not self:
-            return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            cs = scalar_to_str(c)
-            if e == 0:
-                parts.append(cs)
-            else:
-                ts = "t" if e == 1 else f"t^{e}"
-                parts.append(ts if cs == "1" else f"{cs}*{ts}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<UPoly {self}>"
+    return LaurentPoly(dict(enumerate(coeffs)))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -202,12 +202,7 @@ def canonical_lattice(L: Lattice) -> LMat:
 def canonical_class(L: Lattice) -> LatticeClass:
     """Scale the canonical form by the z-power putting the least entry
     valuation at 0 (entries polynomial, some nonzero constant term)."""
-    plus = _to_plus(L.side, L.gens)
-    h = _canonical_plus_cols(plus.cols(), L.n)
-    v = min(a.val0() for row in h.rows for a in row if a)
-    if v:
-        h = h.scale(zpow(-int(v)))
-    return LatticeClass(L.side, h if L.side == "+" else _mirror(h))
+    return lattice_class_of_cols(L.side, L.gens.cols())
 
 
 def lattice_class_of_cols(side, cols) -> LatticeClass:
@@ -235,8 +230,9 @@ def type_of(c: LatticeClass) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _member_plus(h: LMat, v) -> bool:
-    """Is the vector v in the module with canonical plus-form h?
+def _plus_coords(h: LMat, v):
+    """Coordinates of the vector v in the columns of the canonical
+    plus-form h, or None if v is not in their module.
 
     Back substitution against the upper-triangular h; membership holds iff
     every division is exact and every coordinate is polynomial.
@@ -249,13 +245,15 @@ def _member_plus(h: LMat, v) -> bool:
         for jj in range(j + 1, n):
             rhs = rhs - h[j, jj] * coords[jj]
         q = divexact(rhs, h[j, j])
-        if q is None:
-            return False
+        if q is None or (q and q.val0() < 0):
+            return None
         coords[j] = q
-    for q in coords:
-        if q and q.val0() < 0:
-            return False
-    return True
+    return coords
+
+
+def _member_plus(h: LMat, v) -> bool:
+    """Is the vector v in the module with canonical plus-form h?"""
+    return _plus_coords(h, v) is not None
 
 
 def member(side, canonical_mat: LMat, v) -> bool:
@@ -450,15 +448,17 @@ class PanelChart:
         self._u1 = self._Acan.col(self._j1)
         self._u2 = self._Acan.col(self._j2)
 
+    def _gap_vector(self, t):
+        """The generator the chart adds to B: u1 + t*u2, or u2 at inf."""
+        if t == INF:
+            return self._u2
+        if isinstance(t, int):
+            t = GaussRat(t)
+        return tuple(a + t * b for a, b in zip(self._u1, self._u2))
+
     def gap_class(self, t) -> LatticeClass:
         """The chart: the gap-type class at parameter t (Q(i) or inf)."""
-        if t == INF:
-            v = self._u2
-        else:
-            if isinstance(t, int):
-                t = GaussRat(t)
-            v = tuple(a + t * b for a, b in zip(self._u1, self._u2))
-        cls = lattice_class_of_cols("+", self._B.cols() + [v])
+        cls = lattice_class_of_cols("+", self._B.cols() + [self._gap_vector(t)])
         if self.side == "-":
             return LatticeClass("-", _mirror(cls.mat))
         return cls
@@ -466,13 +466,9 @@ class PanelChart:
     def chamber_basis(self, t) -> LMat:
         """Ordered basis of the full chamber obtained by filling the gap
         at parameter t; feeds chamber construction."""
-        if t == INF:
-            v = self._u2
-        else:
-            if isinstance(t, int):
-                t = GaussRat(t)
-            v = tuple(a + t * b for a, b in zip(self._u1, self._u2))
-        gap_mat = _canonical_plus_cols(self._B.cols() + [v], self.n)
+        gap_mat = _canonical_plus_cols(
+            self._B.cols() + [self._gap_vector(t)], self.n
+        )
         chain = [gap_mat] + self._chain
         basis = adapted_basis("+", chain)
         if self.side == "-":
@@ -502,8 +498,7 @@ class PanelChart:
             for i in range(n)
         ]
         for c in range(n):
-            v = mat.col(c)
-            coords = self._coords_in_A(v)
+            coords = _plus_coords(self._Acan, mat.col(c))
             if coords is None:
                 raise DomainError("class is not between the panel's neighbours")
             psi = [x.ev0() for x in coords]
@@ -515,18 +510,3 @@ class PanelChart:
                 continue
             return INF if not c1 else c2 / c1
         raise DomainError("class equals the panel floor; not a chamber vertex")
-
-    def _coords_in_A(self, v):
-        n = self.n
-        h = self._Acan
-        v = list(v)
-        coords = [None] * n
-        for j in range(n - 1, -1, -1):
-            rhs = v[j]
-            for jj in range(j + 1, n):
-                rhs = rhs - h[j, jj] * coords[jj]
-            q = divexact(rhs, h[j, j])
-            if q is None or (q and q.val0() < 0):
-                return None
-            coords[j] = q
-        return coords

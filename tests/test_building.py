@@ -1,18 +1,15 @@
 """Tests for chambers, Weyl distance/codistance, twin axioms, gates,
 twin gates, and Schubert-cell coordinates."""
 
-import itertools
 import random
 
 import pytest
 
 from twinbuild.building import (
-    Chamber,
     apartment_chambers,
     borel_membership,
     chamber_from_basis,
     codelta,
-    codelta_word,
     common_basis,
     decode_coords,
     delta,

@@ -308,18 +308,26 @@ def test_zero_denominator_is_usage_error(argv):
         ("project", "--basis", "1", "--keep", "0", "--chamber", "1"),
         ("veronese", "caveat", "--n", "1", "--deg", "2"),
         ("veronese", "affine", "--n", "1", "--k", "0"),
+        ("opposite", "--n", "0"),
+        ("opposite", "--n", "-3"),
+        ("codelta", "--n", "0"),
+        ("delta", "--n", "-2", "--d", "1"),
+        ("coords", "decode", "--n", "-1", "--word", "1", "--coords", "1"),
+        ("veronese", "affine", "--n", "0", "--k", "0"),
     ],
 )
 def test_rank_one_is_a_domain_error(capsys, argv):
     import jsonschema
 
+    # The rank is the --n value, or 1 for the 1x1 basis of `project`.
+    n = int(argv[argv.index("--n") + 1]) if "--n" in argv else 1
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 3
     doc = json.loads(out)
     jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
     assert doc["error"] == {
         "code": "domain-error",
-        "message": "rank parameter n = 1 must be at least 2",
+        "message": f"rank parameter n = {n} must be at least 2",
     }
 
 

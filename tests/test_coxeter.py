@@ -28,7 +28,6 @@ from twinbuild.coxeter import (
     wdescents_right,
     widentity,
     wgen,
-    winvert,
     wlength,
     word_length,
     word_to_affine,

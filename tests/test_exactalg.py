@@ -17,7 +17,6 @@ from twinbuild.exactalg import (
     QI_I,
     QI_ONE,
     QI_ZERO,
-    UPoly,
     Z,
     charpoly,
     const,
@@ -531,27 +530,29 @@ def test_const_inverse_and_charpoly():
     ainv = const_inverse(a)
     assert ainv == [[GaussRat(1), GaussRat(Fraction(-1, 2))], [GaussRat(0), GaussRat(Fraction(1, 2))]]
     p = charpoly(a)  # (t-1)(t-2) = t^2 - 3t + 2
-    assert p == UPoly([GaussRat(2), GaussRat(-3), GaussRat(1)])
+    assert p == LaurentPoly({0: GaussRat(2), 1: GaussRat(-3), 2: GaussRat(1)})
     assert const_inverse([[QI_ZERO]]) is None
 
 
-# ---------------------------------------------------------------------------
-# UPoly
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_charpoly_matches_det_of_t_minus_a(n, data):
+    # Oracle: det(t*1 - A) from the minor table, t written as z.
+    entry = gauss_parts.map(lambda p: GaussRat(*p))
+    a = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    assert charpoly(a) == (LMat.diag([Z] * n) - LMat(a)).det()
 
 
-def test_upoly_divmod_gcd():
-    p = UPoly([2, -3, 1])  # (t-1)(t-2)
-    q = UPoly([-1, 1])
-    d, r = p.divmod(q)
-    assert r == UPoly([]) and d == UPoly([-2, 1])
-    assert p.gcd(q) == q.monic()
+# ---------------------------------------------------------------------------
+# Rational roots of polynomials in t (LaurentPoly, exponents >= 0)
+# ---------------------------------------------------------------------------
 
 
 _NON_RATIONAL_FACTORS = {
-    "t^2-2": UPoly([-2, 0, 1]),
-    "t^2+1": UPoly([1, 0, 1]),
-    "t-i": UPoly([-QI_I, QI_ONE]),
+    "t^2-2": Z * Z - 2,
+    "t^2+1": Z * Z + 1,
+    "t-i": Z - QI_I,
 }
 
 
@@ -568,9 +569,9 @@ _NON_RATIONAL_FACTORS = {
 # sqrt(2) rounds to the planted root 1 at denominator 1.
 @example(planted={Fraction(1): 1}, extra="t^2-2", scale=(0, 1))
 def test_qi_roots_returns_exactly_the_planted_rational_roots(planted, extra, scale):
-    f = UPoly([GaussRat(*scale)]) * _NON_RATIONAL_FACTORS[extra]
+    f = const(GaussRat(*scale)) * _NON_RATIONAL_FACTORS[extra]
     for r, mult in planted.items():
         for _ in range(mult):
-            f = f * UPoly([-r, 1])
+            f = f * (Z - r)
     expected = sorted(r for r, mult in planted.items() for _ in range(mult))
     assert qi_roots(f) == [GaussRat(r) for r in expected]

@@ -14,10 +14,8 @@ from twinbuild.lattice import (
     canonical_class,
     canonical_lattice,
     incident,
-    lattice_class_of_cols,
     member,
     standard_vertex_mat,
-    type_of,
     vertex_classes_of_basis,
 )
 

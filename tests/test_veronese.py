@@ -2,7 +2,6 @@
 flag recovery, unitary loops, the gauge action, and the eigenvalue
 caveat."""
 
-import itertools
 import random
 import subprocess
 import sys
@@ -30,7 +29,6 @@ from twinbuild.veronese import (
     barycentric_affine_veronese,
     caveat_check,
     gauge,
-    is_unitary_loop,
     perp,
     pi_projector,
     pi_tls,
