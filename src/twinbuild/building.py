@@ -353,7 +353,7 @@ def _lead(col, key_plus):
     return best[1], best[2], best[3]
 
 
-def _reduce(cols, bcols, key_plus, ops_plus):
+def _reduce(cols, key_plus, ops_plus):
     """Reduce columns in place until leading rows are distinct; returns
     the final leadings [(exponent, row, coefficient)]."""
     while True:
@@ -379,39 +379,37 @@ def _reduce(cols, bcols, key_plus, ops_plus):
             e2, _, c2 = leads[j2]
             f = LaurentPoly({e2 - er: c2 / cr})
             cols[j2] = [a - f * b for a, b in zip(cols[j2], cols[jr])]
-            if bcols is not None:
-                bcols[j2] = [a - f * b for a, b in zip(bcols[j2], bcols[jr])]
 
 
-def _relpos(c: Chamber, d: Chamber, want_b=False):
+def _relpos(c: Chamber, d: Chamber):
     """Normal form of a = c.rep^{-1} d.rep relative to (c's Borel, d's
     Borel).
 
-    Returns (u, r, b, leads): the window of the monomial read-off, the
-    reduced matrix r = a b, the column-operation matrix b (when
-    requested), and the leading monomials of r.
+    Returns (u, r, leads): the window of the monomial read-off, the
+    reduced matrix r = a b (b in d's Borel, the engine's column
+    operations), and the leading monomials of r.
     """
     if c.n != d.n:
         raise DomainError("dimension mismatch")
     n = c.n
     a = c.rep.inv() @ d.rep
     cols = [list(a.col(j)) for j in range(n)]
-    bcols = [list(LMat.identity(n).col(j)) for j in range(n)] if want_b else None
-    leads = _reduce(cols, bcols, c.side == "+", d.side == "+")
+    leads = _reduce(cols, c.side == "+", d.side == "+")
     u = tuple(i + 1 - n * e for e, i, _ in leads)
     if sum(e for e, _, _ in leads):
         raise DomainError("read-off shifts do not sum to 0; not an affine Weyl element")
-    r = LMat.from_cols(cols)
-    b = LMat.from_cols(bcols) if want_b else None
-    return u, r, b, leads
+    return u, LMat.from_cols(cols), leads
 
 
-def _monomial_inverse(leads, n):
-    """Inverse of the monomial matrix with c_j z^{e_j} in row i_j, col j."""
-    rows = [[LP_ZERO] * n for _ in range(n)]
-    for j, (e, i, c) in enumerate(leads):
-        rows[j][i] = LaurentPoly({-e: c.inverse()})
-    return LMat(rows)
+def _borel_basis(c: Chamber, r: LMat, leads) -> LMat:
+    """c.rep b_L, where r = b_L m from _relpos(c, .) and m is the monomial
+    matrix of the leads (c_j z^{e_j} in row i_j, col j): the basis of an
+    apartment through c, with c at the identity."""
+    n = r.nrows
+    m_inv = [[LP_ZERO] * n for _ in range(n)]
+    for j, (e, i, coeff) in enumerate(leads):
+        m_inv[j][i] = LaurentPoly({-e: coeff.inverse()})
+    return c.rep @ r @ LMat(m_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +421,7 @@ def delta(c: Chamber, d: Chamber) -> AffineWeylElt:
     """Weyl distance between chambers on the same side."""
     if c.side != d.side:
         raise DomainError("delta needs chambers on the same side; use codelta")
-    u, _, _, _ = _relpos(c, d)
+    u, _, _ = _relpos(c, d)
     return AffineWeylElt.from_window(u)
 
 
@@ -432,7 +430,7 @@ def codelta(c: Chamber, d: Chamber) -> AffineWeylElt:
     codelta(c, d) == codelta(d, c)^{-1})."""
     if c.side == d.side:
         raise DomainError("codelta needs chambers on opposite sides; use delta")
-    u, _, _, _ = _relpos(c, d)
+    u, _, _ = _relpos(c, d)
     return AffineWeylElt.from_window(u)
 
 
@@ -465,7 +463,7 @@ class TwinPosition(Record):
 
 def _double_coset_position(x: Simplex, y: Simplex) -> TwinPosition:
     j, k = x.cotype_nodes(), y.cotype_nodes()
-    u, _, _, _ = _relpos(x.carrier, y.carrier)
+    u, _, _ = _relpos(x.carrier, y.carrier)
     return TwinPosition(j, _window_word(min_double_coset_rep(u, set(j), set(k))), k)
 
 
@@ -497,11 +495,9 @@ def project(x: Simplex, c: Chamber) -> Chamber:
     """
     if x.side != c.side:
         raise DomainError("project needs a face and a chamber on the same side")
-    u, r, _, leads = _relpos(c, x.carrier)
-    bl = r @ _monomial_inverse(leads, r.nrows)
+    u, r, leads = _relpos(c, x.carrier)
     wmin, _ = coset_min_split(u, set(x.cotype_nodes()))
-    rep = c.rep @ bl @ _window_matrix(wmin)
-    return Chamber(c.side, rep)
+    return Chamber(c.side, _borel_basis(c, r, leads) @ _window_matrix(wmin))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +521,8 @@ def project_twin(x: Simplex, c: Chamber) -> Chamber:
     if x.side == c.side:
         raise DomainError("project_twin needs a face and a chamber on opposite sides")
     n = c.n
-    u, r, _, leads = _relpos(c, x.carrier)
-    base = c.rep @ r @ _monomial_inverse(leads, n)
+    u, r, leads = _relpos(c, x.carrier)
+    base = _borel_basis(c, r, leads)
     jset = x.cotype_nodes()
     while True:
         up = [s for s in jset if s not in wdescents_right(u)]
@@ -546,10 +542,11 @@ def common_basis(cm: Chamber, cp: Chamber) -> LMat:
     chamber_from_basis('+', x) = cp; exists exactly for opposite pairs."""
     if cm.side != "-" or cp.side != "+":
         raise DomainError("common_basis takes a minus chamber then a plus chamber")
-    u, _, b, _ = _relpos(cm, cp, want_b=True)
+    u, r, _ = _relpos(cm, cp)
     if u != widentity(cm.n):
         raise DomainError("chambers are not opposite")
-    return cp.rep @ b
+    # a = cm.rep^{-1} cp.rep and r = a b, so cp.rep b = cm.rep r
+    return cm.rep @ r
 
 
 def panel_chamber(panel: Simplex, t) -> Chamber:

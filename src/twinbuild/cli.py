@@ -52,7 +52,14 @@ from .errors import (
     VerificationError,
     check_rank,
 )
-from .exactalg import LMat, parse_poly, parse_scalar, poly_to_str, scalar_to_str
+from .exactalg import (
+    LMat,
+    mat_to_json,
+    parse_poly,
+    parse_scalar,
+    poly_to_str,
+    scalar_to_str,
+)
 from .lattice import INF
 from .veronese import (
     SubspaceFlag,
@@ -109,10 +116,6 @@ def _matrix_text(m: LMat) -> str:
     return ";".join(
         ",".join(poly_to_str(e) for e in row) for row in m.rows
     )
-
-
-def _matrix_json(m: LMat):
-    return [[poly_to_str(e) for e in row] for row in m.rows]
 
 
 def _parse_param(text):
@@ -268,7 +271,7 @@ def _cmd_project(args):
         "keep": args.keep,
         "chamber": args.chamber,
     }
-    return params, {"chamber": _matrix_json(gate.rep)}, _matrix_text(gate.rep), 0
+    return params, {"chamber": mat_to_json(gate.rep)}, _matrix_text(gate.rep), 0
 
 
 def _cmd_project_twin(args):
@@ -282,7 +285,7 @@ def _cmd_project_twin(args):
         "keep": args.keep,
         "chamber": args.chamber,
     }
-    return params, {"chamber": _matrix_json(gate.rep)}, _matrix_text(gate.rep), 0
+    return params, {"chamber": mat_to_json(gate.rep)}, _matrix_text(gate.rep), 0
 
 
 def _cmd_coords(args):
@@ -307,7 +310,7 @@ def _cmd_coords(args):
     coords = [_parse_param(t) for t in args.coords.split(",")] if args.coords else []
     e = decode_coords(cp, cm, word, coords)
     params = {"n": args.n, "word": args.word, "coords": args.coords}
-    return params, {"chamber": _matrix_json(e.rep)}, _matrix_text(e.rep), 0
+    return params, {"chamber": mat_to_json(e.rep)}, _matrix_text(e.rep), 0
 
 
 def _cmd_poincare(args):
@@ -346,7 +349,7 @@ def _cmd_veronese(args):
         flag = _parse_flag(args.flag)
         x = spherical_veronese(flag, _parse_weights(args.weights))
         params = {"flag": args.flag, "weights": args.weights}
-        return params, {"matrix": _matrix_json(x)}, _matrix_text(x), 0
+        return params, {"matrix": mat_to_json(x)}, _matrix_text(x), 0
     if args.sub == "affine":
         if args.loop:
             g = _parse_matrix(args.loop)
@@ -355,7 +358,7 @@ def _cmd_veronese(args):
             g = LMat.identity(args.n)
         x = affine_veronese_vertex(g, args.k)
         params = {"n": args.n, "k": args.k, "loop": args.loop}
-        return params, {"matrix": _matrix_json(x)}, _matrix_text(x), 0
+        return params, {"matrix": mat_to_json(x)}, _matrix_text(x), 0
     # caveat
     x = _parse_matrix(args.x) if args.x else None
     ok = caveat_check(args.n, args.deg, x)

@@ -30,7 +30,6 @@ False
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import DomainError, check_rank
 from .record import Record
@@ -383,7 +382,6 @@ def generalized_length(word, M: CoxeterMatrix, weights):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=200_000)
 def _bruhat_leq_windows(v, w):
     # Lifting property, for a left descent s of w: if s is also a left
     # descent of v then v <= w iff sv <= sw, otherwise v <= w iff v <= sw.

@@ -8,6 +8,13 @@ are class-level and side-symmetric.  Ordered-basis conventions (which
 columns carry the z-marks in a chamber chain) differ between the sides so
 that each standard chain is stabilized by its Borel subgroup; see
 vertex_classes_of_basis.
+
+Invariant: a LatticeClass's ``mat`` is the canonical form of its class
+(upper triangular, monic diagonal; through z -> 1/z on '-'), and so is
+every z^k multiple of it, since the canonical form is unique and commutes
+with the z-shift.  Class matrices and their ``scaled`` multiples serve as
+they are, for membership, back substitution and determinant valuations;
+Hermite forms are taken only of modules given by arbitrary generators.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ class Lattice(Record):
 
 class LatticeClass(Record):
     """Projective class [L] = {z^k L}; ``mat`` is the canonical class
-    representative, so equality is syntactic."""
+    representative, so equality is syntactic (see the module invariant)."""
 
     __slots__ = ("side", "mat")
 
@@ -102,8 +109,10 @@ class LatticeClass(Record):
         return type_of(self)
 
     def det_val(self):
-        d = _to_plus(self.side, self.mat).det()
-        return int(d.val0())
+        """Valuation of det(mat) at 0 ('+') or at infinity ('-'), read off
+        the diagonal of the triangular canonical form."""
+        val = LaurentPoly.val0 if self.side == "+" else LaurentPoly.val_inf
+        return sum(int(val(self.mat[i, i])) for i in range(self.n))
 
     def scaled(self, k: int) -> LMat:
         """Representative z^k * mat (in the side's own variable)."""
@@ -278,21 +287,21 @@ def incident(c1: LatticeClass, c2: LatticeClass) -> bool:
     n = c1.n
     m1 = _to_plus(c1.side, c1.mat)
     m2 = _to_plus(c2.side, c2.mat)
-    a = int(m1.det().val0())
-    b = int(m2.det().val0())
+    a = c1.det_val()
+    b = c2.det_val()
     lo = math.ceil((a - b) / n)
     hi = math.floor((a - b + n) / n)
     zm1 = m1.scale(Z)
     for k in range(lo, hi + 1):
         mk = m2.scale(zpow(k))
-        if _member_all(mk, m1) and _member_all(zm1, mk):
+        if _contains(m1, mk) and _contains(mk, zm1):
             return True
     return False
 
 
-def _member_all(inner: LMat, outer: LMat) -> bool:
-    h = _canonical_plus_cols(outer.cols(), outer.nrows)
-    return all(_member_plus(h, inner.col(j)) for j in range(inner.ncols))
+def _contains(outer: LMat, inner: LMat) -> bool:
+    """Is every column of inner in the module of the plus form outer?"""
+    return all(_member_plus(outer, inner.col(j)) for j in range(inner.ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +353,13 @@ def adapted_basis(side, chain_mats) -> LMat:
     mats = [_to_plus(side, m) for m in chain_mats]
     n = mats[0].nrows
     cans = [_canonical_plus_cols(m.cols(), n) for m in mats]
+    return _basis_of_cols(side, _adapted_cols(cans))
+
+
+def _adapted_cols(cans):
+    """The picking half of adapted_basis, on a chain of canonical plus
+    forms: the plus-side basis columns."""
+    n = cans[0].nrows
     nexts = cans[1:] + [cans[0].scale(Z)]
     cols = [None] * n
     for j in range(n):
@@ -356,6 +372,10 @@ def adapted_basis(side, chain_mats) -> LMat:
         if pick is None:
             raise DomainError("chain positions are equal; not a chamber chain")
         cols[n - 1 - j] = pick
+    return cols
+
+
+def _basis_of_cols(side, cols) -> LMat:
     if side == "+":
         return LMat.from_cols(cols)
     # minus marking is mirror-reversed: 1/z marks sit on the first columns
@@ -410,43 +430,27 @@ class PanelChart:
             k = (target - a) // n
             chain.append(_to_plus(side, c.mat).scale(zpow(k)))
         self._chain = chain
-        cans = [_canonical_plus_cols(m.cols(), n) for m in chain]
+        self._gap_val = base_val - 1  # det valuation of each M with B < M < A
         for i in range(len(chain) - 1):
-            if not all(
-                _member_plus(cans[i], chain[i + 1].col(j)) for j in range(n)
-            ):
+            if not _contains(chain[i], chain[i + 1]):
                 raise DomainError("panel vertices are not pairwise incident")
         self._A = chain[-1].scale(zpow(-1))
         self._B = chain[0]
-        self._Acan = _canonical_plus_cols(self._A.cols(), n)
-        if not all(_member_plus(self._Acan, self._B.col(j)) for j in range(n)):
+        # Q0: the columns of B in A's coordinates, modulo z; they span B/zA
+        coords = [_plus_coords(self._A, b) for b in self._B.cols()]
+        if None in coords:
             raise DomainError("panel chain does not close up periodically")
-        a_inv = self._Acan.inv()
-        q = a_inv @ self._B
-        self._Q0 = [
-            [q[i, j].ev0() for j in range(n)] for i in range(n)
-        ]  # columns span B/zA after transposing below
-        q0_cols = [[self._Q0[i][j] for i in range(n)] for j in range(n)]
-        # greedy completion of colspan Q0 by standard basis vectors
-        picked = []
-        base = list(q0_cols)
-        _, piv = rref([list(r) for r in zip(*base)]) if base else ([], [])
-        rank0 = len(piv)
-        for j in range(n):
-            e = [QI_ONE if i == j else QI_ZERO for i in range(n)]
-            trial = base + [e]
-            _, piv = rref([list(r) for r in zip(*trial)])
-            if len(piv) > rank0:
-                picked.append(j)
-                base = trial
-                rank0 = len(piv)
-            if len(picked) == 2:
-                break
+        self._Q0 = [[col[i].ev0() for col in coords] for i in range(n)]
+        # greedy completion of colspan Q0 by standard basis vectors: the
+        # pivot columns of [Q0 | 1] past Q0
+        _, piv = rref([row + [QI_ONE if i == j else QI_ZERO for j in range(n)]
+                       for i, row in enumerate(self._Q0)])
+        picked = [p - n for p in piv if p >= n][:2]
         if len(picked) != 2:
             raise DomainError("panel sandwich is not two-dimensional")
         self._j1, self._j2 = picked
-        self._u1 = self._Acan.col(self._j1)
-        self._u2 = self._Acan.col(self._j2)
+        self._u1 = self._A.col(self._j1)
+        self._u2 = self._A.col(self._j2)
 
     def _gap_vector(self, t):
         """The generator the chart adds to B: u1 + t*u2, or u2 at inf."""
@@ -469,11 +473,7 @@ class PanelChart:
         gap_mat = _canonical_plus_cols(
             self._B.cols() + [self._gap_vector(t)], self.n
         )
-        chain = [gap_mat] + self._chain
-        basis = adapted_basis("+", chain)
-        if self.side == "-":
-            basis = _mirror(LMat.from_cols(list(reversed(list(basis.cols())))))
-        return basis
+        return _basis_of_cols(self.side, _adapted_cols([gap_mat] + self._chain))
 
     def parameter_of(self, gap: LatticeClass):
         """Inverse chart: the parameter of a gap-type class through the
@@ -482,13 +482,9 @@ class PanelChart:
             raise DomainError("side or dimension mismatch")
         if gap.type != self.gap_type:
             raise DomainError("class does not have the panel's missing type")
-        a_target = int(self._A.det().val0()) + 1
-        k = (a_target - gap.det_val()) // self.n
+        k = (self._gap_val - gap.det_val()) // self.n
         mat = _to_plus(self.side, gap.mat).scale(zpow(k))
-        mat_can = _canonical_plus_cols(mat.cols(), self.n)
-        if not all(
-            _member_plus(mat_can, self._B.col(j)) for j in range(self.n)
-        ):
+        if not _contains(mat, self._B):
             raise DomainError("class is not between the panel's neighbours")
         n = self.n
         sys_rows = [
@@ -498,7 +494,7 @@ class PanelChart:
             for i in range(n)
         ]
         for c in range(n):
-            coords = _plus_coords(self._Acan, mat.col(c))
+            coords = _plus_coords(self._A, mat.col(c))
             if coords is None:
                 raise DomainError("class is not between the panel's neighbours")
             psi = [x.ev0() for x in coords]

@@ -1,4 +1,4 @@
-"""The library names the benchmark calls, exercised once per stratum.
+"""The library names the benchmark calls and traces.
 
 ``perfbench/workloads.py`` builds its inputs and oracles from the public
 ``twinbuild`` API (``AffineWeylElt.identity``, ``.compose``, ``.inverse``,
@@ -6,19 +6,35 @@
 it unchanged and runs one instance of every in-process stratum, so that a
 break in one of those names fails here instead of as failed benchmark
 operations.
+
+``perfbench/spans.py`` resolves its traced targets by name and reports a
+missing one as absent, so a renamed library function would silently drop
+its per-layer metrics from a traced run; the last test catches that.
 """
 
+import json
 import pathlib
 import sys
 
 import pytest
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
 sys.path.insert(0, str(BENCH))
 try:
+    import spans  # noqa: E402
     import workloads  # noqa: E402
 finally:
     sys.path.remove(str(BENCH))
+
+# Per-layer metrics that perfbench/run.py derives itself instead of
+# reading them from the tracer's table.
+DERIVED = {
+    "building.project_twin.codelta_per_call",
+    "cli.import_s",
+    "cli.import_modules",
+    "trace.overhead_ratio",
+}
 
 CASES = [
     (name, stratum)
@@ -35,3 +51,15 @@ def test_workload_stratum_runs_and_passes_its_oracle(workload, stratum):
     result = stratum.call(inst)
     assert stratum.check(inst, result) is None
     assert isinstance(stratum.digest(result), str)
+
+
+def test_every_declared_layer_metric_has_a_traced_target():
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        traced = set(tracer.table())
+    finally:
+        tracer.uninstall()
+    missing = [name for name in declared if name not in traced | DERIVED]
+    assert not missing, f"no traced target for {missing}; absent spans: {tracer.absent}"

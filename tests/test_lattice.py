@@ -5,11 +5,23 @@ import random
 import pytest
 
 from twinbuild.errors import DomainError, NotInvertibleError
-from twinbuild.exactalg import GaussRat, LMat, QI_I, Z, parse_poly, zpow
+from twinbuild.exactalg import (
+    GaussRat,
+    LMat,
+    QI_I,
+    QI_ONE,
+    QI_ZERO,
+    Z,
+    parse_poly,
+    rref,
+    zpow,
+)
 from twinbuild.lattice import (
     INF,
     Lattice,
     PanelChart,
+    _canonical_plus_cols,
+    _to_plus,
     adapted_basis,
     canonical_class,
     canonical_lattice,
@@ -119,9 +131,35 @@ def test_degenerate_generators_rejected():
         Lattice("+", M([[1, 1], [1, 1]]))
 
 
+def rand_class(rng):
+    """A random class: n = 2..4, either side."""
+    n = rng.randint(2, 4)
+    side = rng.choice("+-")
+    g = rand_unimodular(rng, n)
+    return cls_of(side, g if side == "+" else g.subs_zinv())
+
+
+def test_class_matrices_and_their_z_multiples_are_canonical():
+    # the invariant stated at the top of twinbuild/lattice.py
+    rng = random.Random(17)
+    for _ in range(30):
+        c = rand_class(rng)
+        h = _to_plus(c.side, c.mat)
+        for k in range(-3, 4):
+            hk = h.scale(zpow(k))
+            assert _canonical_plus_cols(hk.cols(), c.n) == hk
+
+
 # ---------------------------------------------------------------------------
 # classes and types
 # ---------------------------------------------------------------------------
+
+
+def test_det_val_matches_the_determinant():
+    rng = random.Random(18)
+    for _ in range(40):
+        c = rand_class(rng)
+        assert c.det_val() == int(_to_plus(c.side, c.mat).det().val0())
 
 
 def test_class_mod_scaling():
@@ -332,6 +370,43 @@ def test_chart_random_round_trip():
             assert chart.parameter_of(c) == t
             full = vertex_classes_of_basis(side, chart.chamber_basis(t))
             assert set(full) == set(panel) | {c}
+
+
+def _chart_pick_by_inverse(chart):
+    """Q0 and (j1, j2) as built from a Hermite form and inverse of A and
+    one rank test per standard basis vector: the oracle of PanelChart."""
+    n = chart.n
+    acan = _canonical_plus_cols(chart._A.cols(), n)
+    q = acan.inv() @ chart._B
+    q0 = [[q[i, j].ev0() for j in range(n)] for i in range(n)]
+    base = [[q0[i][j] for i in range(n)] for j in range(n)]
+    rank0 = len(rref([list(r) for r in zip(*base)])[1])
+    picked = []
+    for j in range(n):
+        trial = base + [[QI_ONE if i == j else QI_ZERO for i in range(n)]]
+        rank = len(rref([list(r) for r in zip(*trial)])[1])
+        if rank > rank0:
+            picked.append(j)
+            base, rank0 = trial, rank
+        if len(picked) == 2:
+            break
+    return q0, picked
+
+
+def test_chart_sandwich_matches_inverse_construction():
+    rng = random.Random(19)
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        side = rng.choice("+-")
+        g = rand_unimodular(rng, n)
+        if side == "-":
+            g = g.subs_zinv()
+        classes = vertex_classes_of_basis(side, g)
+        drop = rng.randrange(n)
+        chart = PanelChart([c for j, c in enumerate(classes) if j != drop])
+        q0, picked = _chart_pick_by_inverse(chart)
+        assert chart._Q0 == q0
+        assert [chart._j1, chart._j2] == picked
 
 
 def test_chart_rejects_bad_input():
