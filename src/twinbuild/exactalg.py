@@ -31,6 +31,13 @@ The operators on polynomials and matrices:
   n*2^(n-1) Laurent products each, where cofactor expansion costs about
   e*n! (and n^2 times that for the adjugate).
 
+Sums of Laurent products -- the entries of a matrix product, the minor
+tables and the cofactors of ``inv`` -- are accumulated by one kernel,
+``_mul_acc``, in unreduced integer triples, and ``_poly_of`` normalises
+each finished coefficient once.  ``LaurentPoly.__mul__`` keeps its own
+loop: its products are mostly monomial times polynomial, with nothing to
+accumulate.
+
 There is no floating point anywhere and no rounding ever.
 
 >>> f = parse_poly("z^-1 + 2*z^2")
@@ -839,22 +846,17 @@ class LMat:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        ocolumns = [other.col(j) for j in range(other.ncols)]
+        ocolumns = [[b.coeffs for b in other.col(j)] for j in range(other.ncols)]
         out = []
         for row in self.rows:
+            row = [a.coeffs for a in row]
             out_row = []
             for colv in ocolumns:
-                # All coefficient products of the entry go into one dict;
-                # LaurentPoly drops the coefficients that cancelled.
                 acc = {}
-                for a, b in zip(row, colv):
-                    if a and b:
-                        for e1, c1 in a.coeffs.items():
-                            for e2, c2 in b.coeffs.items():
-                                e = e1 + e2
-                                s = acc.get(e)
-                                acc[e] = c1 * c2 if s is None else s + c1 * c2
-                out_row.append(LaurentPoly(acc))
+                for f, g in zip(row, colv):
+                    if f and g:
+                        _mul_acc(acc, f, g)
+                out_row.append(_poly_of(acc))
             out.append(out_row)
         return LMat(out)
 
@@ -955,21 +957,16 @@ class LMat:
             flip = (i + m * (m - 1) // 2) % 2
             for j in range(n):
                 rest = full ^ (1 << j)
-                # Terms of each sign are summed apart and negated once.
-                sums = [None, None]
+                acc = {}
                 for s_mask, a in above.items():
                     if s_mask & ~rest:
                         continue
                     t_mask = rest ^ s_mask
                     b = below.get(t_mask)
-                    if not a or not b:
-                        continue
-                    term = b if a is LP_ONE else a if b is LP_ONE else a * b
-                    odd = (flip + j + _shuffle_parity(s_mask, t_mask)) % 2
-                    sums[odd] = term if sums[odd] is None else sums[odd] + term
-                cof, minus = sums
-                if minus is not None:
-                    cof = -minus if cof is None else cof - minus
+                    if b is not None:
+                        odd = (flip + j + _shuffle_parity(s_mask, t_mask)) % 2
+                        _mul_acc(acc, a.coeffs, b.coeffs, odd)
+                cof = _poly_of(acc)
                 if cof:
                     out[j][i] = cof if dinv is None else cof * dinv
         return LMat(out)
@@ -990,10 +987,9 @@ class LMat:
 
 
 # Minors are memoised in tables: dicts from a column bitmask S to the
-# minor on the rows added so far and the columns in S.  A zero minor is
-# either missing or stored as zero, and readers skip both.  Each table
-# costs about n*2^(n-1) Laurent products, against e*n! for cofactor
-# expansion.
+# nonzero minor on the rows added so far and the columns in S; a zero
+# minor is not stored.  Each table costs about n*2^(n-1) Laurent
+# products, against e*n! for cofactor expansion.
 _ONE_TABLE = {0: LP_ONE}
 
 
@@ -1003,25 +999,59 @@ def _extend_minors(table, row):
     Laplace expansion along the new last row: on columns S + {c}, the entry
     in column c carries the sign (-1)^(number of columns of S past c).
     """
-    # Negating the small entry is cheaper than negating the product, so
-    # each entry is negated at most once, on first use.
-    entries = [[c, 1 << c, a, None] for c, a in enumerate(row) if a]
-    out = {}
+    entries = [(c, 1 << c, a.coeffs) for c, a in enumerate(row) if a]
+    accs = {}
     for s_mask, minor in table.items():
-        if not minor:
-            continue
-        for entry in entries:
-            c, bit, a, neg = entry
+        minor = minor.coeffs
+        for c, bit, a in entries:
             if s_mask & bit:
                 continue
-            if (s_mask >> c).bit_count() & 1:
-                if neg is None:
-                    neg = entry[3] = -a
-                a = neg
-            term = a if minor is LP_ONE else a * minor
             key = s_mask | bit
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
+            acc = accs.get(key)
+            if acc is None:
+                acc = accs[key] = {}
+            _mul_acc(acc, a, minor, (s_mask >> c).bit_count() & 1)
+    return {key: p for key, acc in accs.items() if (p := _poly_of(acc)).coeffs}
+
+
+def _mul_acc(acc, f, g, negate=False):
+    """Add f*g (or -f*g) into ``acc``; f and g are coefficient dicts.
+
+    ``acc`` maps an exponent to an unreduced triple [re, im, den] of
+    Python ints, the value (re + im*i)/den.  A product is added on the
+    running denominator when the two agree (always, for integer
+    coefficients) and cross-multiplied when they differ; nothing is
+    normalised until ``_poly_of`` reads the sums.
+    """
+    get = acc.get
+    for e1, c1 in f.items():
+        a1, b1, d1 = c1.a, c1.b, c1.d
+        if negate:
+            a1, b1 = -a1, -b1
+        for e2, c2 in g.items():
+            a2, b2, den = c2.a, c2.b, d1 * c2.d
+            re_, im_ = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            e = e1 + e2
+            t = get(e)
+            if t is None:
+                acc[e] = [re_, im_, den]
+            elif t[2] == den:
+                t[0] += re_
+                t[1] += im_
+            else:
+                d = t[2]
+                t[0] = t[0] * den + re_ * d
+                t[1] = t[1] * den + im_ * d
+                t[2] = d * den
+
+
+def _poly_of(acc) -> LaurentPoly:
+    """The LaurentPoly of an accumulator of ``_mul_acc``: each nonzero sum
+    normalised once by ``_qi``, the sums that cancelled dropped."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    object.__setattr__(
+        out, "coeffs", {e: _qi(a, b, d) for e, (a, b, d) in acc.items() if a or b}
+    )
     return out
 
 

@@ -92,11 +92,14 @@ class Lattice(Record):
 
 class LatticeClass(Record):
     """Projective class [L] = {z^k L}; ``mat`` is the canonical class
-    representative, so equality is syntactic (see the module invariant)."""
+    representative, so equality is syntactic (see the module invariant).
+    Any other matrix raises DomainError."""
 
     __slots__ = ("side", "mat")
 
     def __init__(self, side: str, mat: LMat):
+        _check_side(side)
+        _check_canonical_class(side, mat)
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "mat", mat)
 
@@ -117,6 +120,35 @@ class LatticeClass(Record):
     def scaled(self, k: int) -> LMat:
         """Representative z^k * mat (in the side's own variable)."""
         return self.mat.scale(zpow(k) if self.side == "+" else zpow(-k))
+
+
+def _check_canonical_class(side, mat):
+    """DomainError unless ``mat`` is a canonical class matrix: square and,
+    read in z on '+' and in 1/z on '-', upper triangular with diagonal
+    z^(e_i), every exponent in row i above the diagonal below e_i, and
+    least exponent 0.  O(n^2) reads of exponents; no Hermite form."""
+    if not isinstance(mat, LMat) or mat.nrows != mat.ncols:
+        raise DomainError("a lattice class needs a square LMat")
+    bad = DomainError("lattice class matrix is not in canonical form")
+    sign = 1 if side == "+" else -1
+    least = INF
+    for i, row in enumerate(mat.rows):
+        diag = row[i].coeffs
+        if len(diag) != 1 or any(row[:i]):
+            raise bad
+        (e, c), = diag.items()
+        if c != QI_ONE:
+            raise bad
+        e *= sign
+        least = min(least, e)
+        for a in row[i + 1:]:
+            if a:
+                exps = [sign * x for x in a.coeffs]
+                if max(exps) >= e:
+                    raise bad
+                least = min(least, *exps)
+    if least != 0:
+        raise bad
 
 
 def standard_vertex_mat(n: int, i: int, side="+") -> LMat:

@@ -11,10 +11,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from twinbuild.building import standard_chamber, weyl_matrix
 from twinbuild.cli import _ERROR_CODES, _matrix_text, _parse_matrix, main
 from twinbuild.coxeter import word_to_affine
+from twinbuild.exactalg import GaussRat, LMat, LaurentPoly, mat_to_json
 
 SCHEMA_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "docs" / "envelope.schema.json"
@@ -463,3 +466,118 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, fmt):
     else:
         assert out == ""
         assert err.startswith("error (internal): RuntimeError: planted bug")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the argument grammar of the chamber commands
+# ---------------------------------------------------------------------------
+
+_fuzz_scalar = st.builds(GaussRat, st.integers(-2, 2), st.integers(-1, 1))
+_fuzz_poly = st.dictionaries(st.integers(-2, 2), _fuzz_scalar, max_size=2).map(
+    LaurentPoly
+)
+_fuzz_junk = st.text(alphabet="0123456789z^+-*/(),;[]\"iI ", max_size=12)
+
+
+@st.composite
+def _fuzz_unit_det_matrix(draw, n):
+    """A product of elementary matrices c*z^d: determinant 1."""
+    m = LMat.identity(n)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows = [list(r) for r in LMat.identity(n).rows]
+        rows[i][j] = LaurentPoly({draw(st.integers(-1, 1)): draw(_fuzz_scalar)})
+        m = m @ LMat(rows)
+    return m
+
+
+@st.composite
+def _fuzz_matrix_text(draw, n):
+    """Matrix text in either grammar: a unit-determinant or an arbitrary
+    square matrix, a ragged one, or junk."""
+    kind = draw(st.sampled_from(["unit"] * 4 + ["square", "ragged", "junk"]))
+    if kind == "junk":
+        return draw(_fuzz_junk)
+    size = n if n >= 1 else 1
+    if kind == "unit":
+        m = draw(_fuzz_unit_det_matrix(size)) if size > 1 else LMat([[1]])
+        rows = mat_to_json(m)
+    else:
+        widths = [size] * size
+        if kind == "ragged":
+            widths[-1] = draw(st.integers(0, size + 1))
+        rows = [[str(draw(_fuzz_poly)) for _ in range(w)] for w in widths]
+    if draw(st.booleans()):
+        return json.dumps(rows)
+    return ";".join(",".join(row) for row in rows)
+
+
+def _fuzz_int_list(lo, hi, max_size):
+    """Comma lists of integers, mostly in lo..hi, or junk."""
+    hi = max(lo, hi)
+    ints = st.one_of(st.integers(lo, hi), st.integers(lo, hi), st.integers(-2, hi + 2))
+    return st.one_of(
+        st.lists(ints, max_size=max_size).map(lambda w: ",".join(map(str, w))),
+        _fuzz_junk,
+    )
+
+
+@st.composite
+def _fuzz_chamber_argv(draw):
+    """argv of delta, codelta, opposite, project, project-twin or coords
+    encode/decode: small ranks, well-formed and malformed values."""
+    n = draw(st.sampled_from([-1, 0, 1, 2, 2, 2, 3, 3, 3]))
+    side = draw(st.sampled_from(["+", "-"]))
+    mat = _fuzz_matrix_text(n)
+    command = draw(st.sampled_from(
+        ["delta", "codelta", "opposite", "project", "project-twin", "encode", "decode"]
+    ))
+
+    def opt(flag, value):
+        return [flag, draw(value)] if draw(st.booleans()) else []
+
+    if command == "delta":
+        argv = ["delta", "--side", side, "--d", draw(mat)] + opt("--c", mat)
+        argv += opt("--n", st.just(str(n)))
+    elif command in ("codelta", "opposite"):
+        argv = [command, "--n", str(n)] + opt("--cminus", mat) + opt("--cplus", mat)
+    elif command in ("project", "project-twin"):
+        argv = [command, "--side", side, "--basis", draw(mat),
+                "--keep", draw(_fuzz_int_list(0, n - 1, 3)), "--chamber", draw(mat)]
+    else:
+        argv = ["coords", command, "--n", str(n)]
+        argv += opt("--cplus", mat) + opt("--cminus", mat)
+        if command == "encode":
+            argv += ["--chamber", draw(mat)] + opt("--word", _fuzz_int_list(0, n - 1, 4))
+        else:
+            coords = st.lists(
+                st.one_of(st.sampled_from(["INF", "0", "1/2", "(1+i)", "z"]), _fuzz_junk),
+                max_size=4,
+            ).map(",".join)
+            argv += ["--word", draw(_fuzz_int_list(0, n - 1, 4)), "--coords", draw(coords)]
+    return argv
+
+
+@settings(
+    max_examples=300, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_fuzz_chamber_argv())
+def test_fuzzed_chamber_commands_exit_cleanly(capsys, argv):
+    """No argument list ends in a traceback or an internal error: the
+    exit code is 0, 2 (usage) or 3 (domain), and a JSON run prints either
+    nothing (usage errors go to stderr) or one envelope of the schema."""
+    import jsonschema
+
+    try:
+        code = main(argv + ["--format", "json"])
+    except SystemExit as exc:  # argparse rejects the argument list
+        code = exc.code
+    out, err = capsys.readouterr()
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3), (argv, out, err)
+    assert "Traceback" not in err
+    if out:
+        jsonschema.validate(json.loads(out), json.loads(SCHEMA_PATH.read_text()))
+    else:
+        assert code == 2

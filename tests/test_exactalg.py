@@ -345,8 +345,13 @@ def cofactor_adjugate(m):
     ]
 
 
-small_gauss = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
-    lambda p: GaussRat(*p)
+# Gaussian rationals with denominators 1..6, so that sums of products
+# meet unequal denominators.
+small_gauss = st.builds(
+    lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+    st.integers(1, 6),
 )
 small_polys = st.dictionaries(st.integers(-1, 1), small_gauss, min_size=1, max_size=2).map(
     LaurentPoly
@@ -380,12 +385,26 @@ def unit_det_matrices(draw, n):
     return m
 
 
+def assert_normalised(*polys):
+    """Every stored coefficient is a nonzero normalised triple: GaussRat
+    equality is syntactic, so an unreduced triple would compare unequal
+    to an equal value."""
+    for f in polys:
+        for c in f.coeffs.values():
+            assert (c.a or c.b) and c.d > 0 and math.gcd(c.a, c.b, c.d) == 1
+
+
+def entries(m):
+    return [a for row in m.rows for a in row]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_det_matches_cofactor_oracle(n, data):
     m = data.draw(laurent_matrices(n))
     d = m.det()
+    assert_normalised(d)
     assert d == cofactor_det(m.rows)
     if not d.is_unit_monomial():
         with pytest.raises(NotInvertibleError, match=re.escape(poly_to_str(d))):
@@ -398,12 +417,44 @@ def test_det_matches_cofactor_oracle(n, data):
 def test_inv_is_the_adjugate_over_the_unit_determinant(n, data):
     m = data.draw(unit_det_matrices(n))
     inv = m.inv()
+    assert_normalised(*entries(inv))
     assert m @ inv == LMat.identity(n)
     assert inv @ m == LMat.identity(n)
     if n <= 5:
         (e, c), = cofactor_det(m.rows).coeffs.items()
         dinv = LaurentPoly({-e: c.inverse()})
         assert inv == LMat([[a * dinv for a in row] for row in cofactor_adjugate(m)])
+
+
+@st.composite
+def cancelling_products(draw):
+    """(A, B) of shapes r x k and k x c.  Each of up to two extra columns
+    of A is minus u times one of its columns, and the matching extra row
+    of B is 1/u times that row of B, so their products cancel term by
+    term, across unequal denominators."""
+    r, k, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = [[draw(small_polys) for _ in range(k)] for _ in range(r)]
+    b = [[draw(small_polys) for _ in range(c)] for _ in range(k)]
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.integers(0, k - 1))
+        u = draw(small_gauss.filter(bool))
+        a = [row + [-(row[p] * const(u))] for row in a]
+        b.append([x * const(u.inverse()) for x in b[p]])
+    return LMat(a), LMat(b)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(ab=cancelling_products())
+def test_matmul_matches_entrywise_sum_of_products(ab):
+    a, b = ab
+    got = a @ b
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    assert_normalised(*entries(got))
+    want = [
+        [sum((x * y for x, y in zip(row, col)), LP_ZERO) for col in b.cols()]
+        for row in a.rows
+    ]
+    assert got == LMat(want)
 
 
 def test_inverse_of_unit_determinant_matrix():

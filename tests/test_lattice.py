@@ -19,6 +19,7 @@ from twinbuild.exactalg import (
 from twinbuild.lattice import (
     INF,
     Lattice,
+    LatticeClass,
     PanelChart,
     _canonical_plus_cols,
     _to_plus,
@@ -148,6 +149,50 @@ def test_class_matrices_and_their_z_multiples_are_canonical():
         for k in range(-3, 4):
             hk = h.scale(zpow(k))
             assert _canonical_plus_cols(hk.cols(), c.n) == hk
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], ["z", 0]],          # not triangular
+        [["z", 0], [0, "z"]],        # least exponent 1, not 0
+        [[2, 0], [0, "z"]],          # diagonal coefficient not 1
+        [["z", "z"], [0, 1]],        # off-diagonal exponent not below e_0
+        [["z", "z^-1"], [0, 1]],     # negative exponent
+        [["1 + z", 0], [0, 1]],      # diagonal not a monomial
+        [[1, 0], [0, 0]],            # zero diagonal
+        [[1, 0, 0], [0, 1, 0]],      # not square
+    ],
+)
+def test_lattice_class_rejects_non_canonical_matrices(side, rows):
+    # Read in 1/z on the minus side, so mirror the plus-side examples.
+    mat = M(rows) if side == "+" else M(rows).subs_zinv()
+    with pytest.raises(DomainError):
+        LatticeClass(side, mat)
+
+
+def test_lattice_class_accepts_canonical_forms_and_rejects_their_mirrors():
+    canonical = M([["z^2", "1 + z", 3], [0, "z", 0], [0, 0, 1]])
+    assert LatticeClass("+", canonical).type == 0
+    assert LatticeClass("-", canonical.subs_zinv()).type == 0
+    with pytest.raises(DomainError):
+        LatticeClass("-", canonical)
+    with pytest.raises(DomainError):
+        LatticeClass("0", LMat.identity(2))
+
+
+def test_vertex_classes_of_random_bases_are_canonical():
+    # Each class rebuilt through the constructor's check equals the
+    # canonical class of its own matrix, computed by a Hermite form.
+    rng = random.Random(23)
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        side = rng.choice("+-")
+        basis = rand_unimodular(rng, n)
+        for c in vertex_classes_of_basis(side, basis):
+            again = LatticeClass(c.side, c.mat)
+            assert again == c == cls_of(side, c.mat)
 
 
 # ---------------------------------------------------------------------------
