@@ -53,7 +53,7 @@ from .coxeter import (
     word_to_affine,
 )
 from .errors import DomainError, NotInvertibleError, check_rank
-from .exactalg import LMat, LP_ONE, LP_ZERO, LaurentPoly, Z, zpow
+from .exactalg import LMat, LP_ONE, LP_ZERO, LaurentPoly, Z, _col_sub, zpow
 from .lattice import PanelChart, vertex_classes_of_basis
 from .record import Record
 
@@ -148,7 +148,9 @@ def _position_of_node(s, n, side):
 
 class Chamber:
     """A chamber of one half of the twin building, held by a normalised
-    ordered basis of its lattice chain."""
+    ordered basis of its lattice chain.  Each vertex class costs one
+    Hermite form, so it is computed when a caller first reads it:
+    ``_chain[p]`` is the class at chain position p, or None until then."""
 
     __slots__ = ("side", "rep", "n", "_chain", "_classes")
 
@@ -163,15 +165,24 @@ class Chamber:
         self.side = side
         self.rep = _align(side, rep, det)
         self.n = rep.nrows
-        self._chain = None
+        self._chain = [None] * self.n
         self._classes = None
+
+    def _vertices(self, positions):
+        """The vertex classes at the given chain positions, computing only
+        those not read before."""
+        chain = self._chain
+        missing = [p for p in positions if chain[p] is None]
+        if missing:
+            found = vertex_classes_of_basis(self.side, self.rep, missing)
+            for p, cls in zip(missing, found):
+                chain[p] = cls
+        return [chain[p] for p in positions]
 
     @property
     def chain_classes(self):
         """Vertex classes in chain order; position p carries type p."""
-        if self._chain is None:
-            self._chain = tuple(vertex_classes_of_basis(self.side, self.rep))
-        return self._chain
+        return tuple(self._vertices(range(self.n)))
 
     @property
     def classes(self):
@@ -181,7 +192,7 @@ class Chamber:
 
     def vertex(self, t: int):
         """The vertex class of type t."""
-        return self.chain_classes[t]
+        return self._vertices([t])[0]
 
     def face(self, kept_types) -> "Simplex":
         return Simplex(self, kept_types)
@@ -234,7 +245,7 @@ class Simplex:
 
     @property
     def classes(self):
-        return frozenset(self.carrier.chain_classes[t] for t in self.kept_types)
+        return frozenset(self.carrier._vertices(self.kept_types))
 
     def cotype_nodes(self):
         """Labels of the generators moving this face's residue."""
@@ -378,7 +389,7 @@ def _reduce(cols, key_plus, ops_plus):
                 continue
             e2, _, c2 = leads[j2]
             f = LaurentPoly({e2 - er: c2 / cr})
-            cols[j2] = [a - f * b for a, b in zip(cols[j2], cols[jr])]
+            cols[j2] = _col_sub(cols[j2], f, cols[jr])
 
 
 def _relpos(c: Chamber, d: Chamber):
@@ -553,9 +564,7 @@ def panel_chamber(panel: Simplex, t) -> Chamber:
     """The chamber through a panel at chart parameter t (or INF)."""
     if len(panel.kept_types) != panel.n - 1:
         raise DomainError("panel_chamber needs a panel (exactly one type missing)")
-    chart = PanelChart(
-        [panel.carrier.chain_classes[p] for p in sorted(panel.kept_types)]
-    )
+    chart = PanelChart(panel.carrier._vertices(sorted(panel.kept_types)))
     return Chamber(panel.side, chart.chamber_basis(t))
 
 
@@ -566,13 +575,14 @@ def panel_parameter(panel: Simplex, c: Chamber):
         raise DomainError("panel_parameter needs a panel (exactly one type missing)")
     if c.side != panel.side:
         raise DomainError("side mismatch")
-    if not panel.classes <= c.classes:
+    # c contains the panel iff it lies in the panel's residue: its Weyl
+    # distance from the carrier is 1 or the panel's cotype generator.
+    (s,) = panel.cotype_nodes()
+    if delta(panel.carrier, c).window not in (widentity(c.n), wgen(s, c.n)):
         raise DomainError("chamber does not contain the panel")
     (gap,) = set(range(panel.n)) - panel.kept_types
-    chart = PanelChart(
-        [panel.carrier.chain_classes[p] for p in sorted(panel.kept_types)]
-    )
-    return chart.parameter_of(c.chain_classes[gap])
+    chart = PanelChart(panel.carrier._vertices(sorted(panel.kept_types)))
+    return chart.parameter_of(c.vertex(gap))
 
 
 def _reference_panels(dm: Chamber, x: LMat, word):

@@ -8,7 +8,13 @@ schema-versioned JSON envelope (``--format json``)::
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 domain error, 4 internal error (an unexpected exception, that is a
-bug; its envelope code is ``internal``).
+bug; its envelope code is ``internal``).  A malformed value (a matrix,
+word, scalar or parameter that does not parse) is a usage error; with
+``--format json`` it prints an error envelope with code ``usage``.  An
+argument list that argparse itself rejects (an unknown command or
+option, a missing required option, a non-integer ``--n``) fails before
+``--format`` is read, so argparse's message goes to stderr as text,
+with exit code 2 and no envelope.
 
 Matrices are written ``row;row;...`` with comma-separated polynomial
 entries (``1,z;0,1``), or as a JSON array of entry strings; both parse
@@ -547,7 +553,10 @@ def main(argv=None) -> int:
         _print_error(args.format, name, err_code, str(exc))
         return 1 if isinstance(exc, VerificationError) else 3
     except (ValueError, json.JSONDecodeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        if args.format == "json":
+            _print_error("json", name, "usage", str(exc))
+        else:
+            print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # Any other exception is a bug.  The envelope names it and the

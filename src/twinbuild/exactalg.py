@@ -36,7 +36,15 @@ tables and the cofactors of ``inv`` -- are accumulated by one kernel,
 ``_mul_acc``, in unreduced integer triples, and ``_poly_of`` normalises
 each finished coefficient once.  ``LaurentPoly.__mul__`` keeps its own
 loop: its products are mostly monomial times polynomial, with nothing to
-accumulate.
+accumulate.  The updates a - q*b -- the remainder of ``poly_divmod``
+(and so ``divexact``, ``poly_gcd`` and ``qi_roots``), and through
+``_col_sub`` the column operations of the lattice Hermite form, its back
+substitution and the building's reduction engine -- go through
+``_mul_sub``, which adds -q*b into ``a`` on the same integer triples and
+normalises each touched coefficient once.  Neither kernel builds a
+temporary LaurentPoly or a per-term GaussRat, so they do not show in
+counts of GaussRat or LaurentPoly operator calls.  Scaling by a monomial
+z^k (``LMat.scale``) shifts exponents.
 
 There is no floating point anywhere and no rounding ever.
 
@@ -443,16 +451,12 @@ class LaurentPoly:
                     d[e] = s
                 else:
                     del d[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", d)
-        return out
+        return _lp(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", {e: -c for e, c in self.coeffs.items()})
-        return out
+        return _lp({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -485,9 +489,7 @@ class LaurentPoly:
                         d[e] = s
                     else:
                         del d[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", d)
-        return out
+        return _lp(d)
 
     __rmul__ = __mul__
 
@@ -513,15 +515,11 @@ class LaurentPoly:
 
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by z^d."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", {e + d: c for e, c in self.coeffs.items()})
-        return out
+        return _lp({e + d: c for e, c in self.coeffs.items()})
 
     def subs_zinv(self) -> "LaurentPoly":
         """The substitution z -> 1/z (exponent negation)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", {-e: c for e, c in self.coeffs.items()})
-        return out
+        return _lp({-e: c for e, c in self.coeffs.items()})
 
     def z_ddz(self) -> "LaurentPoly":
         """The Euler operator: sum c_e z^e  ->  sum e*c_e z^e."""
@@ -529,15 +527,11 @@ class LaurentPoly:
 
     def conj_coeffs(self) -> "LaurentPoly":
         """Coefficientwise complex conjugation (z untouched)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", {e: c.conj for e, c in self.coeffs.items()})
-        return out
+        return _lp({e: c.conj for e, c in self.coeffs.items()})
 
     def sharp(self) -> "LaurentPoly":
         """Conjugate coefficients and substitute z -> 1/z."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", {-e: c.conj for e, c in self.coeffs.items()})
-        return out
+        return _lp({-e: c.conj for e, c in self.coeffs.items()})
 
     def is_constant(self) -> bool:
         return all(e == 0 for e in self.coeffs)
@@ -566,6 +560,14 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"<LaurentPoly {poly_to_str(self)}>"
+
+
+def _lp(coeffs) -> LaurentPoly:
+    """The LaurentPoly of a coefficient dict with no zero coefficient,
+    taken over without a copy."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
 LP_ZERO = LaurentPoly()
@@ -693,16 +695,19 @@ def poly_divmod(f: LaurentPoly, g: LaurentPoly):
         raise ZeroDivisionError("polynomial division by zero")
     if (f and f.val0() < 0) or g.val0() < 0:
         raise DomainError("poly_divmod needs polynomial (nonnegative) exponents")
-    q = LP_ZERO
-    r = f
-    dg = max(g.coeffs)
-    lg = g.coeffs[dg]
-    while r and max(r.coeffs) >= dg:
-        dr = max(r.coeffs)
-        t = LaurentPoly.term(r.coeffs[dr] / lg, dr - dg)
-        q = q + t
-        r = r - t * g
-    return q, r
+    gc = g.coeffs
+    dg = max(gc)
+    lg = gc[dg]
+    q = {}
+    r = dict(f.coeffs)
+    while r:
+        dr = max(r)
+        if dr < dg:
+            break
+        k = dr - dg
+        q[k] = r[dr] / lg
+        _mul_sub(r, {k: q[k]}, gc)
+    return _lp(q), _lp(r)
 
 
 def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -838,7 +843,12 @@ class LMat:
         return LMat([[-a for a in row] for row in self.rows])
 
     def scale(self, c) -> "LMat":
+        """Every entry times c; a monomial z^k shifts exponents instead."""
         c = self._entry(c)
+        if len(c.coeffs) == 1:
+            (k, u), = c.coeffs.items()
+            if u == QI_ONE:
+                return LMat([[a.shift(k) for a in row] for row in self.rows])
         return LMat([[c * a for a in row] for row in self.rows])
 
     def __matmul__(self, other):
@@ -1045,14 +1055,52 @@ def _mul_acc(acc, f, g, negate=False):
                 t[2] = d * den
 
 
+def _mul_sub(a, q, b):
+    """Subtract q*b from ``a`` in place and return ``a``; all three are
+    coefficient dicts (exponent -> GaussRat).
+
+    The products are summed by ``_mul_acc`` in unreduced triples, the
+    coefficient of ``a`` at each touched exponent is added in on the
+    integers, and ``_qi`` normalises each sum once; a coefficient that
+    cancels is deleted.  No temporary LaurentPoly and no per-term
+    GaussRat is built.
+    """
+    acc = {}
+    _mul_acc(acc, q, b, True)
+    get = a.get
+    for e, (re_, im_, den) in acc.items():
+        c = get(e)
+        if c is not None:
+            d = c.d
+            if d == den:
+                re_ += c.a
+                im_ += c.b
+            else:
+                re_ = re_ * d + c.a * den
+                im_ = im_ * d + c.b * den
+                den *= d
+        if re_ or im_:
+            a[e] = _qi(re_, im_, den)
+        elif c is not None:
+            del a[e]
+    return a
+
+
+def _col_sub(col_a, q, col_b):
+    """The column col_a - q*col_b of LaurentPolys, entry by entry through
+    ``_mul_sub``; entries against a zero entry of col_b are kept as they
+    are."""
+    q = q.coeffs
+    return [
+        _lp(_mul_sub(dict(a.coeffs), q, b.coeffs)) if b else a
+        for a, b in zip(col_a, col_b)
+    ]
+
+
 def _poly_of(acc) -> LaurentPoly:
     """The LaurentPoly of an accumulator of ``_mul_acc``: each nonzero sum
     normalised once by ``_qi``, the sums that cancelled dropped."""
-    out = LaurentPoly.__new__(LaurentPoly)
-    object.__setattr__(
-        out, "coeffs", {e: _qi(a, b, d) for e, (a, b, d) in acc.items() if a or b}
-    )
-    return out
+    return _lp({e: _qi(a, b, d) for e, (a, b, d) in acc.items() if a or b})
 
 
 def _shuffle_parity(s_mask, t_mask) -> int:

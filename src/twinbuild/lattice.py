@@ -29,6 +29,9 @@ from .exactalg import (
     QI_ONE,
     QI_ZERO,
     Z,
+    _col_sub,
+    _lp,
+    _mul_sub,
     divexact,
     poly_divmod,
     rref,
@@ -190,7 +193,7 @@ def _hnf_poly_cols(cols, n):
                     continue
                 q, _ = poly_divmod(cols[c][r], cols[cmin][r])
                 if q:
-                    cols[c] = [a - q * b for a, b in zip(cols[c], cols[cmin])]
+                    cols[c] = _col_sub(cols[c], q, cols[cmin])
             live = [c for c in range(acnt) if cols[c][r]]
             if len(live) == 1:
                 piv = live[0]
@@ -211,9 +214,9 @@ def _hnf_poly_cols(cols, n):
     # reduce off-diagonal degrees: entry (i, j) for j > i mod diagonal (i, i)
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            q, rem = poly_divmod(out[j][i], out[i][i])
+            q, _ = poly_divmod(out[j][i], out[i][i])
             if q:
-                out[j] = [a - q * b for a, b in zip(out[j], out[i])]
+                out[j] = _col_sub(out[j], q, out[i])
     return LMat.from_cols(out)
 
 
@@ -279,13 +282,14 @@ def _plus_coords(h: LMat, v):
     every division is exact and every coordinate is polynomial.
     """
     n = h.nrows
-    v = list(v)
     coords = [None] * n
     for j in range(n - 1, -1, -1):
-        rhs = v[j]
+        row = h.rows[j]
+        rhs = dict(v[j].coeffs)
         for jj in range(j + 1, n):
-            rhs = rhs - h[j, jj] * coords[jj]
-        q = divexact(rhs, h[j, j])
+            if row[jj] and coords[jj]:
+                _mul_sub(rhs, row[jj].coeffs, coords[jj].coeffs)
+        q = divexact(_lp(rhs), row[j])
         if q is None or (q and q.val0() < 0):
             return None
         coords[j] = q
@@ -341,7 +345,7 @@ def _contains(outer: LMat, inner: LMat) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def vertex_classes_of_basis(side, basis: LMat):
+def vertex_classes_of_basis(side, basis: LMat, _positions=None):
     """The n vertex classes of the chamber spanned by an ordered basis.
 
     On the plus side, position j of the underlying periodic chain is
@@ -350,25 +354,28 @@ def vertex_classes_of_basis(side, basis: LMat):
     two markings are the ones whose standard chains are stabilized by
     the respective Borel subgroups; see borel_membership.)  Classes come
     back in chain order, position 0 first.
+
+    ``_positions`` (private) lists the chain positions to compute, for a
+    caller that reads only some classes and has already checked that the
+    basis is nondegenerate; the classes come back in that order.
     """
     _check_side(side)
     n = basis.nrows
-    if basis.ncols != n:
-        raise DomainError("basis must be square")
-    if not basis.det().is_unit_monomial():
-        raise NotInvertibleError("degenerate basis")
-    v = Z if side == "+" else zpow(-1)
+    if _positions is None:
+        if basis.ncols != n:
+            raise DomainError("basis must be square")
+        if not basis.det().is_unit_monomial():
+            raise NotInvertibleError("degenerate basis")
+        _positions = range(n)
+    cols = basis.cols()
+    shift = 1 if side == "+" else -1
     out = []
-    for j in range(n):
-        if side == "+":
-            marked = lambda c: c >= n - j
-        else:
-            marked = lambda c: c < j
-        cols = [
-            tuple(basis[i, c] * v if marked(c) else basis[i, c] for i in range(n))
-            for c in range(n)
-        ]
-        out.append(lattice_class_of_cols(side, cols))
+    for j in _positions:
+        marked = range(n - j, n) if side == "+" else range(j)
+        chain_cols = list(cols)
+        for c in marked:
+            chain_cols[c] = tuple(a.shift(shift) for a in cols[c])
+        out.append(lattice_class_of_cols(side, chain_cols))
     return out
 
 

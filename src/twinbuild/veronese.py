@@ -87,6 +87,9 @@ class SubspaceFlag:
     __slots__ = ("n", "steps")
 
     def __init__(self, n, subspaces):
+        subspaces = [[list(row) for row in s] for s in subspaces]
+        if any(len(row) != n for s in subspaces for row in s):
+            raise DomainError(f"flag subspaces must be spanned by rows of {n} entries")
         steps = tuple(subspace(s) for s in subspaces)
         if not steps:
             raise DomainError("a flag needs at least one subspace")

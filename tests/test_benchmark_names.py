@@ -10,10 +10,15 @@ operations.
 ``perfbench/spans.py`` resolves its traced targets by name and reports a
 missing one as absent, so a renamed library function would silently drop
 its per-layer metrics from a traced run; the last test catches that.
+
+The runner's last line is its machine-readable result, so one short
+traced run checks that it is strict JSON (no NaN or Infinity) and that
+the lattice layer shows in it.
 """
 
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -63,3 +68,21 @@ def test_every_declared_layer_metric_has_a_traced_target():
         tracer.uninstall()
     missing = [name for name in declared if name not in traced | DERIVED]
     assert not missing, f"no traced target for {missing}; absent spans: {tracer.absent}"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name} in the runner's summary")
+
+
+def test_traced_twin_gates_run_ends_in_a_strict_json_summary():
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "twin-gates", "--seed", "1",
+         "--seconds", "1", "--trace", "1", "--size", "tiny"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.rstrip("\n").split("\n")[-1]
+    summary = json.loads(last, parse_constant=_reject_constant)
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+    assert summary["metrics"]["lattice.vertex_classes.calls"]["value"] > 0

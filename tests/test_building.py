@@ -4,6 +4,8 @@ twin gates, and Schubert-cell coordinates."""
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from twinbuild.building import (
     apartment_chambers,
@@ -328,6 +330,52 @@ def test_opposite_fails_only_at_special_panel_parameter():
                 if t == tgate:
                     continue
                 assert opposite(cm, panel_chamber(x, t))
+
+
+_CONTAINMENT_KINDS = ("self", "chart", "wall", "other-wall", "word", "random")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 4]),
+    side=st.sampled_from("+-"),
+    kind=st.sampled_from(_CONTAINMENT_KINDS),
+)
+def test_panel_containment_matches_the_vertex_class_oracle(seed, n, side, kind):
+    """panel_parameter accepts exactly the chambers whose vertex classes
+    contain the panel's (the test it made before it asked the engine),
+    on chambers inside the panel (the carrier, a chart chamber, its
+    neighbour across the panel's wall) and outside it (a neighbour
+    across another wall, a chamber at a random Weyl distance, a random
+    chamber), and an accepted chamber is the chart's chamber at the
+    returned parameter."""
+    rng = random.Random(seed)
+    d = rand_chamber(rng, n, side)
+    s = rng.randint(1, n)
+    panel = panel_of(d, s)
+    if kind == "self":
+        c = d
+    elif kind == "chart":
+        c = panel_chamber(panel, rng.choice([GaussRat(rng.randint(-2, 2)), INF]))
+    elif kind in ("wall", "other-wall", "word"):
+        if kind == "wall":
+            word = (s,)
+        elif kind == "other-wall":
+            word = (rng.choice([t for t in range(1, n + 1) if t != s]),)
+        else:
+            word = rand_affine_word(rng, n, 5)
+        w = word_to_affine(word, n)
+        c = chamber_from_basis(side, d.rep @ weyl_matrix(w) @ rand_borel(rng, n, side))
+    else:
+        c = rand_chamber(rng, n, side)
+    inside = panel.classes <= c.classes
+    event(f"{kind} inside={inside}")
+    if inside:
+        assert panel_chamber(panel, panel_parameter(panel, c)) == c
+    else:
+        with pytest.raises(DomainError, match="does not contain the panel"):
+            panel_parameter(panel, c)
 
 
 def test_opposite_equivariance():

@@ -5,6 +5,7 @@ much faster than spawning subprocesses; one smoke test at the bottom checks
 that ``python3 -m twinbuild`` is wired up at all.
 """
 
+import functools
 import json
 import pathlib
 import subprocess
@@ -18,6 +19,7 @@ from twinbuild.building import standard_chamber, weyl_matrix
 from twinbuild.cli import _ERROR_CODES, _matrix_text, _parse_matrix, main
 from twinbuild.coxeter import word_to_affine
 from twinbuild.exactalg import GaussRat, LMat, LaurentPoly, mat_to_json
+from twinbuild.verify import available_suites
 
 SCHEMA_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "docs" / "envelope.schema.json"
@@ -558,26 +560,228 @@ def _fuzz_chamber_argv(draw):
     return argv
 
 
-@settings(
-    max_examples=300, derandomize=True, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(argv=_fuzz_chamber_argv())
-def test_fuzzed_chamber_commands_exit_cleanly(capsys, argv):
-    """No argument list ends in a traceback or an internal error: the
-    exit code is 0, 2 (usage) or 3 (domain), and a JSON run prints either
-    nothing (usage errors go to stderr) or one envelope of the schema."""
+@functools.lru_cache(maxsize=None)
+def _envelope_validator():
+    """One validator of the shipped schema, checked once, for the fuzz
+    tests' thousands of envelopes."""
     import jsonschema
 
+    schema = json.loads(SCHEMA_PATH.read_text())
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
+
+
+def _run_fuzzed(capsys, argv):
+    """Run argv with ``--format json`` and check the outcome: no traceback,
+    no internal error, a documented exit code, and one schema-valid
+    envelope on stdout unless argparse rejected the argument list (then
+    exit 2 and its text on stderr).  A malformed value is a ``usage``
+    envelope with exit 2.  Returns the exit code."""
     try:
         code = main(argv + ["--format", "json"])
+        rejected = False
     except SystemExit as exc:  # argparse rejects the argument list
-        code = exc.code
+        code, rejected = exc.code, True
     out, err = capsys.readouterr()
     event(f"{argv[0]} exit {code}")
-    assert code in (0, 2, 3), (argv, out, err)
+    assert code in (0, 1, 2, 3), (argv, out, err)
     assert "Traceback" not in err
-    if out:
-        jsonschema.validate(json.loads(out), json.loads(SCHEMA_PATH.read_text()))
+    if rejected:
+        assert code == 2 and out == "", (argv, out, err)
+        return code
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    if code == 2:
+        assert doc["error"]["code"] == "usage", (argv, doc)
+    return code
+
+
+_FUZZ_SETTINGS = dict(
+    derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@settings(max_examples=300, **_FUZZ_SETTINGS)
+@given(argv=_fuzz_chamber_argv())
+def test_fuzzed_chamber_commands_exit_cleanly(capsys, argv):
+    """No argument list of the chamber commands ends in a traceback or an
+    internal error: the exit code is 0, 2 (usage) or 3 (domain), and a
+    JSON run prints one envelope of the schema unless argparse rejected
+    the argument list."""
+    assert _run_fuzzed(capsys, argv) in (0, 2, 3)
+
+
+def test_malformed_value_is_a_usage_envelope(capsys):
+    code, out, err = run_cli(
+        capsys, "coxeter", "reduce", "--type", "A2", "--word", "notaword",
+        "--format", "json",
+    )
+    assert code == 2
+    assert err == ""
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    assert doc["command"] == "coxeter.reduce"
+    assert doc["error"]["code"] == "usage"
+    assert doc["error"]["message"].startswith("bad word 'notaword'")
+
+
+def test_ragged_flag_is_a_domain_error(capsys):
+    """A flag row of the wrong length was an IndexError inside rref (an
+    internal error, exit 4) until the fuzz test below found it."""
+    code, out, err = run_cli(
+        capsys, "veronese", "spherical", "--flag", "0,0,0;0,0", "--weights", "0",
+        "--format", "json",
+    )
+    assert code == 3
+    _envelope_validator().validate(json.loads(out))
+    assert json.loads(out)["error"] == {
+        "code": "domain-error",
+        "message": "flag subspaces must be spanned by rows of 3 entries",
+    }
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the argument grammar of coxeter, poincare, veronese and verify
+# ---------------------------------------------------------------------------
+
+
+def _mostly(valid):
+    """A value of ``valid`` three times in four, junk otherwise."""
+    return st.one_of(valid, valid, valid, _fuzz_junk)
+
+
+@st.composite
+def _fuzz_coxeter_type(draw):
+    """(type text, number of generators): A1..A4 and A~1..A~4 mostly, and
+    sometimes a rank below 1 or junk (then the count is a guess)."""
+    affine = draw(st.booleans())
+    k = draw(st.one_of(st.integers(1, 4), st.integers(1, 4), st.integers(-1, 0)))
+    text = draw(_mostly(st.just(f"A{'~' if affine else ''}{k}")))
+    return text, k + 1 if affine else k
+
+
+def _fuzz_word(gens, max_size):
+    """Comma lists of generator indices, mostly in 1..gens."""
+    index = st.one_of(st.integers(1, max(gens, 1)), st.integers(1, max(gens, 1)),
+                      st.integers(-1, gens + 2))
+    return _mostly(st.lists(index, max_size=max_size).map(lambda w: ",".join(map(str, w))))
+
+
+def _fuzz_generators(prefix, gens):
+    return _fuzz_word(gens, 3).map(lambda text: prefix + text)
+
+
+def _fuzz_small_int(lo, hi):
+    """An integer argument: mostly in lo..hi, sometimes not an integer."""
+    return _mostly(st.integers(lo, hi).map(str))
+
+
+@st.composite
+def _fuzz_coxeter_argv(draw):
+    """argv of coxeter reduce/length/bruhat/cosets."""
+    sub = draw(st.sampled_from(["reduce", "length", "bruhat", "cosets"]))
+    text, gens = draw(_fuzz_coxeter_type())
+    argv = ["coxeter", sub, "--type", text]
+    word = _fuzz_word(gens, 6)
+    if sub in ("reduce", "length"):
+        argv += ["--word", draw(word)]
+    elif sub == "bruhat":
+        argv += ["--v", draw(word), "--w", draw(word)]
     else:
-        assert code == 2
+        argv += ["--quotient", draw(_fuzz_generators("J=", gens))]
+        if draw(st.booleans()):
+            argv += ["--within", draw(_fuzz_generators("K=", gens))]
+        if draw(st.booleans()):
+            argv += ["--max-length", draw(_fuzz_small_int(-2, 5))]
+    return argv
+
+
+@st.composite
+def _fuzz_poincare_argv(draw):
+    """argv of poincare schubert/loop/bott-check."""
+    sub = draw(st.sampled_from(["schubert", "loop", "bott-check"]))
+    if sub == "schubert":
+        text, gens = draw(_fuzz_coxeter_type())
+        argv = ["poincare", "schubert", "--type", text, "--w", draw(_fuzz_word(gens, 5))]
+        if draw(st.booleans()):
+            argv += ["--quotient", draw(_fuzz_generators("J=", gens))]
+        if draw(st.booleans()):
+            argv += ["--truncation", draw(_fuzz_small_int(-2, 8))]
+        return argv
+    if sub == "loop":
+        return ["poincare", "loop", "--n", draw(_fuzz_small_int(-1, 4)),
+                "--deg", draw(_fuzz_small_int(-2, 8))]
+    return ["poincare", "bott-check", "--k", draw(_fuzz_small_int(-1, 4)),
+            "--deg", draw(_fuzz_small_int(-2, 8))]
+
+
+_fuzz_scalar_text = st.sampled_from(["0", "1", "1", "-1", "1/2", "(1+i)", "(0+1i)"])
+
+
+@st.composite
+def _fuzz_flag_text(draw):
+    """A flag: '|'-separated subspaces of ';'-separated rows of scalars,
+    some rows too long."""
+    n = draw(st.integers(1, 3))
+    subspaces = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [
+            ",".join(draw(_fuzz_scalar_text) for _ in range(draw(st.sampled_from([n, n, n + 1]))))
+            for _ in range(draw(st.integers(1, n)))
+        ]
+        subspaces.append(";".join(rows))
+    return "|".join(subspaces)
+
+
+@st.composite
+def _fuzz_veronese_argv(draw):
+    """argv of veronese spherical/affine/caveat."""
+    sub = draw(st.sampled_from(["spherical", "affine", "caveat"]))
+    n = draw(st.sampled_from([-1, 0, 1, 2, 2, 3]))
+    if sub == "spherical":
+        weights = st.lists(_fuzz_scalar_text, min_size=1, max_size=3).map(",".join)
+        return ["veronese", "spherical", "--flag", draw(_mostly(_fuzz_flag_text())),
+                "--weights", draw(_mostly(weights))]
+    if sub == "affine":
+        argv = ["veronese", "affine", "--n", str(n), "--k", draw(_fuzz_small_int(-1, 3))]
+        if draw(st.booleans()):
+            argv += ["--loop", draw(_fuzz_matrix_text(n))]
+        return argv
+    argv = ["veronese", "caveat", "--n", str(n), "--deg", draw(_fuzz_small_int(-1, 2))]
+    if draw(st.booleans()):
+        argv += ["--x", draw(_fuzz_matrix_text(n))]
+    return argv
+
+
+@settings(max_examples=200, **_FUZZ_SETTINGS)
+@given(argv=st.one_of(_fuzz_coxeter_argv(), _fuzz_poincare_argv(), _fuzz_veronese_argv()))
+def test_fuzzed_coxeter_poincare_veronese_commands_exit_cleanly(capsys, argv):
+    """The coxeter, poincare and veronese commands end in exit 0, 2 or 3,
+    never in a traceback or an internal error, and print one schema-valid
+    envelope unless argparse rejected the argument list."""
+    assert _run_fuzzed(capsys, argv) in (0, 2, 3)
+
+
+@st.composite
+def _fuzz_verify_argv(draw):
+    """argv of verify: a suite name (or a wrong one), a count and maybe a
+    seed.  The count is always given (at most 2), since a suite's default
+    count takes up to two seconds; ``all`` and ``caveat-window`` are left
+    out, since they take about a second even at count 1, and the other
+    suites run the same parsing and envelope code."""
+    fast = [s for s in available_suites() if s != "caveat-window"]
+    suite = draw(_mostly(st.sampled_from(fast)))
+    argv = ["verify", suite, "--count", draw(_fuzz_small_int(-1, 2))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(_fuzz_small_int(-3, 50))]
+    return argv
+
+
+@settings(max_examples=60, **_FUZZ_SETTINGS)
+@given(argv=_fuzz_verify_argv())
+def test_fuzzed_verify_commands_exit_cleanly(capsys, argv):
+    """verify ends in exit 0 (every suite passes), 2 or 3, never in a
+    traceback or an internal error; a count of 0 or less is a domain
+    error."""
+    assert _run_fuzzed(capsys, argv) in (0, 2, 3)

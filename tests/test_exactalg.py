@@ -35,6 +35,7 @@ from twinbuild.exactalg import (
     solve_right,
     zpow,
 )
+from twinbuild.exactalg import _col_sub, _mul_sub
 
 
 def rand_gauss(rng, span=4):
@@ -552,6 +553,91 @@ def test_divexact_laurent():
     # z is a unit in the Laurent ring, so division by it always succeeds
     assert divexact(Z + const(1), Z) == zpow(-1) + const(1)
     assert divexact(LP_ONE, Z + const(1)) is None
+
+
+# Coefficients with denominators 1..6, so that the kernel's sums meet
+# unequal denominators; polynomials with a few terms in a small window.
+gauss_scalars = gauss_parts.map(lambda x: GaussRat(*x))
+laurent_polys = st.dictionaries(st.integers(-2, 3), gauss_scalars, max_size=4).map(LaurentPoly)
+plain_polys = st.dictionaries(st.integers(0, 4), gauss_scalars, max_size=5).map(LaurentPoly)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(a=laurent_polys, q=laurent_polys, b=laurent_polys, cancel=st.sampled_from([0, 1, 2]))
+@example(  # (1+i)/2*z * (1-i)/3 = 1/3*z: the denominators 2 and 3 meet
+    a=LaurentPoly({1: GaussRat(Fraction(1, 3)), 0: GaussRat(0, Fraction(1, 6))}),
+    q=LaurentPoly({1: GaussRat(Fraction(1, 2), Fraction(1, 2))}),
+    b=LaurentPoly({0: GaussRat(Fraction(1, 3), Fraction(-1, 3))}),
+    cancel=0,
+)
+def test_mul_sub_kernel_matches_the_operators(a, q, b, cancel):
+    """The kernel a - q*b equals the public operators' a - q*b, stores no
+    zero coefficient and keeps every coefficient normalised.  ``cancel``
+    makes a = q*b (everything cancels) or a = q*b + a (only a remains)."""
+    if cancel == 1:
+        a = q * b
+    elif cancel == 2:
+        a = q * b + a
+    want = a - q * b
+    before = dict(a.coeffs)
+    got = _mul_sub(dict(a.coeffs), q.coeffs, b.coeffs)
+    assert got == want.coeffs
+    assert_normalised(LaurentPoly(got))
+    assert a.coeffs == before
+    if cancel == 1:
+        assert got == {}
+    assert _col_sub([a, a, LP_ZERO], q, [b, LP_ZERO, b]) == [want, a, -(q * b)]
+
+
+def _divmod_oracle(f, g):
+    """Schoolbook division with remainder through the public operators:
+    the loop poly_divmod ran before its remainder became one dict updated
+    in place by the kernel."""
+    q = LP_ZERO
+    r = f
+    dg = max(g.coeffs)
+    lg = g.coeffs[dg]
+    while r and max(r.coeffs) >= dg:
+        dr = max(r.coeffs)
+        t = LaurentPoly.term(r.coeffs[dr] / lg, dr - dg)
+        q = q + t
+        r = r - t * g
+    return q, r
+
+
+def _divexact_oracle(f, g):
+    if not f:
+        return LP_ZERO
+    q, r = _divmod_oracle(f.shift(-f.val0()), g.shift(-g.val0()))
+    return None if r else q.shift(f.val0() - g.val0())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(f=plain_polys, g=plain_polys, h=plain_polys, exact=st.booleans(),
+       shift=st.integers(-2, 2))
+@example(  # a monomial divisor with a non-unit coefficient
+    f=LaurentPoly({0: GaussRat(1), 2: GaussRat(0, 3)}),
+    g=LaurentPoly({1: GaussRat(Fraction(2, 3), Fraction(1, 3))}),
+    h=LP_ZERO, exact=False, shift=0,
+)
+def test_poly_divmod_and_divexact_match_the_schoolbook_loop(f, g, h, exact, shift):
+    """poly_divmod agrees with the schoolbook loop on polynomials, and
+    divexact with it on Laurent polynomials; ``exact`` makes f a multiple
+    g*h, so that the division is exact."""
+    if not g:
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(f, g)
+        return
+    if exact:
+        f = g * h
+    q, r = poly_divmod(f, g)
+    assert (q, r) == _divmod_oracle(f, g)
+    assert_normalised(q, r)
+    assert q * g + r == f
+    fl, gl = f.shift(shift), g.shift(-shift)
+    assert divexact(fl, gl) == _divexact_oracle(fl, gl)
+    if exact:
+        assert divexact(fl, gl) == h.shift(2 * shift)
 
 
 # ---------------------------------------------------------------------------
