@@ -177,6 +177,8 @@ def loop_poincare(n: int, truncation: int) -> PoincareSeries:
     >>> print(loop_poincare(2, 6))
     1 + t^2 + t^4 + t^6
     """
+    if truncation < 0:
+        raise DomainError("truncation degree must be >= 0")
     M = coxeter_matrix("affine-A", n)
     finite = set(range(1, n))
     reps = min_coset_reps(M, finite, truncation // 2)

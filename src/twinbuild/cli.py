@@ -10,11 +10,17 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 domain error, 4 internal error (an unexpected exception, that is a
 bug; its envelope code is ``internal``).  A malformed value (a matrix,
 word, scalar or parameter that does not parse) is a usage error; with
-``--format json`` it prints an error envelope with code ``usage``.  An
-argument list that argparse itself rejects (an unknown command or
-option, a missing required option, a non-integer ``--n``) fails before
-``--format`` is read, so argparse's message goes to stderr as text,
-with exit code 2 and no envelope.
+``--format json`` it prints an error envelope with code ``usage``; so
+does an unknown ``verify`` suite name.  An argument list that argparse
+itself rejects (an unknown command or option, a missing required
+option, a non-integer ``--n``) fails before ``--format`` is read, so
+argparse's message goes to stderr as text, with exit code 2 and no
+envelope.
+
+This module imports only ``errors`` at the top: each command handler
+(and each parsing helper) imports what it runs when it runs, so
+``coxeter length`` loads only ``coxeter``, ``errors`` and ``record``,
+never the matrix layers or the ``verify`` suites.
 
 Matrices are written ``row;row;...`` with comma-separated polynomial
 entries (``1,z;0,1``), or as a JSON array of entry strings; both parse
@@ -28,28 +34,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .building import (
-    Simplex,
-    chamber_from_basis,
-    codelta_word,
-    decode_coords,
-    delta_word,
-    encode_coords,
-    opposite,
-    project,
-    project_twin,
-    standard_chamber,
-)
-from .cells import bott_equivalence_check, loop_poincare, schubert_poincare
-from .coxeter import (
-    bruhat_leq,
-    coxeter_matrix,
-    min_coset_reps,
-    reduce_word,
-    word_length,
-)
 from .errors import (
     DomainError,
     NotInImageError,
@@ -58,22 +43,6 @@ from .errors import (
     VerificationError,
     check_rank,
 )
-from .exactalg import (
-    LMat,
-    mat_to_json,
-    parse_poly,
-    parse_scalar,
-    poly_to_str,
-    scalar_to_str,
-)
-from .lattice import INF
-from .veronese import (
-    SubspaceFlag,
-    affine_veronese_vertex,
-    caveat_check,
-    spherical_veronese,
-)
-from .verify import available_suites, run_all, run_suite
 
 SCHEMA = "twinbuild/1"
 
@@ -105,7 +74,9 @@ def _word_str(word):
     return ",".join(str(s) for s in word)
 
 
-def _parse_matrix(text) -> LMat:
+def _parse_matrix(text):
+    from .exactalg import LMat, parse_poly
+
     text = text.strip()
     if text.startswith("["):
         rows = json.loads(text)
@@ -118,13 +89,18 @@ def _parse_matrix(text) -> LMat:
     )
 
 
-def _matrix_text(m: LMat) -> str:
+def _matrix_text(m) -> str:
+    from .exactalg import poly_to_str
+
     return ";".join(
         ",".join(poly_to_str(e) for e in row) for row in m.rows
     )
 
 
 def _parse_param(text):
+    from .exactalg import parse_poly
+    from .lattice import INF
+
     text = text.strip()
     if text.upper() == "INF":
         return INF
@@ -135,12 +111,17 @@ def _parse_param(text):
 
 
 def _param_str(t):
+    from .exactalg import scalar_to_str
+    from .lattice import INF
+
     return "INF" if t is INF else scalar_to_str(t)
 
 
 def _parse_coxeter_type(text):
     """'A3' -> finite A_3 (the symmetric group S_4); 'A~3' -> the affine
     cycle on 4 nodes."""
+    from .coxeter import coxeter_matrix
+
     text = text.strip()
     kind = "finite-A"
     body = text[1:]
@@ -163,7 +144,10 @@ def _parse_generators(text):
     return frozenset(int(t) for t in text.split(","))
 
 
-def _parse_flag(text) -> SubspaceFlag:
+def _parse_flag(text):
+    from .exactalg import parse_scalar
+    from .veronese import SubspaceFlag
+
     steps = []
     for sub in text.split("|"):
         steps.append(
@@ -174,6 +158,8 @@ def _parse_flag(text) -> SubspaceFlag:
 
 
 def _parse_weights(text):
+    from fractions import Fraction
+
     try:
         return [Fraction(t) for t in text.split(",")]
     except ZeroDivisionError:
@@ -181,6 +167,8 @@ def _parse_weights(text):
 
 
 def _chamber_arg(text, side, n):
+    from .building import chamber_from_basis, standard_chamber
+
     if text is None:
         if n is None:
             raise ValueError("give --n or an explicit basis matrix")
@@ -190,6 +178,8 @@ def _chamber_arg(text, side, n):
 
 
 def _face_arg(basis_text, keep_text, side):
+    from .building import Simplex, chamber_from_basis
+
     carrier = chamber_from_basis(side, _parse_matrix(basis_text))
     keep = {int(t) for t in keep_text.split(",")}
     return Simplex(carrier, keep)
@@ -205,6 +195,8 @@ def _bool_str(b):
 
 
 def _cmd_coxeter(args):
+    from .coxeter import bruhat_leq, min_coset_reps, reduce_word, word_length
+
     M = _parse_coxeter_type(args.type)
     if args.sub == "reduce":
         word = reduce_word(_parse_word(args.word), M)
@@ -244,6 +236,8 @@ def _cmd_coxeter(args):
 
 
 def _cmd_delta(args):
+    from .building import chamber_from_basis, delta_word
+
     c = _chamber_arg(args.c, args.side, args.n)
     d = chamber_from_basis(args.side, _parse_matrix(args.d))
     word = delta_word(c, d)
@@ -252,6 +246,8 @@ def _cmd_delta(args):
 
 
 def _cmd_codelta(args):
+    from .building import codelta_word
+
     cm = _chamber_arg(args.cminus, "-", args.n)
     cp = _chamber_arg(args.cplus, "+", args.n)
     word = codelta_word(cm, cp)
@@ -260,6 +256,8 @@ def _cmd_codelta(args):
 
 
 def _cmd_opposite(args):
+    from .building import opposite
+
     cm = _chamber_arg(args.cminus, "-", args.n)
     cp = _chamber_arg(args.cplus, "+", args.n)
     opp = opposite(cm, cp)
@@ -268,6 +266,9 @@ def _cmd_opposite(args):
 
 
 def _cmd_project(args):
+    from .building import chamber_from_basis, project
+    from .exactalg import mat_to_json
+
     face = _face_arg(args.basis, args.keep, args.side)
     c = chamber_from_basis(args.side, _parse_matrix(args.chamber))
     gate = project(face, c)
@@ -281,6 +282,9 @@ def _cmd_project(args):
 
 
 def _cmd_project_twin(args):
+    from .building import chamber_from_basis, project_twin
+    from .exactalg import mat_to_json
+
     face = _face_arg(args.basis, args.keep, args.side)
     other = "-" if args.side == "+" else "+"
     c = chamber_from_basis(other, _parse_matrix(args.chamber))
@@ -295,6 +299,9 @@ def _cmd_project_twin(args):
 
 
 def _cmd_coords(args):
+    from .building import chamber_from_basis, decode_coords, delta_word, encode_coords
+    from .exactalg import mat_to_json
+
     cp = _chamber_arg(args.cplus, "+", args.n)
     cm = _chamber_arg(args.cminus, "-", args.n)
     if args.sub == "encode":
@@ -320,6 +327,8 @@ def _cmd_coords(args):
 
 
 def _cmd_poincare(args):
+    from .cells import bott_equivalence_check, loop_poincare, schubert_poincare
+
     if args.sub == "schubert":
         M = _parse_coxeter_type(args.type)
         J = _parse_generators(args.quotient) if args.quotient else frozenset()
@@ -351,6 +360,9 @@ def _cmd_poincare(args):
 
 
 def _cmd_veronese(args):
+    from .exactalg import LMat, mat_to_json
+    from .veronese import affine_veronese_vertex, caveat_check, spherical_veronese
+
     if args.sub == "spherical":
         flag = _parse_flag(args.flag)
         x = spherical_veronese(flag, _parse_weights(args.weights))
@@ -373,6 +385,11 @@ def _cmd_veronese(args):
 
 
 def _cmd_verify(args):
+    from .verify import available_suites, run_all, run_suite
+
+    suites = ("all",) + available_suites()
+    if args.suite not in suites:
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(suites)}")
     if args.suite == "all":
         results = run_all(seed=args.seed, count=args.count)
     else:
@@ -512,7 +529,7 @@ def _build_parser():
     q.set_defaults(func=_cmd_veronese)
 
     q = sub.add_parser("verify", parents=[fmt], help="seeded self-check suites")
-    q.add_argument("suite", choices=("all",) + available_suites())
+    q.add_argument("suite", help="a suite name, or all")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--count", type=int, default=None)
     q.set_defaults(func=_cmd_verify)

@@ -433,6 +433,8 @@ def min_coset_reps(M: CoxeterMatrix, J, max_length: int, within=None):
     [(), (1,), (2, 1)]
     """
     _require_supported(M)
+    if max_length < 0:
+        raise DomainError(f"max_length = {max_length} must be >= 0")
     J = _check_subset(J, M)
     if within is None:
         gens = list(M.generators)

@@ -359,16 +359,33 @@ def test_bruhat_on_a_long_word_has_no_recursion_limit():
 def test_cli_import_loads_no_introspection_modules():
     """`import twinbuild.cli` (the start of every CLI command) loads none
     of dataclasses, inspect, ast or dis, which together cost about 15 ms
-    of start-up."""
+    of start-up.  `import twinbuild` loads no submodule, and a command
+    loads only the modules it runs: `coxeter length` needs neither the
+    matrix layers nor `fractions`."""
     code = (
-        "import sys\n"
+        "import json, sys\n"
+        "def ours():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'twinbuild')\n"
+        "import twinbuild\n"
+        "bare = ours()\n"
         "import twinbuild.cli\n"
         "heavy = ('dataclasses', 'inspect', 'ast', 'dis')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "introspection = sorted(m for m in heavy if m in sys.modules)\n"
+        "twinbuild.cli.main(['coxeter', 'length', '--type', 'A3', '--word', '1,2,1'])\n"
+        "print(json.dumps([bare, introspection, ours(), 'fractions' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    result, report = proc.stdout.splitlines()
+    assert result == "3"
+    bare, introspection, loaded, fractions_loaded = json.loads(report)
+    assert bare == ["twinbuild"]
+    assert introspection == []
+    assert loaded == [
+        "twinbuild", "twinbuild.cli", "twinbuild.coxeter", "twinbuild.errors",
+        "twinbuild.record",
+    ]
+    assert not fractions_loaded
 
 
 def test_argparse_rejects_unknown_command(capsys):
@@ -391,6 +408,23 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "zz-fail: FAIL" in out
     assert "forced failure" in out
+
+
+def test_unknown_suite_is_a_usage_envelope(capsys):
+    """The suite name is checked by the handler, not by argparse, so that
+    the parser does not load `twinbuild.verify`: an unknown name is a
+    usage error with an envelope that lists the suites."""
+    code, out, err = run_cli(capsys, "verify", "no-such", "--format", "json")
+    assert code == 2
+    assert err == ""
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    assert doc["command"] == "verify"
+    assert doc["error"] == {
+        "code": "usage",
+        "message": "unknown suite 'no-such'; choose from "
+        + ", ".join(("all",) + available_suites()),
+    }
 
 
 def test_verify_suite_success_and_reproducibility(capsys):
@@ -638,6 +672,22 @@ def test_ragged_flag_is_a_domain_error(capsys):
     assert json.loads(out)["error"] == {
         "code": "domain-error",
         "message": "flag subspaces must be spanned by rows of 3 entries",
+    }
+
+
+def test_negative_coset_length_is_a_domain_error(capsys):
+    """A negative --max-length printed the identity as the one coset
+    representative and exited 0."""
+    code, out, _ = run_cli(
+        capsys, "coxeter", "cosets", "--type", "A3", "--quotient", "J=1",
+        "--max-length", "-3", "--format", "json",
+    )
+    assert code == 3
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    assert doc["error"] == {
+        "code": "domain-error",
+        "message": "max_length = -3 must be >= 0",
     }
 
 
