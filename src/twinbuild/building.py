@@ -53,7 +53,17 @@ from .coxeter import (
     word_to_affine,
 )
 from .errors import DomainError, NotInvertibleError, check_rank
-from .exactalg import LMat, LP_ONE, LP_ZERO, LaurentPoly, Z, _col_sub, zpow
+from .exactalg import (
+    LMat,
+    LP_ONE,
+    LP_ZERO,
+    LaurentPoly,
+    Z,
+    _chain_det,
+    _col_sub,
+    _top_minors,
+    zpow,
+)
 from .lattice import PanelChart, vertex_classes_of_basis
 from .record import Record
 
@@ -106,7 +116,7 @@ def _rho(n, side):
             for i in range(1, n):
                 rows[i][i - 1] = LP_ONE
             rows[0][n - 1] = zpow(-1)
-        m = LMat(rows)
+        m = LMat._of(rows)
         _RHO[(n, side)] = m
     return m
 
@@ -150,23 +160,53 @@ class Chamber:
     """A chamber of one half of the twin building, held by a normalised
     ordered basis of its lattice chain.  Each vertex class costs one
     Hermite form, so it is computed when a caller first reads it:
-    ``_chain[p]`` is the class at chain position p, or None until then."""
+    ``_chain[p]`` is the class at chain position p, or None until then.
 
-    __slots__ = ("side", "rep", "n", "_chain", "_classes")
+    The inverse of the representative is computed once, when ``_relpos``
+    first asks for it.  A chamber whose basis needed no alignment keeps
+    the top minor chain of its determinant check until then, so the
+    inverse reuses it (``LMat._inv_from``)."""
+
+    __slots__ = ("side", "rep", "n", "_chain", "_classes", "_minors", "_inv")
 
     def __init__(self, side, rep: LMat):
         _check_side(side)
         if rep.nrows != rep.ncols:
             raise DomainError("chamber representative must be square")
         check_rank(rep.nrows)
-        det = rep.det()
+        minors = _top_minors(rep.rows)
+        det = _chain_det(minors)
         if not det.is_unit_monomial():
             raise NotInvertibleError("chamber representative is degenerate")
+        aligned = _align(side, rep, det)
+        self._set(side, aligned, minors if aligned is rep else None)
+
+    @classmethod
+    def _built(cls, side, rep: LMat) -> "Chamber":
+        """A chamber whose representative the library built as a product
+        of aligned factors (an aligned basis, engine column operations,
+        m0^{-1}, n_w), so its determinant is a constant: no determinant
+        check and no alignment."""
+        c = object.__new__(cls)
+        c._set(side, rep, None)
+        return c
+
+    def _set(self, side, rep, minors):
         self.side = side
-        self.rep = _align(side, rep, det)
+        self.rep = rep
         self.n = rep.nrows
         self._chain = [None] * self.n
         self._classes = None
+        self._minors = minors
+        self._inv = None
+
+    def _inverse(self) -> LMat:
+        """rep^{-1}, computed on first use and kept; the kept minor chain
+        is dropped once it has served."""
+        if self._inv is None:
+            minors, self._minors = self._minors, None
+            self._inv = self.rep._inv_from(minors or _top_minors(self.rep.rows))
+        return self._inv
 
     def _vertices(self, positions):
         """The vertex classes at the given chain positions, computing only
@@ -307,7 +347,7 @@ def _window_matrix(u) -> LMat:
     for j, v in enumerate(u):
         k, r = divmod(v - 1, n)
         rows[r][j] = zpow(-k)
-    return LMat(rows)
+    return LMat._of(rows)
 
 
 def weyl_matrix(elt: AffineWeylElt) -> LMat:
@@ -403,13 +443,13 @@ def _relpos(c: Chamber, d: Chamber):
     if c.n != d.n:
         raise DomainError("dimension mismatch")
     n = c.n
-    a = c.rep.inv() @ d.rep
+    a = c._inverse() @ d.rep
     cols = [list(a.col(j)) for j in range(n)]
     leads = _reduce(cols, c.side == "+", d.side == "+")
     u = tuple(i + 1 - n * e for e, i, _ in leads)
     if sum(e for e, _, _ in leads):
         raise DomainError("read-off shifts do not sum to 0; not an affine Weyl element")
-    return u, LMat.from_cols(cols), leads
+    return u, LMat._of(zip(*cols)), leads
 
 
 def _borel_basis(c: Chamber, r: LMat, leads) -> LMat:
@@ -420,7 +460,7 @@ def _borel_basis(c: Chamber, r: LMat, leads) -> LMat:
     m_inv = [[LP_ZERO] * n for _ in range(n)]
     for j, (e, i, coeff) in enumerate(leads):
         m_inv[j][i] = LaurentPoly({-e: coeff.inverse()})
-    return c.rep @ r @ LMat(m_inv)
+    return c.rep @ r @ LMat._of(m_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +548,7 @@ def project(x: Simplex, c: Chamber) -> Chamber:
         raise DomainError("project needs a face and a chamber on the same side")
     u, r, leads = _relpos(c, x.carrier)
     wmin, _ = coset_min_split(u, set(x.cotype_nodes()))
-    return Chamber(c.side, _borel_basis(c, r, leads) @ _window_matrix(wmin))
+    return Chamber._built(c.side, _borel_basis(c, r, leads) @ _window_matrix(wmin))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +580,7 @@ def project_twin(x: Simplex, c: Chamber) -> Chamber:
         if not up:
             break
         u = wcompose(u, wgen(up[0], n))
-    return Chamber(x.side, base @ _window_matrix(u))
+    return Chamber._built(x.side, base @ _window_matrix(u))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +632,7 @@ def _reference_panels(dm: Chamber, x: LMat, word):
     n = dm.n
     prefix = widentity(n)
     for k, s in enumerate(word):
-        d = Chamber("-", x @ _window_matrix(prefix)) if k else dm
+        d = Chamber._built("-", x @ _window_matrix(prefix)) if k else dm
         yield _position_of_node(s, n, "+"), d.panel(_position_of_node(s, n, "-"))
         prefix = wcompose(prefix, wgen(s, n))
 
@@ -628,7 +668,15 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
 
 
 def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
-    """Rebuild the plus chamber from its Schubert-cell coordinates."""
+    """Rebuild the plus chamber from its Schubert-cell coordinates.
+
+    Each coordinate is a panel parameter, a Gaussian rational or INF, so
+    each letter's chart is P^1 minus one reserved value.  The reserved
+    value depends on the letter and on the opposite pair (on the standard
+    pair it is 0 for a finite generator and INF for the affine one), and a
+    coordinate at that value lands in a lower cell: at n = 2, word (1,)
+    and coordinate 0 give cp itself, at distance 1 from cp, not s_1.
+    """
     if cp.side != "+" or dm.side != "-":
         raise DomainError("decode_coords takes (plus, minus) chambers")
     n = cp.n

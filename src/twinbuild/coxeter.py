@@ -555,9 +555,6 @@ class AffineWeylElt(Record):
         object.__setattr__(elt, "window", u)
         return elt
 
-    def to_window(self):
-        return self.window
-
     @staticmethod
     def identity(n: int) -> "AffineWeylElt":
         return AffineWeylElt.from_window(widentity(n))

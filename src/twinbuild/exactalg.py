@@ -757,6 +757,19 @@ class LMat:
         rows = tuple(tuple(self._entry(x) for x in row) for row in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged or empty matrix")
+        self._store(rows)
+
+    @classmethod
+    def _of(cls, rows) -> "LMat":
+        """A finished matrix: ``rows`` is a non-empty rectangular sequence
+        of rows whose entries are already LaurentPoly, so nothing is
+        coerced or checked.  Matrices built from other matrices come
+        through here; ``LMat(...)`` and the public constructors coerce."""
+        m = object.__new__(cls)
+        m._store(tuple(map(tuple, rows)))
+        return m
+
+    def _store(self, rows):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", len(rows[0]))
@@ -822,7 +835,7 @@ class LMat:
     def __add__(self, other):
         if not isinstance(other, LMat):
             return NotImplemented
-        return LMat(
+        return LMat._of(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
@@ -832,7 +845,7 @@ class LMat:
     def __sub__(self, other):
         if not isinstance(other, LMat):
             return NotImplemented
-        return LMat(
+        return LMat._of(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
@@ -840,7 +853,7 @@ class LMat:
         )
 
     def __neg__(self):
-        return LMat([[-a for a in row] for row in self.rows])
+        return LMat._of([[-a for a in row] for row in self.rows])
 
     def scale(self, c) -> "LMat":
         """Every entry times c; a monomial z^k shifts exponents instead."""
@@ -848,8 +861,8 @@ class LMat:
         if len(c.coeffs) == 1:
             (k, u), = c.coeffs.items()
             if u == QI_ONE:
-                return LMat([[a.shift(k) for a in row] for row in self.rows])
-        return LMat([[c * a for a in row] for row in self.rows])
+                return LMat._of([[a.shift(k) for a in row] for row in self.rows])
+        return LMat._of([[c * a for a in row] for row in self.rows])
 
     def __matmul__(self, other):
         if not isinstance(other, LMat):
@@ -868,18 +881,18 @@ class LMat:
                         _mul_acc(acc, f, g)
                 out_row.append(_poly_of(acc))
             out.append(out_row)
-        return LMat(out)
+        return LMat._of(out)
 
     def transpose(self) -> "LMat":
-        return LMat(list(zip(*self.rows)))
+        return LMat._of(zip(*self.rows))
 
     def iota(self) -> "LMat":
         """Coefficientwise complex conjugation, entry positions untouched."""
-        return LMat([[a.conj_coeffs() for a in row] for row in self.rows])
+        return LMat._of([[a.conj_coeffs() for a in row] for row in self.rows])
 
     def sharp(self) -> "LMat":
         """Conjugate transpose composed with z -> 1/z."""
-        return LMat(
+        return LMat._of(
             [
                 [self.rows[j][i].sharp() for j in range(self.nrows)]
                 for i in range(self.ncols)
@@ -896,10 +909,10 @@ class LMat:
         return all(a.is_constant() for row in self.rows for a in row)
 
     def z_ddz(self) -> "LMat":
-        return LMat([[a.z_ddz() for a in row] for row in self.rows])
+        return LMat._of([[a.z_ddz() for a in row] for row in self.rows])
 
     def subs_zinv(self) -> "LMat":
-        return LMat([[a.subs_zinv() for a in row] for row in self.rows])
+        return LMat._of([[a.subs_zinv() for a in row] for row in self.rows])
 
     def trace(self) -> LaurentPoly:
         if self.nrows != self.ncols:
@@ -918,13 +931,7 @@ class LMat:
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        table = _ONE_TABLE
-        for row in self.rows:
-            table = _extend_minors(table, row)
-        return table.get((1 << self.ncols) - 1, LP_ZERO)
-
-    def is_special(self) -> bool:
-        return self.det() == LP_ONE
+        return _chain_det(_top_minors(self.rows))
 
     def inv(self) -> "LMat":
         """Inverse of a matrix whose determinant is a unit c*z^k.
@@ -941,18 +948,20 @@ class LMat:
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        return self._inv_from(_top_minors(self.rows))
+
+    def _inv_from(self, top) -> "LMat":
+        """``inv`` of a square matrix, given its top minor chain
+        ``_top_minors(self.rows)``."""
         rows, n = self.rows, self.nrows
         full = (1 << n) - 1
-        # top[i]: minors of rows 0..i-1; bottom[i]: minors of rows
-        # i+1..n-1, built bottom-up and so in reversed row order.
-        top = [_ONE_TABLE]
-        for row in rows:
-            top.append(_extend_minors(top[-1], row))
-        d = top[n].get(full, LP_ZERO)
+        d = _chain_det(top)
         if not d.is_unit_monomial():
             raise NotInvertibleError(
                 f"determinant {poly_to_str(d)} is not a unit c*z^k"
             )
+        # bottom[i]: minors of rows i+1..n-1, built bottom-up and so in
+        # reversed row order.
         bottom = [_ONE_TABLE]
         for row in reversed(rows[1:]):
             bottom.append(_extend_minors(bottom[-1], row))
@@ -979,13 +988,13 @@ class LMat:
                 cof = _poly_of(acc)
                 if cof:
                     out[j][i] = cof if dinv is None else cof * dinv
-        return LMat(out)
+        return LMat._of(out)
 
     def ev0(self) -> "LMat":
-        return LMat([[const(a.ev0()) for a in row] for row in self.rows])
+        return LMat._of([[const(a.ev0()) for a in row] for row in self.rows])
 
     def ev_inf(self) -> "LMat":
-        return LMat([[const(a.ev_inf()) for a in row] for row in self.rows])
+        return LMat._of([[const(a.ev_inf()) for a in row] for row in self.rows])
 
     def __str__(self):
         return "\n".join(
@@ -1001,6 +1010,20 @@ class LMat:
 # minor is not stored.  Each table costs about n*2^(n-1) Laurent
 # products, against e*n! for cofactor expansion.
 _ONE_TABLE = {0: LP_ONE}
+
+
+def _top_minors(rows):
+    """The top minor chain of a square matrix's rows: entry i is the minor
+    table of rows 0..i-1, so the last entry holds the determinant."""
+    top = [_ONE_TABLE]
+    for row in rows:
+        top.append(_extend_minors(top[-1], row))
+    return top
+
+
+def _chain_det(top) -> LaurentPoly:
+    """The determinant read off a top minor chain."""
+    return top[-1].get((1 << (len(top) - 1)) - 1, LP_ZERO)
 
 
 def _extend_minors(table, row):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from twinbuild import exactalg
 from twinbuild.building import (
+    Chamber,
+    _reference_panels,
     apartment_chambers,
     borel_membership,
     chamber_from_basis,
@@ -34,7 +37,7 @@ from twinbuild.coxeter import (
     word_to_affine,
 )
 from twinbuild.errors import DomainError, NotInvertibleError
-from twinbuild.exactalg import GaussRat, LMat, LP_ONE, LaurentPoly, parse_poly, zpow
+from twinbuild.exactalg import GaussRat, LMat, LP_ONE, LaurentPoly, Z, parse_poly, zpow
 from twinbuild.lattice import INF
 from twinbuild.samples import (
     elementary,
@@ -538,8 +541,8 @@ def test_project_apartment_coxeter_oracle():
         for p in range(n):
             x = d.panel(p)
             e = project(x, c0)
-            wmin, _ = coset_min_split(w.to_window(), set(x.cotype_nodes()))
-            assert delta(c0, e).to_window() == wmin
+            wmin, _ = coset_min_split(w.window, set(x.cotype_nodes()))
+            assert delta(c0, e).window == wmin
             assert x.classes <= e.classes
 
 
@@ -552,8 +555,8 @@ def test_project_minus_side_oracle():
         for p in range(n):
             x = d.panel(p)
             e = project(x, c0)
-            wmin, _ = coset_min_split(w.to_window(), set(x.cotype_nodes()))
-            assert delta(c0, e).to_window() == wmin
+            wmin, _ = coset_min_split(w.window, set(x.cotype_nodes()))
+            assert delta(c0, e).window == wmin
             assert x.classes <= e.classes
 
 
@@ -939,3 +942,119 @@ def test_planted_recovery_on_dense_bases_at_large_n(n):
     assert codelta(cm, cp) == w
     assert opposite(cm, cp) == (w == AffineWeylElt.identity(n))
     assert opposite(cm, chamber_from_basis("+", x @ rand_borel(rng, n, "+")))
+
+
+# ---------------------------------------------------------------------------
+# chambers the library builds, and the inverse a chamber keeps
+# ---------------------------------------------------------------------------
+
+
+def assert_built_as_validated(g):
+    """A chamber that skipped the determinant check and the alignment has
+    a constant unit determinant, and the validating constructor changes
+    neither the chamber nor its representative."""
+    det = g.rep.det()
+    assert det.is_unit_monomial() and set(det.coeffs) == {0}
+    again = Chamber(g.side, g.rep)
+    assert again == g
+    assert again.rep == g.rep
+
+
+def assert_built_chambers(rng, n, dense):
+    """Every gate of project and project_twin, and every reference chamber
+    of _reference_panels, on random chambers (dense bases when asked)."""
+    def chamber(side):
+        if not dense:
+            return rand_chamber(rng, n, side)
+        x = dense_basis(rng, n)
+        w = word_to_affine(rand_affine_word(rng, n, n + 1), n)
+        return chamber_from_basis(side, x @ weyl_matrix(w) @ rand_borel(rng, n, side))
+
+    side = rng.choice("+-")
+    other = "-" if side == "+" else "+"
+    d = chamber(side)
+    kept = rng.sample(range(n), rng.randint(1, n - 1))
+    assert_built_as_validated(project(d.face(kept), chamber(side)))
+    assert_built_as_validated(project_twin(d.face(kept), chamber(other)))
+    if dense:
+        x = dense_basis(rng, n)
+        cm = chamber_from_basis("-", x @ rand_borel(rng, n, "-"))
+        cp = chamber_from_basis("+", x @ rand_borel(rng, n, "+"))
+    else:
+        cm, cp = rand_opposite_pair(rng, n)
+    word = affine_to_word(word_to_affine(rand_affine_word(rng, n, 5), n))
+    for _, panel in _reference_panels(cm, common_basis(cm, cp), word):
+        assert_built_as_validated(panel.carrier)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]))
+def test_built_chambers_match_the_validating_constructor(seed, n):
+    assert_built_chambers(random.Random(seed), n, dense=False)
+
+
+def test_built_chambers_match_the_validating_constructor_on_dense_bases():
+    rng = random.Random(2105)
+    for _ in range(2):
+        assert_built_chambers(rng, 5, dense=True)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ["z", "1", "1"],          # det z: rotated on both sides
+        ["z^-1", "z^2", "1"],     # det z: rotated on both sides
+        ["z", "z", "z"],          # det z^3: scaled, not rotated
+        ["2", "1", "(i)"],        # constant det 2i: kept as it is
+        ["1", "1", "1"],
+    ],
+)
+def test_chamber_inverse_is_the_inverse_of_its_representative(entries):
+    """The inverse a chamber keeps is rep^{-1} of its aligned
+    representative, also where alignment rotated or scaled the basis (the
+    minor chain of the basis as given must not be reused there)."""
+    rng = random.Random(len("".join(entries)))
+    g = rand_sl(rng, 3) @ LMat.diag([P(e) for e in entries])
+    for side in "+-":
+        c = chamber_from_basis(side, g)
+        inv = c._inverse()
+        assert inv == c.rep.inv()
+        assert c.rep @ inv == LMat.identity(3)
+        assert c._inverse() is inv
+
+
+def test_chamber_inverse_on_dense_bases():
+    rng = random.Random(2106)
+    x = dense_basis(rng, 5)
+    for k in range(5):
+        g = x @ LMat.diag([Z] * k + [LP_ONE] * (5 - k))
+        for side in "+-":
+            c = chamber_from_basis(side, g)
+            assert c.rep @ c._inverse() == LMat.identity(5)
+
+
+def test_minor_table_passes_per_operation(monkeypatch):
+    """One delta on determinant-one dense bases at n = 5 builds the top
+    minor chain of each chamber once (5 + 5 passes of _extend_minors) and
+    the bottom chain of the first chamber's inverse (4), which reuses the
+    first chamber's top chain.  One project makes as many passes: the
+    gate is a product of aligned factors and takes no determinant."""
+    rng = random.Random(2107)
+    n = 5
+    x = dense_basis(rng, n)
+    w = word_to_affine(rand_affine_word(rng, n, n + 2), n)
+    y = x @ weyl_matrix(w) @ rand_borel(rng, n, "+")
+    passes = []
+    extend = exactalg._extend_minors
+
+    def counted(table, row):
+        passes.append(None)
+        return extend(table, row)
+
+    monkeypatch.setattr(exactalg, "_extend_minors", counted)
+    delta(chamber_from_basis("+", x), chamber_from_basis("+", y))
+    assert len(passes) == 14
+    passes.clear()
+    c, d = chamber_from_basis("+", x), chamber_from_basis("+", y)
+    project(d.panel(1), c)
+    assert len(passes) == 14

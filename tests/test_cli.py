@@ -208,6 +208,25 @@ def test_coords_decode_accepts_infinity(capsys):
     assert out.strip()  # some chamber matrix
 
 
+def test_coords_decode_at_the_reserved_value_gives_a_lower_cell(capsys):
+    """The chart of letter 1 on the standard pair at n = 2 reserves 0:
+    decoding it returns cp itself (Weyl distance 1 from cp, not s_1).
+    The documented chart is P^1 minus that value, so a change of chart
+    has to change this output on purpose."""
+    code, out, _ = run_cli(
+        capsys,
+        "coords", "decode", "--n", "2", "--word", "1", "--coords", "0",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "coords.decode",
+        "parameters": {"coords": "0", "n": 2, "word": "1"},
+        "result": {"chamber": [["1", "0"], ["0", "1"]]},
+        "schema": "twinbuild/1",
+    }
+
+
 def test_opposite_and_projection(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -405,7 +405,7 @@ def test_window_conversion_round_trip():
         n = rng.choice([2, 3, 4])
         w = tuple(rng.choice(range(1, n + 1)) for _ in range(rng.randint(0, 8)))
         e = word_to_affine(w, n)
-        assert AffineWeylElt.from_window(e.to_window()) == e
+        assert AffineWeylElt.from_window(e.window) == e
 
 
 def test_from_window_rejects_non_elements():
@@ -503,7 +503,7 @@ def test_window_elements_match_perm_shift_reference(case):
     assert (xy.perm, xy.shifts) == ref_compose(a, b)
     assert (x.inverse().perm, x.inverse().shifts) == ref_inverse(a)
     assert x.length() == ref_length(a)
-    assert AffineWeylElt.from_window(x.to_window()) == x
+    assert AffineWeylElt.from_window(x.window) == x
     assert weyl_matrix(x) == ref_matrix(a)
     assert weyl_matrix(x) @ weyl_matrix(y) == weyl_matrix(xy)
     spelled = (tuple(range(1, n + 1)), (0,) * n)

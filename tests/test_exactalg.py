@@ -309,8 +309,8 @@ def test_det_examples():
         k = 2
         scalar = LMat.diag([zpow(k)] * n)
         assert scalar.det() == zpow(k * n)
-    assert LMat.identity(2).is_special()
-    assert not LMat.diag([Z, LP_ONE]).is_special()
+    assert LMat.identity(2).det() == LP_ONE
+    assert LMat.diag([Z, LP_ONE]).det() != LP_ONE
 
 
 def test_det_multiplicative():
