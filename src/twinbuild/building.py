@@ -64,7 +64,7 @@ from .exactalg import (
     _top_minors,
     zpow,
 )
-from .lattice import PanelChart, vertex_classes_of_basis
+from .lattice import PanelChart, _check_side, vertex_classes_of_basis
 from .record import Record
 
 __all__ = [
@@ -91,11 +91,6 @@ __all__ = [
     "encode_coords",
     "decode_coords",
 ]
-
-
-def _check_side(side):
-    if side not in ("+", "-"):
-        raise DomainError(f"side must be '+' or '-', got {side!r}")
 
 
 # chain-shift matrices: right multiplication rotates the vertex chain of a

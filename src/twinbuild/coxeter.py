@@ -151,17 +151,6 @@ class CoxeterMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def to_json(self):
-        return [
-            ["inf" if e == INFBOND else e for e in row] for row in self.entries
-        ]
-
-    @staticmethod
-    def from_json(data) -> "CoxeterMatrix":
-        return CoxeterMatrix(
-            [[INFBOND if e == "inf" else int(e) for e in row] for row in data]
-        )
-
     def __repr__(self):
         return f"<CoxeterMatrix {self.kind} rank {self.rank}>"
 

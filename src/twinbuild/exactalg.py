@@ -31,20 +31,24 @@ The operators on polynomials and matrices:
   n*2^(n-1) Laurent products each, where cofactor expansion costs about
   e*n! (and n^2 times that for the adjugate).
 
-Sums of Laurent products -- the entries of a matrix product, the minor
-tables and the cofactors of ``inv`` -- are accumulated by one kernel,
-``_mul_acc``, in unreduced integer triples, and ``_poly_of`` normalises
-each finished coefficient once.  ``LaurentPoly.__mul__`` keeps its own
-loop: its products are mostly monomial times polynomial, with nothing to
-accumulate.  The updates a - q*b -- the remainder of ``poly_divmod``
-(and so ``divexact``, ``poly_gcd`` and ``qi_roots``), and through
-``_col_sub`` the column operations of the lattice Hermite form, its back
-substitution and the building's reduction engine -- go through
-``_mul_sub``, which adds -q*b into ``a`` on the same integer triples and
-normalises each touched coefficient once.  Neither kernel builds a
-temporary LaurentPoly or a per-term GaussRat, so they do not show in
-counts of GaussRat or LaurentPoly operator calls.  Scaling by a monomial
-z^k (``LMat.scale``) shifts exponents.
+Every Laurent product and difference runs through one of two integer
+kernels.  ``_mul_acc`` adds products into unreduced integer triples and
+``_poly_of`` normalises each finished coefficient once: ``f * g``, the
+entries of a matrix product, the minor tables and the cofactors of
+``inv``.  ``_mul_sub`` adds -q*b into ``a`` on the same integer triples
+and normalises each touched coefficient once: ``f - g`` (as f - 1*g), the
+remainder of ``poly_divmod`` (and so ``divexact``, ``poly_gcd`` and
+``qi_roots``), and through ``_col_sub`` the column operations of the
+lattice Hermite form, its back substitution and the building's reduction
+engine.  Neither kernel builds a temporary LaurentPoly or a per-term
+GaussRat, so they do not show in counts of GaussRat operator calls.  Sums
+``f + g`` add coefficient by coefficient, and scaling by a monomial z^k
+(``LMat.scale``) shifts exponents.
+
+Values from outside reach a polynomial or a matrix through one coercion:
+``_as_qi`` reads an int, a Fraction or a GaussRat as a GaussRat, and
+``_as_poly`` reads a LaurentPoly or such a scalar as a LaurentPoly.
+Finished rows of LaurentPoly become a matrix through ``LMat._of``.
 
 There is no floating point anywhere and no rounding ever.
 
@@ -284,7 +288,10 @@ def _qi(a, b, d):
 
 
 def _as_qi(x):
-    """An int or a Fraction as a GaussRat; None for any other type."""
+    """A GaussRat, an int or a Fraction as a GaussRat; None for any other
+    type."""
+    if type(x) is GaussRat:
+        return x
     if isinstance(x, int):
         return _qi(x, 0, 1)
     if isinstance(x, Fraction):
@@ -398,8 +405,9 @@ def _parse_complex_body(body: str) -> GaussRat:
 class LaurentPoly:
     """A finite sum of c*z^e with exponents in Z, stored sparsely.
 
-    Coefficients are Gaussian rationals; zero coefficients are never
-    stored.
+    Coefficients are Gaussian rationals; an int or Fraction coefficient
+    is read as one (``_as_qi``), any other type raises TypeError, and zero
+    coefficients are never stored.
 
     >>> str(Z + zpow(-1))
     'z^-1 + z'
@@ -415,29 +423,18 @@ class LaurentPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
-                if c:
-                    d[e] = c
+                q = _as_qi(c)
+                if q is None:
+                    raise TypeError(f"bad coefficient: {c!r}")
+                if q:
+                    d[e] = q
         object.__setattr__(self, "coeffs", d)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("LaurentPoly is immutable")
 
-    @staticmethod
-    def term(c, e: int) -> "LaurentPoly":
-        return LaurentPoly({e: c})
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, LaurentPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            x = GaussRat(x)
-        if isinstance(x, GaussRat):
-            return LaurentPoly({0: x})
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
         d = dict(self.coeffs)
@@ -459,42 +456,27 @@ class LaurentPoly:
         return _lp({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _lp(_mul_sub(dict(self.coeffs), LP_ONE.coeffs, o.coeffs))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _lp(_mul_sub(dict(o.coeffs), LP_ONE.coeffs, self.coeffs))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
-        d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
-                e = e1 + e2
-                p = c1 * c2
-                s = d.get(e)
-                if s is None:
-                    if p:
-                        d[e] = p
-                else:
-                    s = s + p
-                    if s:
-                        d[e] = s
-                    else:
-                        del d[e]
-        return _lp(d)
+        return _poly_of(_mul_acc({}, self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _as_poly(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
@@ -536,20 +518,14 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(e == 0 for e in self.coeffs)
 
-    def ev0(self, zero=QI_ZERO):
+    def ev0(self):
         """Evaluate at z = 0; defined only when val0 >= 0."""
         if self.coeffs and self.val0() < 0:
             raise DomainError("pole at z = 0")
-        return self.coeffs.get(0, zero)
+        return self.coeffs.get(0, QI_ZERO)
 
-    def ev_inf(self, zero=QI_ZERO):
-        """Evaluate at z = infinity; defined only when val_inf >= 0."""
-        if self.coeffs and self.val_inf() < 0:
-            raise DomainError("pole at z = infinity")
-        return self.coeffs.get(0, zero)
-
-    def coeff(self, e: int, zero=QI_ZERO):
-        return self.coeffs.get(e, zero)
+    def coeff(self, e: int):
+        return self.coeffs.get(e, QI_ZERO)
 
     def is_unit_monomial(self) -> bool:
         """True iff the polynomial is a single term c*z^k with c != 0."""
@@ -565,9 +541,23 @@ class LaurentPoly:
 def _lp(coeffs) -> LaurentPoly:
     """The LaurentPoly of a coefficient dict with no zero coefficient,
     taken over without a copy."""
-    out = LaurentPoly.__new__(LaurentPoly)
-    object.__setattr__(out, "coeffs", coeffs)
+    out = _new(LaurentPoly)
+    _set_coeffs(out, coeffs)
     return out
+
+
+_set_coeffs = LaurentPoly.coeffs.__set__
+
+
+def _as_poly(x):
+    """A LaurentPoly, or a scalar that ``_as_qi`` reads as a constant
+    LaurentPoly; None for any other type."""
+    if isinstance(x, LaurentPoly):
+        return x
+    c = _as_qi(x)
+    if c is None:
+        return None
+    return _lp({0: c}) if c else LP_ZERO
 
 
 LP_ZERO = LaurentPoly()
@@ -581,9 +571,8 @@ def zpow(e: int, c=QI_ONE) -> LaurentPoly:
 
 
 def const(c) -> LaurentPoly:
-    """The constant polynomial with value c (int/Fraction/GaussRat)."""
-    if isinstance(c, (int, Fraction)):
-        c = GaussRat(c)
+    """The constant polynomial with value c (int/Fraction/GaussRat); any
+    other type raises TypeError."""
     return LaurentPoly({0: c})
 
 
@@ -675,7 +664,7 @@ def parse_poly(s: str) -> LaurentPoly:
             e = int(m.group(3))
         if sign < 0:
             coef = -coef
-        total = total + LaurentPoly.term(coef, e)
+        total = total + zpow(e, coef)
     return total
 
 
@@ -754,17 +743,16 @@ class LMat:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(self._entry(x) for x in row) for row in rows)
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged or empty matrix")
+        rows = tuple(tuple(map(self._entry, row)) for row in rows)
+        _check_shape(rows)
         self._store(rows)
 
     @classmethod
     def _of(cls, rows) -> "LMat":
         """A finished matrix: ``rows`` is a non-empty rectangular sequence
         of rows whose entries are already LaurentPoly, so nothing is
-        coerced or checked.  Matrices built from other matrices come
-        through here; ``LMat(...)`` and the public constructors coerce."""
+        coerced or checked.  Every constructor but ``LMat(...)`` ends
+        here; ``diag`` and ``from_cols`` coerce and check the shape first."""
         m = object.__new__(cls)
         m._store(tuple(map(tuple, rows)))
         return m
@@ -779,40 +767,34 @@ class LMat:
 
     @staticmethod
     def _entry(x):
-        if isinstance(x, LaurentPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return const(x)
-        if isinstance(x, GaussRat):
-            return LaurentPoly({0: x}) if x else LP_ZERO
-        raise TypeError(f"bad matrix entry: {x!r}")
+        p = _as_poly(x)
+        if p is None:
+            raise TypeError(f"bad matrix entry: {x!r}")
+        return p
 
     @staticmethod
-    def identity(n: int, one=QI_ONE) -> "LMat":
-        o = LaurentPoly({0: one})
-        return LMat(
-            [[o if i == j else LP_ZERO for j in range(n)] for i in range(n)]
-        )
+    def identity(n: int) -> "LMat":
+        return LMat.diag([LP_ONE] * n)
 
     @staticmethod
     def zeros(n: int, m: int | None = None) -> "LMat":
-        m = n if m is None else m
-        return LMat([[LP_ZERO] * m for _ in range(n)])
+        rows = [[LP_ZERO] * (n if m is None else m) for _ in range(n)]
+        _check_shape(rows)
+        return LMat._of(rows)
 
     @staticmethod
     def diag(entries) -> "LMat":
         entries = [LMat._entry(x) for x in entries]
         n = len(entries)
-        return LMat(
-            [[entries[i] if i == j else LP_ZERO for j in range(n)] for i in range(n)]
-        )
+        rows = [[entries[i] if i == j else LP_ZERO for j in range(n)] for i in range(n)]
+        _check_shape(rows)
+        return LMat._of(rows)
 
     @staticmethod
     def from_cols(cols) -> "LMat":
-        cols = list(cols)
-        return LMat(
-            [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-        )
+        cols = [tuple(map(LMat._entry, col)) for col in cols]
+        _check_shape(cols)
+        return LMat._of(zip(*cols))
 
     def col(self, j: int):
         return tuple(self.rows[i][j] for i in range(self.nrows))
@@ -832,25 +814,20 @@ class LMat:
     def __hash__(self):
         return hash(self.rows)
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if not isinstance(other, LMat):
             return NotImplemented
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
         return LMat._of(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
+            [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)]
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, LaurentPoly.__add__)
+
     def __sub__(self, other):
-        if not isinstance(other, LMat):
-            return NotImplemented
-        return LMat._of(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self._entrywise(other, LaurentPoly.__sub__)
 
     def __neg__(self):
         return LMat._of([[-a for a in row] for row in self.rows])
@@ -967,7 +944,7 @@ class LMat:
             bottom.append(_extend_minors(bottom[-1], row))
         bottom.reverse()
         (e, c), = d.coeffs.items()
-        dinv = None if d == LP_ONE else LaurentPoly.term(c.inverse(), -e)
+        dinv = None if d == LP_ONE else zpow(-e, c.inverse())
         out = [[LP_ZERO] * n for _ in range(n)]
         for i in range(n):
             above, below = top[i], bottom[i]
@@ -990,12 +967,6 @@ class LMat:
                     out[j][i] = cof if dinv is None else cof * dinv
         return LMat._of(out)
 
-    def ev0(self) -> "LMat":
-        return LMat._of([[const(a.ev0()) for a in row] for row in self.rows])
-
-    def ev_inf(self) -> "LMat":
-        return LMat._of([[const(a.ev_inf()) for a in row] for row in self.rows])
-
     def __str__(self):
         return "\n".join(
             "[" + ", ".join(poly_to_str(a) for a in row) + "]" for row in self.rows
@@ -1003,6 +974,13 @@ class LMat:
 
     def __repr__(self):
         return f"<LMat {self.nrows}x{self.ncols}>"
+
+
+def _check_shape(rows):
+    """ValueError unless ``rows`` is a non-empty list of non-empty rows of
+    one length."""
+    if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged or empty matrix")
 
 
 # Minors are memoised in tables: dicts from a column bitmask S to the
@@ -1048,7 +1026,8 @@ def _extend_minors(table, row):
 
 
 def _mul_acc(acc, f, g, negate=False):
-    """Add f*g (or -f*g) into ``acc``; f and g are coefficient dicts.
+    """Add f*g (or -f*g) into ``acc`` and return ``acc``; f and g are
+    coefficient dicts.
 
     ``acc`` maps an exponent to an unreduced triple [re, im, den] of
     Python ints, the value (re + im*i)/den.  A product is added on the
@@ -1076,6 +1055,7 @@ def _mul_acc(acc, f, g, negate=False):
                 t[0] = t[0] * den + re_ * d
                 t[1] = t[1] * den + im_ * d
                 t[2] = d * den
+    return acc
 
 
 def _mul_sub(a, q, b):

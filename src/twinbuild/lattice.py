@@ -23,7 +23,6 @@ import math
 
 from .errors import DomainError, NotInvertibleError
 from .exactalg import (
-    GaussRat,
     LMat,
     LaurentPoly,
     QI_ONE,
@@ -217,7 +216,7 @@ def _hnf_poly_cols(cols, n):
             q, _ = poly_divmod(out[j][i], out[i][i])
             if q:
                 out[j] = _col_sub(out[j], q, out[i])
-    return LMat.from_cols(out)
+    return LMat._of(zip(*out))
 
 
 def _canonical_plus_cols(cols, n) -> LMat:
@@ -416,9 +415,9 @@ def _adapted_cols(cans):
 
 def _basis_of_cols(side, cols) -> LMat:
     if side == "+":
-        return LMat.from_cols(cols)
+        return LMat._of(zip(*cols))
     # minus marking is mirror-reversed: 1/z marks sit on the first columns
-    return _mirror(LMat.from_cols(list(reversed(cols))))
+    return _mirror(LMat._of(zip(*reversed(cols))))
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +494,6 @@ class PanelChart:
         """The generator the chart adds to B: u1 + t*u2, or u2 at inf."""
         if t == INF:
             return self._u2
-        if isinstance(t, int):
-            t = GaussRat(t)
         return tuple(a + t * b for a, b in zip(self._u1, self._u2))
 
     def gap_class(self, t) -> LatticeClass:

@@ -35,6 +35,7 @@ from twinbuild.exactalg import (
     solve_right,
     zpow,
 )
+from twinbuild import exactalg
 from twinbuild.exactalg import _col_sub, _mul_sub
 
 
@@ -320,30 +321,62 @@ def test_det_multiplicative():
         assert (a @ b).det() == a.det() * b.det()
 
 
+def laurent_mul_oracle(f, g):
+    """Independent reference for Laurent products: the per-term loop
+    through the GaussRat operators, summing each product into its
+    exponent and dropping the sums that cancel.  The library multiplies
+    through its integer kernel ``_mul_acc`` instead."""
+    d = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = e1 + e2
+            p = c1 * c2
+            s = d.get(e)
+            if s is None:
+                if p:
+                    d[e] = p
+            else:
+                s = s + p
+                if s:
+                    d[e] = s
+                else:
+                    del d[e]
+    return LaurentPoly(d)
+
+
+def laurent_sub_oracle(f, g):
+    """f - g through the coefficientwise sum and negation, not the
+    multiply-subtract kernel."""
+    return f + (-g)
+
+
 def cofactor_det(rows):
     """Independent reference for ``LMat.det``: cofactor expansion along
-    the first row, O(n!)."""
+    the first row, O(n!), with products from ``laurent_mul_oracle``."""
     if not rows:
         return LP_ONE
     out = LP_ZERO
     for j, a in enumerate(rows[0]):
         if a:
-            term = a * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
-            out = out + term if j % 2 == 0 else out - term
+            term = laurent_mul_oracle(
+                a, cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+            )
+            out = out + (term if j % 2 == 0 else -term)
     return out
 
 
 def cofactor_adjugate(m):
     n = m.nrows
-    return [
-        [
-            (-1) ** (i + j) * cofactor_det(
+    out = []
+    for i in range(n):
+        out_row = []
+        for j in range(n):
+            minor = cofactor_det(
                 [row[:i] + row[i + 1:] for r, row in enumerate(m.rows) if r != j]
             )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+            out_row.append(-minor if (i + j) % 2 else minor)
+        out.append(out_row)
+    return out
 
 
 # Gaussian rationals with denominators 1..6, so that sums of products
@@ -424,7 +457,9 @@ def test_inv_is_the_adjugate_over_the_unit_determinant(n, data):
     if n <= 5:
         (e, c), = cofactor_det(m.rows).coeffs.items()
         dinv = LaurentPoly({-e: c.inverse()})
-        assert inv == LMat([[a * dinv for a in row] for row in cofactor_adjugate(m)])
+        assert inv == LMat(
+            [[laurent_mul_oracle(a, dinv) for a in row] for row in cofactor_adjugate(m)]
+        )
 
 
 @st.composite
@@ -452,7 +487,10 @@ def test_matmul_matches_entrywise_sum_of_products(ab):
     assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
     assert_normalised(*entries(got))
     want = [
-        [sum((x * y for x, y in zip(row, col)), LP_ZERO) for col in b.cols()]
+        [
+            sum((laurent_mul_oracle(x, y) for x, y in zip(row, col)), LP_ZERO)
+            for col in b.cols()
+        ]
         for row in a.rows
     ]
     assert got == LMat(want)
@@ -571,14 +609,15 @@ plain_polys = st.dictionaries(st.integers(0, 4), gauss_scalars, max_size=5).map(
     cancel=0,
 )
 def test_mul_sub_kernel_matches_the_operators(a, q, b, cancel):
-    """The kernel a - q*b equals the public operators' a - q*b, stores no
-    zero coefficient and keeps every coefficient normalised.  ``cancel``
-    makes a = q*b (everything cancels) or a = q*b + a (only a remains)."""
+    """The kernel a - q*b equals the oracles' a - q*b, stores no zero
+    coefficient and keeps every coefficient normalised.  ``cancel`` makes
+    a = q*b (everything cancels) or a = q*b + a (only a remains)."""
+    qb = laurent_mul_oracle(q, b)
     if cancel == 1:
-        a = q * b
+        a = qb
     elif cancel == 2:
-        a = q * b + a
-    want = a - q * b
+        a = qb + a
+    want = laurent_sub_oracle(a, qb)
     before = dict(a.coeffs)
     got = _mul_sub(dict(a.coeffs), q.coeffs, b.coeffs)
     assert got == want.coeffs
@@ -586,22 +625,22 @@ def test_mul_sub_kernel_matches_the_operators(a, q, b, cancel):
     assert a.coeffs == before
     if cancel == 1:
         assert got == {}
-    assert _col_sub([a, a, LP_ZERO], q, [b, LP_ZERO, b]) == [want, a, -(q * b)]
+    assert _col_sub([a, a, LP_ZERO], q, [b, LP_ZERO, b]) == [want, a, -qb]
 
 
 def _divmod_oracle(f, g):
-    """Schoolbook division with remainder through the public operators:
-    the loop poly_divmod ran before its remainder became one dict updated
-    in place by the kernel."""
+    """Schoolbook division with remainder through the oracles: the loop
+    poly_divmod ran before its remainder became one dict updated in place
+    by the kernel."""
     q = LP_ZERO
     r = f
     dg = max(g.coeffs)
     lg = g.coeffs[dg]
     while r and max(r.coeffs) >= dg:
         dr = max(r.coeffs)
-        t = LaurentPoly.term(r.coeffs[dr] / lg, dr - dg)
+        t = zpow(dr - dg, r.coeffs[dr] / lg)
         q = q + t
-        r = r - t * g
+        r = laurent_sub_oracle(r, laurent_mul_oracle(t, g))
     return q, r
 
 
@@ -638,6 +677,109 @@ def test_poly_divmod_and_divexact_match_the_schoolbook_loop(f, g, h, exact, shif
     assert divexact(fl, gl) == _divexact_oracle(fl, gl)
     if exact:
         assert divexact(fl, gl) == h.shift(2 * shift)
+
+
+# Scalars from outside: ints, Fractions and GaussRats.
+outside_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+    gauss_scalars,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(f=laurent_polys, g=laurent_polys, c=outside_scalars, cancel=st.booleans())
+@example(  # (1/2 + 1/3 z)(1/3 - 2/9 z): the z terms 1/9 - 1/9 cancel
+    f=LaurentPoly({0: GaussRat(Fraction(1, 2)), 1: GaussRat(Fraction(1, 3))}),
+    g=LaurentPoly({0: GaussRat(Fraction(1, 3)), 1: GaussRat(Fraction(-2, 9))}),
+    c=Fraction(1, 2),
+    cancel=False,
+)
+@example(  # (1+i)/2 * (1-i)/3 = 1/3 against 1/3 with the denominators 2 and 3
+    f=LaurentPoly({0: GaussRat(Fraction(1, 2), Fraction(1, 2))}),
+    g=LaurentPoly({0: GaussRat(Fraction(1, 3), Fraction(-1, 3))}),
+    c=GaussRat(Fraction(1, 3)),
+    cancel=False,
+)
+def test_laurent_mul_and_sub_match_the_oracle(f, g, c, cancel):
+    """f*g, f*c, c*f, f - g, f - c and c - f equal the oracles and keep
+    every coefficient normalised; ``cancel`` makes g = f + h, so that
+    f - g cancels f's terms across unequal denominators."""
+    if cancel:
+        g = f + g
+    cp = LaurentPoly({0: c})
+    got = [f * g, f * c, c * f, f - g, f - c, c - f]
+    want = [
+        laurent_mul_oracle(f, g),
+        laurent_mul_oracle(f, cp),
+        laurent_mul_oracle(cp, f),
+        laurent_sub_oracle(f, g),
+        laurent_sub_oracle(f, cp),
+        laurent_sub_oracle(cp, f),
+    ]
+    assert got == want
+    assert_normalised(*got)
+
+
+def test_one_laurent_product_path(monkeypatch):
+    """Every Laurent product runs through the kernel ``_mul_acc``: one
+    f*g is exactly one kernel call, and one f - g one ``_mul_sub`` pass."""
+    calls = {"_mul_acc": 0, "_mul_sub": 0}
+
+    def counted(name):
+        inner = getattr(exactalg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    f, g = parse_poly("1/2*z^-1 + (1+i)*z"), parse_poly("3 - 2/3*z^2")
+    want_mul, want_sub = laurent_mul_oracle(f, g), laurent_sub_oracle(f, g)
+    for name in calls:
+        monkeypatch.setattr(exactalg, name, counted(name))
+    assert f * g == want_mul
+    assert calls == {"_mul_acc": 1, "_mul_sub": 0}
+    calls["_mul_acc"] = 0
+    assert f - g == want_sub
+    assert calls["_mul_sub"] == 1
+
+
+def test_laurent_poly_coerces_or_rejects_its_coefficients():
+    f = LaurentPoly({0: 2, 1: Fraction(3, 2), 2: 0})
+    assert f.coeffs == {0: GaussRat(2), 1: GaussRat(Fraction(3, 2))}
+    assert all(type(c) is GaussRat for c in f.coeffs.values())
+    assert str(f) == "2 + 3/2*z"
+    assert str(LMat([[f]]) @ LMat([[f]])) == "[4 + 6*z + 9/4*z^2]"
+    assert const(Fraction(1, 2)) == LaurentPoly({0: GaussRat(Fraction(1, 2))})
+    for bad in (Z, "1", 0.5, None):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: bad})
+        with pytest.raises(TypeError):
+            const(bad)
+        if bad is not Z:
+            with pytest.raises(TypeError):
+                LMat([[bad]])
+
+
+def test_lmat_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="ragged or empty"):
+        LMat.from_cols([(Z,), (LP_ONE, Z)])
+    for empty in (lambda: LMat.from_cols([]), lambda: LMat.from_cols([()]),
+                  lambda: LMat([]), lambda: LMat([[]]), lambda: LMat.identity(0),
+                  lambda: LMat.zeros(0), lambda: LMat.zeros(2, 0), lambda: LMat.diag([])):
+        with pytest.raises(ValueError, match="ragged or empty"):
+            empty()
+    a, b = LMat([[1, 2], [3, 4]]), LMat([[1]])
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(a, b)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(a, LMat([[1, 2]]))
+    assert LMat.from_cols([(Z, 1), (LP_ZERO, Z)]) == LMat([[Z, 0], [1, Z]])
+    assert LMat.zeros(2, 3) == LMat([[0, 0, 0], [0, 0, 0]])
+    assert LMat.identity(2) == LMat.diag([1, LP_ONE])
 
 
 # ---------------------------------------------------------------------------
