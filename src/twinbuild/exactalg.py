@@ -3,10 +3,10 @@
 Everything here is exact: Gaussian rationals (elements of Q(i)), sparse
 Laurent polynomials over them, and square matrices of Laurent
 polynomials with the operators used throughout the package.  There is
-one polynomial type: ``charpoly`` and ``qi_roots`` read a LaurentPoly
-with exponents >= 0 as a polynomial in an auxiliary parameter t, and
-divide in Q(i)[t] with the same ``poly_divmod``/``poly_gcd`` as the
-lattice normal form.
+one polynomial type: ``charpoly`` returns, and ``qi_roots`` reads, a
+LaurentPoly with exponents >= 0 as a polynomial in an auxiliary
+parameter t; ``qi_roots`` divides in Q(i)[t] with the same
+``poly_divmod``/``poly_gcd`` as the lattice normal form.
 
 A Gaussian rational is stored as (a + b*i)/d: three Python ints with
 gcd(a, b, d) == 1 and d > 0, so the arithmetic is integer arithmetic and
@@ -30,6 +30,13 @@ The operators on polynomials and matrices:
   the minors on each set of columns, extended a row at a time, cost about
   n*2^(n-1) Laurent products each, where cofactor expansion costs about
   e*n! (and n^2 times that for the adjugate).
+
+A constant matrix over Q(i) is an LMat with constant entries and uses
+the same operators, so there is one matrix product (``@``), one
+determinant (the minor table; ``charpoly`` is det(t*1 - A), with no
+division) and one inverse (``inv``).  The one field elimination is
+``rref`` on rows of GaussRat, behind ``kernel_basis`` and
+``solve_right``.
 
 Every Laurent product and difference runs through one of two integer
 kernels.  ``_mul_acc`` adds products into unreduced integer triples and
@@ -91,7 +98,6 @@ __all__ = [
     "rref",
     "kernel_basis",
     "solve_right",
-    "const_inverse",
     "charpoly",
 ]
 
@@ -109,7 +115,8 @@ class GaussRat:
     The triple is normalised: gcd(a, b, d) == 1 and d > 0, so equal
     values have equal triples.  ``re`` and ``im`` give the parts as
     ``Fraction``s; the arithmetic stays on the integers and takes a gcd
-    only when the denominator is not 1.
+    only when the denominator is not 1.  The parts are ints or
+    Fractions; any other type (a float, a str) raises TypeError.
 
     >>> x = GaussRat(Fraction(1, 2), Fraction(3, 4))
     >>> x.a, x.b, x.d
@@ -128,7 +135,9 @@ class GaussRat:
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
-            re, im = Fraction(re), Fraction(im)
+            rational = (int, Fraction)
+            if not (isinstance(re, rational) and isinstance(im, rational)):
+                raise TypeError(f"GaussRat parts must be int or Fraction: {re!r}, {im!r}")
             rd, id_ = re.denominator, im.denominator
             # With d = lcm(rd, id), gcd(a, b, d) is already 1.
             d = math.lcm(rd, id_)
@@ -139,6 +148,9 @@ class GaussRat:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("GaussRat is immutable")
+
+    def __reduce__(self):
+        return GaussRat, (self.re, self.im)
 
     @property
     def re(self) -> Fraction:
@@ -405,9 +417,10 @@ def _parse_complex_body(body: str) -> GaussRat:
 class LaurentPoly:
     """A finite sum of c*z^e with exponents in Z, stored sparsely.
 
-    Coefficients are Gaussian rationals; an int or Fraction coefficient
-    is read as one (``_as_qi``), any other type raises TypeError, and zero
-    coefficients are never stored.
+    Exponents are ints and coefficients Gaussian rationals; an int or
+    Fraction coefficient is read as one (``_as_qi``), any other type of
+    exponent or coefficient raises TypeError, and zero coefficients are
+    never stored.
 
     >>> str(Z + zpow(-1))
     'z^-1 + z'
@@ -423,6 +436,8 @@ class LaurentPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
+                if not isinstance(e, int):
+                    raise TypeError(f"bad exponent: {e!r}")
                 q = _as_qi(c)
                 if q is None:
                     raise TypeError(f"bad coefficient: {c!r}")
@@ -1126,7 +1141,8 @@ def mat_from_json(data) -> LMat:
 
 
 # ---------------------------------------------------------------------------
-# Constant linear algebra over Q(i) (lists of GaussRat rows)
+# Field elimination (lists of GaussRat rows), characteristic polynomials
+# and their rational roots
 # ---------------------------------------------------------------------------
 
 
@@ -1187,15 +1203,6 @@ def solve_right(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
-
-def const_inverse(rows):
-    """Inverse of a square matrix over the field, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [QI_ONE if i == j else QI_ZERO for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
 
 
 def qi_roots(poly: LaurentPoly):
@@ -1291,27 +1298,11 @@ def _sign_at(coeffs, x: Fraction) -> int:
 
 
 def charpoly(rows) -> LaurentPoly:
-    """Characteristic polynomial det(t*1 - A) by the trace recursion, as
-    a LaurentPoly in t with exponents 0..n."""
-    n = len(rows)
-    coeffs = [QI_ZERO] * (n + 1)
-    coeffs[n] = QI_ONE
-    m = [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        # m <- A @ m
-        m = [
-            [
-                sum((rows[i][l] * m[l][j] for l in range(n)), QI_ZERO)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        tr = sum((m[i][i] for i in range(n)), QI_ZERO)
-        c = -(tr / k)
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] = m[i][i] + c
-    return LaurentPoly(dict(enumerate(coeffs)))
+    """Characteristic polynomial det(t*1 - A) of the constant square
+    matrix with these rows, as a LaurentPoly in t (written z) with
+    exponents 0..n: the determinant of z*1 - A from the minor table, so
+    no division."""
+    return (LMat.diag([Z] * len(rows)) - LMat(rows)).det()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,12 +27,13 @@ from .exactalg import (
     LaurentPoly,
     QI_ONE,
     QI_ZERO,
+    _as_qi,
     charpoly,
-    const_inverse,
     kernel_basis,
     qi_roots,
     rref,
 )
+from .record import Record
 
 __all__ = [
     "SubspaceFlag",
@@ -54,35 +55,36 @@ __all__ = [
 ]
 
 
-def _scalar(x):
-    if isinstance(x, GaussRat):
-        return x
-    return GaussRat(x)
+def _scalars(values):
+    """The values as GaussRats, read by ``exactalg._as_qi`` (an int, a
+    Fraction or a GaussRat); any other type raises TypeError."""
+    out = []
+    for x in values:
+        q = _as_qi(x)
+        if q is None:
+            raise TypeError(f"bad scalar: {x!r}")
+        out.append(q)
+    return out
 
 
 def subspace(vectors):
     """Canonical form of a span: reduced row echelon basis, zero rows
-    dropped, as a tuple of coefficient tuples."""
-    rows = [[_scalar(x) for x in v] for v in vectors]
-    red, pivots = rref(rows)
+    dropped, as a tuple of coefficient tuples.  Entries are ints,
+    Fractions or GaussRats; any other type raises TypeError."""
+    red, pivots = rref([_scalars(v) for v in vectors])
     return tuple(tuple(red[r]) for r in range(len(pivots)))
-
-
-def _dim(rows):
-    return len(rows)
 
 
 def _contains(big, small):
     """Is span(small) inside span(big)?  Both in canonical form."""
     if not small:
         return True
-    joined = subspace(list(big) + list(small))
-    return _dim(joined) == _dim(big)
+    return len(subspace(list(big) + list(small))) == len(big)
 
 
-class SubspaceFlag:
+class SubspaceFlag(Record):
     """A strictly increasing chain of proper nonzero subspaces of
-    Q(i)^n, each held in canonical form."""
+    Q(i)^n, each held in canonical form; an immutable value."""
 
     __slots__ = ("n", "steps")
 
@@ -95,7 +97,7 @@ class SubspaceFlag:
             raise DomainError("a flag needs at least one subspace")
         prev_dim = 0
         for s in steps:
-            d = _dim(s)
+            d = len(s)
             if d == 0 or d >= n:
                 raise DomainError("flag subspaces must be proper and nonzero")
             if d <= prev_dim:
@@ -104,20 +106,12 @@ class SubspaceFlag:
         for small, big in zip(steps, steps[1:]):
             if not _contains(big, small):
                 raise DomainError("flag subspaces must be nested")
-        self.n = n
-        self.steps = steps
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def dims(self):
-        return tuple(_dim(s) for s in self.steps)
-
-    def __eq__(self, other):
-        if not isinstance(other, SubspaceFlag):
-            return NotImplemented
-        return self.n == other.n and self.steps == other.steps
-
-    def __hash__(self):
-        return hash((self.n, self.steps))
+        return tuple(len(s) for s in self.steps)
 
     def __repr__(self):
         return f"<SubspaceFlag n={self.n} dims={self.dims}>"
@@ -154,67 +148,46 @@ def projector_of(v) -> LMat:
     """The self-adjoint projector X_V with kernel exactly V (image the
     orthogonal complement): X_V = 1 - A (A*A)^{-1} A* for a basis A."""
     rows = subspace(v)
-    k = _dim(rows)
+    k = len(rows)
     if k == 0:
         raise DomainError("the zero subspace has no projector here")
     n = len(rows[0])
     if k >= n:
         raise DomainError("the full space has no projector here")
-    # A has the basis as columns; G = A* A is the Gram matrix.
-    g = [
-        [
-            sum((rows[a][i].conj * rows[b][i] for i in range(n)), QI_ZERO)
-            for b in range(k)
-        ]
-        for a in range(k)
-    ]
-    ginv = const_inverse(g)
-    p = [
-        [
-            sum(
-                (
-                    rows[a][i] * ginv[a][b] * rows[b][j].conj
-                    for a in range(k)
-                    for b in range(k)
-                ),
-                QI_ZERO,
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    x = [
-        [(QI_ONE if i == j else QI_ZERO) - p[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    return LMat(x)
+    a = LMat.from_cols(rows)
+    a_star = a.star()
+    return LMat.identity(n) - a @ (a_star @ a).inv() @ a_star
 
 
 def _recentered(x: LMat) -> LMat:
     """Subtract (trace/n) * identity."""
     n = x.nrows
-    t = x.trace()
-    shift = t * LaurentPoly({0: GaussRat(Fraction(1, n))})
+    shift = x.trace() * Fraction(1, n)
     return x - LMat.diag([shift] * n)
+
+
+def _weights(weights):
+    """Barycentric weights as GaussRats: DomainError unless they are
+    positive rationals summing to 1, TypeError for a value that is not
+    an int, a Fraction or a GaussRat."""
+    ws = _scalars(weights)
+    if any(w.im or w.re <= 0 for w in ws):
+        raise DomainError("weights must be positive rationals")
+    if sum(ws, QI_ZERO) != QI_ONE:
+        raise DomainError("weights must sum to 1")
+    return ws
 
 
 def spherical_veronese(flag: SubspaceFlag, weights) -> LMat:
     """Weighted barycentre of the recentred projectors of the flag's
     subspaces; weights are positive rationals summing to 1."""
-    ws = [_scalar(w) for w in weights]
+    ws = _weights(weights)
     if len(ws) != len(flag.steps):
         raise DomainError("one weight per flag subspace")
-    total = QI_ZERO
-    for w in ws:
-        if w.im or w.re <= 0:
-            raise DomainError("weights must be positive rationals")
-        total = total + w
-    if total != QI_ONE:
-        raise DomainError("weights must sum to 1")
     n = flag.n
     acc = LMat.zeros(n, n)
     for w, step in zip(ws, flag.steps):
-        acc = acc + _recentered(projector_of(step)).scale(LaurentPoly({0: w}))
+        acc = acc + _recentered(projector_of(step)).scale(w)
     return acc
 
 
@@ -249,11 +222,8 @@ def recover_flag(x: LMat) -> SubspaceFlag:
     total = 0
     steps = []
     for lam in distinct:
-        shifted = [
-            [grid[i][j] - (GaussRat(lam) if i == j else QI_ZERO) for j in range(n)]
-            for i in range(n)
-        ]
-        ker = kernel_basis(shifted)
+        ker = kernel_basis([[c - lam if i == j else c for j, c in enumerate(row)]
+                            for i, row in enumerate(grid)])
         total += len(ker)
         accumulated.extend(ker)
         if total < n:
@@ -334,8 +304,7 @@ def pi_projector(n, k) -> LMat:
 def pi_tls(n, k) -> LMat:
     """The recentred coordinate projector Pi_k - (k/n) 1."""
     check_rank(n)
-    shift = LaurentPoly({0: GaussRat(Fraction(k, n))})
-    return pi_projector(n, k) - LMat.diag([shift] * n)
+    return _recentered(pi_projector(n, k))
 
 
 def affine_veronese_vertex(g: LMat, k) -> LMat:
@@ -352,18 +321,12 @@ def barycentric_affine_veronese(g: LMat, weights) -> LMat:
     gauge transform of sum_k w_k Pi_k^tls; weights is a mapping
     type -> positive rational, summing to 1."""
     n = g.nrows
-    total = QI_ZERO
+    types = sorted(weights)
+    if any(not 0 <= k < n for k in types):
+        raise DomainError("vertex type out of range")
     acc = LMat.zeros(n, n)
-    for k, w in sorted(weights.items()):
-        if not 0 <= k < n:
-            raise DomainError("vertex type out of range")
-        w = _scalar(w)
-        if w.im or w.re <= 0:
-            raise DomainError("weights must be positive rationals")
-        total = total + w
-        acc = acc + pi_tls(n, k).scale(LaurentPoly({0: w}))
-    if total != QI_ONE:
-        raise DomainError("weights must sum to 1")
+    for k, w in zip(types, _weights([weights[k] for k in types])):
+        acc = acc + pi_tls(n, k).scale(w)
     return gauge(g, acc)
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -20,7 +22,6 @@ from twinbuild.exactalg import (
     Z,
     charpoly,
     const,
-    const_inverse,
     divexact,
     kernel_basis,
     mat_from_json,
@@ -76,6 +77,24 @@ def test_gaussrat_coercion():
     assert 1 - GaussRat(0, 1) == GaussRat(1, -1)
     assert Fraction(1, 2) * GaussRat(2) == QI_ONE
     assert 2 / GaussRat(0, 2) == GaussRat(0, -1)
+
+
+@pytest.mark.parametrize("bad", [0.25, 1.0, "1/2", None])
+def test_gaussrat_rejects_parts_that_are_not_rational(bad):
+    # A float would be read through its binary expansion and a str parsed;
+    # parts are ints or Fractions only (parse_scalar reads text).
+    with pytest.raises(TypeError):
+        GaussRat(bad)
+    with pytest.raises(TypeError):
+        GaussRat(1, bad)
+    assert GaussRat(True) == GaussRat(1)
+
+
+def test_gaussrat_pickles_and_copies():
+    x = GaussRat(Fraction(1, 2), -3)
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(twin) is GaussRat and twin == x and hash(twin) == hash(x)
+        assert (twin.a, twin.b, twin.d) == (1, -6, 2)
 
 
 def test_gaussrat_mul_real_and_complex_factors():
@@ -763,6 +782,14 @@ def test_laurent_poly_coerces_or_rejects_its_coefficients():
                 LMat([[bad]])
 
 
+@pytest.mark.parametrize("bad", [0.5, "a", None, Fraction(1, 1)])
+def test_laurent_poly_rejects_exponents_that_are_not_ints(bad):
+    with pytest.raises(TypeError, match="bad exponent"):
+        LaurentPoly({bad: 1})
+    with pytest.raises(TypeError):
+        zpow(bad)
+
+
 def test_lmat_rejects_bad_shapes():
     with pytest.raises(ValueError, match="ragged or empty"):
         LMat.from_cols([(Z,), (LP_ONE, Z)])
@@ -804,23 +831,51 @@ def test_rref_kernel_solve():
     assert solve_right([[QI_ZERO]], [QI_ONE]) is None
 
 
-def test_const_inverse_and_charpoly():
+def charpoly_oracle(rows):
+    """det(t*1 - A) by the Faddeev-LeVerrier trace recursion on GaussRat
+    rows, as a LaurentPoly in t: M_1 = 1 and, for k = 1..n,
+    c_(n-k) = -tr(A M_k)/k and M_(k+1) = A M_k + c_(n-k) 1.  Independent
+    of the minor table behind ``charpoly``."""
+    n = len(rows)
+    coeffs = [QI_ZERO] * (n + 1)
+    coeffs[n] = QI_ONE
+    m = [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [
+            [sum((rows[i][l] * m[l][j] for l in range(n)), QI_ZERO) for j in range(n)]
+            for i in range(n)
+        ]
+        c = -(sum((m[i][i] for i in range(n)), QI_ZERO) / k)
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] = m[i][i] + c
+    return LaurentPoly(dict(enumerate(coeffs)))
+
+
+def test_lmat_inv_of_a_constant_matrix_and_charpoly():
     a = [[GaussRat(1), GaussRat(1)], [GaussRat(0), GaussRat(2)]]
-    ainv = const_inverse(a)
-    assert ainv == [[GaussRat(1), GaussRat(Fraction(-1, 2))], [GaussRat(0), GaussRat(Fraction(1, 2))]]
+    half = GaussRat(Fraction(1, 2))
+    assert LMat(a).inv() == LMat([[QI_ONE, -half], [QI_ZERO, half]])
+    assert LMat(a) @ LMat(a).inv() == LMat.identity(2)
     p = charpoly(a)  # (t-1)(t-2) = t^2 - 3t + 2
     assert p == LaurentPoly({0: GaussRat(2), 1: GaussRat(-3), 2: GaussRat(1)})
-    assert const_inverse([[QI_ZERO]]) is None
+    for singular in ([[QI_ZERO]], [[1, 2], [QI_I, 2 * QI_I]]):
+        with pytest.raises(NotInvertibleError):
+            LMat(singular).inv()
+    # An empty matrix has no LMat, so it has no characteristic polynomial.
+    with pytest.raises(ValueError, match="ragged or empty"):
+        charpoly([])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_charpoly_matches_det_of_t_minus_a(n, data):
-    # Oracle: det(t*1 - A) from the minor table, t written as z.
+    # charpoly is det(t*1 - A) from the minor table, t written as z; the
+    # oracle is the trace recursion.
     entry = gauss_parts.map(lambda p: GaussRat(*p))
     a = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-    assert charpoly(a) == (LMat.diag([Z] * n) - LMat(a)).det()
+    assert charpoly(a) == charpoly_oracle(a)
 
 
 # ---------------------------------------------------------------------------

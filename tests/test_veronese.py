@@ -2,12 +2,16 @@
 flag recovery, unitary loops, the gauge action, and the eigenvalue
 caveat."""
 
+import copy
+import pickle
 import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbuild.errors import DomainError, NotInImageError
 from twinbuild.exactalg import (
@@ -163,11 +167,55 @@ def test_projector_trace_and_idempotence():
         assert x.star() == x
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), data=st.data())
+def test_projector_kills_the_subspace_and_fixes_its_complement(seed, n, data):
+    frame = rand_invertible_const(random.Random(seed), n)
+    k = data.draw(st.integers(1, n - 1))
+    basis = frame[:k]
+    x = projector_of(basis)
+    for v in basis:
+        assert x @ LMat.from_cols([v]) == LMat.zeros(n, 1)
+    for w in perp(basis, n):
+        col = LMat.from_cols([w])
+        assert x @ col == col
+
+
 def test_projector_trivial_subspaces_rejected():
     with pytest.raises(DomainError):
         projector_of([[0, 0]])
     with pytest.raises(DomainError):
         projector_of([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", None])
+def test_scalars_that_are_not_rational_are_rejected(bad):
+    # Otherwise a float would enter through its binary expansion
+    # (0.1 as 3602879701896397/36028797018963968) and a str would be parsed.
+    with pytest.raises(TypeError):
+        subspace([[bad, 1]])
+    with pytest.raises(TypeError):
+        SubspaceFlag(2, [[[bad, 1]]])
+    with pytest.raises(TypeError):
+        spherical_veronese(SubspaceFlag(2, [[[1, 0]]]), [bad])
+    with pytest.raises(TypeError):
+        barycentric_affine_veronese(LMat.identity(2), {0: bad})
+    assert subspace([[Fraction(1, 2), 1]]) == subspace([[1, 2]])
+
+
+def test_subspace_flag_is_an_immutable_value():
+    fl = SubspaceFlag(3, [[[1, 0, 0]], [[1, 0, 0], [0, 1, 1]]])
+    assert repr(fl) == "<SubspaceFlag n=3 dims=(1, 2)>"
+    for name, value in (("n", 4), ("steps", ())):
+        with pytest.raises(AttributeError):
+            setattr(fl, name, value)
+    with pytest.raises(AttributeError):
+        del fl.n
+    for twin in (pickle.loads(pickle.dumps(fl)), copy.copy(fl), copy.deepcopy(fl)):
+        assert type(twin) is SubspaceFlag
+        assert twin == fl and hash(twin) == hash(fl)
+        assert twin.steps == fl.steps and twin.dims == (1, 2)
+    assert fl != SubspaceFlag(3, [[[1, 0, 0]]])
 
 
 def test_perp_coordinate():
@@ -257,10 +305,14 @@ def test_spherical_veronese_unitary_equivariance():
 
 def test_spherical_veronese_weight_mismatch():
     fl = SubspaceFlag(2, [[[1, 0]]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="one weight per flag subspace"):
         spherical_veronese(fl, [Fraction(1, 2), Fraction(1, 2)])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="sum to 1"):
         spherical_veronese(fl, [Fraction(1, 2)])
+    fl = SubspaceFlag(3, [[[1, 0, 0]], [[1, 0, 0], [0, 1, 0]]])
+    for bad in ([2, -1], [QI_ZERO, QI_ONE], [QI_I, 1 - QI_I]):
+        with pytest.raises(DomainError, match="positive rationals"):
+            spherical_veronese(fl, bad)
 
 
 def test_recover_flag_inverts_line_example():
@@ -573,10 +625,24 @@ def test_barycentric_gauge_equivariance():
 
 
 def test_barycentric_weight_errors():
+    g = LMat.identity(2)
+    with pytest.raises(DomainError, match="sum to 1"):
+        barycentric_affine_veronese(g, {0: Fraction(1, 2)})
+    with pytest.raises(DomainError, match="vertex type out of range"):
+        barycentric_affine_veronese(g, {5: 1})
+    with pytest.raises(DomainError, match="positive rationals"):
+        barycentric_affine_veronese(g, {0: 2, 1: -1})
+    with pytest.raises(DomainError, match="positive rationals"):
+        barycentric_affine_veronese(g, {0: GaussRat(1, 1), 1: GaussRat(0, -1)})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pi_tls_is_the_recentred_coordinate_projector(n):
+    for k in range(n + 1):
+        want = [GaussRat(1 - Fraction(k, n))] * k + [GaussRat(-Fraction(k, n))] * (n - k)
+        assert pi_tls(n, k) == LMat.diag(want)
     with pytest.raises(DomainError):
-        barycentric_affine_veronese(LMat.identity(2), {0: Fraction(1, 2)})
-    with pytest.raises(DomainError):
-        barycentric_affine_veronese(LMat.identity(2), {5: 1})
+        pi_tls(n, n + 1)
 
 
 # ---------------------------------------------------------------------------
