@@ -12,16 +12,19 @@ the loop space.
 
 from .coxeter import (
     CoxeterMatrix,
-    bruhat_leq,
+    coset_act,
     coset_min_split,
     coxeter_matrix,
     generalized_length,
     min_coset_reps,
-    reduce_word,
+    wdescents_right,
+    widentity,
     window_to_word,
+    wlength,
     word_to_window,
 )
 from .errors import DomainError
+from .record import Record
 
 __all__ = [
     "PoincareSeries",
@@ -32,7 +35,7 @@ __all__ = [
 ]
 
 
-class PoincareSeries:
+class PoincareSeries(Record):
     """Integer coefficients by degree, up to a truncation degree.
 
     ``coeffs[d]`` counts the cells of dimension d; the list always has
@@ -58,9 +61,6 @@ class PoincareSeries:
         cs.extend([0] * (truncation + 1 - len(cs)))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "truncation", truncation)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("PoincareSeries is immutable")
 
     @classmethod
     def from_dims(cls, dims, truncation):
@@ -95,14 +95,6 @@ class PoincareSeries:
             raise DomainError("comparison degree exceeds a truncation window")
         return self.coeffs[: degree + 1] == other.coeffs[: degree + 1]
 
-    def __eq__(self, other):
-        if not isinstance(other, PoincareSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.truncation == other.truncation
-
-    def __hash__(self):
-        return hash((self.coeffs, self.truncation))
-
     def __str__(self):
         terms = []
         for d, c in enumerate(self.coeffs):
@@ -119,13 +111,12 @@ class PoincareSeries:
         return f"PoincareSeries({list(self.coeffs)!r}, {self.truncation})"
 
 
-def _min_rep_word(M: CoxeterMatrix, J, w):
+def _generator_set(M: CoxeterMatrix, J):
     J = frozenset(J)
     for s in J:
         if s not in M.generators:
             raise DomainError(f"generator {s} outside the system")
-    win, _ = coset_min_split(word_to_window(w, M), J)
-    return window_to_word(win, M), J
+    return J
 
 
 def cell_dim(M: CoxeterMatrix, J, w, panel_dim=2) -> int:
@@ -140,33 +131,47 @@ def cell_dim(M: CoxeterMatrix, J, w, panel_dim=2) -> int:
     >>> cell_dim(M, {1, 3}, ())
     0
     """
-    word, _ = _min_rep_word(M, J, w)
+    J = _generator_set(M, J)
+    u, _ = coset_min_split(word_to_window(w, M), J)
     if isinstance(panel_dim, int):
-        return panel_dim * len(word)
-    return generalized_length(word, M, panel_dim)
+        return panel_dim * wlength(u)
+    return generalized_length(window_to_word(u, M), M, panel_dim)
 
 
 def schubert_poincare(M: CoxeterMatrix, J, w, truncation=None) -> PoincareSeries:
-    """Poincare series of the Schubert variety of w W_J: one cell of
-    dimension 2*length for every coset v W_J with v <= w.
+    """Poincare series of the Schubert variety X_w of the coset w W_J: one
+    cell of dimension 2*length(v) for every J-minimal v <= w.
 
     ``w`` must be the minimal representative of its coset (any spelling).
+    By the subword property (Bjorner-Brenti, Theorem 2.2.2) the v <= w are
+    the products of subwords of one reduced word of w, and by Deodhar's
+    lemma (Lemma 2.5.1) the J-minimal representative of s*v is
+    ``coset_act(s, v, J)``.  So the cells are what the reduced word,
+    read from its last letter to its first, each letter acting or not,
+    reaches from the identity.  A reduced subword reaches its cell through
+    smaller cells, so the search stops at the truncation degree.
 
     >>> M = coxeter_matrix("finite-A", 3)
     >>> print(schubert_poincare(M, {2}, (2, 1)))
     1 + t^2 + t^4
     """
-    word, J = _min_rep_word(M, J, reduce_word(w, M))
-    if len(word) != len(reduce_word(w, M)):
+    u = word_to_window(w, M)
+    J = _generator_set(M, J)
+    if any(d in J for d in wdescents_right(u)):
         raise DomainError("w must be the minimal representative of its coset")
-    full = 2 * len(word)
+    word = window_to_word(u, M)
     if truncation is None:
-        truncation = full
-    dims = []
-    for v in min_coset_reps(M, J, len(word)):
-        if 2 * len(v) <= truncation and bruhat_leq(v, word, M):
-            dims.append(2 * len(v))
-    return PoincareSeries.from_dims(dims, truncation)
+        truncation = 2 * len(word)
+    top = truncation // 2
+    # cell -> length.  The cells reached so far form a lower Bruhat ideal:
+    # a shorter s*v is in it already, so a new cell met from length l has
+    # length l + 1.
+    cells = {widentity(M.n): 0}
+    for s in reversed(word):
+        for v, ell in list(cells.items()):
+            if ell < top:
+                cells.setdefault(coset_act(s, v, J), ell + 1)
+    return PoincareSeries.from_dims([2 * ell for ell in cells.values()], truncation)
 
 
 def loop_poincare(n: int, truncation: int) -> PoincareSeries:
@@ -189,10 +194,11 @@ def bott_equivalence_check(k: int, through_degree: int) -> bool:
     """Whether the Grassmannian Gr_k(C^{2k}) and the based-loop quotient
     of SL_{2k} have the same cell counts through the given degree.
 
-    Both sides live in the affine system on 2k generators: the loop side
-    deletes generator 1, the Grassmannian side is the parabolic that
-    deletes generator k+1, quotiented by its own finite-node subgroup.
-    Agreement is guaranteed for degrees < 2k.
+    The Grassmannian side is the Schubert series of the top cell of
+    S_{2k} / W_J, with J every generator but k, truncated at the degree;
+    the loop side is ``loop_poincare(2k, degree)``.  Agreement is
+    guaranteed for degrees < 2k (Quillen-Mitchell).  The cost follows the
+    degree, not the C(2k, k) Grassmannian cells.
 
     >>> bott_equivalence_check(2, 5)
     True
@@ -203,18 +209,10 @@ def bott_equivalence_check(k: int, through_degree: int) -> bool:
         raise DomainError("k must be >= 1")
     if through_degree < 0:
         raise DomainError("degree must be >= 0")
-    n = 2 * k
-    M = coxeter_matrix("affine-A", n)
-    gens = set(M.generators)
-    loop_j = gens - {1}
-    gr_k = gens - {k + 1}
-    gr_j = gr_k - {1}
-    finite_reps = min_coset_reps(M, gr_j, n * (n - 1) // 2, within=gr_k)
-    finite = PoincareSeries.from_dims(
-        [2 * len(v) for v in finite_reps], through_degree
-    )
-    affine_reps = min_coset_reps(M, loop_j, through_degree // 2)
-    affine = PoincareSeries.from_dims(
-        [2 * len(v) for v in affine_reps], through_degree
-    )
-    return finite.agrees_through(affine, through_degree)
+    M = coxeter_matrix("finite-A", 2 * k)
+    J = set(M.generators) - {k}
+    # The top cell: the permutation exchanging the halves 1..k and k+1..2k.
+    top = window_to_word(tuple(range(k + 1, 2 * k + 1)) + tuple(range(1, k + 1)), M)
+    grassmannian = schubert_poincare(M, J, top, through_degree)
+    loop = loop_poincare(2 * k, through_degree)
+    return grassmannian.agrees_through(loop, through_degree)

@@ -52,6 +52,7 @@ __all__ = [
     "word_to_window",
     "window_to_word",
     "wdescents_left",
+    "coset_act",
     "coset_min_split",
     "min_double_coset_rep",
     "widentity",
@@ -68,13 +69,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class CoxeterMatrix:
+class CoxeterMatrix(Record):
     """Symmetric matrix of bond orders m_ij over labels 1..rank.
 
     Entries are positive integers or the infinity sentinel ``INFBOND``
     (never 0).  Only the path diagrams (finite type A) and cycle diagrams
     (affine type A) are operated on; the window size of the underlying
-    permutation model is ``self.n``.
+    permutation model is ``self.n``; it pickles through its entries.
     """
 
     __slots__ = ("entries", "rank", "kind", "n")
@@ -101,8 +102,8 @@ class CoxeterMatrix:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("CoxeterMatrix is immutable")
+    def __reduce__(self):
+        return CoxeterMatrix, (self.entries,)
 
     @staticmethod
     def _recognize(entries):
@@ -142,14 +143,6 @@ class CoxeterMatrix:
 
     def bond(self, i: int, j: int):
         return self.entries[i - 1][j - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, CoxeterMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"<CoxeterMatrix {self.kind} rank {self.rank}>"
@@ -371,9 +364,16 @@ def generalized_length(word, M: CoxeterMatrix, weights):
 # ---------------------------------------------------------------------------
 
 
-def _bruhat_leq_windows(v, w):
+def bruhat_leq(v, w, M: CoxeterMatrix) -> bool:
+    """Bruhat order v <= w, by the lifting property.
+
+    >>> M = coxeter_matrix("affine-A", 4)
+    >>> bruhat_leq((4, 1), (2, 4, 1), M)
+    True
+    """
     # Lifting property, for a left descent s of w: if s is also a left
     # descent of v then v <= w iff sv <= sw, otherwise v <= w iff v <= sw.
+    v, w = word_to_window(v, M), word_to_window(w, M)
     lv, lw = wlength(v), wlength(w)
     while lv < lw:
         s = min(wdescents_left(w))
@@ -384,16 +384,6 @@ def _bruhat_leq_windows(v, w):
         w = wcompose(g, w)
         lw -= 1
     return v == w
-
-
-def bruhat_leq(v, w, M: CoxeterMatrix) -> bool:
-    """Bruhat order v <= w, by the lifting property.
-
-    >>> M = coxeter_matrix("affine-A", 4)
-    >>> bruhat_leq((4, 1), (2, 4, 1), M)
-    True
-    """
-    return _bruhat_leq_windows(word_to_window(v, M), word_to_window(w, M))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +399,18 @@ def _check_subset(J, M: CoxeterMatrix):
     return J
 
 
+def coset_act(s, u, J):
+    """The generator s acting on the J-minimal window u as on the coset
+    u W_J: s*u if that is J-minimal, else u, for then s*u = u*t with t in
+    J (Deodhar's lemma, Bjorner-Brenti Lemma 2.5.1).
+
+    >>> coset_act(1, (1, 2, 3), {2}), coset_act(2, (1, 2, 3), {2})
+    ((2, 1, 3), (1, 2, 3))
+    """
+    v = wcompose(wgen(s, len(u)), u)
+    return u if any(d in J for d in wdescents_right(v)) else v
+
+
 def min_coset_reps(M: CoxeterMatrix, J, max_length: int, within=None):
     """All minimal-length representatives of cosets w W_J with length
     <= max_length, sorted by (length, lex); one per coset.
@@ -416,6 +418,9 @@ def min_coset_reps(M: CoxeterMatrix, J, max_length: int, within=None):
     With ``within = K`` (a generator subset containing J) the enumeration
     is restricted to the standard parabolic subgroup W_K, giving the
     quotient W_K / W_J.
+
+    A breadth-first search of ``coset_act``: a representative first met
+    from length l has length l + 1, as the shorter ones were met before.
 
     >>> M = coxeter_matrix("affine-A", 4)
     >>> min_coset_reps(M, {2, 4}, 4, within={1, 2, 4})[:3]
@@ -432,28 +437,21 @@ def min_coset_reps(M: CoxeterMatrix, J, max_length: int, within=None):
         if not J <= K:
             raise DomainError("within must contain J")
         gens = sorted(K)
-    n = M.n
-    e = widentity(n)
-    gwins = {s: wgen(s, n) for s in gens}
+    e = widentity(M.n)
     seen = {e}
     level = [e]
-    out = [[e]]
-    for ell in range(max_length):
+    for _ in range(max_length):
         nxt = []
         for u in level:
             for s in gens:
-                u2 = wcompose(gwins[s], u)
-                if u2 in seen or wlength(u2) != ell + 1:
-                    continue
-                if any(d in J for d in wdescents_right(u2)):
-                    continue
-                seen.add(u2)
-                nxt.append(u2)
+                v = coset_act(s, u, J)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
         if not nxt:
             break
-        out.append(nxt)
         level = nxt
-    words = [window_to_word(u, M) for lv in out for u in lv]
+    words = [window_to_word(u, M) for u in seen]
     words.sort(key=lambda w: (len(w), w))
     return words
 

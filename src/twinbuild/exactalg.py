@@ -448,6 +448,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self.coeffs,)
+
     def __add__(self, other):
         o = _as_poly(other)
         if o is None:
@@ -780,6 +783,9 @@ class LMat:
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("LMat is immutable")
 
+    def __reduce__(self):
+        return LMat, (self.rows,)
+
     @staticmethod
     def _entry(x):
         p = _as_poly(x)
@@ -874,9 +880,6 @@ class LMat:
                 out_row.append(_poly_of(acc))
             out.append(out_row)
         return LMat._of(out)
-
-    def transpose(self) -> "LMat":
-        return LMat._of(zip(*self.rows))
 
     def iota(self) -> "LMat":
         """Coefficientwise complex conjugation, entry positions untouched."""

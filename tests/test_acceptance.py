@@ -96,6 +96,13 @@ def test_03_low_skeleton_equivalence():
         assert bott_equivalence_check(3, 5) is True
 
 
+def test_03_bott_check_cost_follows_the_degree():
+    # Gr_9(C^18) has C(18, 9) = 48620 cells; a check through degree 1
+    # reads only the cells of dimension <= 1.
+    with budget(1):
+        assert bott_equivalence_check(9, 1) is True
+
+
 def test_04_full_flag_product_identity():
     # The full-flag series is prod_{i<n} (1 + t^2 + ... + t^{2i}),
     # cross-checked against brute-force inversion counting.

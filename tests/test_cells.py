@@ -5,7 +5,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twinbuild import cells, coxeter
 from twinbuild.cells import (
     PoincareSeries,
     bott_equivalence_check,
@@ -14,6 +17,7 @@ from twinbuild.cells import (
     schubert_poincare,
 )
 from twinbuild.coxeter import (
+    bruhat_leq,
     coset_min_split,
     coxeter_matrix,
     longest_element,
@@ -180,6 +184,60 @@ def test_schubert_matches_direct_coset_counts():
         ]
 
 
+def schubert_oracle(M, J, w, truncation):
+    """The enumerate-then-filter series: every J-minimal representative
+    up to length(w), kept when it lies below w in the Bruhat order."""
+    dims = [
+        2 * len(v)
+        for v in min_coset_reps(M, J, len(w))
+        if 2 * len(v) <= truncation and bruhat_leq(v, w, M)
+    ]
+    return PoincareSeries.from_dims(dims, truncation)
+
+
+@st.composite
+def schubert_cases(draw):
+    """A system (finite or affine A, n = 2..5), a generator set J, a
+    J-minimal w spelled with a cancelling pair s s inserted, and a
+    truncation below the full degree (or none)."""
+    kind = draw(st.sampled_from(["finite-A", "affine-A"]))
+    n = draw(st.integers(2, 5))
+    M = coxeter_matrix(kind, n)
+    J = draw(st.frozensets(st.sampled_from(M.generators)))
+    longest = 12 if kind == "finite-A" else 6
+    raw = draw(st.lists(st.sampled_from(M.generators), max_size=longest))
+    u, _ = coset_min_split(word_to_window(raw, M), J)
+    w = window_to_word(u, M)
+    cut = draw(st.integers(0, len(w)))
+    s = draw(st.sampled_from(M.generators))
+    spelling = w[:cut] + (s, s) + w[cut:]
+    truncation = draw(st.one_of(st.none(), st.integers(0, max(2 * len(w) - 1, 0))))
+    return M, J, w, spelling, truncation
+
+
+@settings(max_examples=150, deadline=None)
+@given(schubert_cases())
+def test_schubert_matches_enumerate_then_filter(case):
+    M, J, w, spelling, truncation = case
+    full = 2 * len(w) if truncation is None else truncation
+    want = schubert_oracle(M, J, w, full)
+    assert schubert_poincare(M, J, spelling, truncation) == want
+
+
+def test_schubert_never_enumerates_or_filters(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Schubert count enumerated or filtered cosets")
+
+    for name in ("bruhat_leq", "min_coset_reps"):
+        monkeypatch.setattr(coxeter, name, refuse)
+        monkeypatch.setattr(cells, name, refuse, raising=False)
+    M = coxeter_matrix("finite-A", 5)
+    assert schubert_poincare(M, set(), longest_element(M)).coeffs[:5] == (1, 0, 4, 0, 9)
+    assert str(grassmannian_series(4, 2)) == "1 + t^2 + 2*t^4 + t^6 + t^8"
+    affine = schubert_poincare(coxeter_matrix("affine-A", 3), {1}, (1, 2, 3, 2), 6)
+    assert affine.coeffs == (1, 0, 2, 0, 4, 0, 3)
+
+
 def product_formula(n):
     """prod_{i=1}^{n-1} (1 + t^2 + ... + t^{2i}) as a coefficient list."""
     poly = [1]
@@ -259,9 +317,49 @@ def test_loop_matches_direct_coset_counts():
 # ---------------------------------------------------------------------------
 
 
+def bott_oracle(k, through_degree):
+    """The affine-parabolic construction: in the affine system on 2k
+    generators, the loop side deletes generator 1, and the Grassmannian
+    side is the parabolic W_K deleting generator k+1, quotiented by
+    W_{K - {1}} with every one of its C(2k, k) cells enumerated."""
+    n = 2 * k
+    M = coxeter_matrix("affine-A", n)
+    gens = set(M.generators)
+    gr_k = gens - {k + 1}
+    finite = min_coset_reps(M, gr_k - {1}, n * (n - 1) // 2, within=gr_k)
+    affine = min_coset_reps(M, gens - {1}, through_degree // 2)
+    return PoincareSeries.from_dims(
+        [2 * len(v) for v in finite], through_degree
+    ) == PoincareSeries.from_dims([2 * len(v) for v in affine], through_degree)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_bott_matches_affine_parabolic_oracle(k):
+    for d in range(2 * k + 5):
+        assert bott_equivalence_check(k, d) is bott_oracle(k, d), d
+
+
+def test_bott_check_never_enumerates_the_grassmannian(monkeypatch):
+    enumerate_cosets = min_coset_reps
+
+    def no_within(M, J, max_length, within=None):
+        assert within is None, "the Grassmannian side enumerated a parabolic quotient"
+        return enumerate_cosets(M, J, max_length)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Grassmannian side filtered by the Bruhat order")
+
+    monkeypatch.setattr(cells, "min_coset_reps", no_within)
+    monkeypatch.setattr(coxeter, "min_coset_reps", no_within)
+    monkeypatch.setattr(coxeter, "bruhat_leq", refuse)
+    assert bott_equivalence_check(4, 9) is True
+    assert bott_equivalence_check(4, 10) is False
+
+
 def test_bott_finite_side_coset_list():
-    """The finite-side cosets for k = 2 are the six representatives of
-    W_{1,2,4}/W_{2,4} inside the parabolic on {1,2,4}."""
+    """The oracle's finite-side cosets for k = 2 are the six
+    representatives of W_{1,2,4}/W_{2,4} inside the parabolic on
+    {1,2,4}."""
     M = coxeter_matrix("affine-A", 4)
     reps = min_coset_reps(M, {2, 4}, 8, within={1, 2, 4})
     assert reps == [(), (1,), (2, 1), (4, 1), (2, 4, 1), (1, 2, 4, 1)]

@@ -16,6 +16,7 @@ from twinbuild.coxeter import (
     CoxeterMatrix,
     affine_to_word,
     bruhat_leq,
+    coset_act,
     coset_min_split,
     coxeter_matrix,
     generalized_length,
@@ -291,6 +292,48 @@ def test_min_coset_reps_one_per_coset():
             assert wcompose(u, x) not in rep_windows
     # Gr_2(C^4): six cosets in total
     assert len(reps) == 6
+
+
+@pytest.mark.parametrize(
+    "M,J,within,max_len",
+    [
+        (A3, {1, 3}, None, 6),
+        (A3, set(), None, 6),
+        (AF2, {1}, None, 6),
+        (AF3, set(), None, 4),
+        (AF4, {2, 3, 4}, None, 4),
+        (AF4, {2}, None, 4),
+        (AF4, {2, 4}, {1, 2, 4}, 5),
+    ],
+)
+def test_min_coset_reps_are_the_short_j_minimal_elements(M, J, within, max_len):
+    """The search against brute force over all words: the elements with a
+    reduced spelling of length <= max_len in the generators of ``within``
+    and no right descent in J."""
+    gens = sorted(within) if within else M.generators
+    want = {}
+    for w in all_words(gens, max_len):
+        u = word_to_window(w, M)
+        if wlength(u) == len(w) and not set(wdescents_right(u)) & J:
+            want[u] = window_to_word(u, M)
+    expected = sorted(want.values(), key=lambda w: (len(w), w))
+    assert min_coset_reps(M, J, max_len, within=within) == expected
+
+
+def test_coset_act_stays_in_the_coset_or_moves_one_step():
+    """Deodhar's lemma on every J-minimal element of A3 and every s: s*u
+    is J-minimal and one step longer or shorter, or it is u*t with t in J."""
+    for J in ({1}, {1, 3}, {2}, set()):
+        for w in min_coset_reps(A3, J, 6):
+            u = word_to_window(w, A3)
+            for s in A3.generators:
+                v = coset_act(s, u, J)
+                su = wcompose(wgen(s, 4), u)
+                if v == u:
+                    assert any(su == wcompose(u, wgen(t, 4)) for t in J)
+                else:
+                    assert v == su and abs(wlength(v) - wlength(u)) == 1
+                    assert not set(wdescents_right(v)) & J
 
 
 def test_min_coset_reps_requires_j_inside_within():

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinbuild.building import chamber_from_basis
+from twinbuild.cells import PoincareSeries
+from twinbuild.coxeter import coxeter_matrix
 from twinbuild.errors import DomainError, NotInvertibleError
 from twinbuild.exactalg import (
     GaussRat,
@@ -95,6 +98,23 @@ def test_gaussrat_pickles_and_copies():
     for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(twin) is GaussRat and twin == x and hash(twin) == hash(x)
         assert (twin.a, twin.b, twin.d) == (1, -6, 2)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        pytest.param(LaurentPoly({-1: GaussRat(Fraction(1, 2), 1), 3: 5}), id="LaurentPoly"),
+        pytest.param(LMat([[Z, GaussRat(0, 1)], [0, zpow(-1)]]), id="LMat"),
+        pytest.param(chamber_from_basis("+", LMat([[1, Z], [0, 1]])), id="Chamber"),
+        pytest.param(coxeter_matrix("finite-A", 3), id="CoxeterMatrix"),
+        pytest.param(coxeter_matrix("affine-A", 2), id="affine-CoxeterMatrix"),
+        pytest.param(PoincareSeries([1, 0, 2], 4), id="PoincareSeries"),
+    ],
+)
+def test_immutable_values_pickle_and_copy(x):
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+        assert repr(twin) == repr(x)
 
 
 def test_gaussrat_mul_real_and_complex_factors():
