@@ -18,9 +18,9 @@ normalisation chain position p of a representative carries the vertex of
 type p, relative positions read off the reduction engine are genuine
 affine Weyl elements (shift vectors summing to zero), and two
 representatives give equal chambers exactly when they differ by the
-side's Borel (up to constant diagonals).  Chambers compare equal by
-their unordered set of vertex classes, so the rotation is invisible to
-callers.
+side's Borel (up to constant diagonals).  Chambers compare equal when
+their Weyl distance is 1, which holds exactly when they share every
+vertex class, so the rotation is invisible to callers.
 
 Monomial Weyl representatives are shared by the two sides: for the
 window entry u(j) = r - n k (1 <= r <= n), column j of n_w holds z^k in
@@ -236,12 +236,17 @@ class Chamber:
         return Simplex(self, set(range(self.n)) - {drop_type})
 
     def __eq__(self, other):
+        """Same side, same n, and Weyl distance 1: one engine run."""
         if not isinstance(other, Chamber):
             return NotImplemented
-        return self.side == other.side and self.classes == other.classes
+        if self.side != other.side or self.n != other.n:
+            return False
+        u, _, _ = _relpos(self, other)
+        return u == widentity(self.n)
 
     def __hash__(self):
-        return hash((self.side, self.classes))
+        # equal chambers share every vertex, the type-0 one included
+        return hash((self.side, self.vertex(0)))
 
     def __repr__(self):
         return f"<Chamber {self.side} n={self.n}>"
@@ -257,9 +262,10 @@ def standard_chamber(side, n: int) -> Chamber:
 
 
 class Simplex:
-    """A face of a chamber: the vertex classes at the kept types."""
+    """A face of a chamber: the vertex classes at the kept types.  A panel
+    keeps its chart (``_chart``) once a caller has needed it."""
 
-    __slots__ = ("carrier", "kept_types")
+    __slots__ = ("carrier", "kept_types", "_chart")
 
     def __init__(self, carrier: Chamber, kept_types):
         kept = frozenset(kept_types)
@@ -269,6 +275,7 @@ class Simplex:
             raise DomainError("kept types must be vertex types 0..n-1")
         self.carrier = carrier
         self.kept_types = kept
+        self._chart = None
 
     @property
     def side(self):
@@ -595,12 +602,22 @@ def common_basis(cm: Chamber, cp: Chamber) -> LMat:
     return cm.rep @ r
 
 
+def _chart(panel: Simplex) -> PanelChart:
+    if panel._chart is None:
+        (gap,) = set(range(panel.n)) - panel.kept_types
+        panel._chart = PanelChart(panel.carrier, gap)
+    return panel._chart
+
+
 def panel_chamber(panel: Simplex, t) -> Chamber:
-    """The chamber through a panel at chart parameter t (or INF)."""
+    """The chamber through a panel at chart parameter t (or INF).
+
+    The chart comes from the carrier's basis and one Hermite form (see
+    PanelChart); the chamber's representative is the carrier's with the
+    two basis columns that move in the panel replaced."""
     if len(panel.kept_types) != panel.n - 1:
         raise DomainError("panel_chamber needs a panel (exactly one type missing)")
-    chart = PanelChart(panel.carrier._vertices(sorted(panel.kept_types)))
-    return Chamber(panel.side, chart.chamber_basis(t))
+    return Chamber._built(panel.side, _chart(panel).chamber_basis(t))
 
 
 def panel_parameter(panel: Simplex, c: Chamber):
@@ -615,9 +632,7 @@ def panel_parameter(panel: Simplex, c: Chamber):
     (s,) = panel.cotype_nodes()
     if delta(panel.carrier, c).window not in (widentity(c.n), wgen(s, c.n)):
         raise DomainError("chamber does not contain the panel")
-    (gap,) = set(range(panel.n)) - panel.kept_types
-    chart = PanelChart(panel.carrier._vertices(sorted(panel.kept_types)))
-    return chart.parameter_of(c.vertex(gap))
+    return _chart(panel).parameter_of(c)
 
 
 def _reference_panels(dm: Chamber, x: LMat, word):
@@ -671,6 +686,13 @@ def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
     pair it is 0 for a finite generator and INF for the affine one), and a
     coordinate at that value lands in a lower cell: at n = 2, word (1,)
     and coordinate 0 give cp itself, at distance 1 from cp, not s_1.
+
+    Each letter's chamber comes from the chart of its reference panel,
+    read off the panel's carrier basis with one Hermite form (see
+    PanelChart).  The chamber is determined by the coordinates; its
+    representative is one of many, and the one returned is the chart's
+    carrier basis with two columns replaced, carried through the twin
+    gates.
     """
     if cp.side != "+" or dm.side != "-":
         raise DomainError("decode_coords takes (plus, minus) chambers")

@@ -12,11 +12,12 @@ the loop space.
 
 from .coxeter import (
     CoxeterMatrix,
+    _check_subset,
+    _coset_levels,
     coset_act,
     coset_min_split,
     coxeter_matrix,
     generalized_length,
-    min_coset_reps,
     wdescents_right,
     widentity,
     window_to_word,
@@ -111,14 +112,6 @@ class PoincareSeries(Record):
         return f"PoincareSeries({list(self.coeffs)!r}, {self.truncation})"
 
 
-def _generator_set(M: CoxeterMatrix, J):
-    J = frozenset(J)
-    for s in J:
-        if s not in M.generators:
-            raise DomainError(f"generator {s} outside the system")
-    return J
-
-
 def cell_dim(M: CoxeterMatrix, J, w, panel_dim=2) -> int:
     """Dimension of the Schubert cell of the coset w W_J.
 
@@ -131,7 +124,7 @@ def cell_dim(M: CoxeterMatrix, J, w, panel_dim=2) -> int:
     >>> cell_dim(M, {1, 3}, ())
     0
     """
-    J = _generator_set(M, J)
+    J = _check_subset(J, M)
     u, _ = coset_min_split(word_to_window(w, M), J)
     if isinstance(panel_dim, int):
         return panel_dim * wlength(u)
@@ -156,7 +149,7 @@ def schubert_poincare(M: CoxeterMatrix, J, w, truncation=None) -> PoincareSeries
     1 + t^2 + t^4
     """
     u = word_to_window(w, M)
-    J = _generator_set(M, J)
+    J = _check_subset(J, M)
     if any(d in J for d in wdescents_right(u)):
         raise DomainError("w must be the minimal representative of its coset")
     word = window_to_word(u, M)
@@ -185,9 +178,11 @@ def loop_poincare(n: int, truncation: int) -> PoincareSeries:
     if truncation < 0:
         raise DomainError("truncation degree must be >= 0")
     M = coxeter_matrix("affine-A", n)
-    finite = set(range(1, n))
-    reps = min_coset_reps(M, finite, truncation // 2)
-    return PoincareSeries.from_dims([2 * len(v) for v in reps], truncation)
+    levels = _coset_levels(n, set(range(1, n)), M.generators, truncation // 2)
+    coeffs = [0] * (truncation + 1)
+    for ell, level in enumerate(levels):
+        coeffs[2 * ell] = len(level)
+    return PoincareSeries(coeffs, truncation)
 
 
 def bott_equivalence_check(k: int, through_degree: int) -> bool:

@@ -419,8 +419,7 @@ def min_coset_reps(M: CoxeterMatrix, J, max_length: int, within=None):
     is restricted to the standard parabolic subgroup W_K, giving the
     quotient W_K / W_J.
 
-    A breadth-first search of ``coset_act``: a representative first met
-    from length l has length l + 1, as the shorter ones were met before.
+    The breadth-first levels of ``_coset_levels``, spelled as words.
 
     >>> M = coxeter_matrix("affine-A", 4)
     >>> min_coset_reps(M, {2, 4}, 4, within={1, 2, 4})[:3]
@@ -437,23 +436,32 @@ def min_coset_reps(M: CoxeterMatrix, J, max_length: int, within=None):
         if not J <= K:
             raise DomainError("within must contain J")
         gens = sorted(K)
-    e = widentity(M.n)
-    seen = {e}
-    level = [e]
+    words = [window_to_word(u, M) for level in _coset_levels(M.n, J, gens, max_length)
+             for u in level]
+    words.sort(key=lambda w: (len(w), w))
+    return words
+
+
+def _coset_levels(n, J, gens, max_length):
+    """The J-minimal windows of W_K / W_J by length, K = ``gens``: level l
+    lists those of length l, for l <= max_length.  A breadth-first search
+    of ``coset_act``: a representative first met from length l has length
+    l + 1, as the shorter ones were met before."""
+    level = [widentity(n)]
+    seen = set(level)
+    levels = [level]
     for _ in range(max_length):
-        nxt = []
-        for u in level:
+        level = []
+        for u in levels[-1]:
             for s in gens:
                 v = coset_act(s, u, J)
                 if v not in seen:
                     seen.add(v)
-                    nxt.append(v)
-        if not nxt:
+                    level.append(v)
+        if not level:
             break
-        level = nxt
-    words = [window_to_word(u, M) for u in seen]
-    words.sort(key=lambda w: (len(w), w))
-    return words
+        levels.append(level)
+    return levels
 
 
 def coset_min_split(u, J):

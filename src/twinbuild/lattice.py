@@ -4,10 +4,12 @@ incidence, and the projective-line charts on panels.
 
 The minus side reuses the plus-side code through the substitution z -> 1/z;
 module-level computations (canonical forms, membership, incidence, charts)
-are class-level and side-symmetric.  Ordered-basis conventions (which
-columns carry the z-marks in a chamber chain) differ between the sides so
-that each standard chain is stabilized by its Borel subgroup; see
-vertex_classes_of_basis.
+are side-symmetric.  Ordered-basis conventions (which columns carry the
+z-marks in a chamber chain) differ between the sides so that each
+standard chain is stabilized by its Borel subgroup; see
+vertex_classes_of_basis.  A panel chart is read off the basis of a chamber
+through the panel with one Hermite form, that of the chain lattice just
+above the missing vertex; no vertex class is computed for it.
 
 Invariant: a LatticeClass's ``mat`` is the canonical form of its class
 (upper triangular, monic diagonal; through z -> 1/z on '-'), and so is
@@ -34,7 +36,6 @@ from .exactalg import (
     divexact,
     poly_divmod,
     rref,
-    solve_right,
     zpow,
 )
 from .record import Record
@@ -52,7 +53,6 @@ __all__ = [
     "member",
     "lattice_class_of_cols",
     "vertex_classes_of_basis",
-    "adapted_basis",
     "PanelChart",
 ]
 
@@ -340,7 +340,7 @@ def _contains(outer: LMat, inner: LMat) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Chamber chains and adapted bases
+# Chamber chains
 # ---------------------------------------------------------------------------
 
 
@@ -367,57 +367,32 @@ def vertex_classes_of_basis(side, basis: LMat, _positions=None):
             raise NotInvertibleError("degenerate basis")
         _positions = range(n)
     cols = basis.cols()
-    shift = 1 if side == "+" else -1
+    sign = 1 if side == "+" else -1
     out = []
     for j in _positions:
-        marked = range(n - j, n) if side == "+" else range(j)
-        chain_cols = list(cols)
-        for c in marked:
-            chain_cols[c] = tuple(a.shift(shift) for a in cols[c])
+        chain_cols = [
+            tuple(a.shift(sign * m) for a in col) if m else col
+            for col, m in zip(cols, _marks(side, n, j))
+        ]
         out.append(lattice_class_of_cols(side, chain_cols))
     return out
 
 
-def adapted_basis(side, chain_mats) -> LMat:
-    """Basis adapted to a full periodic chain L_0 > L_1 > ... > L_{n-1} > zL_0.
-
-    ``chain_mats`` are generator matrices (in the side's variable) with
-    consecutive determinant valuations.  Returns the basis matrix b whose
-    chain (in the convention of vertex_classes_of_basis) is the given
-    one; extraction picks, for each step, the first canonical generator
-    of L_j outside L_{j+1}.
-    """
-    _check_side(side)
-    mats = [_to_plus(side, m) for m in chain_mats]
-    n = mats[0].nrows
-    cans = [_canonical_plus_cols(m.cols(), n) for m in mats]
-    return _basis_of_cols(side, _adapted_cols(cans))
+def _marks(side, n, j):
+    """The z-marks of the basis columns at chain position j (any integer;
+    position j + n is z times position j): exponents in the side's own
+    variable, as in vertex_classes_of_basis."""
+    s, r = divmod(j, n)
+    marked = range(n - r, n) if side == "+" else range(r)
+    return [s + (k in marked) for k in range(n)]
 
 
-def _adapted_cols(cans):
-    """The picking half of adapted_basis, on a chain of canonical plus
-    forms: the plus-side basis columns."""
-    n = cans[0].nrows
-    nexts = cans[1:] + [cans[0].scale(Z)]
-    cols = [None] * n
-    for j in range(n):
-        pick = None
-        for c in range(n):
-            v = cans[j].col(c)
-            if not _member_plus(nexts[j], v):
-                pick = v
-                break
-        if pick is None:
-            raise DomainError("chain positions are equal; not a chamber chain")
-        cols[n - 1 - j] = pick
-    return cols
-
-
-def _basis_of_cols(side, cols) -> LMat:
-    if side == "+":
-        return LMat._of(zip(*cols))
-    # minus marking is mirror-reversed: 1/z marks sit on the first columns
-    return _mirror(LMat._of(zip(*reversed(cols))))
+def _plus_col(side, col, mark):
+    """A basis column times the mark-th power of the side's variable,
+    read in the plus variable."""
+    if side == "-":
+        col = [a.subs_zinv() for a in col]
+    return tuple(a.shift(mark) for a in col) if mark else tuple(col)
 
 
 # ---------------------------------------------------------------------------
@@ -426,119 +401,88 @@ def _basis_of_cols(side, cols) -> LMat:
 
 
 class PanelChart:
-    """The projective-line chart on the chambers through a panel.
+    """The projective-line chart on the chambers through a panel, read off
+    the basis of one chamber through it (the carrier, a building.Chamber)
+    and the chain position ``gap`` of the panel's missing type.
 
-    A panel (n-1 pairwise incident classes of distinct types, one type g
-    missing) closes into a sandwich A >= M >= B with dim A/B = 2 over
-    Q(i), where M runs over the candidate gap lattices.  The chart sends
-    t in Q(i) to the class of B + Q(i)[z](u1 + t*u2) and the infinity
-    sentinel to B + Q(i)[z]u2, with (u1, u2) the first two canonical
-    generators of A independent modulo B.
+    The carrier's chain gives the sandwich A = L_{gap-1} > M = L_gap >
+    B = L_{gap+1} with dim A/B = 2 over Q(i); the chambers through the
+    panel are the carrier with M replaced by a lattice strictly between
+    A and B.  Two basis columns p, q span A/B: A and B agree on the
+    others, and M = B + Q(i)[z] a_p, where a_k is column k with A's
+    z-mark.  The chart sends t in Q(i) to the chamber with gap lattice
+    B + Q(i)[z](u1 + t*u2), and the infinity sentinel to B + Q(i)[z]u2,
+    with (u1, u2) the first two columns of the Hermite form of A that are
+    independent modulo B.  That Hermite form is the chart's only one: the
+    rest is back substitution against it and Q(i) linear algebra in
+    A/zA.  A chamber's representative is normalised (chain position p
+    carries type p), which the chart relies on; parameter_of does not
+    check that its chamber contains the panel.
     """
 
-    def __init__(self, classes):
-        classes = list(classes)
-        if not classes:
-            raise DomainError("empty panel")
-        side = classes[0].side
-        n = classes[0].n
-        if len(classes) != n - 1:
-            raise DomainError(f"a panel needs {n - 1} vertices, got {len(classes)}")
-        if any(c.side != side or c.n != n for c in classes):
-            raise DomainError("panel vertices must share side and dimension")
-        types = {c.type: c for c in classes}
-        if len(types) != n - 1:
-            raise DomainError("panel vertex types must be pairwise distinct")
-        (gap,) = set(range(n)) - set(types)
+    def __init__(self, carrier, gap: int):
+        side, rep = carrier.side, carrier.rep
+        n = rep.nrows
         self.side = side
-        self.n = n
-        self.gap_type = gap
-        self.classes = classes
-        # periodic chain of the present types, descending from the gap
-        chain = []
-        base_val = None
-        for idx in range(1, n):
-            c = types[(gap + idx) % n]
-            a = c.det_val()
-            if base_val is None:
-                base_val = a
-                target = a
-            else:
-                target = base_val + idx - 1
-            k = (target - a) // n
-            chain.append(_to_plus(side, c.mat).scale(zpow(k)))
-        self._chain = chain
-        self._gap_val = base_val - 1  # det valuation of each M with B < M < A
-        for i in range(len(chain) - 1):
-            if not _contains(chain[i], chain[i + 1]):
-                raise DomainError("panel vertices are not pairwise incident")
-        self._A = chain[-1].scale(zpow(-1))
-        self._B = chain[0]
-        # Q0: the columns of B in A's coordinates, modulo z; they span B/zA
-        coords = [_plus_coords(self._A, b) for b in self._B.cols()]
-        if None in coords:
-            raise DomainError("panel chain does not close up periodically")
-        self._Q0 = [[col[i].ev0() for col in coords] for i in range(n)]
-        # greedy completion of colspan Q0 by standard basis vectors: the
-        # pivot columns of [Q0 | 1] past Q0
-        _, piv = rref([row + [QI_ONE if i == j else QI_ZERO for j in range(n)]
-                       for i, row in enumerate(self._Q0)])
-        picked = [p - n for p in piv if p >= n][:2]
-        if len(picked) != 2:
-            raise DomainError("panel sandwich is not two-dimensional")
-        self._j1, self._j2 = picked
-        self._u1 = self._A.col(self._j1)
-        self._u2 = self._A.col(self._j2)
-
-    def _gap_vector(self, t):
-        """The generator the chart adds to B: u1 + t*u2, or u2 at inf."""
-        if t == INF:
-            return self._u2
-        return tuple(a + t * b for a, b in zip(self._u1, self._u2))
-
-    def gap_class(self, t) -> LatticeClass:
-        """The chart: the gap-type class at parameter t (Q(i) or inf)."""
-        cls = lattice_class_of_cols("+", self._B.cols() + [self._gap_vector(t)])
-        if self.side == "-":
-            return LatticeClass("-", _mirror(cls.mat))
-        return cls
+        self._rep = rep
+        if side == "+":
+            p, q = n - 1 - gap, (n - gap) % n
+        else:
+            p, q = gap, (gap - 1) % n
+        marks = _marks(side, n, gap - 1)
+        self._p, self._q, self._dq = p, q, marks[q]  # marks[p] is 0
+        gens = [_plus_col(side, col, m) for col, m in zip(rep.cols(), marks)]
+        self._A = _canonical_plus_cols(gens, n)
+        # A's generators in the Hermite basis modulo z, and the rows p, q of
+        # the inverse: the coordinates in (a_p, a_q) of a vector of A/zA
+        # modulo the image of B
+        images = [[x.ev0() for x in _plus_coords(self._A, a)] for a in gens]
+        red, _ = rref([[col[i] for col in images]
+                       + [QI_ONE if i == j else QI_ZERO for j in range(n)]
+                       for i in range(n)])
+        rp, rq = red[p][n:], red[q][n:]
+        # greedy completion of B/zA by Hermite columns: u1 = column j1, the
+        # first outside B, and u2 = column j2, the first outside B + u1;
+        # kept as their coordinates in (a_p, a_q)
+        j1 = next(j for j in range(n) if rp[j] or rq[j])
+        j2 = next(j for j in range(j1 + 1, n) if rp[j1] * rq[j] != rq[j1] * rp[j])
+        self._u1 = (rp[j1], rq[j1])
+        self._u2 = (rp[j2], rq[j2])
+        # rows taking psi in A/zA to (c1, c2) with psi = c1*u1 + c2*u2
+        # modulo B, up to one common factor
+        self._c1 = [self._u2[1] * x - self._u2[0] * y for x, y in zip(rp, rq)]
+        self._c2 = [self._u1[0] * y - self._u1[1] * x for x, y in zip(rp, rq)]
 
     def chamber_basis(self, t) -> LMat:
-        """Ordered basis of the full chamber obtained by filling the gap
-        at parameter t; feeds chamber construction."""
-        gap_mat = _canonical_plus_cols(
-            self._B.cols() + [self._gap_vector(t)], self.n
-        )
-        return _basis_of_cols(self.side, _adapted_cols([gap_mat] + self._chain))
+        """The representative of the chamber at parameter t (Q(i) or INF):
+        the carrier's with the columns p, q replaced by a constant block on
+        A's generators a_p, a_q, so a_p moves to the line of u1 + t*u2
+        modulo B, and the determinant stays the carrier's up to sign."""
+        if t == INF:
+            al, be = self._u2
+        else:
+            al, be = self._u1[0] + t * self._u2[0], self._u1[1] + t * self._u2[1]
+        p, q, dq = self._p, self._q, self._dq
+        cols = self._rep.cols()
+        bp, bq = cols[p], cols[q]
+        shift = dq if self.side == "+" else -dq
+        aq = tuple(x.shift(shift) for x in bq) if dq else bq
+        if al:
+            # [[al, 0], [be, 1/al]]
+            cols[p] = tuple(al * x + be * y for x, y in zip(bp, aq))
+            cols[q] = tuple(al.inverse() * y for y in bq)
+        else:
+            # [[0, 1/be], [be, 0]]
+            cols[p] = tuple(be * y for y in aq)
+            cols[q] = tuple(be.inverse() * x.shift(-shift) for x in bp)
+        return LMat._of(zip(*cols))
 
-    def parameter_of(self, gap: LatticeClass):
-        """Inverse chart: the parameter of a gap-type class through the
-        panel (inf sentinel allowed)."""
-        if gap.side != self.side or gap.n != self.n:
-            raise DomainError("side or dimension mismatch")
-        if gap.type != self.gap_type:
-            raise DomainError("class does not have the panel's missing type")
-        k = (self._gap_val - gap.det_val()) // self.n
-        mat = _to_plus(self.side, gap.mat).scale(zpow(k))
-        if not _contains(mat, self._B):
-            raise DomainError("class is not between the panel's neighbours")
-        n = self.n
-        sys_rows = [
-            self._Q0[i]
-            + [QI_ONE if i == self._j1 else QI_ZERO]
-            + [QI_ONE if i == self._j2 else QI_ZERO]
-            for i in range(n)
-        ]
-        for c in range(n):
-            coords = _plus_coords(self._A, mat.col(c))
-            if coords is None:
-                raise DomainError("class is not between the panel's neighbours")
-            psi = [x.ev0() for x in coords]
-            sol = solve_right(sys_rows, psi)
-            if sol is None:
-                raise DomainError("class is not between the panel's neighbours")
-            c1, c2 = sol[-2], sol[-1]
-            if not c1 and not c2:
-                continue
-            return INF if not c1 else c2 / c1
-        raise DomainError("class equals the panel floor; not a chamber vertex")
+    def parameter_of(self, chamber):
+        """Inverse chart: the parameter (INF allowed) of a chamber through
+        the panel, read off its gap generator, column p of its
+        representative; that column lies in A and not in B."""
+        v = _plus_col(self.side, chamber.rep.col(self._p), 0)
+        psi = [x.ev0() for x in _plus_coords(self._A, v)]
+        c1 = sum((w * x for w, x in zip(self._c1, psi)), QI_ZERO)
+        c2 = sum((w * x for w, x in zip(self._c2, psi)), QI_ZERO)
+        return INF if not c1 else c2 / c1

@@ -12,8 +12,8 @@ missing one as absent, so a renamed library function would silently drop
 its per-layer metrics from a traced run; the last test catches that.
 
 The runner's last line is its machine-readable result, so one short
-traced run checks that it is strict JSON (no NaN or Infinity) and that
-the lattice layer shows in it.
+traced run checks that it is strict JSON (no NaN or Infinity), that the
+panel charts show in it and that no vertex class does.
 """
 
 import json
@@ -85,4 +85,7 @@ def test_traced_twin_gates_run_ends_in_a_strict_json_summary():
     summary = json.loads(last, parse_constant=_reject_constant)
     assert summary["correct"] is True
     assert summary["failed"] == 0
-    assert summary["metrics"]["lattice.vertex_classes.calls"]["value"] > 0
+    # Panel charts come from the carrier's basis, so the timed path reads
+    # no vertex class.
+    assert summary["metrics"]["lattice.panel_chart.calls"]["value"] > 0
+    assert summary["metrics"]["lattice.vertex_classes.calls"]["value"] == 0

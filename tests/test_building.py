@@ -126,6 +126,30 @@ def test_chamber_from_scaled_basis_is_equal():
         )
 
 
+def test_chamber_equality_is_equality_of_vertex_classes():
+    """== is one engine run (Weyl distance 1) and the hash reads the type-0
+    vertex; both agree with comparing the vertex classes."""
+    rng = random.Random(25)
+    for _ in range(12):
+        n = rng.choice([2, 3])
+        side = rng.choice("+-")
+        c = chamber_from_basis(side, rand_sl(rng, n))
+        same = chamber_from_basis(side, c.rep @ rand_borel(rng, n, side))
+        pan = c.panel(rng.randrange(n))
+        others = [
+            same,
+            apartment_chambers(c.rep, (rng.randint(1, n),), side),
+            apartment_chambers(c.rep, (rng.randint(1, n), rng.randint(1, n)), side),
+        ] + [panel_chamber(pan, t) for t in (GaussRat(0), GaussRat(1), INF)]
+        for d in others:
+            assert (c == d) == (d == c) == (c.classes == d.classes)
+            if c == d:
+                assert hash(c) == hash(d)
+        assert same == c
+        assert chamber_from_basis("-" if side == "+" else "+", c.rep) != c
+        assert standard_chamber(side, n + 1) != standard_chamber(side, n)
+
+
 def test_degenerate_basis_rejected():
     with pytest.raises(NotInvertibleError):
         chamber_from_basis("+", M([["1", "1"], ["1", "1"]]))

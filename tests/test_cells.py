@@ -279,6 +279,19 @@ def test_loop_n2_one_cell_per_even_degree():
     assert all(s.coefficient(d) == (1 - d % 2) for d in range(13))
 
 
+def test_loop_series_counts_the_minimal_coset_representatives():
+    """The breadth-first levels loop_poincare counts are the word lengths
+    of min_coset_reps."""
+    for n in range(2, 7):
+        M = coxeter_matrix("affine-A", n)
+        words = min_coset_reps(M, set(range(1, n)), 12)
+        for degree in range(25):
+            want = PoincareSeries.from_dims(
+                [2 * len(w) for w in words if 2 * len(w) <= degree], degree
+            )
+            assert loop_poincare(n, degree) == want
+
+
 def test_loop_n4_through_degree_6():
     assert list(loop_poincare(4, 6).coeffs) == [1, 0, 1, 0, 2, 0, 3]
 
@@ -341,15 +354,21 @@ def test_bott_matches_affine_parabolic_oracle(k):
 
 def test_bott_check_never_enumerates_the_grassmannian(monkeypatch):
     enumerate_cosets = min_coset_reps
+    levels = coxeter._coset_levels
 
     def no_within(M, J, max_length, within=None):
         assert within is None, "the Grassmannian side enumerated a parabolic quotient"
         return enumerate_cosets(M, J, max_length)
 
+    def whole_group(n, J, gens, max_length):
+        # the loop side's levels; a parabolic K would be the Grassmannian
+        assert set(gens) == set(range(1, n + 1)), "a parabolic quotient was enumerated"
+        return levels(n, J, gens, max_length)
+
     def refuse(*args, **kwargs):
         raise AssertionError("the Grassmannian side filtered by the Bruhat order")
 
-    monkeypatch.setattr(cells, "min_coset_reps", no_within)
+    monkeypatch.setattr(cells, "_coset_levels", whole_group)
     monkeypatch.setattr(coxeter, "min_coset_reps", no_within)
     monkeypatch.setattr(coxeter, "bruhat_leq", refuse)
     assert bott_equivalence_check(4, 9) is True

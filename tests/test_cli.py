@@ -694,6 +694,23 @@ def test_ragged_flag_is_a_domain_error(capsys):
     }
 
 
+def test_out_of_range_quotient_generator_reads_the_same_in_every_command(capsys):
+    """poincare and coxeter check a generator set with one checker, so an
+    index outside the diagram gets one message."""
+    for argv in (
+        ("poincare", "schubert", "--type", "A3", "--quotient", "J=9", "--w", "1"),
+        ("coxeter", "cosets", "--type", "A3", "--quotient", "J=9"),
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 3
+        doc = json.loads(out)
+        _envelope_validator().validate(doc)
+        assert doc["error"] == {
+            "code": "domain-error",
+            "message": "generator index 9 outside 1..3",
+        }
+
+
 def test_negative_coset_length_is_a_domain_error(capsys):
     """A negative --max-length printed the identity as the one coset
     representative and exited 0."""

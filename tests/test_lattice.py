@@ -3,17 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twinbuild import lattice
+from twinbuild.building import Chamber, panel_chamber, panel_parameter
 from twinbuild.errors import DomainError, NotInvertibleError
 from twinbuild.exactalg import (
     GaussRat,
     LMat,
+    LP_ONE,
     QI_I,
     QI_ONE,
     QI_ZERO,
     Z,
     parse_poly,
     rref,
+    solve_right,
     zpow,
 )
 from twinbuild.lattice import (
@@ -22,11 +28,15 @@ from twinbuild.lattice import (
     LatticeClass,
     PanelChart,
     _canonical_plus_cols,
+    _contains,
+    _member_plus,
+    _mirror,
+    _plus_coords,
     _to_plus,
-    adapted_basis,
     canonical_class,
     canonical_lattice,
     incident,
+    lattice_class_of_cols,
     member,
     standard_vertex_mat,
     vertex_classes_of_basis,
@@ -71,6 +81,170 @@ def rand_unimodular(rng, n, ops=6, dmin=-2, dmax=2, scalings=True):
                 f = zpow(rng.randint(-1, 1))
                 cols[j] = [f * a for a in cols[j]]
     return LMat.from_cols(cols)
+
+
+# ---------------------------------------------------------------------------
+# the class-based chart and adapted bases: the oracle of PanelChart
+# ---------------------------------------------------------------------------
+
+
+def adapted_basis(side, chain_mats) -> LMat:
+    """Basis adapted to a full periodic chain L_0 > L_1 > ... > L_{n-1} > zL_0.
+
+    ``chain_mats`` are generator matrices (in the side's variable) with
+    consecutive determinant valuations.  Returns the basis matrix b whose
+    chain (in the convention of vertex_classes_of_basis) is the given
+    one; extraction picks, for each step, the first canonical generator
+    of L_j outside L_{j+1}.
+    """
+    mats = [_to_plus(side, m) for m in chain_mats]
+    n = mats[0].nrows
+    cans = [_canonical_plus_cols(m.cols(), n) for m in mats]
+    return _basis_of_cols(side, _adapted_cols(cans))
+
+
+def _adapted_cols(cans):
+    """The picking half of adapted_basis, on a chain of canonical plus
+    forms: the plus-side basis columns."""
+    n = cans[0].nrows
+    nexts = cans[1:] + [cans[0].scale(Z)]
+    cols = [None] * n
+    for j in range(n):
+        pick = None
+        for c in range(n):
+            v = cans[j].col(c)
+            if not _member_plus(nexts[j], v):
+                pick = v
+                break
+        if pick is None:
+            raise DomainError("chain positions are equal; not a chamber chain")
+        cols[n - 1 - j] = pick
+    return cols
+
+
+def _basis_of_cols(side, cols) -> LMat:
+    if side == "+":
+        return LMat._of(zip(*cols))
+    # minus marking is mirror-reversed: 1/z marks sit on the first columns
+    return _mirror(LMat._of(zip(*reversed(cols))))
+
+
+class ClassPanelChart:
+    """The projective-line chart on the chambers through a panel, built
+    from the panel's n - 1 vertex classes with a Hermite form of each.
+
+    The classes close into a sandwich A >= M >= B with dim A/B = 2 over
+    Q(i), where M runs over the candidate gap lattices.  The chart sends
+    t in Q(i) to the class of B + Q(i)[z](u1 + t*u2) and the infinity
+    sentinel to B + Q(i)[z]u2, with (u1, u2) the first two canonical
+    generators of A independent modulo B.
+    """
+
+    def __init__(self, classes):
+        classes = list(classes)
+        if not classes:
+            raise DomainError("empty panel")
+        side = classes[0].side
+        n = classes[0].n
+        if len(classes) != n - 1:
+            raise DomainError(f"a panel needs {n - 1} vertices, got {len(classes)}")
+        if any(c.side != side or c.n != n for c in classes):
+            raise DomainError("panel vertices must share side and dimension")
+        types = {c.type: c for c in classes}
+        if len(types) != n - 1:
+            raise DomainError("panel vertex types must be pairwise distinct")
+        (gap,) = set(range(n)) - set(types)
+        self.side = side
+        self.n = n
+        self.gap_type = gap
+        # periodic chain of the present types, descending from the gap
+        chain = []
+        base_val = None
+        for idx in range(1, n):
+            c = types[(gap + idx) % n]
+            a = c.det_val()
+            if base_val is None:
+                base_val = a
+                target = a
+            else:
+                target = base_val + idx - 1
+            k = (target - a) // n
+            chain.append(_to_plus(side, c.mat).scale(zpow(k)))
+        self._chain = chain
+        self._gap_val = base_val - 1  # det valuation of each M with B < M < A
+        for i in range(len(chain) - 1):
+            if not _contains(chain[i], chain[i + 1]):
+                raise DomainError("panel vertices are not pairwise incident")
+        self._A = chain[-1].scale(zpow(-1))
+        self._B = chain[0]
+        # Q0: the columns of B in A's coordinates, modulo z; they span B/zA
+        coords = [_plus_coords(self._A, b) for b in self._B.cols()]
+        if None in coords:
+            raise DomainError("panel chain does not close up periodically")
+        self._Q0 = [[col[i].ev0() for col in coords] for i in range(n)]
+        # greedy completion of colspan Q0 by standard basis vectors: the
+        # pivot columns of [Q0 | 1] past Q0
+        _, piv = rref([row + [QI_ONE if i == j else QI_ZERO for j in range(n)]
+                       for i, row in enumerate(self._Q0)])
+        picked = [p - n for p in piv if p >= n][:2]
+        if len(picked) != 2:
+            raise DomainError("panel sandwich is not two-dimensional")
+        self._j1, self._j2 = picked
+        self._u1 = self._A.col(self._j1)
+        self._u2 = self._A.col(self._j2)
+
+    def _gap_vector(self, t):
+        """The generator the chart adds to B: u1 + t*u2, or u2 at inf."""
+        if t == INF:
+            return self._u2
+        return tuple(a + t * b for a, b in zip(self._u1, self._u2))
+
+    def gap_class(self, t) -> LatticeClass:
+        """The chart: the gap-type class at parameter t (Q(i) or inf)."""
+        cls = lattice_class_of_cols("+", self._B.cols() + [self._gap_vector(t)])
+        if self.side == "-":
+            return LatticeClass("-", _mirror(cls.mat))
+        return cls
+
+    def chamber_basis(self, t) -> LMat:
+        """Ordered basis of the full chamber obtained by filling the gap
+        at parameter t."""
+        gap_mat = _canonical_plus_cols(
+            self._B.cols() + [self._gap_vector(t)], self.n
+        )
+        return _basis_of_cols(self.side, _adapted_cols([gap_mat] + self._chain))
+
+    def parameter_of(self, gap: LatticeClass):
+        """Inverse chart: the parameter of a gap-type class through the
+        panel (inf sentinel allowed)."""
+        if gap.side != self.side or gap.n != self.n:
+            raise DomainError("side or dimension mismatch")
+        if gap.type != self.gap_type:
+            raise DomainError("class does not have the panel's missing type")
+        k = (self._gap_val - gap.det_val()) // self.n
+        mat = _to_plus(self.side, gap.mat).scale(zpow(k))
+        if not _contains(mat, self._B):
+            raise DomainError("class is not between the panel's neighbours")
+        n = self.n
+        sys_rows = [
+            self._Q0[i]
+            + [QI_ONE if i == self._j1 else QI_ZERO]
+            + [QI_ONE if i == self._j2 else QI_ZERO]
+            for i in range(n)
+        ]
+        for c in range(n):
+            coords = _plus_coords(self._A, mat.col(c))
+            if coords is None:
+                raise DomainError("class is not between the panel's neighbours")
+            psi = [x.ev0() for x in coords]
+            sol = solve_right(sys_rows, psi)
+            if sol is None:
+                raise DomainError("class is not between the panel's neighbours")
+            c1, c2 = sol[-2], sol[-1]
+            if not c1 and not c2:
+                continue
+            return INF if not c1 else c2 / c1
+        raise DomainError("class equals the panel floor; not a chamber vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +533,13 @@ def test_chart_recovers_translation_parameter():
     for c in (GaussRat(5, 7), QI_I, GaussRat(-2)):
         basis = LMat.from_cols([[1, c], [0, 1]])
         classes = vertex_classes_of_basis("+", basis)
-        chart = PanelChart([classes[0]])
+        chart = ClassPanelChart([classes[0]])
         assert chart.parameter_of(classes[1]) == c
         assert chart.gap_class(c) == classes[1]
 
 
 def test_chart_round_trip_pinned_values():
-    chart = PanelChart([cls_of("+", LMat.identity(2))])
+    chart = ClassPanelChart([cls_of("+", LMat.identity(2))])
     seen = set()
     for t in (GaussRat(0), GaussRat(1), QI_I, GaussRat(2, 3), INF):
         c = chart.gap_class(t)
@@ -383,7 +557,7 @@ def test_chart_standard_panels_hit_apartment_chambers():
     classes = vertex_classes_of_basis("+", LMat.identity(3))
     for drop in range(3):
         panel = [c for j, c in enumerate(classes) if j != drop]
-        chart = PanelChart(panel)
+        chart = ClassPanelChart(panel)
         got = {chart.gap_class(0), chart.gap_class(INF)}
         assert classes[drop] in got
         other = (got - {classes[drop]}).pop()
@@ -406,7 +580,7 @@ def test_chart_random_round_trip():
         classes = vertex_classes_of_basis(side, g)
         drop = rng.randrange(n)
         panel = [c for j, c in enumerate(classes) if j != drop]
-        chart = PanelChart(panel)
+        chart = ClassPanelChart(panel)
         assert chart.gap_type == classes[drop].type
         t0 = chart.parameter_of(classes[drop])
         assert chart.gap_class(t0) == classes[drop]
@@ -419,7 +593,8 @@ def test_chart_random_round_trip():
 
 def _chart_pick_by_inverse(chart):
     """Q0 and (j1, j2) as built from a Hermite form and inverse of A and
-    one rank test per standard basis vector: the oracle of PanelChart."""
+    one rank test per standard basis vector: a check of the pick that
+    ClassPanelChart and PanelChart share."""
     n = chart.n
     acan = _canonical_plus_cols(chart._A.cols(), n)
     q = acan.inv() @ chart._B
@@ -448,7 +623,7 @@ def test_chart_sandwich_matches_inverse_construction():
             g = g.subs_zinv()
         classes = vertex_classes_of_basis(side, g)
         drop = rng.randrange(n)
-        chart = PanelChart([c for j, c in enumerate(classes) if j != drop])
+        chart = ClassPanelChart([c for j, c in enumerate(classes) if j != drop])
         q0, picked = _chart_pick_by_inverse(chart)
         assert chart._Q0 == q0
         assert [chart._j1, chart._j2] == picked
@@ -457,14 +632,95 @@ def test_chart_sandwich_matches_inverse_construction():
 def test_chart_rejects_bad_input():
     a = cls_of("+", LMat.identity(2))
     with pytest.raises(DomainError):
-        PanelChart([a, a])  # a panel has one vertex when n = 2
+        ClassPanelChart([a, a])  # a panel has one vertex when n = 2
     eye3 = cls_of("+", LMat.identity(3))
     same_type = cls_of("+", LMat.diag([P("z^2"), Z, 1]))
     with pytest.raises(DomainError):
-        PanelChart([eye3, same_type])  # both of type 0
+        ClassPanelChart([eye3, same_type])  # both of type 0
     far = cls_of("+", LMat.diag([P("z^2"), P("z^2"), 1]))
     with pytest.raises(DomainError):
-        PanelChart([eye3, far])  # types 0 and 1 but not incident
-    chart = PanelChart([a])
+        ClassPanelChart([eye3, far])  # types 0 and 1 but not incident
+    chart = ClassPanelChart([a])
     with pytest.raises(DomainError):
         chart.parameter_of(cls_of("+", M([["z^3", 0], [0, "z^-2"]])))
+
+
+# ---------------------------------------------------------------------------
+# the chart from the carrier's basis against the class-based oracle
+# ---------------------------------------------------------------------------
+
+CHART_PARAMS = [GaussRat(0), GaussRat(1), GaussRat(-1), QI_I, GaussRat(2, 3), INF]
+
+
+def _classes_at(side, rep):
+    return set(vertex_classes_of_basis(side, rep))
+
+
+def test_carrier_chart_pinned_values():
+    # the pinned classes of test_chart_round_trip_pinned_values, reached
+    # from the standard chamber's basis
+    chart = PanelChart(Chamber("+", LMat.identity(2)), 1)
+    seen = set()
+    for t in CHART_PARAMS:
+        rep = chart.chamber_basis(t)
+        assert chart.parameter_of(Chamber("+", rep)) == t
+        seen.add(frozenset(_classes_at("+", rep)))
+    assert len(seen) == len(CHART_PARAMS)
+    assert vertex_classes_of_basis("+", chart.chamber_basis(0))[1].mat == LMat.diag([1, Z])
+    assert vertex_classes_of_basis("+", chart.chamber_basis(INF))[1].mat == LMat.diag([Z, 1])
+
+
+def test_carrier_chart_block_keeps_the_determinant_up_to_sign():
+    for side in "+-":
+        for gap in range(3):
+            chart = PanelChart(Chamber(side, LMat.identity(3)), gap)
+            for t in CHART_PARAMS:
+                assert chart.chamber_basis(t).det() in (LP_ONE, -LP_ONE)
+
+
+def test_carrier_chart_takes_one_hermite_form(monkeypatch):
+    calls = []
+    hnf = lattice._hnf_poly_cols
+
+    def counted(cols, n):
+        calls.append(n)
+        return hnf(cols, n)
+
+    monkeypatch.setattr(lattice, "_hnf_poly_cols", counted)
+    rng = random.Random(31)
+    for side in "+-":
+        carrier = Chamber(side, rand_unimodular(rng, 3))
+        for gap in range(3):
+            panel = carrier.panel(gap)
+            calls.clear()
+            for t in CHART_PARAMS:
+                assert panel_parameter(panel, panel_chamber(panel, t)) == t
+            assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 4), side=st.sampled_from("+-"))
+def test_carrier_chart_matches_the_class_based_chart(rng, n, side):
+    """For every gap of a random chamber, the chart read off its basis
+    gives the class-based chart's parameter of the carrier, and at every
+    t the same chamber and the same parameter back."""
+    g = rand_unimodular(rng, n)
+    if side == "-":
+        g = g.subs_zinv()
+    carrier = Chamber(side, g)
+    classes = vertex_classes_of_basis(side, carrier.rep)
+    for gap in range(n):
+        oracle = ClassPanelChart([c for j, c in enumerate(classes) if j != gap])
+        chart = PanelChart(carrier, gap)
+        # one Hermite form of A: the oracle's up to the z-power of its
+        # classes' normalisation
+        shift = int(chart._A[0, 0].val0() - oracle._A[0, 0].val0())
+        assert chart._A == oracle._A.scale(zpow(shift))
+        assert chart.parameter_of(carrier) == oracle.parameter_of(classes[gap])
+        for t in CHART_PARAMS:
+            rep = chart.chamber_basis(t)
+            assert _classes_at(side, rep) == _classes_at(side, oracle.chamber_basis(t))
+            chamber = Chamber(side, rep)
+            assert chamber.rep == rep  # normalised already, as Chamber._built needs
+            assert chart.parameter_of(chamber) == t
+            assert oracle.parameter_of(vertex_classes_of_basis(side, rep)[gap]) == t
