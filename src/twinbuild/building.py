@@ -11,9 +11,9 @@ determinant 1, and LOWER-triangular value at z = infinity; with this
 pair the two standard chambers built from one basis are opposite, and
 exactly one chamber of every panel maximizes the codistance.
 
-Representatives are normalised on construction: the determinant
-valuation is rotated to a multiple of n (right multiplication by the
-chain-shift matrix of the side) and then scaled to exactly 0.  With that
+Representatives are normalised on construction: right multiplication by
+a power of the chain-shift matrix (whose n-th power is z) takes the
+determinant valuation to exactly 0.  With that
 normalisation chain position p of a representative carries the vertex of
 type p, relative positions read off the reduction engine are genuine
 affine Weyl elements (shift vectors summing to zero), and two
@@ -27,6 +27,10 @@ window entry u(j) = r - n k (1 <= r <= n), column j of n_w holds z^k in
 row r, and the engine reads u(j) = i - n e off a column led by z^e in
 row i.  The twin apartment of a basis x is the chambers x*n_w*B(side) on
 both sides, with codelta(x n_v B-, x n_w B+) = v^{-1} w.
+
+Right products by n_w, by the chain shift, by the engine's lead
+monomials and by their inverse are column moves in one helper,
+``_move_cols``: none goes through the Laurent matmul.
 
 Both gates come from one run of the reduction engine.  For a chamber c
 and the carrier d of a face, the engine factors c.rep^{-1} d.rep as
@@ -50,19 +54,19 @@ from .coxeter import (
     wdescents_right,
     wgen,
     widentity,
+    winvert,
     word_to_affine,
 )
 from .errors import DomainError, NotInvertibleError, check_rank
 from .exactalg import (
     LMat,
     LP_ONE,
-    LP_ZERO,
     LaurentPoly,
-    Z,
+    QI_ONE,
     _chain_det,
     _col_sub,
+    _lp,
     _top_minors,
-    zpow,
 )
 from .lattice import PanelChart, _check_side, vertex_classes_of_basis
 from .record import Record
@@ -93,45 +97,31 @@ __all__ = [
 ]
 
 
-# chain-shift matrices: right multiplication rotates the vertex chain of a
-# representative by one position (and multiplies the determinant by z^{+-1}
-# in the side's own variable)
-_RHO = {}
+def _move_cols(mat: LMat, u, coeffs=None) -> LMat:
+    """mat n_u diag(coeffs), by moving columns: column j of the product is
+    c z^{-k} times column r of mat, where u(j) - 1 = r + n k and c is
+    coeffs[j] (1 without coeffs, and then a shift of exponents)."""
+    n = len(u)
+    cols = mat.cols()
+    out = []
+    for j, v in enumerate(u):
+        k, r = divmod(v - 1, n)
+        c, col = coeffs[j] if coeffs else QI_ONE, cols[r]
+        if c != QI_ONE:
+            col = [_lp({e - k: c * x for e, x in a.coeffs.items()}) for a in col]
+        elif k:
+            col = [a.shift(-k) for a in col]
+        out.append(col)
+    return LMat._of(zip(*out))
 
 
-def _rho(n, side):
-    m = _RHO.get((n, side))
-    if m is None:
-        rows = [[LP_ZERO] * n for _ in range(n)]
-        if side == "+":
-            for i in range(1, n):
-                rows[i - 1][i] = LP_ONE
-            rows[n - 1][0] = Z
-        else:
-            for i in range(1, n):
-                rows[i][i - 1] = LP_ONE
-            rows[0][n - 1] = zpow(-1)
-        m = LMat._of(rows)
-        _RHO[(n, side)] = m
-    return m
-
-
-def _align(side, mat, det):
-    """Rotate and scale a representative with the unit monomial
-    determinant det until its determinant valuation (in the side's own
-    variable) is exactly 0."""
-    n = mat.nrows
-    v = int(det.val0()) if side == "+" else -int(det.val0())
-    r = v % n
-    if r:
-        rho = _rho(n, side)
-        for _ in range(n - r):
-            mat = mat @ rho
-        v += n - r
-    if v:
-        k = -v // n
-        mat = mat.scale(zpow(k) if side == "+" else zpow(-k))
-    return mat
+def _align(mat, det):
+    """Rotate and scale a representative with determinant c z^d until d is
+    0 (mat itself if it is): right multiplication by the window (1 + d,
+    ..., n + d), the power of the chain shift of either side that does it
+    (the '+' one is the window (0, ..., n - 1), the '-' one its inverse)."""
+    d = int(det.val0())
+    return _move_cols(mat, range(1 + d, mat.nrows + 1 + d)) if d else mat
 
 
 def _node_of_position(p, n, side):
@@ -173,7 +163,7 @@ class Chamber:
         det = _chain_det(minors)
         if not det.is_unit_monomial():
             raise NotInvertibleError("chamber representative is degenerate")
-        aligned = _align(side, rep, det)
+        aligned = _align(rep, det)
         self._set(side, aligned, minors if aligned is rep else None)
 
     @classmethod
@@ -342,20 +332,15 @@ def borel_membership(side, mat: LMat) -> bool:
     return True
 
 
-def _window_matrix(u) -> LMat:
-    """The monomial matrix n_w of a window (rule in the module docstring)."""
-    n = len(u)
-    rows = [[LP_ZERO] * n for _ in range(n)]
-    for j, v in enumerate(u):
-        k, r = divmod(v - 1, n)
-        rows[r][j] = zpow(-k)
-    return LMat._of(rows)
-
-
 def weyl_matrix(elt: AffineWeylElt) -> LMat:
-    """The monomial representative: z^{k_i} in row i = perm(j)-1 of
-    column j.  Both halves of the twin building use the same matrices."""
-    return _window_matrix(elt.window)
+    """The monomial representative n_w: z^{k_i} in row i = perm(j)-1 of
+    column j.  Both halves of the twin building use the same matrices.
+
+    >>> print(weyl_matrix(word_to_affine((2,), 2)))
+    [0, z^-1]
+    [z, 0]
+    """
+    return _move_cols(LMat.identity(len(elt.window)), elt.window)
 
 
 def apartment_chambers(basis: LMat, word_or_elt, side="+") -> Chamber:
@@ -363,7 +348,7 @@ def apartment_chambers(basis: LMat, word_or_elt, side="+") -> Chamber:
     _check_side(side)
     if not isinstance(word_or_elt, AffineWeylElt):
         word_or_elt = word_to_affine(tuple(word_or_elt), basis.nrows)
-    return Chamber(side, basis @ _window_matrix(word_or_elt.window))
+    return Chamber(side, _move_cols(basis, word_or_elt.window))
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +439,25 @@ def _relpos(c: Chamber, d: Chamber):
     return u, LMat._of(zip(*cols)), leads
 
 
-def _borel_basis(c: Chamber, r: LMat, leads) -> LMat:
-    """c.rep b_L, where r = b_L m from _relpos(c, .) and m is the monomial
-    matrix of the leads (c_j z^{e_j} in row i_j, col j): the basis of an
-    apartment through c, with c at the identity."""
-    n = r.nrows
-    m_inv = [[LP_ZERO] * n for _ in range(n)]
-    for j, (e, i, coeff) in enumerate(leads):
-        m_inv[j][i] = LaurentPoly({-e: coeff.inverse()})
-    return c.rep @ r @ LMat._of(m_inv)
+def _times_reduced(mat: LMat, rel) -> LMat:
+    """mat r, for rel = (u, r, leads) = _relpos(., .).  When the engine
+    left no term but the leads, r is their monomial n_u diag(c_j) and the
+    product a column move."""
+    u, r, leads = rel
+    if sum(sum(map(bool, row)) for row in r.rows) > r.nrows:
+        return mat @ r
+    return _move_cols(mat, u, [lc for _, _, lc in leads])
+
+
+def _gate_basis(c: Chamber, rel, w) -> LMat:
+    """c.rep b_L n_w, for rel = (u, r, leads) = _relpos(c, .): r = b_L m
+    with m = n_u diag(c_j), c_j the lead coefficients, so b_L n_w = r
+    diag(c_j^{-1}) n_v, v = u^{-1} w.  c.rep b_L is the basis of an
+    apartment through c, with c at the identity; this is its chamber at w."""
+    u, _, leads = rel
+    v = wcompose(winvert(u), w)
+    coeffs = [leads[(x - 1) % len(v)][2].inverse() for x in v]
+    return _move_cols(_times_reduced(c.rep, rel), v, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +543,9 @@ def project(x: Simplex, c: Chamber) -> Chamber:
     """
     if x.side != c.side:
         raise DomainError("project needs a face and a chamber on the same side")
-    u, r, leads = _relpos(c, x.carrier)
-    wmin, _ = coset_min_split(u, set(x.cotype_nodes()))
-    return Chamber._built(c.side, _borel_basis(c, r, leads) @ _window_matrix(wmin))
+    rel = _relpos(c, x.carrier)
+    wmin, _ = coset_min_split(rel[0], set(x.cotype_nodes()))
+    return Chamber._built(c.side, _gate_basis(c, rel, wmin))
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +569,14 @@ def project_twin(x: Simplex, c: Chamber) -> Chamber:
     if x.side == c.side:
         raise DomainError("project_twin needs a face and a chamber on opposite sides")
     n = c.n
-    u, r, leads = _relpos(c, x.carrier)
-    base = _borel_basis(c, r, leads)
-    jset = x.cotype_nodes()
+    rel = _relpos(c, x.carrier)
+    u, jset = rel[0], x.cotype_nodes()
     while True:
         up = [s for s in jset if s not in wdescents_right(u)]
         if not up:
             break
         u = wcompose(u, wgen(up[0], n))
-    return Chamber._built(x.side, base @ _window_matrix(u))
+    return Chamber._built(x.side, _gate_basis(c, rel, u))
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +589,11 @@ def common_basis(cm: Chamber, cp: Chamber) -> LMat:
     chamber_from_basis('+', x) = cp; exists exactly for opposite pairs."""
     if cm.side != "-" or cp.side != "+":
         raise DomainError("common_basis takes a minus chamber then a plus chamber")
-    u, r, _ = _relpos(cm, cp)
-    if u != widentity(cm.n):
+    rel = _relpos(cm, cp)
+    if rel[0] != widentity(cm.n):
         raise DomainError("chambers are not opposite")
     # a = cm.rep^{-1} cp.rep and r = a b, so cp.rep b = cm.rep r
-    return cm.rep @ r
+    return _times_reduced(cm.rep, rel)
 
 
 def _chart(panel: Simplex) -> PanelChart:
@@ -642,7 +636,7 @@ def _reference_panels(dm: Chamber, x: LMat, word):
     n = dm.n
     prefix = widentity(n)
     for k, s in enumerate(word):
-        d = Chamber._built("-", x @ _window_matrix(prefix)) if k else dm
+        d = Chamber._built("-", _move_cols(x, prefix)) if k else dm
         yield _position_of_node(s, n, "+"), d.panel(_position_of_node(s, n, "-"))
         prefix = wcompose(prefix, wgen(s, n))
 

@@ -94,7 +94,6 @@ __all__ = [
     "divexact",
     "LMat",
     "mat_to_json",
-    "mat_from_json",
     "rref",
     "kernel_basis",
     "solve_right",
@@ -1137,10 +1136,6 @@ def _shuffle_parity(s_mask, t_mask) -> int:
 def mat_to_json(m: LMat):
     """Matrix as a JSON value: array of rows of canonical term strings."""
     return [[poly_to_str(a) for a in row] for row in m.rows]
-
-
-def mat_from_json(data) -> LMat:
-    return LMat([[parse_poly(s) for s in row] for row in data])
 
 
 # ---------------------------------------------------------------------------

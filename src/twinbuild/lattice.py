@@ -35,7 +35,6 @@ from .exactalg import (
     _mul_sub,
     divexact,
     poly_divmod,
-    rref,
     zpow,
 )
 from .record import Record
@@ -169,13 +168,16 @@ def _hnf_poly_cols(cols, n):
     """Column HNF of a rank-n module spanned by polynomial columns.
 
     ``cols``: list of m >= n columns (tuples of LaurentPoly with
-    nonnegative exponents).  Returns the n*n upper-triangular matrix with
-    monic diagonal and off-diagonal degrees reduced below the diagonal.
+    nonnegative exponents).  Returns (h, u0): h is the n*n upper-triangular
+    matrix with monic diagonal and off-diagonal degrees reduced below the
+    diagonal, and u0 the rows of U(0), U the m*n column operations with
+    cols U = h: swaps, q(0)-multiple subtractions and monic scalings.
     """
     cols = [list(c) for c in cols]
     m = len(cols)
     if m < n:
         raise DomainError("not enough columns to span a rank-n module")
+    u0 = [[QI_ONE if i == j else QI_ZERO for i in range(m)] for j in range(m)]
     acnt = m
     for r in range(n - 1, -1, -1):
         while True:
@@ -193,16 +195,18 @@ def _hnf_poly_cols(cols, n):
                 q, _ = poly_divmod(cols[c][r], cols[cmin][r])
                 if q:
                     cols[c] = _col_sub(cols[c], q, cols[cmin])
+                    _u0_sub(u0, c, q, cmin)
             live = [c for c in range(acnt) if cols[c][r]]
             if len(live) == 1:
                 piv = live[0]
                 break
         acnt -= 1
         cols[piv], cols[acnt] = cols[acnt], cols[piv]
+        u0[piv], u0[acnt] = u0[acnt], u0[piv]
     for c in range(acnt):
         if any(cols[c]):
             raise NotInvertibleError("dependent columns exceed module rank")
-    out = cols[acnt:]
+    out, u0 = cols[acnt:], u0[acnt:]
     # monic diagonals
     for r in range(n):
         d = out[r][r]
@@ -210,17 +214,27 @@ def _hnf_poly_cols(cols, n):
         if lead != QI_ONE:
             inv = lead.inverse()
             out[r] = [a * inv for a in out[r]]
+            u0[r] = [a * inv if a else a for a in u0[r]]
     # reduce off-diagonal degrees: entry (i, j) for j > i mod diagonal (i, i)
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
             q, _ = poly_divmod(out[j][i], out[i][i])
             if q:
                 out[j] = _col_sub(out[j], q, out[i])
-    return LMat._of(zip(*out))
+                _u0_sub(u0, j, q, i)
+    return LMat._of(zip(*out)), list(zip(*u0))
 
 
-def _canonical_plus_cols(cols, n) -> LMat:
-    """Canonical Laurent form: global z-shift to polynomials, HNF, shift back."""
+def _u0_sub(u0, c, q, k):
+    """U(0) under col_c -= q col_k: column c minus q(0) times column k."""
+    q0 = q.coeffs.get(0)
+    if q0:
+        u0[c] = [a - q0 * b if b else a for a, b in zip(u0[c], u0[k])]
+
+
+def _canonical_plus_cols(cols, n):
+    """Canonical Laurent form: global z-shift to polynomials, HNF, shift
+    back; (h, u0) as _hnf_poly_cols, since a common shift keeps U(0)."""
     shift = 0
     for col in cols:
         for a in col:
@@ -228,17 +242,17 @@ def _canonical_plus_cols(cols, n) -> LMat:
                 shift = min(shift, a.val0())
     shift = -int(shift)
     shifted = [[a.shift(shift) for a in col] for col in cols]
-    h = _hnf_poly_cols(shifted, n)
+    h, u0 = _hnf_poly_cols(shifted, n)
     if shift:
         h = h.scale(zpow(-shift))
-    return h
+    return h, u0
 
 
 def canonical_lattice(L: Lattice) -> LMat:
     """The unique canonical generator matrix (upper triangular, monic
     diagonal, reduced off-diagonal degrees; through z -> 1/z on '-')."""
     plus = _to_plus(L.side, L.gens)
-    h = _canonical_plus_cols(plus.cols(), L.n)
+    h, _ = _canonical_plus_cols(plus.cols(), L.n)
     return h if L.side == "+" else _mirror(h)
 
 
@@ -255,7 +269,7 @@ def lattice_class_of_cols(side, cols) -> LatticeClass:
     n = len(cols[0])
     if side == "-":
         cols = [[a.subs_zinv() for a in col] for col in cols]
-    h = _canonical_plus_cols(cols, n)
+    h, _ = _canonical_plus_cols(cols, n)
     v = min(a.val0() for row in h.rows for a in row if a)
     if v:
         h = h.scale(zpow(-int(v)))
@@ -413,11 +427,11 @@ class PanelChart:
     z-mark.  The chart sends t in Q(i) to the chamber with gap lattice
     B + Q(i)[z](u1 + t*u2), and the infinity sentinel to B + Q(i)[z]u2,
     with (u1, u2) the first two columns of the Hermite form of A that are
-    independent modulo B.  That Hermite form is the chart's only one: the
-    rest is back substitution against it and Q(i) linear algebra in
-    A/zA.  A chamber's representative is normalised (chain position p
-    carries type p), which the chart relies on; parameter_of does not
-    check that its chamber contains the panel.
+    independent modulo B.  That Hermite form is the chart's only one: its
+    column operations at z = 0 give the coordinates in A/zA, and the rest
+    is Q(i) linear algebra there.  A chamber's representative is
+    normalised (chain position p carries type p), which the chart relies
+    on; parameter_of does not check that its chamber contains the panel.
     """
 
     def __init__(self, carrier, gap: int):
@@ -432,15 +446,10 @@ class PanelChart:
         marks = _marks(side, n, gap - 1)
         self._p, self._q, self._dq = p, q, marks[q]  # marks[p] is 0
         gens = [_plus_col(side, col, m) for col, m in zip(rep.cols(), marks)]
-        self._A = _canonical_plus_cols(gens, n)
-        # A's generators in the Hermite basis modulo z, and the rows p, q of
-        # the inverse: the coordinates in (a_p, a_q) of a vector of A/zA
-        # modulo the image of B
-        images = [[x.ev0() for x in _plus_coords(self._A, a)] for a in gens]
-        red, _ = rref([[col[i] for col in images]
-                       + [QI_ONE if i == j else QI_ZERO for j in range(n)]
-                       for i in range(n)])
-        rp, rq = red[p][n:], red[q][n:]
+        self._A, u0 = _canonical_plus_cols(gens, n)
+        # rows p, q of U(0), where A = gens U: the coordinates in (a_p, a_q)
+        # of a vector of A/zA modulo the image of B
+        rp, rq = u0[p], u0[q]
         # greedy completion of B/zA by Hermite columns: u1 = column j1, the
         # first outside B, and u2 = column j2, the first outside B + u1;
         # kept as their coordinates in (a_p, a_q)

@@ -38,7 +38,7 @@ from twinbuild.coxeter import (
 )
 from twinbuild.errors import DomainError, NotInvertibleError
 from twinbuild.exactalg import GaussRat, LMat, LP_ONE, LaurentPoly, Z, parse_poly, zpow
-from twinbuild.lattice import INF
+from twinbuild.lattice import INF, vertex_classes_of_basis
 from twinbuild.samples import (
     elementary,
     rand_affine_word,
@@ -1082,3 +1082,73 @@ def test_minor_table_passes_per_operation(monkeypatch):
     c, d = chamber_from_basis("+", x), chamber_from_basis("+", y)
     project(d.panel(1), c)
     assert len(passes) == 14
+
+
+# ---------------------------------------------------------------------------
+# Monomial right factors are column moves
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("side", "+-")
+def test_alignment_keeps_the_chamber_and_its_types(side):
+    """A basis of determinant valuation d (every residue mod n), also
+    scaled by a z-power, is aligned to the same chamber: its chain classes
+    are the basis's vertex classes, and chain position p carries type p.
+    A basis that needs no move is kept as it is."""
+    rng = random.Random(2601)
+    for n in (2, 3, 4):
+        for d in range(n):
+            for k in (0, 1, -2):
+                if not (d or k):
+                    g = rand_sl(rng, n)
+                    assert chamber_from_basis(side, g).rep is g
+                    continue
+                g = rand_sl(rng, n) @ LMat.diag([Z] * d + [LP_ONE] * (n - d))
+                g = g.scale(zpow(k))
+                c = chamber_from_basis(side, g)
+                assert c.rep.det().val0() == 0
+                assert set(c.chain_classes) == set(vertex_classes_of_basis(side, g))
+                assert [cls.type for cls in c.chain_classes] == list(range(n))
+
+
+def is_monomial(m):
+    """One nonzero entry per row and column, each of the form c*z^k."""
+    entries = [(i, j) for i, row in enumerate(m.rows) for j, a in enumerate(row) if a]
+    return (
+        m.nrows == m.ncols
+        and len(entries) == m.nrows
+        and {i for i, _ in entries} == set(range(m.nrows))
+        and {j for _, j in entries} == set(range(m.ncols))
+        and all(m[i, j].is_unit_monomial() for i, j in entries)
+    )
+
+
+def test_no_monomial_right_factor_goes_through_matmul(monkeypatch):
+    """encode_coords, decode_coords, project and project_twin multiply by
+    n_w, by the chain shift and by the engine's lead monomials by moving
+    columns: no right operand of LMat.__matmul__ is a monomial matrix."""
+    rng = random.Random(2602)
+    cases = []
+    for n in (2, 3):
+        for _ in range(3):
+            cm, cp = rand_opposite_pair(rng, n)
+            w = word_to_affine(rand_affine_word(rng, n, 5), n)
+            e = chamber_from_basis("+", cp.rep @ rand_borel(rng, n, "+") @ weyl_matrix(w))
+            cases.append((cm, cp, e, delta_word(cp, e), rand_chamber(rng, n, "-")))
+    rights = []
+    matmul = LMat.__matmul__
+
+    def recorded(self, other):
+        rights.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(LMat, "__matmul__", recorded)
+    for cm, cp, e, word, d in cases:
+        coords = encode_coords(cp, cm, e)
+        assert decode_coords(cp, cm, word, coords) == e
+        for t in range(cp.n):
+            project(e.panel(t), cp)
+            project_twin(d.panel(t), cp)
+            project_twin(cp.panel(t), d)
+    assert rights
+    assert not [m for m in rights if is_monomial(m)]

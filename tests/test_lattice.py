@@ -99,7 +99,7 @@ def adapted_basis(side, chain_mats) -> LMat:
     """
     mats = [_to_plus(side, m) for m in chain_mats]
     n = mats[0].nrows
-    cans = [_canonical_plus_cols(m.cols(), n) for m in mats]
+    cans = [_canonical_plus_cols(m.cols(), n)[0] for m in mats]
     return _basis_of_cols(side, _adapted_cols(cans))
 
 
@@ -209,7 +209,7 @@ class ClassPanelChart:
     def chamber_basis(self, t) -> LMat:
         """Ordered basis of the full chamber obtained by filling the gap
         at parameter t."""
-        gap_mat = _canonical_plus_cols(
+        gap_mat, _ = _canonical_plus_cols(
             self._B.cols() + [self._gap_vector(t)], self.n
         )
         return _basis_of_cols(self.side, _adapted_cols([gap_mat] + self._chain))
@@ -322,7 +322,8 @@ def test_class_matrices_and_their_z_multiples_are_canonical():
         h = _to_plus(c.side, c.mat)
         for k in range(-3, 4):
             hk = h.scale(zpow(k))
-            assert _canonical_plus_cols(hk.cols(), c.n) == hk
+            h_canon, _ = _canonical_plus_cols(hk.cols(), c.n)
+            assert h_canon == hk
 
 
 @pytest.mark.parametrize("side", ["+", "-"])
@@ -596,7 +597,7 @@ def _chart_pick_by_inverse(chart):
     one rank test per standard basis vector: a check of the pick that
     ClassPanelChart and PanelChart share."""
     n = chart.n
-    acan = _canonical_plus_cols(chart._A.cols(), n)
+    acan, _ = _canonical_plus_cols(chart._A.cols(), n)
     q = acan.inv() @ chart._B
     q0 = [[q[i, j].ev0() for j in range(n)] for i in range(n)]
     base = [[q0[i][j] for i in range(n)] for j in range(n)]
@@ -724,3 +725,46 @@ def test_carrier_chart_matches_the_class_based_chart(rng, n, side):
             assert chamber.rep == rep  # normalised already, as Chamber._built needs
             assert chart.parameter_of(chamber) == t
             assert oracle.parameter_of(vertex_classes_of_basis(side, rep)[gap]) == t
+
+
+# ---------------------------------------------------------------------------
+# U(0) from the Hermite form against back substitution and elimination
+# ---------------------------------------------------------------------------
+
+
+def _chart_setup_by_elimination(carrier, gap):
+    """The chart's set-up by a second elimination: A's generators, T(0)
+    (column j holds the coordinates modulo z of generator j in the
+    Hermite basis of A, by back substitution) and T(0)^{-1} from the rref
+    of [T(0) | 1]."""
+    side, rep = carrier.side, carrier.rep
+    n = rep.nrows
+    marks = lattice._marks(side, n, gap - 1)
+    gens = [lattice._plus_col(side, col, m) for col, m in zip(rep.cols(), marks)]
+    h, _ = _canonical_plus_cols(gens, n)
+    images = [[x.ev0() for x in _plus_coords(h, a)] for a in gens]
+    t0 = [[col[i] for col in images] for i in range(n)]
+    red, _ = rref([row + [QI_ONE if i == j else QI_ZERO for j in range(n)]
+                   for i, row in enumerate(t0)])
+    return gens, t0, [row[n:] for row in red]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 4), side=st.sampled_from("+-"))
+def test_hermite_form_carries_u0(rng, n, side):
+    """The U(0) the Hermite form of A records inverts T(0), and its rows p,
+    q, the ones the chart reads, are the elimination's."""
+    g = rand_unimodular(rng, n)
+    if side == "-":
+        g = g.subs_zinv()
+    carrier = Chamber(side, g)
+    eye = [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
+    for gap in range(n):
+        chart = PanelChart(carrier, gap)
+        gens, t0, t0_inv = _chart_setup_by_elimination(carrier, gap)
+        _, u0 = _canonical_plus_cols(gens, n)
+        for k in (chart._p, chart._q):
+            assert list(u0[k]) == t0_inv[k]
+        product = [[sum((t0[i][k] * u0[k][j] for k in range(n)), QI_ZERO)
+                    for j in range(n)] for i in range(n)]
+        assert product == eye
