@@ -58,7 +58,7 @@ _EXPORTS = {
         "word_to_affine",
         "affine_to_word",
     ),
-    "lattice": ("INF", "Lattice", "LatticeClass", "canonical_class", "type_of", "incident"),
+    "lattice": ("INF", "LatticeClass", "type_of", "incident"),
     "building": (
         "Chamber",
         "Simplex",

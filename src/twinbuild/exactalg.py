@@ -35,8 +35,7 @@ A constant matrix over Q(i) is an LMat with constant entries and uses
 the same operators, so there is one matrix product (``@``), one
 determinant (the minor table; ``charpoly`` is det(t*1 - A), with no
 division) and one inverse (``inv``).  The one field elimination is
-``rref`` on rows of GaussRat, behind ``kernel_basis`` and
-``solve_right``.
+``rref`` on rows of GaussRat, behind ``kernel_basis``.
 
 Every Laurent product and difference runs through one of two integer
 kernels.  ``_mul_acc`` adds products into unreduced integer triples and
@@ -96,7 +95,6 @@ __all__ = [
     "mat_to_json",
     "rref",
     "kernel_basis",
-    "solve_right",
     "charpoly",
 ]
 
@@ -1186,21 +1184,6 @@ def kernel_basis(rows):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def solve_right(rows, rhs):
-    """One solution x of A x = b over the field, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [QI_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
 
 
 def qi_roots(poly: LaurentPoly):

@@ -1,9 +1,9 @@
 """Lattices over Q(i)[z] (plus side) and Q(i)[1/z] (minus side) inside the
-Laurent vector space, their canonical forms, projective classes, types,
+Laurent vector space, their projective classes, types, membership,
 incidence, and the projective-line charts on panels.
 
 The minus side reuses the plus-side code through the substitution z -> 1/z;
-module-level computations (canonical forms, membership, incidence, charts)
+module-level computations (Hermite forms, membership, incidence, charts)
 are side-symmetric.  Ordered-basis conventions (which columns carry the
 z-marks in a chamber chain) differ between the sides so that each
 standard chain is stabilized by its Borel subgroup; see
@@ -11,12 +11,14 @@ vertex_classes_of_basis.  A panel chart is read off the basis of a chamber
 through the panel with one Hermite form, that of the chain lattice just
 above the missing vertex; no vertex class is computed for it.
 
-Invariant: a LatticeClass's ``mat`` is the canonical form of its class
-(upper triangular, monic diagonal; through z -> 1/z on '-'), and so is
-every z^k multiple of it, since the canonical form is unique and commutes
-with the z-shift.  Class matrices and their ``scaled`` multiples serve as
-they are, for membership, back substitution and determinant valuations;
-Hermite forms are taken only of modules given by arbitrary generators.
+Invariant, by construction: a LatticeClass is built from generators, any
+of them, and its ``mat`` is the canonical form it computes (upper
+triangular, monic monomial diagonal, least exponent 0; through z -> 1/z
+on '-').  So is every z^k multiple of it, since the canonical form is
+unique and commutes with the z-shift.  Class matrices and their
+``scaled`` multiples serve as they are, for back substitution and
+determinant valuations; Hermite forms are taken only of modules given by
+arbitrary generators.
 """
 
 from __future__ import annotations
@@ -42,15 +44,10 @@ from .record import Record
 INF = math.inf
 
 __all__ = [
-    "Lattice",
     "LatticeClass",
-    "standard_vertex_mat",
-    "canonical_lattice",
-    "canonical_class",
     "type_of",
     "incident",
     "member",
-    "lattice_class_of_cols",
     "vertex_classes_of_basis",
     "PanelChart",
 ]
@@ -61,48 +58,47 @@ def _check_side(side):
         raise DomainError(f"side must be '+' or '-', got {side!r}")
 
 
-def _mirror(mat: LMat) -> LMat:
-    return mat.subs_zinv()
-
-
 def _to_plus(side, mat):
-    return mat if side == "+" else _mirror(mat)
-
-
-class Lattice(Record):
-    """A free module spanned by the columns of ``gens`` over Q(i)[z]
-    (side '+') or Q(i)[1/z] (side '-')."""
-
-    __slots__ = ("side", "gens")
-
-    def __init__(self, side: str, gens: LMat):
-        _check_side(side)
-        if gens.nrows != gens.ncols:
-            raise DomainError("generator matrix must be square")
-        if not gens.det().is_unit_monomial():
-            raise NotInvertibleError(
-                "degenerate lattice: generator determinant is not a unit c*z^k"
-            )
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "gens", gens)
-
-    @property
-    def n(self):
-        return self.gens.nrows
+    """``mat`` read in the other variable on '-': z -> 1/z, an involution,
+    so it also takes a plus-side matrix back to the minus side."""
+    return mat if side == "+" else mat.subs_zinv()
 
 
 class LatticeClass(Record):
-    """Projective class [L] = {z^k L}; ``mat`` is the canonical class
-    representative, so equality is syntactic (see the module invariant).
-    Any other matrix raises DomainError."""
+    """Projective class [L] = {z^k L} of the lattice spanned by the columns
+    of ``gens``: an LMat with n rows and at least n columns, in z on '+'
+    and in 1/z on '-'.  ``mat`` is the canonical representative the
+    constructor computes, so equality is syntactic (see the module
+    invariant).  Generators that span no lattice raise
+    NotInvertibleError.
+
+    >>> LatticeClass("+", LMat([[0, 1], [1, 0]])).mat == LMat.identity(2)
+    True
+    >>> c = LatticeClass("-", LMat.diag([zpow(-2), zpow(-1)]))  # = [z^-1 L]
+    >>> print(c.mat)
+    [z^-1, 0]
+    [0, 1]
+    >>> c.type
+    1
+    """
 
     __slots__ = ("side", "mat")
 
-    def __init__(self, side: str, mat: LMat):
+    def __init__(self, side: str, gens: LMat):
         _check_side(side)
-        _check_canonical_class(side, mat)
+        if not isinstance(gens, LMat):
+            raise DomainError("a lattice class needs an LMat of generators")
+        n = gens.nrows
+        h, _ = _canonical_plus_cols(_to_plus(side, gens).cols(), n)
+        if any(len(h.rows[i][i].coeffs) != 1 for i in range(n)):
+            raise NotInvertibleError(
+                "generators span no lattice: their determinant is not a unit c*z^k"
+            )
+        v = min(a.val0() for row in h.rows for a in row if a)
+        if v:
+            h = h.scale(zpow(-int(v)))
         object.__setattr__(self, "side", side)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", _to_plus(side, h))
 
     @property
     def n(self):
@@ -121,42 +117,6 @@ class LatticeClass(Record):
     def scaled(self, k: int) -> LMat:
         """Representative z^k * mat (in the side's own variable)."""
         return self.mat.scale(zpow(k) if self.side == "+" else zpow(-k))
-
-
-def _check_canonical_class(side, mat):
-    """DomainError unless ``mat`` is a canonical class matrix: square and,
-    read in z on '+' and in 1/z on '-', upper triangular with diagonal
-    z^(e_i), every exponent in row i above the diagonal below e_i, and
-    least exponent 0.  O(n^2) reads of exponents; no Hermite form."""
-    if not isinstance(mat, LMat) or mat.nrows != mat.ncols:
-        raise DomainError("a lattice class needs a square LMat")
-    bad = DomainError("lattice class matrix is not in canonical form")
-    sign = 1 if side == "+" else -1
-    least = INF
-    for i, row in enumerate(mat.rows):
-        diag = row[i].coeffs
-        if len(diag) != 1 or any(row[:i]):
-            raise bad
-        (e, c), = diag.items()
-        if c != QI_ONE:
-            raise bad
-        e *= sign
-        least = min(least, e)
-        for a in row[i + 1:]:
-            if a:
-                exps = [sign * x for x in a.coeffs]
-                if max(exps) >= e:
-                    raise bad
-                least = min(least, *exps)
-    if least != 0:
-        raise bad
-
-
-def standard_vertex_mat(n: int, i: int, side="+") -> LMat:
-    """Generators of the i-th standard vertex lattice: diag(z,..,z,1,..,1)
-    with i copies of z (of 1/z on the minus side)."""
-    v = Z if side == "+" else zpow(-1)
-    return LMat.diag([v] * i + [LaurentPoly({0: QI_ONE})] * (n - i))
 
 
 # ---------------------------------------------------------------------------
@@ -248,34 +208,6 @@ def _canonical_plus_cols(cols, n):
     return h, u0
 
 
-def canonical_lattice(L: Lattice) -> LMat:
-    """The unique canonical generator matrix (upper triangular, monic
-    diagonal, reduced off-diagonal degrees; through z -> 1/z on '-')."""
-    plus = _to_plus(L.side, L.gens)
-    h, _ = _canonical_plus_cols(plus.cols(), L.n)
-    return h if L.side == "+" else _mirror(h)
-
-
-def canonical_class(L: Lattice) -> LatticeClass:
-    """Scale the canonical form by the z-power putting the least entry
-    valuation at 0 (entries polynomial, some nonzero constant term)."""
-    return lattice_class_of_cols(L.side, L.gens.cols())
-
-
-def lattice_class_of_cols(side, cols) -> LatticeClass:
-    """Canonical class of the module spanned by the given columns (any
-    number >= n of them)."""
-    _check_side(side)
-    n = len(cols[0])
-    if side == "-":
-        cols = [[a.subs_zinv() for a in col] for col in cols]
-    h, _ = _canonical_plus_cols(cols, n)
-    v = min(a.val0() for row in h.rows for a in row if a)
-    if v:
-        h = h.scale(zpow(-int(v)))
-    return LatticeClass(side, h if side == "+" else _mirror(h))
-
-
 def type_of(c: LatticeClass) -> int:
     """Type in Z/n: valuation of the determinant (at 0 for '+', at
     infinity for '-') mod n; a projective and SL-invariant."""
@@ -314,13 +246,14 @@ def _member_plus(h: LMat, v) -> bool:
     return _plus_coords(h, v) is not None
 
 
-def member(side, canonical_mat: LMat, v) -> bool:
-    """Is the vector (tuple of LaurentPoly) in the lattice?"""
+def member(side, gens: LMat, v) -> bool:
+    """Is the vector v (tuple of LaurentPoly) in the lattice spanned by the
+    columns of ``gens`` (any generators, in the side's own variable)?"""
     _check_side(side)
+    h, _ = _canonical_plus_cols(_to_plus(side, gens).cols(), gens.nrows)
     if side == "-":
-        canonical_mat = _mirror(canonical_mat)
         v = [a.subs_zinv() for a in v]
-    return _member_plus(canonical_mat, v)
+    return _member_plus(h, v)
 
 
 def incident(c1: LatticeClass, c2: LatticeClass) -> bool:
@@ -366,29 +299,26 @@ def vertex_classes_of_basis(side, basis: LMat, _positions=None):
     minus side it is 1/z times the first j columns plus the rest.  (The
     two markings are the ones whose standard chains are stabilized by
     the respective Borel subgroups; see borel_membership.)  Classes come
-    back in chain order, position 0 first.
+    back in chain order, position 0 first.  A degenerate basis raises
+    NotInvertibleError from the class constructor.
 
     ``_positions`` (private) lists the chain positions to compute, for a
-    caller that reads only some classes and has already checked that the
-    basis is nondegenerate; the classes come back in that order.
+    caller that reads only some classes; the classes come back in that
+    order.
     """
     _check_side(side)
     n = basis.nrows
-    if _positions is None:
-        if basis.ncols != n:
-            raise DomainError("basis must be square")
-        if not basis.det().is_unit_monomial():
-            raise NotInvertibleError("degenerate basis")
-        _positions = range(n)
+    if basis.ncols != n:
+        raise DomainError("basis must be square")
     cols = basis.cols()
     sign = 1 if side == "+" else -1
     out = []
-    for j in _positions:
+    for j in range(n) if _positions is None else _positions:
         chain_cols = [
             tuple(a.shift(sign * m) for a in col) if m else col
             for col, m in zip(cols, _marks(side, n, j))
         ]
-        out.append(lattice_class_of_cols(side, chain_cols))
+        out.append(LatticeClass(side, LMat._of(zip(*chain_cols))))
     return out
 
 

@@ -15,6 +15,7 @@ from twinbuild.cells import PoincareSeries
 from twinbuild.cli import _parse_matrix
 from twinbuild.coxeter import coxeter_matrix
 from twinbuild.errors import DomainError, NotInvertibleError
+from twinbuild.lattice import LatticeClass
 from twinbuild.exactalg import (
     GaussRat,
     LMat,
@@ -37,7 +38,6 @@ from twinbuild.exactalg import (
     poly_to_str,
     qi_roots,
     rref,
-    solve_right,
     zpow,
 )
 from twinbuild import exactalg
@@ -107,6 +107,8 @@ def test_gaussrat_pickles_and_copies():
         pytest.param(LaurentPoly({-1: GaussRat(Fraction(1, 2), 1), 3: 5}), id="LaurentPoly"),
         pytest.param(LMat([[Z, GaussRat(0, 1)], [0, zpow(-1)]]), id="LMat"),
         pytest.param(chamber_from_basis("+", LMat([[1, Z], [0, 1]])), id="Chamber"),
+        pytest.param(LatticeClass("+", LMat([[Z, 1], [0, 1]])), id="LatticeClass"),
+        pytest.param(LatticeClass("-", LMat([[zpow(-1), 1], [1, 0]])), id="minus-LatticeClass"),
         pytest.param(coxeter_matrix("finite-A", 3), id="CoxeterMatrix"),
         pytest.param(coxeter_matrix("affine-A", 2), id="affine-CoxeterMatrix"),
         pytest.param(PoincareSeries([1, 0, 2], 4), id="PoincareSeries"),
@@ -848,9 +850,6 @@ def test_rref_kernel_solve():
     for v in ker:
         for row in rows:
             assert sum((a * x for a, x in zip(row, v)), QI_ZERO) == QI_ZERO
-    x = solve_right([[GaussRat(2)]], [GaussRat(5)])
-    assert x == [GaussRat(Fraction(5, 2))]
-    assert solve_right([[QI_ZERO]], [QI_ONE]) is None
 
 
 def charpoly_oracle(rows):

@@ -43,3 +43,23 @@ def test_star_import_and_submodule_attributes_in_a_fresh_interpreter():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n[]\nTrue\n"
+
+
+def test_every_submodule_star_imports_in_a_fresh_interpreter():
+    # A name left in a submodule's __all__ after its definition is gone
+    # fails here: ``from M import *`` resolves every entry.
+    code = (
+        "import pkgutil, twinbuild\n"
+        "bad = []\n"
+        "for info in pkgutil.iter_modules(twinbuild.__path__):\n"
+        "    if info.name == '__main__':\n"
+        "        continue\n"
+        "    try:\n"
+        "        exec(f'from twinbuild.{info.name} import *', {})\n"
+        "    except Exception as exc:\n"
+        "        bad.append(f'{info.name}: {exc!r}')\n"
+        "print(bad)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -19,26 +19,19 @@ from twinbuild.exactalg import (
     Z,
     parse_poly,
     rref,
-    solve_right,
     zpow,
 )
 from twinbuild.lattice import (
     INF,
-    Lattice,
     LatticeClass,
     PanelChart,
     _canonical_plus_cols,
     _contains,
     _member_plus,
-    _mirror,
     _plus_coords,
     _to_plus,
-    canonical_class,
-    canonical_lattice,
     incident,
-    lattice_class_of_cols,
     member,
-    standard_vertex_mat,
     vertex_classes_of_basis,
 )
 
@@ -51,8 +44,68 @@ def M(rows):
     return LMat([[P(x) if isinstance(x, str) else x for x in row] for row in rows])
 
 
-def cls_of(side, mat):
-    return canonical_class(Lattice(side, mat))
+def standard_vertex_mat(n: int, i: int, side="+") -> LMat:
+    """Generators of the i-th standard vertex lattice: diag(z,..,z,1,..,1)
+    with i copies of z (of 1/z on the minus side)."""
+    v = Z if side == "+" else zpow(-1)
+    return LMat.diag([v] * i + [LP_ONE] * (n - i))
+
+
+def canonical_lattice(side, gens) -> LMat:
+    """The canonical generator matrix of the lattice itself (not of its
+    class): the class matrix scaled back by k = (val det gens - det_val)/n,
+    valuations at 0 on '+' and at infinity on '-'."""
+    c = LatticeClass(side, gens)
+    det = gens.det()
+    k, r = divmod(int(det.val0() if side == "+" else det.val_inf()) - c.det_val(), c.n)
+    assert r == 0
+    return c.scaled(k)
+
+
+def assert_canonical_class(c):
+    """The shape check of a canonical class matrix, independent of the
+    Hermite form that builds it: square and, read in z on '+' and in 1/z
+    on '-', upper triangular with diagonal z^(e_i), every exponent in row
+    i above the diagonal below e_i, and least exponent 0."""
+    side, mat = c.side, c.mat
+    assert isinstance(mat, LMat) and mat.nrows == mat.ncols
+    sign = 1 if side == "+" else -1
+    least = INF
+    for i, row in enumerate(mat.rows):
+        diag = row[i].coeffs
+        assert len(diag) == 1 and not any(row[:i])
+        (e, coeff), = diag.items()
+        assert coeff == QI_ONE
+        e *= sign
+        least = min(least, e)
+        for a in row[i + 1:]:
+            if a:
+                exps = [sign * x for x in a.coeffs]
+                assert max(exps) < e
+                least = min(least, *exps)
+    assert least == 0
+
+
+def solve_right(rows, rhs):
+    """One solution x of A x = b over Q(i), or None if inconsistent: the
+    rref of [A | b]."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = rref(aug)
+    if ncols in pivots:
+        return None
+    x = [QI_ZERO] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def test_solve_right():
+    x = solve_right([[GaussRat(2)]], [GaussRat(5)])
+    assert x == [GaussRat(5, 0) / 2]
+    assert solve_right([[QI_ZERO]], [QI_ONE]) is None
 
 
 def rand_gauss(rng):
@@ -126,7 +179,7 @@ def _basis_of_cols(side, cols) -> LMat:
     if side == "+":
         return LMat._of(zip(*cols))
     # minus marking is mirror-reversed: 1/z marks sit on the first columns
-    return _mirror(LMat._of(zip(*reversed(cols))))
+    return _to_plus(side, LMat._of(zip(*reversed(cols))))
 
 
 class ClassPanelChart:
@@ -201,10 +254,8 @@ class ClassPanelChart:
 
     def gap_class(self, t) -> LatticeClass:
         """The chart: the gap-type class at parameter t (Q(i) or inf)."""
-        cls = lattice_class_of_cols("+", self._B.cols() + [self._gap_vector(t)])
-        if self.side == "-":
-            return LatticeClass("-", _mirror(cls.mat))
-        return cls
+        gens = LMat._of(zip(*self._B.cols(), self._gap_vector(t)))
+        return LatticeClass(self.side, _to_plus(self.side, gens))
 
     def chamber_basis(self, t) -> LMat:
         """Ordered basis of the full chamber obtained by filling the gap
@@ -254,24 +305,26 @@ class ClassPanelChart:
 
 def test_canonical_identity_and_column_order():
     eye = LMat.identity(2)
-    assert canonical_lattice(Lattice("+", eye)) == eye
+    assert LatticeClass("+", eye).mat == eye
     swapped = M([[0, 1], [1, 0]])
-    assert canonical_lattice(Lattice("+", swapped)) == eye
+    assert LatticeClass("+", swapped).mat == eye
 
 
 def test_canonical_pinned_example():
     g = M([["z", 1], [0, 1]])
-    assert canonical_lattice(Lattice("+", g)) == g
+    assert LatticeClass("+", g).mat == g
     # same module, different generators
     g2 = M([[1, "z"], [1, 0]])
-    assert canonical_lattice(Lattice("+", g2)) == g
+    assert LatticeClass("+", g2).mat == g
+    # the lattice itself, not only its class
+    assert canonical_lattice("+", g2.scale(Z)) == g.scale(Z)
 
 
 def test_standard_vertex_generators():
     assert standard_vertex_mat(3, 1) == LMat.diag([Z, 1, 1])
-    got = canonical_lattice(Lattice("+", standard_vertex_mat(3, 2)))
+    got = canonical_lattice("+", standard_vertex_mat(3, 2))
     assert got == LMat.diag([Z, Z, 1])
-    minus = canonical_lattice(Lattice("-", standard_vertex_mat(3, 2, side="-")))
+    minus = canonical_lattice("-", standard_vertex_mat(3, 2, side="-"))
     assert minus == LMat.diag([zpow(-1), zpow(-1), 1])
 
 
@@ -283,8 +336,21 @@ def test_canonical_idempotent_random():
         g = rand_unimodular(rng, n)
         if side == "-":
             g = g.subs_zinv()
-        c = canonical_lattice(Lattice(side, g))
-        assert canonical_lattice(Lattice(side, c)) == c
+        c = canonical_lattice(side, g)
+        assert canonical_lattice(side, c) == c
+        assert LatticeClass(side, c) == LatticeClass(side, g)
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_scaled_class_is_the_hermite_form_of_the_lattice(side):
+    # LatticeClass(s, g).scaled(k), k = (val det g - det_val())/n, is the
+    # Hermite form of the lattice g spans, taken directly.
+    rng = random.Random(41)
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        g = _to_plus(side, rand_unimodular(rng, n).scale(zpow(rng.randint(-2, 2))))
+        h, _ = _canonical_plus_cols(_to_plus(side, g).cols(), n)
+        assert canonical_lattice(side, g) == _to_plus(side, h)
 
 
 def test_canonical_invariant_under_generator_change():
@@ -292,18 +358,22 @@ def test_canonical_invariant_under_generator_change():
     for _ in range(25):
         n = rng.randint(2, 4)
         g = rand_unimodular(rng, n)
-        c1 = canonical_lattice(Lattice("+", g))
+        c1 = canonical_lattice("+", g)
         # right-multiplying by a polynomial matrix with constant nonzero
         # determinant keeps the module
         u = rand_unimodular(rng, n, dmin=0, dmax=2, scalings=False)
-        assert canonical_lattice(Lattice("+", g @ u)) == c1
+        assert canonical_lattice("+", g @ u) == c1
 
 
 def test_degenerate_generators_rejected():
-    with pytest.raises(NotInvertibleError):
-        Lattice("+", M([["1+z", 0], [0, 1]]))
-    with pytest.raises(NotInvertibleError):
-        Lattice("+", M([[1, 1], [1, 1]]))
+    for side in "+-":
+        with pytest.raises(NotInvertibleError):
+            LatticeClass(side, _to_plus(side, M([["1+z", 0], [0, 1]])))
+        with pytest.raises(NotInvertibleError):
+            LatticeClass(side, M([[1, 1], [1, 1]]))
+        # a degenerate basis raises from the class constructor
+        with pytest.raises(NotInvertibleError):
+            vertex_classes_of_basis(side, _to_plus(side, M([["z", 1], ["z^2", "z"]])))
 
 
 def rand_class(rng):
@@ -311,7 +381,7 @@ def rand_class(rng):
     n = rng.randint(2, 4)
     side = rng.choice("+-")
     g = rand_unimodular(rng, n)
-    return cls_of(side, g if side == "+" else g.subs_zinv())
+    return LatticeClass(side, g if side == "+" else g.subs_zinv())
 
 
 def test_class_matrices_and_their_z_multiples_are_canonical():
@@ -319,6 +389,7 @@ def test_class_matrices_and_their_z_multiples_are_canonical():
     rng = random.Random(17)
     for _ in range(30):
         c = rand_class(rng)
+        assert_canonical_class(c)
         h = _to_plus(c.side, c.mat)
         for k in range(-3, 4):
             hk = h.scale(zpow(k))
@@ -335,39 +406,71 @@ def test_class_matrices_and_their_z_multiples_are_canonical():
         [[2, 0], [0, "z"]],          # diagonal coefficient not 1
         [["z", "z"], [0, 1]],        # off-diagonal exponent not below e_0
         [["z", "z^-1"], [0, 1]],     # negative exponent
-        [["1 + z", 0], [0, 1]],      # diagonal not a monomial
-        [[1, 0], [0, 0]],            # zero diagonal
-        [[1, 0, 0], [0, 1, 0]],      # not square
+        [["1 + z", 0], [0, 1]],      # diagonal not a monomial: no lattice
+        [[1, 0], [0, 0]],            # zero column: no lattice
+        [[1, 0, 0], [0, 1, 0]],      # more columns than rows
+        [["z^-2", "1 + z^-1", 3], [0, "z^-1", 0], [0, 0, 1]],  # mirrored form
+        [[1, 1], [1, 1]],            # rank deficient: no lattice
     ],
 )
 def test_lattice_class_rejects_non_canonical_matrices(side, rows):
-    # Read in 1/z on the minus side, so mirror the plus-side examples.
-    mat = M(rows) if side == "+" else M(rows).subs_zinv()
-    with pytest.raises(DomainError):
-        LatticeClass(side, mat)
+    # A class never keeps a non-canonical matrix: generators of a lattice
+    # give the canonical form of their class, the same for every change
+    # of generators, and generators of no lattice (determinant not a unit
+    # c*z^k) raise.  Read in 1/z on the minus side, so mirror the
+    # plus-side examples.
+    gens = _to_plus(side, M(rows))
+    m = gens.ncols
+    if m == gens.nrows and not gens.det().is_unit_monomial():
+        with pytest.raises(NotInvertibleError):
+            LatticeClass(side, gens)
+        return
+    c = LatticeClass(side, gens)
+    assert_canonical_class(c)
+    assert c.mat != gens
+    u = rand_unimodular(random.Random(29), m, dmin=0, dmax=2, scalings=False)
+    assert LatticeClass(side, gens @ _to_plus(side, u)) == c
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_lattice_class_rejects_bad_input(side):
+    for bad_side, gens in [
+        (side, M([[1, 0], [0, 1], [0, 0]])),  # fewer columns than rows
+        (side, [[1, 0], [0, 1]]),             # not an LMat
+        ("0", LMat.identity(2)),
+    ]:
+        with pytest.raises(DomainError) as err:
+            LatticeClass(bad_side, gens)
+        assert type(err.value) is DomainError
 
 
 def test_lattice_class_accepts_canonical_forms_and_rejects_their_mirrors():
+    # A canonical form is its own class matrix.  Its mirror is canonical
+    # on the other side only: on this side it is generators like any
+    # others, and the class does not keep it.
     canonical = M([["z^2", "1 + z", 3], [0, "z", 0], [0, 0, 1]])
-    assert LatticeClass("+", canonical).type == 0
-    assert LatticeClass("-", canonical.subs_zinv()).type == 0
-    with pytest.raises(DomainError):
-        LatticeClass("-", canonical)
-    with pytest.raises(DomainError):
-        LatticeClass("0", LMat.identity(2))
+    mirror = canonical.subs_zinv()
+    assert LatticeClass("+", canonical).mat == canonical
+    assert LatticeClass("-", mirror).mat == mirror
+    assert LatticeClass("+", canonical).type == LatticeClass("-", mirror).type == 0
+    assert LatticeClass("-", canonical).mat != canonical
+    assert LatticeClass("+", mirror).mat != mirror
 
 
 def test_vertex_classes_of_random_bases_are_canonical():
-    # Each class rebuilt through the constructor's check equals the
-    # canonical class of its own matrix, computed by a Hermite form.
+    # Every vertex class passes the shape oracle and is a fixed point of
+    # the constructor; a chamber's chain_classes are the same classes.
     rng = random.Random(23)
-    for _ in range(25):
-        n = rng.randint(2, 4)
-        side = rng.choice("+-")
-        basis = rand_unimodular(rng, n)
-        for c in vertex_classes_of_basis(side, basis):
-            again = LatticeClass(c.side, c.mat)
-            assert again == c == cls_of(side, c.mat)
+    for n in range(2, 6):
+        for side in "+-":
+            for _ in range(6):
+                basis = _to_plus(side, rand_unimodular(rng, n))
+                classes = vertex_classes_of_basis(side, basis)
+                chain = Chamber(side, basis).chain_classes
+                assert set(chain) == set(classes)
+                for c in classes + list(chain):
+                    assert_canonical_class(c)
+                    assert LatticeClass(c.side, c.mat) == c
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +487,8 @@ def test_det_val_matches_the_determinant():
 
 def test_class_mod_scaling():
     eye = LMat.identity(3)
-    a = cls_of("+", eye)
-    b = cls_of("+", LMat.diag([Z, Z, Z]))
+    a = LatticeClass("+", eye)
+    b = LatticeClass("+", LMat.diag([Z, Z, Z]))
     assert a == b
     assert a.mat == eye
 
@@ -393,16 +496,16 @@ def test_class_mod_scaling():
 def test_types_of_standard_vertices():
     for n in (2, 3, 4):
         for i in range(n):
-            c = cls_of("+", standard_vertex_mat(n, i))
+            c = LatticeClass("+", standard_vertex_mat(n, i))
             assert c.type == i
-            cm = cls_of("-", standard_vertex_mat(n, i, side="-"))
+            cm = LatticeClass("-", standard_vertex_mat(n, i, side="-"))
             assert cm.type == i
 
 
 def test_type_shifts_with_determinant():
     g = LMat.diag([Z, 1, 1])
     for i in range(3):
-        c = cls_of("+", g @ standard_vertex_mat(3, i))
+        c = LatticeClass("+", g @ standard_vertex_mat(3, i))
         assert c.type == (i + 1) % 3
 
 
@@ -412,28 +515,53 @@ def test_type_shifts_with_determinant():
 
 
 def test_membership_basics():
-    h = canonical_lattice(Lattice("+", M([["z", 1], [0, 1]])))
-    assert member("+", h, (P("z"), P("0")))
-    assert member("+", h, (P("1"), P("1")))
-    assert member("+", h, (P("z + 1"), P("1")))
-    assert not member("+", h, (P("1"), P("0")))
-    assert not member("+", h, (P("z^-1"), P("0")))
+    g = M([["z", 1], [0, 1]])
+    assert member("+", g, (P("z"), P("0")))
+    assert member("+", g, (P("1"), P("1")))
+    assert member("+", g, (P("z + 1"), P("1")))
+    assert not member("+", g, (P("1"), P("0")))
+    assert not member("+", g, (P("z^-1"), P("0")))
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_member_takes_any_generators(side):
+    # (1, 1) and (0, z) span {(x, y) : y = x mod z}; the generators are
+    # not a Hermite form, and back substitution against them would take
+    # (1, 0) for a member.
+    gens = _to_plus(side, M([[1, 0], [1, "z"]]))
+    for v, inside in [
+        (("1", "1"), True),
+        (("0", "z"), True),
+        (("z", "0"), True),
+        (("1 + z", "1 + z^2"), True),
+        (("1", "0"), False),
+        (("0", "1"), False),
+        (("z^-1", "z^-1"), False),
+    ]:
+        v = [_to_plus(side, P(x)) for x in v]
+        assert member(side, gens, v) is inside
 
 
 def test_membership_random_combinations():
     rng = random.Random(13)
     for _ in range(30):
         n = rng.randint(2, 4)
-        g = rand_unimodular(rng, n)
-        h = canonical_lattice(Lattice("+", g))
+        side = rng.choice("+-")
+        g = _to_plus(side, rand_unimodular(rng, n))
         v = [P("0")] * n
         for j in range(n):
-            c = zpow(rng.randint(0, 2), rand_gauss(rng))
+            c = _to_plus(side, zpow(rng.randint(0, 2), rand_gauss(rng)))
             col = g.col(j)
             v = [a + c * b for a, b in zip(v, col)]
-        assert member("+", h, v)
+        assert member(side, g, v)
+        # coordinates in a basis are unique, so one coordinate with a
+        # z^-1 (a z on '-') puts the vector outside
+        j = rng.randrange(n)
+        off = _to_plus(side, zpow(-1))
+        bad = [a + off * b for a, b in zip(v, g.col(j))]
+        assert not member(side, g, bad)
         # class representatives are polynomial, so a z^-1 entry is outside
-        c = canonical_class(Lattice("+", g)).mat
+        c = LatticeClass("+", _to_plus(side, g)).mat
         j = next(
             j for j in range(n) if any(a and a.val0() == 0 for a in c.col(j))
         )
@@ -448,15 +576,15 @@ def test_membership_random_combinations():
 
 def test_standard_vertices_pairwise_incident():
     for n in (2, 3, 4):
-        cs = [cls_of("+", standard_vertex_mat(n, i)) for i in range(n)]
+        cs = [LatticeClass("+", standard_vertex_mat(n, i)) for i in range(n)]
         for a in cs:
             for b in cs:
                 assert incident(a, b)
 
 
 def test_distant_classes_not_incident():
-    a = cls_of("+", LMat.identity(2))
-    b = cls_of("+", M([["z^2", 0], [0, "z^-2"]]))
+    a = LatticeClass("+", LMat.identity(2))
+    b = LatticeClass("+", M([["z^2", 0], [0, "z^-2"]]))
     assert a.type == b.type == 0
     assert not incident(a, b)
     assert not incident(b, a)
@@ -466,19 +594,19 @@ def test_incidence_symmetric_and_invariant():
     rng = random.Random(14)
     for _ in range(20):
         n = rng.randint(2, 3)
-        c1 = cls_of("+", rand_unimodular(rng, n))
-        c2 = cls_of("+", rand_unimodular(rng, n))
+        c1 = LatticeClass("+", rand_unimodular(rng, n))
+        c2 = LatticeClass("+", rand_unimodular(rng, n))
         forth, back = incident(c1, c2), incident(c2, c1)
         assert forth == back
         g = rand_unimodular(rng, n, dmin=0, dmax=1)
-        gc1 = cls_of("+", g @ c1.mat)
-        gc2 = cls_of("+", g @ c2.mat)
+        gc1 = LatticeClass("+", g @ c1.mat)
+        gc2 = LatticeClass("+", g @ c2.mat)
         assert incident(gc1, gc2) == forth
 
 
 def test_incidence_checks_sides():
-    a = cls_of("+", LMat.identity(2))
-    b = cls_of("-", LMat.identity(2))
+    a = LatticeClass("+", LMat.identity(2))
+    b = LatticeClass("-", LMat.identity(2))
     with pytest.raises(DomainError):
         incident(a, b)
 
@@ -540,7 +668,7 @@ def test_chart_recovers_translation_parameter():
 
 
 def test_chart_round_trip_pinned_values():
-    chart = ClassPanelChart([cls_of("+", LMat.identity(2))])
+    chart = ClassPanelChart([LatticeClass("+", LMat.identity(2))])
     seen = set()
     for t in (GaussRat(0), GaussRat(1), QI_I, GaussRat(2, 3), INF):
         c = chart.gap_class(t)
@@ -631,19 +759,19 @@ def test_chart_sandwich_matches_inverse_construction():
 
 
 def test_chart_rejects_bad_input():
-    a = cls_of("+", LMat.identity(2))
+    a = LatticeClass("+", LMat.identity(2))
     with pytest.raises(DomainError):
         ClassPanelChart([a, a])  # a panel has one vertex when n = 2
-    eye3 = cls_of("+", LMat.identity(3))
-    same_type = cls_of("+", LMat.diag([P("z^2"), Z, 1]))
+    eye3 = LatticeClass("+", LMat.identity(3))
+    same_type = LatticeClass("+", LMat.diag([P("z^2"), Z, 1]))
     with pytest.raises(DomainError):
         ClassPanelChart([eye3, same_type])  # both of type 0
-    far = cls_of("+", LMat.diag([P("z^2"), P("z^2"), 1]))
+    far = LatticeClass("+", LMat.diag([P("z^2"), P("z^2"), 1]))
     with pytest.raises(DomainError):
         ClassPanelChart([eye3, far])  # types 0 and 1 but not incident
     chart = ClassPanelChart([a])
     with pytest.raises(DomainError):
-        chart.parameter_of(cls_of("+", M([["z^3", 0], [0, "z^-2"]])))
+        chart.parameter_of(LatticeClass("+", M([["z^3", 0], [0, "z^-2"]])))
 
 
 # ---------------------------------------------------------------------------

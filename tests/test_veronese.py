@@ -26,7 +26,7 @@ from twinbuild.exactalg import (
     charpoly,
     qi_roots,
 )
-from twinbuild.lattice import Lattice, canonical_class
+from twinbuild.lattice import LatticeClass
 from twinbuild.veronese import (
     SubspaceFlag,
     affine_veronese_vertex,
@@ -584,7 +584,7 @@ def test_affine_vertex_injective_on_lattice_classes():
             vertex_mat = g @ LMat.diag(
                 [LaurentPoly({1: QI_ONE})] * k + [LP_ONE] * (n - k)
             )
-            cls = canonical_class(Lattice("+", vertex_mat))
+            cls = LatticeClass("+", vertex_mat)
             op = affine_veronese_vertex(g, k)
             for cls2, op2 in seen:
                 if cls2 != cls:
