@@ -30,7 +30,9 @@ both sides, with codelta(x n_v B-, x n_w B+) = v^{-1} w.
 
 Right products by n_w, by the chain shift, by the engine's lead
 monomials and by their inverse are column moves in one helper,
-``_move_cols``: none goes through the Laurent matmul.
+``_move_cols``, and the left products by their inverses that carried
+inverses need are row moves in ``_move_rows``: none goes through the
+Laurent matmul.
 
 Both gates come from one run of the reduction engine.  For a chamber c
 and the carrier d of a face, the engine factors c.rep^{-1} d.rep as
@@ -40,9 +42,23 @@ twin apartment when the sides differ -- holding c at 1 and d at the
 position of m.  The gate lies in that apartment, where the residue of
 the face is a coset of the finite group W_J: project takes its shortest
 element, project_twin its longest.
+
+The engine records its column operations, so each run also returns b:
+``bruhat_factors`` gives the Iwahori-Bruhat factorisation (same sides) or
+the Birkhoff factorisation (opposite sides).  A gate is c.rep r N = d.rep
+b N (r = c.rep^{-1} d.rep b the reduced matrix, N monomial), built by
+replaying the operations on the columns of d.rep, and every chamber the
+library builds carries its inverse as a lazy product of known pieces:
+G^{-1} = N^{-1} b^{-1} d.rep^{-1} replays them as row operations on d's
+inverse, then moves rows.  The common basis x = cp.rep b, the reference
+chambers x n_v and the panel chambers carrier T_t (T_t the chart's 2 x 2
+block) invert the same way.  The minor table inverts only the chambers a
+caller validated, each once.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .coxeter import (
     AffineWeylElt,
@@ -77,8 +93,8 @@ __all__ = [
     "TwinPosition",
     "chamber_from_basis",
     "standard_chamber",
-    "apartment_chambers",
     "borel_membership",
+    "bruhat_factors",
     "weyl_matrix",
     "delta",
     "codelta",
@@ -97,22 +113,35 @@ __all__ = [
 ]
 
 
-def _move_cols(mat: LMat, u, coeffs=None) -> LMat:
-    """mat n_u diag(coeffs), by moving columns: column j of the product is
-    c z^{-k} times column r of mat, where u(j) - 1 = r + n k and c is
-    coeffs[j] (1 without coeffs, and then a shift of exponents)."""
+def _moved(vecs, u, coeffs, sign):
+    """Vector j of the result is c z^{sign k} times vector r of vecs, where
+    u(j) - 1 = r + n k and c is coeffs[j] (1 without coeffs, and then a
+    shift of exponents)."""
     n = len(u)
-    cols = mat.cols()
     out = []
     for j, v in enumerate(u):
         k, r = divmod(v - 1, n)
-        c, col = coeffs[j] if coeffs else QI_ONE, cols[r]
+        c, vec, k = coeffs[j] if coeffs else QI_ONE, vecs[r], sign * k
         if c != QI_ONE:
-            col = [_lp({e - k: c * x for e, x in a.coeffs.items()}) for a in col]
+            vec = [_lp({e + k: c * x for e, x in a.coeffs.items()}) for a in vec]
         elif k:
-            col = [a.shift(-k) for a in col]
-        out.append(col)
-    return LMat._of(zip(*out))
+            vec = [a.shift(k) for a in vec]
+        out.append(vec)
+    return out
+
+
+def _move_cols(mat: LMat, u, coeffs=None) -> LMat:
+    """mat n_u diag(coeffs), by moving columns: column j of the product is
+    c z^{-k} times column r of mat, where u(j) - 1 = r + n k and c is
+    coeffs[j]."""
+    return LMat._of(zip(*_moved(mat.cols(), u, coeffs, -1)))
+
+
+def _move_rows(mat: LMat, u, coeffs=None) -> LMat:
+    """diag(coeffs) n_u^{-1} mat, by moving rows: row j of the product is
+    c z^k times row r of mat, where u(j) - 1 = r + n k and c is coeffs[j].
+    So (mat n_u diag(c))^{-1} = _move_rows(mat^{-1}, u, 1/c)."""
+    return LMat._of(_moved(mat.rows, u, coeffs, 1))
 
 
 def _align(mat, det):
@@ -147,12 +176,15 @@ class Chamber:
     Hermite form, so it is computed when a caller first reads it:
     ``_chain[p]`` is the class at chain position p, or None until then.
 
-    The inverse of the representative is computed once, when ``_relpos``
-    first asks for it.  A chamber whose basis needed no alignment keeps
-    the top minor chain of its determinant check until then, so the
-    inverse reuses it (``LMat._inv_from``)."""
+    The inverse of the representative is carried or computed once, when
+    ``_relpos`` first asks for it.  A chamber the library built carries it
+    as a lazy product of known pieces (see the module notes): the inverse
+    of its base chamber ``_base`` and ``_inv_of``, which takes that to its
+    own.  A chamber a caller validated has no base and computes it from
+    the minor table, reusing the top minor chain of its determinant check
+    when its basis needed no alignment (``LMat._inv_from``)."""
 
-    __slots__ = ("side", "rep", "n", "_chain", "_classes", "_minors", "_inv")
+    __slots__ = ("side", "rep", "n", "_chain", "_classes", "_inv", "_inv_of", "_base")
 
     def __init__(self, side, rep: LMat):
         _check_side(side)
@@ -164,33 +196,47 @@ class Chamber:
         if not det.is_unit_monomial():
             raise NotInvertibleError("chamber representative is degenerate")
         aligned = _align(rep, det)
-        self._set(side, aligned, minors if aligned is rep else None)
+        if aligned is rep:
+            self._set(side, rep, None, partial(rep._inv_from, minors))
+        else:
+            self._set(side, aligned, None, aligned.inv)
 
     @classmethod
-    def _built(cls, side, rep: LMat) -> "Chamber":
+    def _built(cls, side, rep: LMat, base: "Chamber", inv_of) -> "Chamber":
         """A chamber whose representative the library built as a product
-        of aligned factors (an aligned basis, engine column operations,
-        m0^{-1}, n_w), so its determinant is a constant: no determinant
-        check and no alignment."""
+        of aligned factors (a base chamber's representative, engine column
+        operations, m0^{-1}, n_w, a chart block), so its determinant is a
+        constant: no determinant check and no alignment.  ``inv_of(inv)``
+        returns rep^{-1} from inv = base.rep^{-1} and the inverses of the
+        other factors (a partial, so the chamber pickles)."""
         c = object.__new__(cls)
-        c._set(side, rep, None)
+        c._set(side, rep, base, inv_of)
         return c
 
-    def _set(self, side, rep, minors):
+    def _set(self, side, rep, base, inv_of):
         self.side = side
         self.rep = rep
         self.n = rep.nrows
         self._chain = [None] * self.n
         self._classes = None
-        self._minors = minors
         self._inv = None
+        self._inv_of = inv_of
+        self._base = base
 
     def _inverse(self) -> LMat:
-        """rep^{-1}, computed on first use and kept; the kept minor chain
-        is dropped once it has served."""
-        if self._inv is None:
-            minors, self._minors = self._minors, None
-            self._inv = self.rep._inv_from(minors or _top_minors(self.rep.rows))
+        """rep^{-1}, computed on first use and kept; what it was computed
+        from (a minor chain, a base and the pieces of a product) is
+        dropped.  The bases still waiting for their inverse are walked in
+        a loop, not by recursion: a gallery of gates, each the base of the
+        next, can be longer than the interpreter's recursion limit."""
+        waiting, c = [], self
+        while c is not None and c._inv is None:
+            waiting.append(c)
+            c = c._base
+        for c in reversed(waiting):
+            base, c._base = c._base, None
+            c._inv = c._inv_of(base._inv) if base is not None else c._inv_of()
+            c._inv_of = None
         return self._inv
 
     def _vertices(self, positions):
@@ -231,8 +277,7 @@ class Chamber:
             return NotImplemented
         if self.side != other.side or self.n != other.n:
             return False
-        u, _, _ = _relpos(self, other)
-        return u == widentity(self.n)
+        return _relpos(self, other)[0] == widentity(self.n)
 
     def __hash__(self):
         # equal chambers share every vertex, the type-0 one included
@@ -343,14 +388,6 @@ def weyl_matrix(elt: AffineWeylElt) -> LMat:
     return _move_cols(LMat.identity(len(elt.window)), elt.window)
 
 
-def apartment_chambers(basis: LMat, word_or_elt, side="+") -> Chamber:
-    """The chamber at Weyl position w in the apartment of the basis."""
-    _check_side(side)
-    if not isinstance(word_or_elt, AffineWeylElt):
-        word_or_elt = word_to_affine(tuple(word_or_elt), basis.nrows)
-    return Chamber(side, _move_cols(basis, word_or_elt.window))
-
-
 # ---------------------------------------------------------------------------
 # The reduction engine
 # ---------------------------------------------------------------------------
@@ -377,6 +414,11 @@ def apartment_chambers(basis: LMat, word_or_elt, side="+") -> Chamber:
 # exponents stay inside a window fixed by the determinant, so the loop
 # terminates with all leading rows distinct.  Reading off the leading
 # monomials gives the relative position.
+#
+# Each operation col_j2 -= f col_jr is recorded as (j2, f, jr), so b, the
+# product of the operations, is known without a matrix product: replayed
+# in order on the columns of 1 they give b, and replayed in order as the
+# row operations row_jr += f row_j2 they give b^{-1} mat.
 
 
 def _lead(col, key_plus):
@@ -393,7 +435,9 @@ def _lead(col, key_plus):
 
 def _reduce(cols, key_plus, ops_plus):
     """Reduce columns in place until leading rows are distinct; returns
-    the final leadings [(exponent, row, coefficient)]."""
+    the final leadings [(exponent, row, coefficient)] and the operations
+    [(j2, f, jr)] in the order they were made."""
+    ops = []
     while True:
         leads = [_lead(c, key_plus) for c in cols]
         byrow = {}
@@ -405,7 +449,7 @@ def _reduce(cols, key_plus, ops_plus):
                 clash = js
                 break
         if clash is None:
-            return leads
+            return leads, ops
         if ops_plus:
             jr = min(clash, key=lambda j: (leads[j][0], j))
         else:
@@ -417,47 +461,92 @@ def _reduce(cols, key_plus, ops_plus):
             e2, _, c2 = leads[j2]
             f = LaurentPoly({e2 - er: c2 / cr})
             cols[j2] = _col_sub(cols[j2], f, cols[jr])
+            ops.append((j2, f, jr))
 
 
 def _relpos(c: Chamber, d: Chamber):
     """Normal form of a = c.rep^{-1} d.rep relative to (c's Borel, d's
     Borel).
 
-    Returns (u, r, leads): the window of the monomial read-off, the
-    reduced matrix r = a b (b in d's Borel, the engine's column
-    operations), and the leading monomials of r.
+    Returns (u, r, leads, ops): the window of the monomial read-off, the
+    reduced matrix r = a b (b in d's Borel, the product of the engine's
+    column operations ops), and the leading monomials of r.
     """
     if c.n != d.n:
         raise DomainError("dimension mismatch")
     n = c.n
     a = c._inverse() @ d.rep
     cols = [list(a.col(j)) for j in range(n)]
-    leads = _reduce(cols, c.side == "+", d.side == "+")
+    leads, ops = _reduce(cols, c.side == "+", d.side == "+")
     u = tuple(i + 1 - n * e for e, i, _ in leads)
     if sum(e for e, _, _ in leads):
         raise DomainError("read-off shifts do not sum to 0; not an affine Weyl element")
-    return u, LMat._of(zip(*cols)), leads
+    return u, LMat._of(zip(*cols)), leads, ops
 
 
-def _times_reduced(mat: LMat, rel) -> LMat:
-    """mat r, for rel = (u, r, leads) = _relpos(., .).  When the engine
-    left no term but the leads, r is their monomial n_u diag(c_j) and the
-    product a column move."""
-    u, r, leads = rel
-    if sum(sum(map(bool, row)) for row in r.rows) > r.nrows:
-        return mat @ r
-    return _move_cols(mat, u, [lc for _, _, lc in leads])
+def _replay_cols(ops, mat: LMat) -> LMat:
+    """mat b, for b the product of the engine operations ops."""
+    cols = mat.cols()
+    for j2, f, jr in ops:
+        cols[j2] = _col_sub(cols[j2], f, cols[jr])
+    return LMat._of(zip(*cols))
 
 
-def _gate_basis(c: Chamber, rel, w) -> LMat:
-    """c.rep b_L n_w, for rel = (u, r, leads) = _relpos(c, .): r = b_L m
-    with m = n_u diag(c_j), c_j the lead coefficients, so b_L n_w = r
-    diag(c_j^{-1}) n_v, v = u^{-1} w.  c.rep b_L is the basis of an
-    apartment through c, with c at the identity; this is its chamber at w."""
-    u, _, leads = rel
+def _replay_rows(ops, mat: LMat) -> LMat:
+    """b^{-1} mat, for b the product of the engine operations ops."""
+    rows = list(mat.rows)
+    for j2, f, jr in ops:
+        rows[jr] = _col_sub(rows[jr], -f, rows[j2])
+    return LMat._of(rows)
+
+
+def _lead_move(rel, w):
+    """(v, lc) with b_L n_w = r diag(lc)^{-1} n_v, for rel = (u, r, leads,
+    ops) = _relpos(., .): r = b_L n_u diag(c_j), c_j the lead coefficients,
+    so v = u^{-1} w, and diag(c)^{-1} n_v = n_v diag(lc)^{-1} with lc[j]
+    the lead coefficient of the column that n_v moves to position j."""
+    u, _, leads, _ = rel
     v = wcompose(winvert(u), w)
-    coeffs = [leads[(x - 1) % len(v)][2].inverse() for x in v]
-    return _move_cols(_times_reduced(c.rep, rel), v, coeffs)
+    return v, [leads[(x - 1) % len(v)][2] for x in v]
+
+
+def _gate(side, d: Chamber, rel, w) -> Chamber:
+    """The chamber c.rep b_L n_w on the given side, for rel = _relpos(c, d):
+    c.rep b_L is the basis of an apartment through c, with c at the
+    identity, and this is its chamber at w.  As c.rep r = d.rep b, its
+    representative is G = d.rep b N, N = n_v diag(lc)^{-1}, and it carries
+    G^{-1} = N^{-1} b^{-1} d.rep^{-1}."""
+    v, lc = _lead_move(rel, w)
+    rep = _move_cols(_replay_cols(rel[3], d.rep), v, [x.inverse() for x in lc])
+    return Chamber._built(side, rep, d, partial(_gate_inverse, rel[3], v, lc))
+
+
+def _gate_inverse(ops, v, lc, inv: LMat) -> LMat:
+    """N^{-1} b^{-1} inv, for b the product of ops and N = n_v diag(lc)^{-1}
+    (see _gate)."""
+    return _move_rows(_replay_rows(ops, inv), v, lc)
+
+
+def bruhat_factors(c: Chamber, d: Chamber):
+    """The factors (b_L, w, t, b) of c.rep^{-1} d.rep = b_L n_w t b^{-1},
+    read off one engine run: b_L in c's Borel up to a constant
+    determinant, w the Weyl distance (same sides) or codistance (opposite
+    sides), t the constant diagonal of lead coefficients, and b in d's
+    Borel, the product of the recorded column operations.  On one side
+    this is the Iwahori-Bruhat decomposition, across the two sides the
+    Birkhoff factorisation.
+
+    >>> c, d = standard_chamber("+", 2), standard_chamber("-", 2)
+    >>> b_l, w, t, b = bruhat_factors(c, d)
+    >>> w.length(), b_l == t == b == LMat.identity(2)
+    (0, True)
+    """
+    rel = _relpos(c, d)
+    u, r, leads, ops = rel
+    v, lc = _lead_move(rel, widentity(c.n))
+    b_l = _move_cols(r, v, [x.inverse() for x in lc])
+    t = LMat.diag([x for _, _, x in leads])
+    return b_l, AffineWeylElt.from_window(u), t, _replay_cols(ops, LMat.identity(c.n))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +558,7 @@ def delta(c: Chamber, d: Chamber) -> AffineWeylElt:
     """Weyl distance between chambers on the same side."""
     if c.side != d.side:
         raise DomainError("delta needs chambers on the same side; use codelta")
-    u, _, _ = _relpos(c, d)
-    return AffineWeylElt.from_window(u)
+    return AffineWeylElt.from_window(_relpos(c, d)[0])
 
 
 def codelta(c: Chamber, d: Chamber) -> AffineWeylElt:
@@ -478,8 +566,7 @@ def codelta(c: Chamber, d: Chamber) -> AffineWeylElt:
     codelta(c, d) == codelta(d, c)^{-1})."""
     if c.side == d.side:
         raise DomainError("codelta needs chambers on opposite sides; use delta")
-    u, _, _ = _relpos(c, d)
-    return AffineWeylElt.from_window(u)
+    return AffineWeylElt.from_window(_relpos(c, d)[0])
 
 
 def delta_word(c: Chamber, d: Chamber):
@@ -511,7 +598,7 @@ class TwinPosition(Record):
 
 def _double_coset_position(x: Simplex, y: Simplex) -> TwinPosition:
     j, k = x.cotype_nodes(), y.cotype_nodes()
-    u, _, _ = _relpos(x.carrier, y.carrier)
+    u = _relpos(x.carrier, y.carrier)[0]
     return TwinPosition(j, _window_word(min_double_coset_rep(u, set(j), set(k))), k)
 
 
@@ -545,7 +632,7 @@ def project(x: Simplex, c: Chamber) -> Chamber:
         raise DomainError("project needs a face and a chamber on the same side")
     rel = _relpos(c, x.carrier)
     wmin, _ = coset_min_split(rel[0], set(x.cotype_nodes()))
-    return Chamber._built(c.side, _gate_basis(c, rel, wmin))
+    return _gate(c.side, x.carrier, rel, wmin)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +663,7 @@ def project_twin(x: Simplex, c: Chamber) -> Chamber:
         if not up:
             break
         u = wcompose(u, wgen(up[0], n))
-    return Chamber._built(x.side, _gate_basis(c, rel, u))
+    return _gate(x.side, x.carrier, rel, u)
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +674,19 @@ def project_twin(x: Simplex, c: Chamber) -> Chamber:
 def common_basis(cm: Chamber, cp: Chamber) -> LMat:
     """A basis x with chamber_from_basis('-', x) = cm and
     chamber_from_basis('+', x) = cp; exists exactly for opposite pairs."""
+    return _common_chamber(cm, cp).rep
+
+
+def _common_chamber(cm: Chamber, cp: Chamber) -> Chamber:
+    """cp held by the common basis x = cm.rep r = cp.rep b, carrying
+    x^{-1} = b^{-1} cp.rep^{-1}."""
     if cm.side != "-" or cp.side != "+":
         raise DomainError("common_basis takes a minus chamber then a plus chamber")
     rel = _relpos(cm, cp)
     if rel[0] != widentity(cm.n):
         raise DomainError("chambers are not opposite")
-    # a = cm.rep^{-1} cp.rep and r = a b, so cp.rep b = cm.rep r
-    return _times_reduced(cm.rep, rel)
+    ops = rel[3]
+    return Chamber._built("+", _replay_cols(ops, cp.rep), cp, partial(_replay_rows, ops))
 
 
 def _chart(panel: Simplex) -> PanelChart:
@@ -607,11 +700,15 @@ def panel_chamber(panel: Simplex, t) -> Chamber:
     """The chamber through a panel at chart parameter t (or INF).
 
     The chart comes from the carrier's basis and one Hermite form (see
-    PanelChart); the chamber's representative is the carrier's with the
-    two basis columns that move in the panel replaced."""
+    PanelChart); the chamber's representative is carrier T_t, the
+    carrier's with the two basis columns that move in the panel replaced,
+    and it carries its inverse T_t^{-1} carrier^{-1}."""
     if len(panel.kept_types) != panel.n - 1:
         raise DomainError("panel_chamber needs a panel (exactly one type missing)")
-    return Chamber._built(panel.side, _chart(panel).chamber_basis(t))
+    chart = _chart(panel)
+    return Chamber._built(
+        panel.side, chart.chamber_basis(t), panel.carrier, partial(chart.chamber_inverse, t)
+    )
 
 
 def panel_parameter(panel: Simplex, c: Chamber):
@@ -629,14 +726,18 @@ def panel_parameter(panel: Simplex, c: Chamber):
     return _chart(panel).parameter_of(c)
 
 
-def _reference_panels(dm: Chamber, x: LMat, word):
-    """The gallery of type word from dm in the twin apartment of x: for
-    each letter s, the chain position of s on the plus side and the
-    s-panel of the minus chamber x n_v B-, v the prefix before s."""
+def _reference_panels(dm: Chamber, x: Chamber, word):
+    """The gallery of type word from dm in the twin apartment of x (a
+    chamber held by the common basis): for each letter s, the chain
+    position of s on the plus side and the s-panel of the minus chamber
+    x n_v B-, v the prefix before s."""
     n = dm.n
     prefix = widentity(n)
     for k, s in enumerate(word):
-        d = Chamber._built("-", _move_cols(x, prefix)) if k else dm
+        if k:
+            d = Chamber._built("-", _move_cols(x.rep, prefix), x, partial(_move_rows, u=prefix))
+        else:
+            d = dm
         yield _position_of_node(s, n, "+"), d.panel(_position_of_node(s, n, "-"))
         prefix = wcompose(prefix, wgen(s, n))
 
@@ -653,7 +754,7 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
     if cp.side != "+" or dm.side != "-" or e.side != "+":
         raise DomainError("encode_coords takes (plus, minus, plus) chambers")
     n = cp.n
-    x = common_basis(dm, cp)
+    x = _common_chamber(dm, cp)
     welt = delta(cp, e)
     if word is None:
         word = affine_to_word(welt)
@@ -691,7 +792,7 @@ def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
     if cp.side != "+" or dm.side != "-":
         raise DomainError("decode_coords takes (plus, minus) chambers")
     n = cp.n
-    x = common_basis(dm, cp)
+    x = _common_chamber(dm, cp)
     word = tuple(word)
     welt = word_to_affine(word, n)
     if welt.length() != len(word):

@@ -362,6 +362,10 @@ class PanelChart:
     is Q(i) linear algebra there.  A chamber's representative is
     normalised (chain position p carries type p), which the chart relies
     on; parameter_of does not check that its chamber contains the panel.
+
+    The chamber at t is carrier T_t: T_t is a monomial 2 x 2 block on
+    columns p, q, a right factor of the carrier's basis, with inverse two
+    row operations (``chamber_inverse``).
     """
 
     def __init__(self, carrier, gap: int):
@@ -374,7 +378,10 @@ class PanelChart:
         else:
             p, q = gap, (gap - 1) % n
         marks = _marks(side, n, gap - 1)
-        self._p, self._q, self._dq = p, q, marks[q]  # marks[p] is 0
+        # a_q = z^shift b_q (the mark of q, in the side's own variable);
+        # marks[p] is 0
+        self._p, self._q = p, q
+        self._shift = marks[q] if side == "+" else -marks[q]
         gens = [_plus_col(side, col, m) for col, m in zip(rep.cols(), marks)]
         self._A, u0 = _canonical_plus_cols(gens, n)
         # rows p, q of U(0), where A = gens U: the coordinates in (a_p, a_q)
@@ -392,29 +399,49 @@ class PanelChart:
         self._c1 = [self._u2[1] * x - self._u2[0] * y for x, y in zip(rp, rq)]
         self._c2 = [self._u1[0] * y - self._u1[1] * x for x, y in zip(rp, rq)]
 
+    def _block(self, t):
+        """(al, be): a_p moves to al a_p + be a_q, on the line of u1 + t*u2
+        modulo B."""
+        if t == INF:
+            return self._u2
+        return self._u1[0] + t * self._u2[0], self._u1[1] + t * self._u2[1]
+
     def chamber_basis(self, t) -> LMat:
         """The representative of the chamber at parameter t (Q(i) or INF):
-        the carrier's with the columns p, q replaced by a constant block on
-        A's generators a_p, a_q, so a_p moves to the line of u1 + t*u2
-        modulo B, and the determinant stays the carrier's up to sign."""
-        if t == INF:
-            al, be = self._u2
-        else:
-            al, be = self._u1[0] + t * self._u2[0], self._u1[1] + t * self._u2[1]
-        p, q, dq = self._p, self._q, self._dq
+        carrier T_t, the carrier's with the columns p, q replaced by a
+        constant block on A's generators a_p, a_q, so a_p moves to the line
+        of u1 + t*u2 modulo B, and the determinant stays the carrier's up
+        to sign."""
+        al, be = self._block(t)
+        p, q, s = self._p, self._q, self._shift
         cols = self._rep.cols()
         bp, bq = cols[p], cols[q]
-        shift = dq if self.side == "+" else -dq
-        aq = tuple(x.shift(shift) for x in bq) if dq else bq
         if al:
-            # [[al, 0], [be, 1/al]]
-            cols[p] = tuple(al * x + be * y for x, y in zip(bp, aq))
+            # [[al, 0], [be z^s, 1/al]]
+            cols[p] = tuple(al * x + be * y.shift(s) for x, y in zip(bp, bq))
             cols[q] = tuple(al.inverse() * y for y in bq)
         else:
-            # [[0, 1/be], [be, 0]]
-            cols[p] = tuple(be * y for y in aq)
-            cols[q] = tuple(be.inverse() * x.shift(-shift) for x in bp)
+            # [[0, 1/be z^-s], [be z^s, 0]]
+            cols[p] = tuple(be * y.shift(s) for y in bq)
+            cols[q] = tuple(be.inverse() * x.shift(-s) for x in bp)
         return LMat._of(zip(*cols))
+
+    def chamber_inverse(self, t, inv: LMat) -> LMat:
+        """T_t^{-1} inv, for inv the inverse of the carrier's basis: the
+        inverse of chamber_basis(t), by two row operations on rows p, q."""
+        al, be = self._block(t)
+        p, q, s = self._p, self._q, self._shift
+        rows = list(inv.rows)
+        rp, rq = rows[p], rows[q]
+        if al:
+            # [[1/al, 0], [-be z^s, al]]
+            rows[p] = [al.inverse() * x for x in rp]
+            rows[q] = [al * y - be * x.shift(s) for x, y in zip(rp, rq)]
+        else:
+            # the swap block is its own inverse
+            rows[p] = [be.inverse() * y.shift(-s) for y in rq]
+            rows[q] = [be * x.shift(s) for x in rp]
+        return LMat._of(rows)
 
     def parameter_of(self, chamber):
         """Inverse chart: the parameter (INF allowed) of a chamber through

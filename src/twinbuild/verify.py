@@ -14,6 +14,8 @@ from fractions import Fraction
 
 from .building import (
     _position_of_node,
+    borel_membership,
+    bruhat_factors,
     chamber_from_basis,
     codelta,
     decode_coords,
@@ -38,7 +40,7 @@ from .coxeter import (
     word_to_window,
 )
 from .errors import DomainError
-from .exactalg import GaussRat, LMat, LaurentPoly, LP_ZERO, QI_ONE
+from .exactalg import GaussRat, LMat, LaurentPoly, LP_ONE, LP_ZERO, QI_ONE
 from .lattice import INF
 from .record import Record
 from .samples import (
@@ -152,6 +154,39 @@ def _suite_codelta_recover(col, rng, count):
         col.check(
             codelta(cp, cm) == got.inverse(), f"codelta symmetry case {i}: n={n}"
         )
+
+
+def _factors_certified(c, d, planted):
+    """The checks of the factor-certificate suite on one pair."""
+    b_l, w, t, b = bruhat_factors(c, d)
+    a = c.rep.inv() @ d.rep
+    r = b_l @ weyl_matrix(w) @ t
+    if not (w == planted and a @ b == r and a == r @ b.inv()):
+        return False
+    det = b_l.det()
+    if set(det.coeffs) != {0} or not borel_membership(d.side, b):
+        return False
+    # b_L with its first column scaled to determinant 1 keeps its shape
+    unit = LMat.diag([LaurentPoly({0: det.coeffs[0].inverse()})] + [LP_ONE] * (c.n - 1))
+    return borel_membership(c.side, b_l @ unit) and all(
+        set(t[k, k].coeffs) == {0} for k in range(c.n)
+    )
+
+
+def _suite_factor_certificate(col, rng, count):
+    """bruhat_factors(c, d) = (b_L, w, t, b) on c = x b1, d = x n_w b2 (n =
+    2..5, all four side pairs): a b = b_L n_w t and a = b_L n_w t b^{-1}
+    exactly (a = c.rep^{-1} d.rep, b^{-1} from the minor table), w is the
+    planted element, b lies in d's Borel, b_L has the Borel shape of c's
+    side and a constant determinant, and t is a constant diagonal."""
+    for i in range(count):
+        n = rng.choice([2, 3, 4, 5])
+        cs, ds = rng.choice("+-"), rng.choice("+-")
+        planted = word_to_affine(rand_affine_word(rng, n, 6), n)
+        x = rand_sl(rng, n, 1, 3)
+        c = chamber_from_basis(cs, x @ rand_borel(rng, n, cs, 1, 2))
+        d = chamber_from_basis(ds, x @ weyl_matrix(planted) @ rand_borel(rng, n, ds, 1, 2))
+        col.check(_factors_certified(c, d, planted), f"factor case {i}: n={n} sides={cs}{ds}")
 
 
 def _suite_twin_axioms(col, rng, count):
@@ -357,6 +392,7 @@ _SUITES = {
     "delta-recover": (_suite_delta_recover, 200),
     "codelta-recover": (_suite_codelta_recover, 200),
     "twin-axioms": (_suite_twin_axioms, 100),
+    "factor-certificate": (_suite_factor_certificate, 120),
     "coords-roundtrip": (_suite_coords_roundtrip, 200),
     "flag-recovery": (_suite_flag_recovery, 100),
     "gauge-cocycle": (_suite_gauge_cocycle, 100),

@@ -209,3 +209,13 @@ def test_13_borel_calibration():
     with budget(10):
         result = run_clean("borel-calibration", count=50)
         assert result.passed >= 50
+
+
+def test_14_engine_factor_certificate():
+    # One engine run factors c.rep^{-1} d.rep = b_L n_w t b^{-1}
+    # (Iwahori-Bruhat on one side, Birkhoff across): the factors multiply
+    # back exactly, w is the planted element and each factor has its
+    # Borel shape, on 120 random pairs (n = 2..5, all four side pairs).
+    with budget(1):
+        result = run_clean("factor-certificate")
+        assert result.passed == 120

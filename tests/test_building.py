@@ -1,7 +1,9 @@
 """Tests for chambers, Weyl distance/codistance, twin axioms, gates,
 twin gates, and Schubert-cell coordinates."""
 
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
@@ -10,9 +12,12 @@ from hypothesis import strategies as st
 from twinbuild import exactalg
 from twinbuild.building import (
     Chamber,
+    _common_chamber,
     _reference_panels,
-    apartment_chambers,
+    _relpos,
+    _replay_rows,
     borel_membership,
+    bruhat_factors,
     chamber_from_basis,
     codelta,
     common_basis,
@@ -56,6 +61,14 @@ def P(s):
 
 def M(rows):
     return LMat([[P(x) if isinstance(x, str) else x for x in row] for row in rows])
+
+
+def apartment_chambers(basis, word_or_elt, side="+"):
+    """The chamber at Weyl position w in the apartment of the basis:
+    chamber_from_basis(side, basis @ weyl_matrix(w))."""
+    if not isinstance(word_or_elt, AffineWeylElt):
+        word_or_elt = word_to_affine(tuple(word_or_elt), basis.nrows)
+    return chamber_from_basis(side, basis @ weyl_matrix(word_or_elt))
 
 
 def elements_up_to(n, maxlen):
@@ -1007,7 +1020,7 @@ def assert_built_chambers(rng, n, dense):
     else:
         cm, cp = rand_opposite_pair(rng, n)
     word = affine_to_word(word_to_affine(rand_affine_word(rng, n, 5), n))
-    for _, panel in _reference_panels(cm, common_basis(cm, cp), word):
+    for _, panel in _reference_panels(cm, _common_chamber(cm, cp), word):
         assert_built_as_validated(panel.carrier)
 
 
@@ -1082,6 +1095,140 @@ def test_minor_table_passes_per_operation(monkeypatch):
     c, d = chamber_from_basis("+", x), chamber_from_basis("+", y)
     project(d.panel(1), c)
     assert len(passes) == 14
+
+
+# ---------------------------------------------------------------------------
+# Carried inverses and the engine's factors
+# ---------------------------------------------------------------------------
+
+
+CARRY_PARAMS = [
+    GaussRat(0), GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(Fraction(2, 3)), INF
+]
+
+
+def swap_parameter(chart):
+    """The parameter whose block is the swap [[0, 1/be], [be, 0]]: a_p's
+    own coefficient al = u1[0] + t*u2[0] vanishes there."""
+    (a1, _), (a2, _) = chart._u1, chart._u2
+    return -a1 / a2 if a2 else INF
+
+
+def assert_carried(chamber):
+    assert chamber._inv is None and chamber._inv_of is not None
+    assert chamber.rep @ chamber._inverse() == LMat.identity(chamber.n)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]))
+def test_carried_inverses_invert_the_representative(seed, n):
+    """Every chamber the library builds carries rep^{-1}: the gates of
+    project and project_twin (also of a face of a gate), the common basis,
+    the reference chambers, and the panel chambers at fixed parameters and
+    at the swap block, on both sides.  The caller's chambers are inverted
+    first; after that no minor-table inverse is taken."""
+    rng = random.Random(seed)
+    side = rng.choice("+-")
+    other = "-" if side == "+" else "+"
+    d, c, c2 = (rand_chamber(rng, n, s) for s in (side, side, other))
+    cm, cp = rand_opposite_pair(rng, n)
+    word = affine_to_word(word_to_affine(rand_affine_word(rng, n, 5), n))
+    for validated in (d, c, c2, cm, cp):
+        validated._inverse()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LMat, "_inv_from", None)
+        kept = rng.sample(range(n), rng.randint(1, n - 1))
+        gate = project(d.face(kept), c)
+        built = [
+            gate,
+            project_twin(d.face(kept), c2),
+            project(gate.panel(rng.randrange(n)), d),
+            project_twin(gate.face(kept), c2),
+        ]
+        x = _common_chamber(cm, cp)
+        built.append(x)
+        refs = [panel.carrier for _, panel in _reference_panels(cm, x, word)]
+        built += [ref for ref in refs if ref is not cm]
+        swaps = 0
+        for carrier in (d, gate, refs[-1] if refs else cm):
+            for gap in range(n):
+                panel = carrier.panel(gap)
+                panel_chamber(panel, GaussRat(0))  # builds the chart
+                t_swap = swap_parameter(panel._chart)
+                for t in CARRY_PARAMS + [t_swap]:
+                    swaps += not panel._chart._block(t)[0]
+                    built.append(panel_chamber(panel, t))
+        assert swaps >= 3 * n
+        for chamber in built:
+            assert_carried(chamber)
+
+
+def test_round_trip_inverts_only_the_callers_chambers(monkeypatch):
+    """encode then decode at n = 2, 3 (words of length 2), and the final
+    comparison, take the minor-table inverse of cp, dm and e only, once
+    each: every chamber the walk builds carries its inverse.  The minor
+    table stays the oracle for validated chambers (see
+    test_minor_table_passes_per_operation)."""
+    rng = random.Random(2801)
+    inverted = []
+    inv_from = LMat._inv_from
+
+    def counted(self, top):
+        inverted.append(self)
+        return inv_from(self, top)
+
+    monkeypatch.setattr(LMat, "_inv_from", counted)
+    for n in (2, 3):
+        for word in [(1, 2), (2, 1), (n, 1), (1, n)]:
+            cm, cp = rand_opposite_pair(rng, n)
+            w = word_to_affine(word, n)
+            e = chamber_from_basis("+", cp.rep @ rand_borel(rng, n, "+") @ weyl_matrix(w))
+            inverted.clear()
+            coords = encode_coords(cp, cm, e, word)
+            assert decode_coords(cp, cm, word, coords) == e
+            assert len(inverted) == 3
+            assert {id(m) for m in inverted} == {id(cp.rep), id(cm.rep), id(e.rep)}
+
+
+def test_a_long_gallery_of_carried_inverses_is_walked_without_recursion():
+    """decode_coords on a word of length 600 builds 600 twin gates, each the
+    base of the next, and forces none of their inverses; the first use of
+    the last one's inverse walks the whole chain, which recursion could
+    not at the interpreter's default limit."""
+    n, length = 2, 600
+    word = tuple((1, 2)[k % 2] for k in range(length))
+    cp, cm = standard_chamber("+", n), standard_chamber("-", n)
+    e = decode_coords(cp, cm, word, [GaussRat(1)] * length)
+    assert e._inv is None
+    assert delta(e, cp).length() == length
+    assert e.rep @ e._inverse() == LMat.identity(n)
+
+
+def test_built_chambers_pickle_with_their_inverse():
+    rng = random.Random(2803)
+    cm, cp = rand_opposite_pair(rng, 3)
+    e = rand_chamber(rng, 3, "+")
+    gate = project(cp.panel(1), e)
+    built = [gate, panel_chamber(gate.panel(0), GaussRat(1)), _common_chamber(cm, cp)]
+    for chamber in built:
+        twin = pickle.loads(pickle.dumps(chamber))
+        assert twin == chamber
+        assert twin.rep @ twin._inverse() == LMat.identity(3)
+
+
+@pytest.mark.parametrize("sides", ["++", "+-", "-+", "--"])
+def test_recorded_operations_give_b_and_its_inverse(sides):
+    """The operations of one engine run, replayed on the columns of 1,
+    give bruhat_factors' b with a b = r; replayed as row operations they
+    give b^{-1} (the minor-table inverse)."""
+    rng = random.Random(2802)
+    for n in (2, 3, 4):
+        c, d = rand_chamber(rng, n, sides[0]), rand_chamber(rng, n, sides[1])
+        _, r, _, ops = _relpos(c, d)
+        b_l, w, t, b = bruhat_factors(c, d)
+        assert c.rep.inv() @ d.rep @ b == r == b_l @ weyl_matrix(w) @ t
+        assert _replay_rows(ops, LMat.identity(n)) == b.inv()
+        assert borel_membership(sides[1], b)
 
 
 # ---------------------------------------------------------------------------

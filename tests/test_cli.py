@@ -460,6 +460,19 @@ def test_verify_suite_success_and_reproducibility(capsys):
     assert suite["passed"] > 0
 
 
+def test_factor_certificate_envelope(capsys):
+    """The factor-certificate suite passes at its default count, and its
+    envelope validates against the shipped schema."""
+    code, out, _ = run_cli(
+        capsys, "verify", "factor-certificate", "--seed", "0", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    (suite,) = doc["result"]["suites"]
+    assert (suite["suite"], suite["failed"], suite["passed"]) == ("factor-certificate", 0, 120)
+
+
 def test_verify_text_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "cell-series")
     assert code == 0
