@@ -53,7 +53,17 @@ G^{-1} = N^{-1} b^{-1} d.rep^{-1} replays them as row operations on d's
 inverse, then moves rows.  The common basis x = cp.rep b, the reference
 chambers x n_v and the panel chambers carrier T_t (T_t the chart's 2 x 2
 block) invert the same way.  The minor table inverts only the chambers a
-caller validated, each once.
+caller validated, each once.  A gate also records v, its Weyl distance
+from d, for as long as it keeps d, so delta(d, gate) runs no engine.
+
+Schubert-cell coordinates walk the minimal gallery of a reduced type
+from cp to e.  That gallery is unique and lies in every apartment
+holding cp and e, so the one engine run of delta(cp, e) fixes it: its
+chambers are the gates at the prefixes of the word in the apartment
+that run reads off.  The opposite pair (cp, dm) keeps its twin
+apartment on cp -- the common basis and the last word's reference
+panels with their charts -- so a decode after an encode over the same
+objects computes none of it again.
 """
 
 from __future__ import annotations
@@ -82,9 +92,10 @@ from .exactalg import (
     _chain_det,
     _col_sub,
     _lp,
+    _scalar,
     _top_minors,
 )
-from .lattice import PanelChart, _check_side, vertex_classes_of_basis
+from .lattice import INF, PanelChart, _check_side, vertex_classes_of_basis
 from .record import Record
 
 __all__ = [
@@ -182,9 +193,16 @@ class Chamber:
     of its base chamber ``_base`` and ``_inv_of``, which takes that to its
     own.  A chamber a caller validated has no base and computes it from
     the minor table, reusing the top minor chain of its determinant check
-    when its basis needed no alignment (``LMat._inv_from``)."""
+    when its basis needed no alignment (``LMat._inv_from``).
 
-    __slots__ = ("side", "rep", "n", "_chain", "_classes", "_inv", "_inv_of", "_base")
+    A plus chamber cp that encode_coords or decode_coords paired with an
+    opposite minus chamber dm keeps their twin apartment in ``_twin``:
+    dm, the common basis and the reference panels (with their charts) of
+    the last word, reused only for the same dm object."""
+
+    __slots__ = (
+        "side", "rep", "n", "_chain", "_classes", "_inv", "_inv_of", "_base", "_dist", "_twin"
+    )
 
     def __init__(self, side, rep: LMat):
         _check_side(side)
@@ -202,18 +220,20 @@ class Chamber:
             self._set(side, aligned, None, aligned.inv)
 
     @classmethod
-    def _built(cls, side, rep: LMat, base: "Chamber", inv_of) -> "Chamber":
+    def _built(cls, side, rep: LMat, base: "Chamber", inv_of, dist=None) -> "Chamber":
         """A chamber whose representative the library built as a product
         of aligned factors (a base chamber's representative, engine column
         operations, m0^{-1}, n_w, a chart block), so its determinant is a
         constant: no determinant check and no alignment.  ``inv_of(inv)``
         returns rep^{-1} from inv = base.rep^{-1} and the inverses of the
-        other factors (a partial, so the chamber pickles)."""
+        other factors (a partial, so the chamber pickles).  A gate also
+        knows ``dist``, the window of its Weyl distance from its base, and
+        keeps it as long as it keeps the base."""
         c = object.__new__(cls)
-        c._set(side, rep, base, inv_of)
+        c._set(side, rep, base, inv_of, dist)
         return c
 
-    def _set(self, side, rep, base, inv_of):
+    def _set(self, side, rep, base, inv_of, dist=None):
         self.side = side
         self.rep = rep
         self.n = rep.nrows
@@ -222,6 +242,8 @@ class Chamber:
         self._inv = None
         self._inv_of = inv_of
         self._base = base
+        self._dist = dist
+        self._twin = None
 
     def _inverse(self) -> LMat:
         """rep^{-1}, computed on first use and kept; what it was computed
@@ -234,7 +256,7 @@ class Chamber:
             waiting.append(c)
             c = c._base
         for c in reversed(waiting):
-            base, c._base = c._base, None
+            base, c._base, c._dist = c._base, None, None
             c._inv = c._inv_of(base._inv) if base is not None else c._inv_of()
             c._inv_of = None
         return self._inv
@@ -515,10 +537,11 @@ def _gate(side, d: Chamber, rel, w) -> Chamber:
     c.rep b_L is the basis of an apartment through c, with c at the
     identity, and this is its chamber at w.  As c.rep r = d.rep b, its
     representative is G = d.rep b N, N = n_v diag(lc)^{-1}, and it carries
-    G^{-1} = N^{-1} b^{-1} d.rep^{-1}."""
+    G^{-1} = N^{-1} b^{-1} d.rep^{-1}.  Its Weyl distance from d is v
+    (on d's side, which every caller passes), and it keeps it with d."""
     v, lc = _lead_move(rel, w)
     rep = _move_cols(_replay_cols(rel[3], d.rep), v, [x.inverse() for x in lc])
-    return Chamber._built(side, rep, d, partial(_gate_inverse, rel[3], v, lc))
+    return Chamber._built(side, rep, d, partial(_gate_inverse, rel[3], v, lc), v)
 
 
 def _gate_inverse(ops, v, lc, inv: LMat) -> LMat:
@@ -555,9 +578,12 @@ def bruhat_factors(c: Chamber, d: Chamber):
 
 
 def delta(c: Chamber, d: Chamber) -> AffineWeylElt:
-    """Weyl distance between chambers on the same side."""
+    """Weyl distance between chambers on the same side.  A gate built on
+    c still holding c knows it, and no engine runs."""
     if c.side != d.side:
         raise DomainError("delta needs chambers on the same side; use codelta")
+    if d._base is c and d._dist is not None:
+        return AffineWeylElt.from_window(d._dist)
     return AffineWeylElt.from_window(_relpos(c, d)[0])
 
 
@@ -696,15 +722,24 @@ def _chart(panel: Simplex) -> PanelChart:
     return panel._chart
 
 
+def _parameter(t):
+    """A panel parameter as the chart reads it: INF, or an int, a Fraction
+    or a GaussRat as a GaussRat; any other type raises the scalar layer's
+    TypeError."""
+    return INF if t == INF else _scalar(t)
+
+
 def panel_chamber(panel: Simplex, t) -> Chamber:
     """The chamber through a panel at chart parameter t (or INF).
 
     The chart comes from the carrier's basis and one Hermite form (see
     PanelChart); the chamber's representative is carrier T_t, the
     carrier's with the two basis columns that move in the panel replaced,
-    and it carries its inverse T_t^{-1} carrier^{-1}."""
+    and it carries its inverse T_t^{-1} carrier^{-1}.  t is an int, a
+    Fraction, a GaussRat or INF; any other type raises TypeError."""
     if len(panel.kept_types) != panel.n - 1:
         raise DomainError("panel_chamber needs a panel (exactly one type missing)")
+    t = _parameter(t)
     chart = _chart(panel)
     return Chamber._built(
         panel.side, chart.chamber_basis(t), panel.carrier, partial(chart.chamber_inverse, t)
@@ -719,7 +754,8 @@ def panel_parameter(panel: Simplex, c: Chamber):
     if c.side != panel.side:
         raise DomainError("side mismatch")
     # c contains the panel iff it lies in the panel's residue: its Weyl
-    # distance from the carrier is 1 or the panel's cotype generator.
+    # distance from the carrier is 1 or the panel's cotype generator (a
+    # gate built on the carrier knows it, see delta).
     (s,) = panel.cotype_nodes()
     if delta(panel.carrier, c).window not in (widentity(c.n), wgen(s, c.n)):
         raise DomainError("chamber does not contain the panel")
@@ -742,6 +778,45 @@ def _reference_panels(dm: Chamber, x: Chamber, word):
         prefix = wcompose(prefix, wgen(s, n))
 
 
+def _gallery(e: Chamber, rel, word):
+    """The chambers after each letter of the minimal gallery of type word
+    from c to e, for rel = _relpos(c, e) and a reduced word for delta(c,
+    e): the k-th is the gate at the k-th prefix of the word in the
+    apartment of c and e that the engine run reads off, built on e."""
+    n = e.n
+    prefix = widentity(n)
+    for s in word:
+        prefix = wcompose(prefix, wgen(s, n))
+        yield _gate(e.side, e, rel, prefix)
+
+
+def _twin_apartment(cp: Chamber, dm: Chamber):
+    """(dm, x, word, panels), the twin apartment of the opposite pair as
+    cp keeps it: x = _common_chamber(dm, cp), and the reference panels of
+    the last word asked for (None before the first).  It is computed on
+    first use and reused only for the same dm object, so the lookup runs
+    no engine; a pair that is not opposite raises and keeps nothing.
+    x's inverse is taken at once (from cp's, which every encode and
+    every decode past one letter takes anyway): that drops x's
+    reference to cp, so what cp keeps holds no cycle back to cp."""
+    twin = cp._twin
+    if twin is None or twin[0] is not dm:
+        x = _common_chamber(dm, cp)
+        x._inverse()
+        twin = cp._twin = (dm, x, None, None)
+    return twin
+
+
+def _twin_panels(cp: Chamber, dm: Chamber, word):
+    """The (plus position, reference panel) pairs of _reference_panels for
+    word, kept on cp with their charts for one word at a time."""
+    dm, x, kept, panels = _twin_apartment(cp, dm)
+    if kept != word:
+        panels = list(_reference_panels(dm, x, word))
+        cp._twin = (dm, x, word, panels)
+    return panels
+
+
 def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
     """Schubert-cell coordinates of e over the opposite pair (cp, dm).
 
@@ -750,12 +825,19 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
     panel parameter of the twin projection of the k-th gallery chamber
     onto the matching panel of the reference apartment gallery on the
     other side.  decode_coords inverts the walk exactly.
+
+    The gallery is unique and lies in every apartment holding cp and e,
+    so the one engine run of delta(cp, e) fixes all of it: its k-th
+    chamber is the gate at the k-th prefix of the word in the apartment
+    that run reads off.  cp keeps the twin apartment of (cp, dm) for a
+    decode_coords that follows (see Chamber).
     """
     if cp.side != "+" or dm.side != "-" or e.side != "+":
         raise DomainError("encode_coords takes (plus, minus, plus) chambers")
     n = cp.n
-    x = _common_chamber(dm, cp)
-    welt = delta(cp, e)
+    _twin_apartment(cp, dm)
+    rel = _relpos(cp, e)
+    welt = AffineWeylElt.from_window(rel[0])
     if word is None:
         word = affine_to_word(welt)
     else:
@@ -765,10 +847,8 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
         if welt.length() != len(word):
             raise DomainError("word is not reduced")
     coords = []
-    cprev = cp
-    for pp, panel in _reference_panels(dm, x, word):
-        cprev = project(cprev.panel(pp), e)
-        coords.append(panel_parameter(panel, project_twin(panel, cprev)))
+    for gate, (_, panel) in zip(_gallery(e, rel, word), _twin_panels(cp, dm, word)):
+        coords.append(panel_parameter(panel, project_twin(panel, gate)))
     return coords
 
 
@@ -780,19 +860,23 @@ def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
     value depends on the letter and on the opposite pair (on the standard
     pair it is 0 for a finite generator and INF for the affine one), and a
     coordinate at that value lands in a lower cell: at n = 2, word (1,)
-    and coordinate 0 give cp itself, at distance 1 from cp, not s_1.
+    and coordinate 0 give cp itself, at distance 1 from cp, not s_1.  A
+    coordinate is an int, a Fraction, a GaussRat or INF; any other type
+    raises TypeError.
 
     Each letter's chamber comes from the chart of its reference panel,
     read off the panel's carrier basis with one Hermite form (see
-    PanelChart).  The chamber is determined by the coordinates; its
-    representative is one of many, and the one returned is the chart's
-    carrier basis with two columns replaced, carried through the twin
-    gates.
+    PanelChart).  After an encode_coords of the same word over the same
+    (cp, dm) objects, the common basis, the reference panels and their
+    charts are the ones cp kept, so none is computed again.  The chamber
+    is determined by the coordinates; its representative is one of many,
+    and the one returned is the chart's carrier basis with two columns
+    replaced, carried through the twin gates.
     """
     if cp.side != "+" or dm.side != "-":
         raise DomainError("decode_coords takes (plus, minus) chambers")
     n = cp.n
-    x = _common_chamber(dm, cp)
+    _twin_apartment(cp, dm)
     word = tuple(word)
     welt = word_to_affine(word, n)
     if welt.length() != len(word):
@@ -800,6 +884,6 @@ def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
     if len(word) != len(coords):
         raise DomainError("word and coordinate list differ in length")
     cprev = cp
-    for (pp, panel), t in zip(_reference_panels(dm, x, word), coords):
+    for (pp, panel), t in zip(_twin_panels(cp, dm, word), coords):
         cprev = project_twin(cprev.panel(pp), panel_chamber(panel, t))
     return cprev

@@ -308,6 +308,15 @@ def _as_qi(x):
     return None
 
 
+def _scalar(x):
+    """x read by ``_as_qi``; any other type (a float, a str) raises
+    TypeError naming the value."""
+    q = _as_qi(x)
+    if q is None:
+        raise TypeError(f"bad scalar: {x!r}")
+    return q
+
+
 def _div(x, y):
     """x / y: multiply x by d*(a - b*i)/(a^2 + b^2) for y = (a + b*i)/d."""
     a, b, c, e = x.a, x.b, y.a, y.b

@@ -27,7 +27,7 @@ from .exactalg import (
     LaurentPoly,
     QI_ONE,
     QI_ZERO,
-    _as_qi,
+    _scalar,
     charpoly,
     kernel_basis,
     qi_roots,
@@ -55,23 +55,11 @@ __all__ = [
 ]
 
 
-def _scalars(values):
-    """The values as GaussRats, read by ``exactalg._as_qi`` (an int, a
-    Fraction or a GaussRat); any other type raises TypeError."""
-    out = []
-    for x in values:
-        q = _as_qi(x)
-        if q is None:
-            raise TypeError(f"bad scalar: {x!r}")
-        out.append(q)
-    return out
-
-
 def subspace(vectors):
     """Canonical form of a span: reduced row echelon basis, zero rows
     dropped, as a tuple of coefficient tuples.  Entries are ints,
     Fractions or GaussRats; any other type raises TypeError."""
-    red, pivots = rref([_scalars(v) for v in vectors])
+    red, pivots = rref([[_scalar(x) for x in v] for v in vectors])
     return tuple(tuple(red[r]) for r in range(len(pivots)))
 
 
@@ -170,7 +158,7 @@ def _weights(weights):
     """Barycentric weights as GaussRats: DomainError unless they are
     positive rationals summing to 1, TypeError for a value that is not
     an int, a Fraction or a GaussRat."""
-    ws = _scalars(weights)
+    ws = [_scalar(x) for x in weights]
     if any(w.im or w.re <= 0 for w in ws):
         raise DomainError("weights must be positive rationals")
     if sum(ws, QI_ZERO) != QI_ONE:

@@ -1,6 +1,9 @@
 """Tests for chambers, Weyl distance/codistance, twin axioms, gates,
 twin gates, and Schubert-cell coordinates."""
 
+import copy
+import gc
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -9,10 +12,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from twinbuild import exactalg
+from twinbuild import building, exactalg
 from twinbuild.building import (
     Chamber,
     _common_chamber,
+    _gallery,
     _reference_panels,
     _relpos,
     _replay_rows,
@@ -43,7 +47,7 @@ from twinbuild.coxeter import (
 )
 from twinbuild.errors import DomainError, NotInvertibleError
 from twinbuild.exactalg import GaussRat, LMat, LP_ONE, LaurentPoly, Z, parse_poly, zpow
-from twinbuild.lattice import INF, vertex_classes_of_basis
+from twinbuild.lattice import INF, PanelChart, vertex_classes_of_basis
 from twinbuild.samples import (
     elementary,
     rand_affine_word,
@@ -1190,6 +1194,44 @@ def test_round_trip_inverts_only_the_callers_chambers(monkeypatch):
             assert {id(m) for m in inverted} == {id(cp.rep), id(cm.rep), id(e.rep)}
 
 
+def round_trip_case(rng, n, word):
+    cm, cp = rand_opposite_pair(rng, n)
+    w = word_to_affine(word, n)
+    e = chamber_from_basis("+", cp.rep @ rand_borel(rng, n, "+") @ weyl_matrix(w))
+    return cm, cp, e
+
+
+def test_round_trip_runs_the_engine_six_times(monkeypatch):
+    """encode then decode at n = 2, 3 (words of length 2) run the engine 6
+    times and build 2 panel charts: encode takes the common basis, one
+    run of delta(cp, e) for its whole gallery and one twin gate per
+    letter, whose distance from its carrier the containment check reads;
+    decode reuses the common basis, the reference panels and their charts
+    that cp kept, and takes one twin gate per letter."""
+    rng = random.Random(2901)
+    runs, charts = [], []
+    relpos, chart_init = building._relpos, PanelChart.__init__
+
+    def counted_relpos(c, d):
+        runs.append(None)
+        return relpos(c, d)
+
+    def counted_chart(self, carrier, gap):
+        charts.append(None)
+        chart_init(self, carrier, gap)
+
+    monkeypatch.setattr(building, "_relpos", counted_relpos)
+    monkeypatch.setattr(PanelChart, "__init__", counted_chart)
+    for n in (2, 3):
+        for word in [(1, 2), (2, 1), (n, 1), (1, n)]:
+            cm, cp, e = round_trip_case(rng, n, word)
+            runs.clear()
+            charts.clear()
+            back = decode_coords(cp, cm, word, encode_coords(cp, cm, e, word))
+            assert (len(runs), len(charts)) == (6, 2)
+            assert back == e
+
+
 def test_a_long_gallery_of_carried_inverses_is_walked_without_recursion():
     """decode_coords on a word of length 600 builds 600 twin gates, each the
     base of the next, and forces none of their inverses; the first use of
@@ -1299,3 +1341,226 @@ def test_no_monomial_right_factor_goes_through_matmul(monkeypatch):
             project_twin(cp.panel(t), d)
     assert rights
     assert not [m for m in rights if is_monomial(m)]
+
+
+# ---------------------------------------------------------------------------
+# One engine run per gallery, and the twin apartment an opposite pair keeps
+# ---------------------------------------------------------------------------
+
+
+def random_reduced_word(rng, n, length):
+    """A random reduced word of the given length, not only normal forms:
+    each letter is drawn among those that lengthen the word so far."""
+    word = ()
+    while len(word) < length:
+        ups = [
+            s for s in range(1, n + 1)
+            if word_to_affine(word + (s,), n).length() == len(word) + 1
+        ]
+        word += (rng.choice(ups),)
+    return word
+
+
+def project_walk(c, e, word):
+    """The minimal gallery of type word from c to e, one gate per letter:
+    the chamber after a letter is the gate of e onto the panel that the
+    letter moves of the chamber before it (one engine run per letter)."""
+    for s in word:
+        c = project(panel_of(c, s), e)
+        yield c
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 4]),
+    length=st.integers(0, 5),
+    dense=st.booleans(),
+)
+def test_one_run_gallery_is_the_projection_walk(seed, n, length, dense):
+    """Every chamber of the gallery read off one engine run of delta(c, e)
+    is the chamber the per-letter projection walk reaches, on both sides,
+    for random reduced words and random or dense bases."""
+    rng = random.Random(seed)
+    side = rng.choice("+-")
+    word = random_reduced_word(rng, n, length)
+    x = dense_basis(rng, n) if dense else rand_sl(rng, n)
+    c = chamber_from_basis(side, x @ rand_borel(rng, n, side))
+    e = chamber_from_basis(
+        side, x @ weyl_matrix(word_to_affine(word, n)) @ rand_borel(rng, n, side)
+    )
+    gallery = list(_gallery(e, _relpos(c, e), word))
+    walk = list(project_walk(c, e, word))
+    assert len(gallery) == len(walk) == len(word)
+    for k, (g, h) in enumerate(zip(gallery, walk)):
+        assert g == h
+        assert delta(c, g) == word_to_affine(word[: k + 1], n)
+    if word:
+        assert gallery[-1] == e
+
+
+def fresh(chamber):
+    return chamber_from_basis(chamber.side, chamber.rep)
+
+
+def test_a_kept_twin_apartment_gives_what_fresh_chambers_give():
+    """cp reused with a second minus chamber, or with a second reduced
+    word for the same distance, gives the coordinates and the chamber
+    that fresh chambers of the same bases give."""
+    rng = random.Random(2902)
+    n = 3
+    for words in [((1, 2, 1), (2, 1, 2)), ((3, 1, 3), (1, 3, 1))]:
+        cm, cp, e = round_trip_case(rng, n, words[0])
+        x = common_basis(cm, cp)
+        cm2 = chamber_from_basis("-", x @ rand_borel(rng, n, "+"))
+        assert opposite(cm2, cp) and cm2 != cm
+        for dm in (cm, cm2, cm):
+            for word in words + words[:1]:
+                coords = encode_coords(cp, dm, e, word)
+                assert coords == encode_coords(fresh(cp), fresh(dm), fresh(e), word)
+                assert cp._twin[0] is dm and cp._twin[2] == word
+                back = decode_coords(cp, dm, word, coords)
+                assert back == e
+                assert back.rep == decode_coords(fresh(cp), fresh(dm), word, coords).rep
+        other = words[1]
+        coords = encode_coords(cp, cm, e, words[0])
+        assert decode_coords(cp, cm, other, encode_coords(cp, cm, e, other)) == e
+        assert decode_coords(cp, cm, words[0], coords) == e
+
+
+def test_a_pair_that_is_not_opposite_raises_and_keeps_nothing():
+    n = 2
+    cp = standard_chamber("+", n)
+    e = chamber_from_basis("+", weyl_matrix(word_to_affine((1,), n)))
+    near = chamber_from_basis("-", weyl_matrix(word_to_affine((1,), n)))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not opposite"):
+            encode_coords(cp, near, e)
+        with pytest.raises(DomainError, match="not opposite"):
+            decode_coords(cp, near, (1,), [GaussRat(1)])
+        assert cp._twin is None
+    cm = standard_chamber("-", n)
+    encode_coords(cp, cm, e)
+    kept = cp._twin
+    with pytest.raises(DomainError, match="not opposite"):
+        encode_coords(cp, near, e)
+    assert cp._twin is kept
+
+
+def test_a_chamber_keeping_its_twin_apartment_pickles_and_copies():
+    rng = random.Random(2903)
+    n = 3
+    word = (1, 2)
+    cm, cp, e = round_trip_case(rng, n, word)
+    coords = encode_coords(cp, cm, e, word)
+    assert cp._twin is not None
+    for twin in (pickle.loads(pickle.dumps(cp)), copy.copy(cp), copy.deepcopy(cp)):
+        assert twin == cp and hash(twin) == hash(cp)
+        assert twin.rep == cp.rep
+        assert decode_coords(twin, cm, word, coords) == e
+        assert encode_coords(twin, cm, e, word) == coords
+
+
+def test_the_kept_panels_are_one_words():
+    rng = random.Random(2904)
+    n = 3
+    cm, cp, e = round_trip_case(rng, n, (1, 2, 1))
+    for word in [(1, 2, 1), (2, 1, 2), (1, 2, 1)]:
+        coords = encode_coords(cp, cm, e, word)
+        dm, _, kept, panels = cp._twin
+        assert dm is cm and kept == word and len(panels) == len(word)
+        decode_coords(cp, cm, word[:2], coords[:2])
+        _, _, kept, panels = cp._twin
+        assert kept == word[:2] and len(panels) == 2
+    decode_coords(cp, cm, (), [])
+    assert cp._twin[2] == () and cp._twin[3] == []
+
+
+@pytest.mark.parametrize("word, decode", [((1, 2), False), ((1,), True), ((1, 2), True)])
+def test_a_kept_twin_apartment_makes_no_reference_cycle(word, decode):
+    """What cp keeps holds no reference back to cp, so cp and its twin
+    apartment are freed by reference counting, with no cycle collection,
+    after an encode alone or a round trip of any length."""
+    rng = random.Random(2907)
+    cm, cp, e = round_trip_case(rng, 3, word)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        coords = encode_coords(cp, cm, e, word)
+        if decode:
+            decode_coords(cp, cm, word, coords)
+        assert cp._twin[1]._base is None
+        del cm, cp, e, coords
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_gate_knows_its_distance_from_its_carrier():
+    """The distance a gate of project or project_twin (onto a panel or a
+    larger face) records is the one the engine reads off, and delta
+    returns it while the gate holds its carrier."""
+    rng = random.Random(2905)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            side = rng.choice("+-")
+            other = "-" if side == "+" else "+"
+            d = rand_chamber(rng, n, side)
+            kept = rng.sample(range(n), rng.randint(1, n - 1))
+            gates = [
+                project(d.face(kept), rand_chamber(rng, n, side)),
+                project_twin(d.face(kept), rand_chamber(rng, n, other)),
+                project(d.panel(rng.randrange(n)), rand_chamber(rng, n, side)),
+                project_twin(d.panel(rng.randrange(n)), rand_chamber(rng, n, other)),
+            ]
+            for g in gates:
+                assert g._base is d
+                assert g._dist == _relpos(d, g)[0]
+                assert delta(d, g).window == g._dist
+
+
+def test_panel_parameter_still_rejects_a_chamber_outside_the_panel():
+    """Also a gate that knows its distance from another carrier, or from
+    this carrier but onto a larger face, is checked."""
+    rng = random.Random(2906)
+    n = 3
+    cp, cm = standard_chamber("+", n), standard_chamber("-", n)
+    panel = cp.panel(1)
+    far = chamber_from_basis("+", weyl_matrix(word_to_affine((1, 2, 3), n)))
+    elsewhere = project_twin(far.panel(1), cm)
+    assert elsewhere._base is far
+    on_face = project(cp.face([0]), far)
+    assert on_face._base is cp and on_face._dist not in (
+        word_to_affine((), n).window,
+        word_to_affine(panel.cotype_nodes(), n).window,
+    )
+    for c in (far, elsewhere, on_face, rand_chamber(rng, n, "+")):
+        with pytest.raises(DomainError, match="does not contain the panel"):
+            panel_parameter(panel, c)
+    inside = project(panel, far)
+    assert panel_parameter(panel, inside) == panel_parameter(panel, fresh(inside))
+
+
+def test_coordinates_are_read_once_as_scalars():
+    """int, Fraction and GaussRat coordinates go through GaussRat and INF
+    stays the sentinel; a float, a str or a complex raises the scalar
+    layer's TypeError naming the coordinate, not one from inside the
+    chart."""
+    n = 2
+    cp, cm = standard_chamber("+", n), standard_chamber("-", n)
+    with pytest.raises(TypeError, match="bad scalar: 0.5"):
+        decode_coords(cp, cm, (1,), [0.5])
+    panel = cp.panel(1)
+    for bad in ("1", 0.5, 1j, None, -math.inf):
+        with pytest.raises(TypeError, match="bad scalar"):
+            panel_chamber(panel, bad)
+    for t in (2, Fraction(2), GaussRat(2)):
+        assert panel_chamber(panel, t).rep == panel_chamber(panel, GaussRat(2)).rep
+    assert panel_parameter(panel, panel_chamber(panel, float("inf"))) is INF
+    word = (1, 2)
+    want = decode_coords(cp, cm, word, [GaussRat(1), GaussRat(Fraction(1, 2))])
+    got = decode_coords(cp, cm, word, [1, Fraction(1, 2)])
+    assert got.rep == want.rep
+    assert encode_coords(cp, cm, got, word) == [GaussRat(1), GaussRat(Fraction(1, 2))]

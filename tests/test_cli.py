@@ -208,6 +208,23 @@ def test_coords_decode_accepts_infinity(capsys):
     assert out.strip()  # some chamber matrix
 
 
+@pytest.mark.parametrize("coords", ["0.5", "1,0.5", "1e3,1", "nan,INF"])
+def test_coords_decode_of_a_float_coordinate_is_a_usage_envelope(capsys, coords):
+    """A float coordinate never reaches the library from the CLI: it is a
+    usage error, with an envelope that validates against the schema."""
+    import jsonschema
+
+    code, out, _ = run_cli(
+        capsys,
+        "coords", "decode", "--n", "2", "--word", "1,2", "--coords", coords,
+        "--format", "json",
+    )
+    assert code == 2
+    doc = json.loads(out)
+    jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
+    assert doc["error"]["code"] == "usage"
+
+
 def test_coords_decode_at_the_reserved_value_gives_a_lower_cell(capsys):
     """The chart of letter 1 on the standard pair at n = 2 reserves 0:
     decoding it returns cp itself (Weyl distance 1 from cp, not s_1).
