@@ -53,8 +53,7 @@ G^{-1} = N^{-1} b^{-1} d.rep^{-1} replays them as row operations on d's
 inverse, then moves rows.  The common basis x = cp.rep b, the reference
 chambers x n_v and the panel chambers carrier T_t (T_t the chart's 2 x 2
 block) invert the same way.  The minor table inverts only the chambers a
-caller validated, each once.  A gate also records v, its Weyl distance
-from d, for as long as it keeps d, so delta(d, gate) runs no engine.
+caller validated, each once.
 
 Schubert-cell coordinates walk the minimal gallery of a reduced type
 from cp to e.  That gallery is unique and lies in every apartment
@@ -200,9 +199,7 @@ class Chamber:
     dm, the common basis and the reference panels (with their charts) of
     the last word, reused only for the same dm object."""
 
-    __slots__ = (
-        "side", "rep", "n", "_chain", "_classes", "_inv", "_inv_of", "_base", "_dist", "_twin"
-    )
+    __slots__ = ("side", "rep", "n", "_chain", "_classes", "_inv", "_inv_of", "_base", "_twin")
 
     def __init__(self, side, rep: LMat):
         _check_side(side)
@@ -220,20 +217,18 @@ class Chamber:
             self._set(side, aligned, None, aligned.inv)
 
     @classmethod
-    def _built(cls, side, rep: LMat, base: "Chamber", inv_of, dist=None) -> "Chamber":
+    def _built(cls, side, rep: LMat, base: "Chamber", inv_of) -> "Chamber":
         """A chamber whose representative the library built as a product
         of aligned factors (a base chamber's representative, engine column
         operations, m0^{-1}, n_w, a chart block), so its determinant is a
         constant: no determinant check and no alignment.  ``inv_of(inv)``
         returns rep^{-1} from inv = base.rep^{-1} and the inverses of the
-        other factors (a partial, so the chamber pickles).  A gate also
-        knows ``dist``, the window of its Weyl distance from its base, and
-        keeps it as long as it keeps the base."""
+        other factors (a partial, so the chamber pickles)."""
         c = object.__new__(cls)
-        c._set(side, rep, base, inv_of, dist)
+        c._set(side, rep, base, inv_of)
         return c
 
-    def _set(self, side, rep, base, inv_of, dist=None):
+    def _set(self, side, rep, base, inv_of):
         self.side = side
         self.rep = rep
         self.n = rep.nrows
@@ -242,7 +237,6 @@ class Chamber:
         self._inv = None
         self._inv_of = inv_of
         self._base = base
-        self._dist = dist
         self._twin = None
 
     def _inverse(self) -> LMat:
@@ -256,7 +250,7 @@ class Chamber:
             waiting.append(c)
             c = c._base
         for c in reversed(waiting):
-            base, c._base, c._dist = c._base, None, None
+            base, c._base = c._base, None
             c._inv = c._inv_of(base._inv) if base is not None else c._inv_of()
             c._inv_of = None
         return self._inv
@@ -537,11 +531,10 @@ def _gate(side, d: Chamber, rel, w) -> Chamber:
     c.rep b_L is the basis of an apartment through c, with c at the
     identity, and this is its chamber at w.  As c.rep r = d.rep b, its
     representative is G = d.rep b N, N = n_v diag(lc)^{-1}, and it carries
-    G^{-1} = N^{-1} b^{-1} d.rep^{-1}.  Its Weyl distance from d is v
-    (on d's side, which every caller passes), and it keeps it with d."""
+    G^{-1} = N^{-1} b^{-1} d.rep^{-1}."""
     v, lc = _lead_move(rel, w)
     rep = _move_cols(_replay_cols(rel[3], d.rep), v, [x.inverse() for x in lc])
-    return Chamber._built(side, rep, d, partial(_gate_inverse, rel[3], v, lc), v)
+    return Chamber._built(side, rep, d, partial(_gate_inverse, rel[3], v, lc))
 
 
 def _gate_inverse(ops, v, lc, inv: LMat) -> LMat:
@@ -578,12 +571,9 @@ def bruhat_factors(c: Chamber, d: Chamber):
 
 
 def delta(c: Chamber, d: Chamber) -> AffineWeylElt:
-    """Weyl distance between chambers on the same side.  A gate built on
-    c still holding c knows it, and no engine runs."""
+    """Weyl distance between chambers on the same side."""
     if c.side != d.side:
         raise DomainError("delta needs chambers on the same side; use codelta")
-    if d._base is c and d._dist is not None:
-        return AffineWeylElt.from_window(d._dist)
     return AffineWeylElt.from_window(_relpos(c, d)[0])
 
 
@@ -754,8 +744,7 @@ def panel_parameter(panel: Simplex, c: Chamber):
     if c.side != panel.side:
         raise DomainError("side mismatch")
     # c contains the panel iff it lies in the panel's residue: its Weyl
-    # distance from the carrier is 1 or the panel's cotype generator (a
-    # gate built on the carrier knows it, see delta).
+    # distance from the carrier is 1 or the panel's cotype generator.
     (s,) = panel.cotype_nodes()
     if delta(panel.carrier, c).window not in (widentity(c.n), wgen(s, c.n)):
         raise DomainError("chamber does not contain the panel")
@@ -796,14 +785,18 @@ def _twin_apartment(cp: Chamber, dm: Chamber):
     the last word asked for (None before the first).  It is computed on
     first use and reused only for the same dm object, so the lookup runs
     no engine; a pair that is not opposite raises and keeps nothing.
-    x's inverse is taken at once (from cp's, which every encode and
-    every decode past one letter takes anyway): that drops x's
-    reference to cp, so what cp keeps holds no cycle back to cp."""
+
+    x keeps cp as its base until x's inverse is taken, a cycle through
+    cp._twin.  A decode past one letter takes x's inverse (and cp's on
+    the way); once cp's inverse is known, as after any encode, the
+    lookup takes x's too, a row replay.  A decode of at most one letter
+    on a fresh pair needs neither: it leaves the cycle to the collector
+    rather than invert cp through the minor table."""
     twin = cp._twin
     if twin is None or twin[0] is not dm:
-        x = _common_chamber(dm, cp)
-        x._inverse()
-        twin = cp._twin = (dm, x, None, None)
+        twin = cp._twin = (dm, _common_chamber(dm, cp), None, None)
+    if cp._inv is not None:
+        twin[1]._inverse()
     return twin
 
 
@@ -829,14 +822,17 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
     The gallery is unique and lies in every apartment holding cp and e,
     so the one engine run of delta(cp, e) fixes all of it: its k-th
     chamber is the gate at the k-th prefix of the word in the apartment
-    that run reads off.  cp keeps the twin apartment of (cp, dm) for a
-    decode_coords that follows (see Chamber).
+    that run reads off.  The twin gate of that chamber onto the matching
+    reference panel lies in the panel's residue by construction, so its
+    parameter is read off the chart with no containment check.  cp keeps
+    the twin apartment of (cp, dm) for a decode_coords that follows (see
+    Chamber).
     """
     if cp.side != "+" or dm.side != "-" or e.side != "+":
         raise DomainError("encode_coords takes (plus, minus, plus) chambers")
     n = cp.n
-    _twin_apartment(cp, dm)
     rel = _relpos(cp, e)
+    _twin_apartment(cp, dm)
     welt = AffineWeylElt.from_window(rel[0])
     if word is None:
         word = affine_to_word(welt)
@@ -848,7 +844,7 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
             raise DomainError("word is not reduced")
     coords = []
     for gate, (_, panel) in zip(_gallery(e, rel, word), _twin_panels(cp, dm, word)):
-        coords.append(panel_parameter(panel, project_twin(panel, gate)))
+        coords.append(_chart(panel).parameter_of(project_twin(panel, gate)))
     return coords
 
 

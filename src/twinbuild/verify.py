@@ -225,9 +225,7 @@ def _suite_twin_axioms(col, rng, count):
         pan = _panel(cp, s)
         if ws.length() > w.length():
             e = project_twin(pan, cm)
-            # delta(e, cp), not delta(cp, e): the gate records its distance
-            # from cp, and this check wants the engine's (gen = gen^{-1})
-            ok = delta(e, cp) == gen and codelta(cm, e) == ws
+            ok = delta(cp, e) == gen and codelta(cm, e) == ws
         else:
             ok = any(
                 panel_chamber(pan, t) != cp

@@ -1203,11 +1203,11 @@ def round_trip_case(rng, n, word):
 
 def test_round_trip_runs_the_engine_six_times(monkeypatch):
     """encode then decode at n = 2, 3 (words of length 2) run the engine 6
-    times and build 2 panel charts: encode takes the common basis, one
-    run of delta(cp, e) for its whole gallery and one twin gate per
-    letter, whose distance from its carrier the containment check reads;
-    decode reuses the common basis, the reference panels and their charts
-    that cp kept, and takes one twin gate per letter."""
+    times and build 2 panel charts: encode takes one run of delta(cp, e)
+    for its whole gallery, the common basis and one twin gate per letter,
+    read off the chart with no containment check; decode reuses the
+    common basis, the reference panels and their charts that cp kept,
+    and takes one twin gate per letter."""
     rng = random.Random(2901)
     runs, charts = [], []
     relpos, chart_init = building._relpos, PanelChart.__init__
@@ -1403,6 +1403,28 @@ def fresh(chamber):
     return chamber_from_basis(chamber.side, chamber.rep)
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 4]),
+    length=st.integers(0, 4),
+)
+def test_encode_is_the_checked_projection_walk(seed, n, length):
+    """encode_coords reads each coordinate off the chart with no
+    containment check; the per-letter walk with panel_parameter, which
+    checks that each twin gate contains its reference panel, gives the
+    same coordinates."""
+    rng = random.Random(seed)
+    word = random_reduced_word(rng, n, length)
+    cm, cp, e = round_trip_case(rng, n, word)
+    panels = _reference_panels(cm, _common_chamber(cm, cp), word)
+    walk = project_walk(cp, e, word)
+    checked = [
+        panel_parameter(panel, project_twin(panel, g)) for g, (_, panel) in zip(walk, panels)
+    ]
+    assert encode_coords(cp, cm, e, word) == checked
+
+
 def test_a_kept_twin_apartment_gives_what_fresh_chambers_give():
     """cp reused with a second minus chamber, or with a second reduced
     word for the same distance, gives the coordinates and the chamber
@@ -1476,18 +1498,22 @@ def test_the_kept_panels_are_one_words():
     assert cp._twin[2] == () and cp._twin[3] == []
 
 
-@pytest.mark.parametrize("word, decode", [((1, 2), False), ((1,), True), ((1, 2), True)])
-def test_a_kept_twin_apartment_makes_no_reference_cycle(word, decode):
+@pytest.mark.parametrize(
+    "word, encode, decode",
+    [((1, 2), True, False), ((1,), True, True), ((1, 2), True, True), ((1, 2), False, True)],
+)
+def test_a_kept_twin_apartment_makes_no_reference_cycle(word, encode, decode):
     """What cp keeps holds no reference back to cp, so cp and its twin
     apartment are freed by reference counting, with no cycle collection,
-    after an encode alone or a round trip of any length."""
+    after an encode alone, a round trip of any length or a decode alone
+    past one letter."""
     rng = random.Random(2907)
     cm, cp, e = round_trip_case(rng, 3, word)
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        coords = encode_coords(cp, cm, e, word)
+        coords = encode_coords(cp, cm, e, word) if encode else [GaussRat(1)] * len(word)
         if decode:
             decode_coords(cp, cm, word, coords)
         assert cp._twin[1]._base is None
@@ -1498,32 +1524,23 @@ def test_a_kept_twin_apartment_makes_no_reference_cycle(word, decode):
             gc.enable()
 
 
-def test_a_gate_knows_its_distance_from_its_carrier():
-    """The distance a gate of project or project_twin (onto a panel or a
-    larger face) records is the one the engine reads off, and delta
-    returns it while the gate holds its carrier."""
-    rng = random.Random(2905)
-    for n in (2, 3, 4):
-        for _ in range(4):
-            side = rng.choice("+-")
-            other = "-" if side == "+" else "+"
-            d = rand_chamber(rng, n, side)
-            kept = rng.sample(range(n), rng.randint(1, n - 1))
-            gates = [
-                project(d.face(kept), rand_chamber(rng, n, side)),
-                project_twin(d.face(kept), rand_chamber(rng, n, other)),
-                project(d.panel(rng.randrange(n)), rand_chamber(rng, n, side)),
-                project_twin(d.panel(rng.randrange(n)), rand_chamber(rng, n, other)),
-            ]
-            for g in gates:
-                assert g._base is d
-                assert g._dist == _relpos(d, g)[0]
-                assert delta(d, g).window == g._dist
+def test_a_short_decode_on_a_fresh_pair_leaves_cp_uninverted():
+    """A decode of at most one letter needs no inverse of cp, so the
+    twin apartment it keeps does not force one; an encode that follows
+    takes cp's inverse and then x's, dropping x's reference to cp."""
+    rng = random.Random(2908)
+    for word in [(), (1,), (3,)]:
+        cm, cp, e = round_trip_case(rng, 3, word)
+        back = decode_coords(cp, cm, word, [GaussRat(1)] * len(word))
+        assert cp._inv is None and cp._twin[0] is cm
+        coords = encode_coords(cp, cm, back, word)
+        assert cp._inv is not None and cp._twin[1]._base is None
+        assert coords == [GaussRat(1)] * len(word)
 
 
-def test_panel_parameter_still_rejects_a_chamber_outside_the_panel():
-    """Also a gate that knows its distance from another carrier, or from
-    this carrier but onto a larger face, is checked."""
+def test_panel_parameter_rejects_a_chamber_outside_the_panel():
+    """Also a gate built on another carrier, or on this carrier but onto
+    a larger face."""
     rng = random.Random(2906)
     n = 3
     cp, cm = standard_chamber("+", n), standard_chamber("-", n)
@@ -1532,7 +1549,7 @@ def test_panel_parameter_still_rejects_a_chamber_outside_the_panel():
     elsewhere = project_twin(far.panel(1), cm)
     assert elsewhere._base is far
     on_face = project(cp.face([0]), far)
-    assert on_face._base is cp and on_face._dist not in (
+    assert on_face._base is cp and delta(cp, on_face).window not in (
         word_to_affine((), n).window,
         word_to_affine(panel.cotype_nodes(), n).window,
     )
