@@ -50,19 +50,17 @@ b N (r = c.rep^{-1} d.rep b the reduced matrix, N monomial), built by
 replaying the operations on the columns of d.rep, and every chamber the
 library builds carries its inverse as a lazy product of known pieces:
 G^{-1} = N^{-1} b^{-1} d.rep^{-1} replays them as row operations on d's
-inverse, then moves rows.  The common basis x = cp.rep b, the reference
-chambers x n_v and the panel chambers carrier T_t (T_t the chart's 2 x 2
-block) invert the same way.  The minor table inverts only the chambers a
-caller validated, each once.
+inverse, then moves rows.  The common basis x = cp.rep b, the panel
+chambers carrier T_t (T_t the chart's 2 x 2 block) and the decoded
+chambers invert the same way.  The minor table inverts only the chambers
+a caller validated, each once.
 
-Schubert-cell coordinates walk the minimal gallery of a reduced type
-from cp to e.  That gallery is unique and lies in every apartment
-holding cp and e, so the one engine run of delta(cp, e) fixes it: its
-chambers are the gates at the prefixes of the word in the apartment
-that run reads off.  The opposite pair (cp, dm) keeps its twin
-apartment on cp -- the common basis and the last word's reference
-panels with their charts -- so a decode after an encode over the same
-objects computes none of it again.
+Schubert-cell coordinates are root-group coordinates: the chambers at
+Weyl distance w = s_1 ... s_l (reduced) from cp = x B+ are x x_{s_1}(t_1)
+n_{s_1} ... x_{s_l}(t_l) n_{s_l} B+, one for each t in Q(i)^l, with x the
+normalised common basis of (dm, cp) (see common_basis) and x_s(t) in the
+root group of s (see _root).  The pair keeps x on cp, so a decode after
+an encode over the same objects runs no engine.
 """
 
 from __future__ import annotations
@@ -195,9 +193,8 @@ class Chamber:
     when its basis needed no alignment (``LMat._inv_from``).
 
     A plus chamber cp that encode_coords or decode_coords paired with an
-    opposite minus chamber dm keeps their twin apartment in ``_twin``:
-    dm, the common basis and the reference panels (with their charts) of
-    the last word, reused only for the same dm object."""
+    opposite minus chamber dm keeps (dm, the normalised common basis) in
+    ``_twin``, reused only for the same dm object."""
 
     __slots__ = ("side", "rep", "n", "_chain", "_classes", "_inv", "_inv_of", "_base", "_twin")
 
@@ -689,20 +686,27 @@ def project_twin(x: Simplex, c: Chamber) -> Chamber:
 
 def common_basis(cm: Chamber, cp: Chamber) -> LMat:
     """A basis x with chamber_from_basis('-', x) = cm and
-    chamber_from_basis('+', x) = cp; exists exactly for opposite pairs."""
+    chamber_from_basis('+', x) = cp; exists exactly for opposite pairs.
+    It is unique up to a constant diagonal, so each column is divided by
+    its first nonzero coefficient (the top-most nonzero entry, at its
+    lowest exponent): x depends on the chambers only."""
     return _common_chamber(cm, cp).rep
 
 
 def _common_chamber(cm: Chamber, cp: Chamber) -> Chamber:
-    """cp held by the common basis x = cm.rep r = cp.rep b, carrying
-    x^{-1} = b^{-1} cp.rep^{-1}."""
+    """cp held by the normalised common basis x = cm.rep r diag(lc)^{-1} =
+    cp.rep b diag(lc)^{-1}, carrying x^{-1} = diag(lc) b^{-1} cp.rep^{-1}."""
     if cm.side != "-" or cp.side != "+":
         raise DomainError("common_basis takes a minus chamber then a plus chamber")
     rel = _relpos(cm, cp)
     if rel[0] != widentity(cm.n):
         raise DomainError("chambers are not opposite")
     ops = rel[3]
-    return Chamber._built("+", _replay_cols(ops, cp.rep), cp, partial(_replay_rows, ops))
+    x = _replay_cols(ops, cp.rep)
+    lc = [next(a.coeffs[a.val0()] for a in col if a) for col in x.cols()]
+    ident = widentity(cm.n)
+    rep = _move_cols(x, ident, [c.inverse() for c in lc])
+    return Chamber._built("+", rep, cp, partial(_gate_inverse, ops, ident, lc))
 
 
 def _chart(panel: Simplex) -> PanelChart:
@@ -713,9 +717,9 @@ def _chart(panel: Simplex) -> PanelChart:
 
 
 def _parameter(t):
-    """A panel parameter as the chart reads it: INF, or an int, a Fraction
-    or a GaussRat as a GaussRat; any other type raises the scalar layer's
-    TypeError."""
+    """A coordinate or a panel parameter as the library reads it: INF, or
+    an int, a Fraction or a GaussRat as a GaussRat; any other type raises
+    the scalar layer's TypeError."""
     return INF if t == INF else _scalar(t)
 
 
@@ -751,88 +755,60 @@ def panel_parameter(panel: Simplex, c: Chamber):
     return _chart(panel).parameter_of(c)
 
 
-def _reference_panels(dm: Chamber, x: Chamber, word):
-    """The gallery of type word from dm in the twin apartment of x (a
-    chamber held by the common basis): for each letter s, the chain
-    position of s on the plus side and the s-panel of the minus chamber
-    x n_v B-, v the prefix before s."""
-    n = dm.n
-    prefix = widentity(n)
-    for k, s in enumerate(word):
-        if k:
-            d = Chamber._built("-", _move_cols(x.rep, prefix), x, partial(_move_rows, u=prefix))
-        else:
-            d = dm
-        yield _position_of_node(s, n, "+"), d.panel(_position_of_node(s, n, "-"))
-        prefix = wcompose(prefix, wgen(s, n))
+def _root(s, n):
+    """(i, j, e) with x_s(t) = 1 + t z^e E_ij, the root group of B+ that
+    the generator s moves: (s-1, s, 0) finite, (n-1, 0, 1) affine."""
+    return (s - 1, s, 0) if s < n else (n - 1, 0, 1)
 
 
-def _gallery(e: Chamber, rel, word):
-    """The chambers after each letter of the minimal gallery of type word
-    from c to e, for rel = _relpos(c, e) and a reduced word for delta(c,
-    e): the k-th is the gate at the k-th prefix of the word in the
-    apartment of c and e that the engine run reads off, built on e."""
-    n = e.n
-    prefix = widentity(n)
-    for s in word:
-        prefix = wcompose(prefix, wgen(s, n))
-        yield _gate(e.side, e, rel, prefix)
+def _unroot(letters, mat: LMat) -> LMat:
+    """g^{-1} mat for g = x_{s_1}(t_1) n_{s_1} ... x_{s_k}(t_k) n_{s_k}, the
+    letters being the pairs (s, t): for each in turn the row operation
+    row_i -= t z^e row_j, then a row move by n_s^{-1}."""
+    n = mat.nrows
+    rows = list(mat.rows)
+    for s, t in letters:
+        i, j, e = _root(s, n)
+        if t:
+            rows[i] = _col_sub(rows[i], _lp({e: t}), rows[j])
+        rows = _moved(rows, wgen(s, n), None, 1)
+    return LMat._of(rows)
 
 
-def _twin_apartment(cp: Chamber, dm: Chamber):
-    """(dm, x, word, panels), the twin apartment of the opposite pair as
-    cp keeps it: x = _common_chamber(dm, cp), and the reference panels of
-    the last word asked for (None before the first).  It is computed on
-    first use and reused only for the same dm object, so the lookup runs
-    no engine; a pair that is not opposite raises and keeps nothing.
-
-    x keeps cp as its base until x's inverse is taken, a cycle through
-    cp._twin.  A decode past one letter takes x's inverse (and cp's on
-    the way); once cp's inverse is known, as after any encode, the
-    lookup takes x's too, a row replay.  A decode of at most one letter
-    on a fresh pair needs neither: it leaves the cycle to the collector
-    rather than invert cp through the minor table."""
+def _twin_apartment(cp: Chamber, dm: Chamber) -> Chamber:
+    """The common basis x of the opposite pair as cp keeps it, in
+    cp._twin = (dm, x): reused only for the same dm object; a pair that
+    is not opposite raises and keeps nothing.  x keeps cp as its base
+    until x's inverse is taken, a cycle through cp._twin.  Once cp's
+    inverse is known, as after any encode, the lookup takes x's too (a
+    row replay); a decode alone needs neither and leaves the cycle to
+    the collector rather than invert cp through the minor table."""
     twin = cp._twin
     if twin is None or twin[0] is not dm:
-        twin = cp._twin = (dm, _common_chamber(dm, cp), None, None)
+        twin = cp._twin = (dm, _common_chamber(dm, cp))
     if cp._inv is not None:
         twin[1]._inverse()
-    return twin
-
-
-def _twin_panels(cp: Chamber, dm: Chamber, word):
-    """The (plus position, reference panel) pairs of _reference_panels for
-    word, kept on cp with their charts for one word at a time."""
-    dm, x, kept, panels = _twin_apartment(cp, dm)
-    if kept != word:
-        panels = list(_reference_panels(dm, x, word))
-        cp._twin = (dm, x, word, panels)
-    return panels
+    return twin[1]
 
 
 def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
-    """Schubert-cell coordinates of e over the opposite pair (cp, dm).
+    """Schubert-cell coordinates of e over the opposite pair (cp, dm), for
+    a reduced word of delta(cp, e) (default: its normal form): the t with
+    e = x x_{s_1}(t_1) n_{s_1} ... n_{s_l} B+ (see the module notes).
 
-    Walks the minimal gallery of the given reduced type (default: the
-    normal form of delta(cp, e)) from cp to e; the k-th coordinate is the
-    panel parameter of the twin projection of the k-th gallery chamber
-    onto the matching panel of the reference apartment gallery on the
-    other side.  decode_coords inverts the walk exactly.
+    One engine run on (x, e) writes e = x b n_w B+ with b in B+.  Then for
+    each letter s, t is b's entry at the root of s over the diagonal
+    entry of its column at z^0, and b becomes n_s^{-1} x_s(-t) b n_s.
 
-    The gallery is unique and lies in every apartment holding cp and e,
-    so the one engine run of delta(cp, e) fixes all of it: its k-th
-    chamber is the gate at the k-th prefix of the word in the apartment
-    that run reads off.  The twin gate of that chamber onto the matching
-    reference panel lies in the panel's residue by construction, so its
-    parameter is read off the chart with no containment check.  cp keeps
-    the twin apartment of (cp, dm) for a decode_coords that follows (see
-    Chamber).
+    >>> cp, dm = standard_chamber("+", 2), standard_chamber("-", 2)
+    >>> e = chamber_from_basis("+", LMat([[1, 3], [0, 1]]) @ weyl_matrix(word_to_affine((1,), 2)))
+    >>> [str(t) for t in encode_coords(cp, dm, e)]
+    ['3']
     """
     if cp.side != "+" or dm.side != "-" or e.side != "+":
         raise DomainError("encode_coords takes (plus, minus, plus) chambers")
     n = cp.n
-    rel = _relpos(cp, e)
-    _twin_apartment(cp, dm)
+    rel = _relpos(_twin_apartment(cp, dm), e)
     welt = AffineWeylElt.from_window(rel[0])
     if word is None:
         word = affine_to_word(welt)
@@ -842,44 +818,51 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
             raise DomainError("word does not spell the Weyl distance")
         if welt.length() != len(word):
             raise DomainError("word is not reduced")
+    v, lc = _lead_move(rel, widentity(n))
+    b = _move_cols(rel[1], v, [x.inverse() for x in lc])
     coords = []
-    for gate, (_, panel) in zip(_gallery(e, rel, word), _twin_panels(cp, dm, word)):
-        coords.append(_chart(panel).parameter_of(project_twin(panel, gate)))
+    for s in word:
+        i, j, k = _root(s, n)
+        t = b[i, j].coeff(k) / b[j, j].coeff(0)
+        coords.append(t)
+        b = _move_cols(_unroot([(s, t)], b), wgen(s, n))
     return coords
 
 
 def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
-    """Rebuild the plus chamber from its Schubert-cell coordinates.
-
-    Each coordinate is a panel parameter, a Gaussian rational or INF, so
-    each letter's chart is P^1 minus one reserved value.  The reserved
-    value depends on the letter and on the opposite pair (on the standard
-    pair it is 0 for a finite generator and INF for the affine one), and a
-    coordinate at that value lands in a lower cell: at n = 2, word (1,)
-    and coordinate 0 give cp itself, at distance 1 from cp, not s_1.  A
+    """The plus chamber x x_{s_1}(t_1) n_{s_1} ... x_{s_l}(t_l) n_{s_l} B+
+    (see the module notes): every tuple in Q(i)^l lands in the cell of
+    the word and encode_coords gives it back.  A coordinate INF skips its
+    letter's factor (the gallery stays), so it lands in a lower cell.  A
     coordinate is an int, a Fraction, a GaussRat or INF; any other type
-    raises TypeError.
+    raises TypeError.  The representative is x after a column operation
+    and a column move per letter, and it carries its inverse (_unroot).
 
-    Each letter's chamber comes from the chart of its reference panel,
-    read off the panel's carrier basis with one Hermite form (see
-    PanelChart).  After an encode_coords of the same word over the same
-    (cp, dm) objects, the common basis, the reference panels and their
-    charts are the ones cp kept, so none is computed again.  The chamber
-    is determined by the coordinates; its representative is one of many,
-    and the one returned is the chart's carrier basis with two columns
-    replaced, carried through the twin gates.
+    >>> cp, dm = standard_chamber("+", 2), standard_chamber("-", 2)
+    >>> print(decode_coords(cp, dm, (1,), [3]).rep)
+    [3, 1]
+    [1, 0]
+    >>> print(decode_coords(cp, dm, (2,), [1]).rep)
+    [0, z^-1]
+    [z, 1]
+    >>> decode_coords(cp, dm, (1, 2), [INF, INF]) == cp
+    True
     """
     if cp.side != "+" or dm.side != "-":
         raise DomainError("decode_coords takes (plus, minus) chambers")
     n = cp.n
-    _twin_apartment(cp, dm)
+    x = _twin_apartment(cp, dm)
     word = tuple(word)
     welt = word_to_affine(word, n)
     if welt.length() != len(word):
         raise DomainError("word is not reduced")
     if len(word) != len(coords):
         raise DomainError("word and coordinate list differ in length")
-    cprev = cp
-    for (pp, panel), t in zip(_twin_panels(cp, dm, word), coords):
-        cprev = project_twin(cprev.panel(pp), panel_chamber(panel, t))
-    return cprev
+    letters = tuple((s, t) for s, t in zip(word, map(_parameter, coords)) if t != INF)
+    cols = x.rep.cols()
+    for s, t in letters:
+        i, j, e = _root(s, n)
+        if t:
+            cols[j] = _col_sub(cols[j], _lp({e: -t}), cols[i])
+        cols = _moved(cols, wgen(s, n), None, -1)
+    return Chamber._built("+", LMat._of(zip(*cols)), x, partial(_unroot, letters))

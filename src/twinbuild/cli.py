@@ -491,11 +491,10 @@ def _build_parser():
     q.add_argument("--cminus", default=None)
     q.add_argument("--word", required=True)
     q.add_argument("--coords", required=True,
-                   help="comma list, one per letter; INF allowed.  Each letter's "
-                   "chart is P^1 minus one reserved value, which depends on the "
-                   "letter and on the opposite pair (on the standard pair: 0 for "
-                   "a finite generator, INF for the affine one); a coordinate at "
-                   "that value lands in a lower cell")
+                   help="comma list of Gaussian rationals, one per letter: "
+                   "root-group coordinates, so every list lands in the cell of "
+                   "the word; INF skips its letter (the gallery stays), which "
+                   "lands in a lower cell")
     q.set_defaults(func=_cmd_coords)
 
     poin = sub.add_parser("poincare", help="cell-counting series")

@@ -199,13 +199,20 @@ def test_coords_encode_decode_round_trip(capsys):
 
 
 def test_coords_decode_accepts_infinity(capsys):
+    """INF is the point at infinity of the letter's panel: the letter's
+    factor is skipped, so the gallery stays at the identity chamber."""
     code, out, _ = run_cli(
         capsys,
         "coords", "decode", "--n", "2",
-        "--word", "1", "--coords", "INF",
+        "--word", "1", "--coords", "INF", "--format", "json",
     )
     assert code == 0
-    assert out.strip()  # some chamber matrix
+    assert json.loads(out) == {
+        "command": "coords.decode",
+        "parameters": {"coords": "INF", "n": 2, "word": "1"},
+        "result": {"chamber": [["1", "0"], ["0", "1"]]},
+        "schema": "twinbuild/1",
+    }
 
 
 @pytest.mark.parametrize("coords", ["0.5", "1,0.5", "1e3,1", "nan,INF"])
@@ -225,11 +232,11 @@ def test_coords_decode_of_a_float_coordinate_is_a_usage_envelope(capsys, coords)
     assert doc["error"]["code"] == "usage"
 
 
-def test_coords_decode_at_the_reserved_value_gives_a_lower_cell(capsys):
-    """The chart of letter 1 on the standard pair at n = 2 reserves 0:
-    decoding it returns cp itself (Weyl distance 1 from cp, not s_1).
-    The documented chart is P^1 minus that value, so a change of chart
-    has to change this output on purpose."""
+def test_coords_decode_at_zero_gives_the_apartment_chamber(capsys):
+    """Root-group coordinates reserve no value: coordinate 0 of letter 1
+    on the standard pair at n = 2 is the chamber n_{s_1} B+ of the
+    standard apartment, at Weyl distance s_1 from cp.  A change of
+    coordinates has to change this output on purpose."""
     code, out, _ = run_cli(
         capsys,
         "coords", "decode", "--n", "2", "--word", "1", "--coords", "0",
@@ -239,7 +246,7 @@ def test_coords_decode_at_the_reserved_value_gives_a_lower_cell(capsys):
     assert json.loads(out) == {
         "command": "coords.decode",
         "parameters": {"coords": "0", "n": 2, "word": "1"},
-        "result": {"chamber": [["1", "0"], ["0", "1"]]},
+        "result": {"chamber": [["0", "1"], ["1", "0"]]},
         "schema": "twinbuild/1",
     }
 
