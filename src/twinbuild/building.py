@@ -51,16 +51,17 @@ replaying the operations on the columns of d.rep, and every chamber the
 library builds carries its inverse as a lazy product of known pieces:
 G^{-1} = N^{-1} b^{-1} d.rep^{-1} replays them as row operations on d's
 inverse, then moves rows.  The common basis x = cp.rep b, the panel
-chambers carrier T_t (T_t the chart's 2 x 2 block) and the decoded
-chambers invert the same way.  The minor table inverts only the chambers
-a caller validated, each once.
+chambers and the decoded chambers invert the same way.  The minor table
+inverts only the chambers a caller validated, each once.
 
 Schubert-cell coordinates are root-group coordinates: the chambers at
 Weyl distance w = s_1 ... s_l (reduced) from cp = x B+ are x x_{s_1}(t_1)
 n_{s_1} ... x_{s_l}(t_l) n_{s_l} B+, one for each t in Q(i)^l, with x the
 normalised common basis of (dm, cp) (see common_basis) and x_s(t) in the
 root group of s (see _root).  The pair keeps x on cp, so a decode after
-an encode over the same objects runs no engine.
+an encode over the same objects runs no engine.  A panel's chart is the
+same step on its carrier g: the chambers through the panel of cotype s
+are g and the g x_s(t) n_s, t in Q(i) (see panel_chamber).
 """
 
 from __future__ import annotations
@@ -310,10 +311,9 @@ def standard_chamber(side, n: int) -> Chamber:
 
 
 class Simplex:
-    """A face of a chamber: the vertex classes at the kept types.  A panel
-    keeps its chart (``_chart``) once a caller has needed it."""
+    """A face of a chamber: the vertex classes at the kept types."""
 
-    __slots__ = ("carrier", "kept_types", "_chart")
+    __slots__ = ("carrier", "kept_types")
 
     def __init__(self, carrier: Chamber, kept_types):
         kept = frozenset(kept_types)
@@ -323,7 +323,6 @@ class Simplex:
             raise DomainError("kept types must be vertex types 0..n-1")
         self.carrier = carrier
         self.kept_types = kept
-        self._chart = None
 
     @property
     def side(self):
@@ -709,11 +708,11 @@ def _common_chamber(cm: Chamber, cp: Chamber) -> Chamber:
     return Chamber._built("+", rep, cp, partial(_gate_inverse, ops, ident, lc))
 
 
-def _chart(panel: Simplex) -> PanelChart:
-    if panel._chart is None:
-        (gap,) = set(range(panel.n)) - panel.kept_types
-        panel._chart = PanelChart(panel.carrier, gap)
-    return panel._chart
+def _chart(panel: Simplex, caller) -> PanelChart:
+    if len(panel.kept_types) != panel.n - 1:
+        raise DomainError(f"{caller} needs a panel (exactly one type missing)")
+    (gap,) = set(range(panel.n)) - panel.kept_types
+    return PanelChart(panel.carrier, gap)
 
 
 def _parameter(t):
@@ -726,15 +725,32 @@ def _parameter(t):
 def panel_chamber(panel: Simplex, t) -> Chamber:
     """The chamber through a panel at chart parameter t (or INF).
 
-    The chart comes from the carrier's basis and one Hermite form (see
-    PanelChart); the chamber's representative is carrier T_t, the
-    carrier's with the two basis columns that move in the panel replaced,
-    and it carries its inverse T_t^{-1} carrier^{-1}.  t is an int, a
-    Fraction, a GaussRat or INF; any other type raises TypeError."""
-    if len(panel.kept_types) != panel.n - 1:
-        raise DomainError("panel_chamber needs a panel (exactly one type missing)")
+    The chart is the root group of the panel's cotype s on its carrier g
+    (see PanelChart): the chamber at t is g x_s(t) n_s, so 0 is g n_s,
+    and INF is g.  It depends on g's representative, up to an affine map
+    t -> a t + c when g is replaced by g b, b in the side's Borel.  The
+    chamber carries its inverse as two row operations on g's.  t is an
+    int, a Fraction, a GaussRat or INF; any other type raises TypeError.
+
+    On the standard pair the chart of the panel of cotype s of cp is
+    decode_coords' coordinate on the word (s,):
+
+    >>> cp, dm = standard_chamber("+", 2), standard_chamber("-", 2)
+    >>> panel = cp.panel(1)
+    >>> panel.cotype_nodes()
+    (1,)
+    >>> panel_chamber(panel, INF) == cp
+    True
+    >>> panel_chamber(panel, 0) == chamber_from_basis("+", weyl_matrix(word_to_affine((1,), 2)))
+    True
+    >>> print(panel_chamber(panel, 3).rep)
+    [3, 1]
+    [1, 0]
+    >>> panel_chamber(panel, 3) == decode_coords(cp, dm, (1,), [3])
+    True
+    """
+    chart = _chart(panel, "panel_chamber")
     t = _parameter(t)
-    chart = _chart(panel)
     return Chamber._built(
         panel.side, chart.chamber_basis(t), panel.carrier, partial(chart.chamber_inverse, t)
     )
@@ -742,9 +758,21 @@ def panel_chamber(panel: Simplex, t) -> Chamber:
 
 def panel_parameter(panel: Simplex, c: Chamber):
     """Inverse chart: the parameter at which a chamber through the panel
-    sits (INF for the chamber at infinity)."""
-    if len(panel.kept_types) != panel.n - 1:
-        raise DomainError("panel_parameter needs a panel (exactly one type missing)")
+    sits, INF for the carrier (see panel_chamber).  The containment check
+    is one engine run, which also gives the carrier's inverse that the
+    chart reads the parameter with; a chamber outside the panel raises
+    DomainError.
+
+    >>> cp, dm = standard_chamber("+", 2), standard_chamber("-", 2)
+    >>> panel = cp.panel(1)
+    >>> panel_parameter(panel, cp)
+    inf
+    >>> str(panel_parameter(panel, decode_coords(cp, dm, (1,), [3])))
+    '3'
+    >>> str(panel_parameter(panel, chamber_from_basis("+", weyl_matrix(word_to_affine((1,), 2)))))
+    '0'
+    """
+    chart = _chart(panel, "panel_parameter")
     if c.side != panel.side:
         raise DomainError("side mismatch")
     # c contains the panel iff it lies in the panel's residue: its Weyl
@@ -752,7 +780,7 @@ def panel_parameter(panel: Simplex, c: Chamber):
     (s,) = panel.cotype_nodes()
     if delta(panel.carrier, c).window not in (widentity(c.n), wgen(s, c.n)):
         raise DomainError("chamber does not contain the panel")
-    return _chart(panel).parameter_of(c)
+    return chart.parameter_of(c, panel.carrier._inverse())
 
 
 def _root(s, n):

@@ -3,13 +3,13 @@ Laurent vector space, their projective classes, types, membership,
 incidence, and the projective-line charts on panels.
 
 The minus side reuses the plus-side code through the substitution z -> 1/z;
-module-level computations (Hermite forms, membership, incidence, charts)
-are side-symmetric.  Ordered-basis conventions (which columns carry the
+module-level computations (Hermite forms, membership, incidence) are
+side-symmetric.  Ordered-basis conventions (which columns carry the
 z-marks in a chamber chain) differ between the sides so that each
 standard chain is stabilized by its Borel subgroup; see
-vertex_classes_of_basis.  A panel chart is read off the basis of a chamber
-through the panel with one Hermite form, that of the chain lattice just
-above the missing vertex; no vertex class is computed for it.
+vertex_classes_of_basis.  A panel chart is the root group of the panel's
+cotype acting on two columns of one chamber through the panel: it takes
+no Hermite form and computes no vertex class.
 
 Invariant, by construction: a LatticeClass is built from generators, any
 of them, and its ``mat`` is the canonical form it computes (upper
@@ -28,9 +28,9 @@ import math
 from .errors import DomainError, NotInvertibleError
 from .exactalg import (
     LMat,
+    LP_ZERO,
     LaurentPoly,
     QI_ONE,
-    QI_ZERO,
     Z,
     _col_sub,
     _lp,
@@ -89,7 +89,7 @@ class LatticeClass(Record):
         if not isinstance(gens, LMat):
             raise DomainError("a lattice class needs an LMat of generators")
         n = gens.nrows
-        h, _ = _canonical_plus_cols(_to_plus(side, gens).cols(), n)
+        h = _canonical_plus_cols(_to_plus(side, gens).cols(), n)
         if any(len(h.rows[i][i].coeffs) != 1 for i in range(n)):
             raise NotInvertibleError(
                 "generators span no lattice: their determinant is not a unit c*z^k"
@@ -128,24 +128,19 @@ def _hnf_poly_cols(cols, n):
     """Column HNF of a rank-n module spanned by polynomial columns.
 
     ``cols``: list of m >= n columns (tuples of LaurentPoly with
-    nonnegative exponents).  Returns (h, u0): h is the n*n upper-triangular
-    matrix with monic diagonal and off-diagonal degrees reduced below the
-    diagonal, and u0 the rows of U(0), U the m*n column operations with
-    cols U = h: swaps, q(0)-multiple subtractions and monic scalings.
+    nonnegative exponents).  Returns the n*n upper-triangular matrix with
+    monic diagonal and off-diagonal degrees reduced below the diagonal.
     """
     cols = [list(c) for c in cols]
-    m = len(cols)
-    if m < n:
+    acnt = len(cols)
+    if acnt < n:
         raise DomainError("not enough columns to span a rank-n module")
-    u0 = [[QI_ONE if i == j else QI_ZERO for i in range(m)] for j in range(m)]
-    acnt = m
     for r in range(n - 1, -1, -1):
         while True:
             live = [c for c in range(acnt) if cols[c][r]]
             if not live:
                 raise NotInvertibleError("columns do not span a rank-n module")
             if len(live) == 1:
-                piv = live[0]
                 break
             # reduce all row-r entries by the minimal-degree one
             cmin = min(live, key=lambda c: max(cols[c][r].coeffs))
@@ -155,18 +150,13 @@ def _hnf_poly_cols(cols, n):
                 q, _ = poly_divmod(cols[c][r], cols[cmin][r])
                 if q:
                     cols[c] = _col_sub(cols[c], q, cols[cmin])
-                    _u0_sub(u0, c, q, cmin)
-            live = [c for c in range(acnt) if cols[c][r]]
-            if len(live) == 1:
-                piv = live[0]
-                break
         acnt -= 1
+        piv = live[0]
         cols[piv], cols[acnt] = cols[acnt], cols[piv]
-        u0[piv], u0[acnt] = u0[acnt], u0[piv]
     for c in range(acnt):
         if any(cols[c]):
             raise NotInvertibleError("dependent columns exceed module rank")
-    out, u0 = cols[acnt:], u0[acnt:]
+    out = cols[acnt:]
     # monic diagonals
     for r in range(n):
         d = out[r][r]
@@ -174,38 +164,22 @@ def _hnf_poly_cols(cols, n):
         if lead != QI_ONE:
             inv = lead.inverse()
             out[r] = [a * inv for a in out[r]]
-            u0[r] = [a * inv if a else a for a in u0[r]]
     # reduce off-diagonal degrees: entry (i, j) for j > i mod diagonal (i, i)
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
             q, _ = poly_divmod(out[j][i], out[i][i])
             if q:
                 out[j] = _col_sub(out[j], q, out[i])
-                _u0_sub(u0, j, q, i)
-    return LMat._of(zip(*out)), list(zip(*u0))
-
-
-def _u0_sub(u0, c, q, k):
-    """U(0) under col_c -= q col_k: column c minus q(0) times column k."""
-    q0 = q.coeffs.get(0)
-    if q0:
-        u0[c] = [a - q0 * b if b else a for a, b in zip(u0[c], u0[k])]
+    return LMat._of(zip(*out))
 
 
 def _canonical_plus_cols(cols, n):
     """Canonical Laurent form: global z-shift to polynomials, HNF, shift
-    back; (h, u0) as _hnf_poly_cols, since a common shift keeps U(0)."""
-    shift = 0
-    for col in cols:
-        for a in col:
-            if a:
-                shift = min(shift, a.val0())
-    shift = -int(shift)
+    back."""
+    shift = -int(min([0] + [a.val0() for col in cols for a in col if a]))
     shifted = [[a.shift(shift) for a in col] for col in cols]
-    h, u0 = _hnf_poly_cols(shifted, n)
-    if shift:
-        h = h.scale(zpow(-shift))
-    return h, u0
+    h = _hnf_poly_cols(shifted, n)
+    return h.scale(zpow(-shift)) if shift else h
 
 
 def type_of(c: LatticeClass) -> int:
@@ -250,7 +224,7 @@ def member(side, gens: LMat, v) -> bool:
     """Is the vector v (tuple of LaurentPoly) in the lattice spanned by the
     columns of ``gens`` (any generators, in the side's own variable)?"""
     _check_side(side)
-    h, _ = _canonical_plus_cols(_to_plus(side, gens).cols(), gens.nrows)
+    h = _canonical_plus_cols(_to_plus(side, gens).cols(), gens.nrows)
     if side == "-":
         v = [a.subs_zinv() for a in v]
     return _member_plus(h, v)
@@ -331,124 +305,77 @@ def _marks(side, n, j):
     return [s + (k in marked) for k in range(n)]
 
 
-def _plus_col(side, col, mark):
-    """A basis column times the mark-th power of the side's variable,
-    read in the plus variable."""
-    if side == "-":
-        col = [a.subs_zinv() for a in col]
-    return tuple(a.shift(mark) for a in col) if mark else tuple(col)
-
-
 # ---------------------------------------------------------------------------
 # Panel charts
 # ---------------------------------------------------------------------------
 
 
 class PanelChart:
-    """The projective-line chart on the chambers through a panel, read off
-    the basis of one chamber through it (the carrier, a building.Chamber)
-    and the chain position ``gap`` of the panel's missing type.
+    """The projective-line chart on the chambers through a panel: the root
+    group of the panel's cotype s on the basis of one chamber through it
+    (the carrier, a building.Chamber), for the chain position ``gap`` of
+    the panel's missing type.
 
-    The carrier's chain gives the sandwich A = L_{gap-1} > M = L_gap >
-    B = L_{gap+1} with dim A/B = 2 over Q(i); the chambers through the
-    panel are the carrier with M replaced by a lattice strictly between
-    A and B.  Two basis columns p, q span A/B: A and B agree on the
-    others, and M = B + Q(i)[z] a_p, where a_k is column k with A's
-    z-mark.  The chart sends t in Q(i) to the chamber with gap lattice
-    B + Q(i)[z](u1 + t*u2), and the infinity sentinel to B + Q(i)[z]u2,
-    with (u1, u2) the first two columns of the Hermite form of A that are
-    independent modulo B.  That Hermite form is the chart's only one: its
-    column operations at z = 0 give the coordinates in A/zA, and the rest
-    is Q(i) linear algebra there.  A chamber's representative is
-    normalised (chain position p carries type p), which the chart relies
-    on; parameter_of does not check that its chamber contains the panel.
+    Two basis columns b_p, b_q move in the panel: (p, q) = (s - 1, s) on
+    '+' and (s, s - 1) on '-' for a finite s, (n - 1, 0) and (0, n - 1)
+    for the affine node.  The chamber at t in Q(i) is carrier x_s(t) n_s:
+    column p becomes t b_p + z^h b_q and column q becomes z^{-h} b_p, with
+    h = -1 ('+') or 1 ('-') at the affine node and 0 otherwise, so t = 0
+    is carrier n_s.  INF is the carrier itself.  The chamber at t carries
+    its inverse as two row operations on the carrier's
+    (``chamber_inverse``).
 
-    The chamber at t is carrier T_t: T_t is a monomial 2 x 2 block on
-    columns p, q, a right factor of the carrier's basis, with inverse two
-    row operations (``chamber_inverse``).
+    The chart depends on the carrier's representative: carrier b, for b
+    in the side's Borel, gives the same chambers at parameters moved by
+    an affine map t -> a t + c.
     """
 
     def __init__(self, carrier, gap: int):
-        side, rep = carrier.side, carrier.rep
-        n = rep.nrows
-        self.side = side
-        self._rep = rep
-        if side == "+":
-            p, q = n - 1 - gap, (n - gap) % n
+        n = carrier.n
+        self._rep = carrier.rep
+        if carrier.side == "+":
+            self._p, self._q = n - 1 - gap, (n - gap) % n
+            self._h = -1 if gap == 0 else 0
         else:
-            p, q = gap, (gap - 1) % n
-        marks = _marks(side, n, gap - 1)
-        # a_q = z^shift b_q (the mark of q, in the side's own variable);
-        # marks[p] is 0
-        self._p, self._q = p, q
-        self._shift = marks[q] if side == "+" else -marks[q]
-        gens = [_plus_col(side, col, m) for col, m in zip(rep.cols(), marks)]
-        self._A, u0 = _canonical_plus_cols(gens, n)
-        # rows p, q of U(0), where A = gens U: the coordinates in (a_p, a_q)
-        # of a vector of A/zA modulo the image of B
-        rp, rq = u0[p], u0[q]
-        # greedy completion of B/zA by Hermite columns: u1 = column j1, the
-        # first outside B, and u2 = column j2, the first outside B + u1;
-        # kept as their coordinates in (a_p, a_q)
-        j1 = next(j for j in range(n) if rp[j] or rq[j])
-        j2 = next(j for j in range(j1 + 1, n) if rp[j1] * rq[j] != rq[j1] * rp[j])
-        self._u1 = (rp[j1], rq[j1])
-        self._u2 = (rp[j2], rq[j2])
-        # rows taking psi in A/zA to (c1, c2) with psi = c1*u1 + c2*u2
-        # modulo B, up to one common factor
-        self._c1 = [self._u2[1] * x - self._u2[0] * y for x, y in zip(rp, rq)]
-        self._c2 = [self._u1[0] * y - self._u1[1] * x for x, y in zip(rp, rq)]
-
-    def _block(self, t):
-        """(al, be): a_p moves to al a_p + be a_q, on the line of u1 + t*u2
-        modulo B."""
-        if t == INF:
-            return self._u2
-        return self._u1[0] + t * self._u2[0], self._u1[1] + t * self._u2[1]
+            self._p, self._q = gap, (gap - 1) % n
+            self._h = 1 if gap == 0 else 0
 
     def chamber_basis(self, t) -> LMat:
         """The representative of the chamber at parameter t (Q(i) or INF):
-        carrier T_t, the carrier's with the columns p, q replaced by a
-        constant block on A's generators a_p, a_q, so a_p moves to the line
-        of u1 + t*u2 modulo B, and the determinant stays the carrier's up
-        to sign."""
-        al, be = self._block(t)
-        p, q, s = self._p, self._q, self._shift
+        carrier x_s(t) n_s, the carrier's basis with columns p, q
+        replaced, so the determinant stays the carrier's up to sign."""
+        if t == INF:
+            return self._rep
+        p, q, h = self._p, self._q, self._h
         cols = self._rep.cols()
         bp, bq = cols[p], cols[q]
-        if al:
-            # [[al, 0], [be z^s, 1/al]]
-            cols[p] = tuple(al * x + be * y.shift(s) for x, y in zip(bp, bq))
-            cols[q] = tuple(al.inverse() * y for y in bq)
-        else:
-            # [[0, 1/be z^-s], [be z^s, 0]]
-            cols[p] = tuple(be * y.shift(s) for y in bq)
-            cols[q] = tuple(be.inverse() * x.shift(-s) for x in bp)
+        cols[p] = tuple(t * x + y.shift(h) for x, y in zip(bp, bq))
+        cols[q] = tuple(x.shift(-h) for x in bp)
         return LMat._of(zip(*cols))
 
     def chamber_inverse(self, t, inv: LMat) -> LMat:
-        """T_t^{-1} inv, for inv the inverse of the carrier's basis: the
-        inverse of chamber_basis(t), by two row operations on rows p, q."""
-        al, be = self._block(t)
-        p, q, s = self._p, self._q, self._shift
+        """The inverse of chamber_basis(t), for inv the inverse of the
+        carrier's basis: rows p, q of inv become z^{-h} row_q and
+        z^h row_p - t row_q."""
+        if t == INF:
+            return inv
+        p, q, h = self._p, self._q, self._h
         rows = list(inv.rows)
         rp, rq = rows[p], rows[q]
-        if al:
-            # [[1/al, 0], [-be z^s, al]]
-            rows[p] = [al.inverse() * x for x in rp]
-            rows[q] = [al * y - be * x.shift(s) for x, y in zip(rp, rq)]
-        else:
-            # the swap block is its own inverse
-            rows[p] = [be.inverse() * y.shift(-s) for y in rq]
-            rows[q] = [be * x.shift(s) for x in rp]
+        rows[p] = [y.shift(-h) for y in rq]
+        rows[q] = [x.shift(h) - t * y for x, y in zip(rp, rq)]
         return LMat._of(rows)
 
-    def parameter_of(self, chamber):
+    def parameter_of(self, chamber, inv: LMat):
         """Inverse chart: the parameter (INF allowed) of a chamber through
-        the panel, read off its gap generator, column p of its
-        representative; that column lies in A and not in B."""
-        v = _plus_col(self.side, chamber.rep.col(self._p), 0)
-        psi = [x.ev0() for x in _plus_coords(self._A, v)]
-        c1 = sum((w * x for w, x in zip(self._c1, psi)), QI_ZERO)
-        c2 = sum((w * x for w, x in zip(self._c2, psi)), QI_ZERO)
-        return INF if not c1 else c2 / c1
+        the panel, for inv the inverse of the carrier's basis.  Column p
+        of the chamber's representative is al b_p + be z^h b_q modulo the
+        chain lattice at position gap + 1, which every chamber through the
+        panel shares, and t = al / be: al is the z^0 coefficient of row p
+        of inv against that column, be the z^h coefficient of row q."""
+        col = chamber.rep.col(self._p)
+        al, be = (
+            sum((a * b for a, b in zip(inv.rows[k], col)), LP_ZERO).coeff(e)
+            for k, e in ((self._p, 0), (self._q, self._h))
+        )
+        return INF if not be else al / be

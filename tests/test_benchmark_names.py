@@ -12,8 +12,9 @@ missing one as absent, so a renamed library function would silently drop
 its per-layer metrics from a traced run; the last test catches that.
 
 The runner's last line is its machine-readable result, so one short
-traced run checks that it is strict JSON (no NaN or Infinity), that the
-panel charts show in it and that no vertex class does.
+traced run checks that it is strict JSON (no NaN or Infinity) and that
+the timed path builds no panel chart and reads no vertex class: both
+traced metrics are present and read 0.
 """
 
 import json

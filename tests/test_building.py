@@ -1112,13 +1112,6 @@ CARRY_PARAMS = [
 ]
 
 
-def swap_parameter(chart):
-    """The parameter whose block is the swap [[0, 1/be], [be, 0]]: a_p's
-    own coefficient al = u1[0] + t*u2[0] vanishes there."""
-    (a1, _), (a2, _) = chart._u1, chart._u2
-    return -a1 / a2 if a2 else INF
-
-
 def assert_carried(chamber):
     assert chamber._inv is None and chamber._inv_of is not None
     assert chamber.rep @ chamber._inverse() == LMat.identity(chamber.n)
@@ -1130,7 +1123,8 @@ def test_carried_inverses_invert_the_representative(seed, n):
     """Every chamber the library builds carries rep^{-1}: the gates of
     project and project_twin (also of a face of a gate), the common basis,
     the decoded chambers (coordinates 0, INF and random), and the panel
-    chambers at fixed parameters and at the swap block, on both sides.
+    chambers at fixed parameters, the swap block carrier n_s at t = 0
+    among them, on both sides.
     The caller's chambers are inverted first; after that no minor-table
     inverse is taken."""
     rng = random.Random(seed)
@@ -1161,10 +1155,10 @@ def test_carried_inverses_invert_the_representative(seed, n):
         for carrier in (d, gate, decoded[-1]):
             for gap in range(n):
                 panel = carrier.panel(gap)
-                panel_chamber(panel, GaussRat(0))  # builds the chart
-                t_swap = swap_parameter(panel._chart)
-                for t in CARRY_PARAMS + [t_swap]:
-                    swaps += not panel._chart._block(t)[0]
+                chart = PanelChart(carrier, gap)
+                swap = carrier.rep @ weyl_matrix(word_to_affine(panel.cotype_nodes(), n))
+                for t in CARRY_PARAMS:
+                    swaps += chart.chamber_basis(t) == swap
                     built.append(panel_chamber(panel, t))
         assert swaps >= 3 * n
         for chamber in built:

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbuild import lattice
-from twinbuild.building import Chamber, panel_chamber, panel_parameter
+from twinbuild.building import (
+    Chamber,
+    decode_coords,
+    delta,
+    panel_chamber,
+    panel_parameter,
+    weyl_matrix,
+)
+from twinbuild.coxeter import word_to_affine
 from twinbuild.errors import DomainError, NotInvertibleError
 from twinbuild.exactalg import (
     GaussRat,
@@ -17,7 +25,9 @@ from twinbuild.exactalg import (
     QI_ONE,
     QI_ZERO,
     Z,
+    _col_sub,
     parse_poly,
+    poly_divmod,
     rref,
     zpow,
 )
@@ -152,7 +162,7 @@ def adapted_basis(side, chain_mats) -> LMat:
     """
     mats = [_to_plus(side, m) for m in chain_mats]
     n = mats[0].nrows
-    cans = [_canonical_plus_cols(m.cols(), n)[0] for m in mats]
+    cans = [_canonical_plus_cols(m.cols(), n) for m in mats]
     return _basis_of_cols(side, _adapted_cols(cans))
 
 
@@ -260,7 +270,7 @@ class ClassPanelChart:
     def chamber_basis(self, t) -> LMat:
         """Ordered basis of the full chamber obtained by filling the gap
         at parameter t."""
-        gap_mat, _ = _canonical_plus_cols(
+        gap_mat = _canonical_plus_cols(
             self._B.cols() + [self._gap_vector(t)], self.n
         )
         return _basis_of_cols(self.side, _adapted_cols([gap_mat] + self._chain))
@@ -296,6 +306,144 @@ class ClassPanelChart:
                 continue
             return INF if not c1 else c2 / c1
         raise DomainError("class equals the panel floor; not a chamber vertex")
+
+
+# ---------------------------------------------------------------------------
+# the Hermite-form chart: the intrinsic chart PanelChart replaced
+# ---------------------------------------------------------------------------
+
+
+def hermite_form_with_u0(cols, n):
+    """(h, u0): h the canonical plus form of the module the columns span,
+    as _canonical_plus_cols computes it, and u0 the rows of U(0), U the
+    m*n column operations with (shifted cols) U = h: swaps, q(0)-multiple
+    subtractions and monic scalings.  A common z-shift of the columns
+    keeps U(0)."""
+    shift = -int(min([0] + [a.val0() for col in cols for a in col if a]))
+    cols = [[a.shift(shift) for a in col] for col in cols]
+    m = len(cols)
+    u0 = [[QI_ONE if i == j else QI_ZERO for i in range(m)] for j in range(m)]
+
+    def sub(us, c, q, k):
+        # col_c -= q col_k: U(0) column c minus q(0) times column k
+        q0 = q.coeffs.get(0)
+        if q0:
+            us[c] = [a - q0 * b for a, b in zip(us[c], us[k])]
+
+    acnt = m
+    for r in range(n - 1, -1, -1):
+        while True:
+            live = [c for c in range(acnt) if cols[c][r]]
+            if len(live) == 1:
+                break
+            cmin = min(live, key=lambda c: max(cols[c][r].coeffs))
+            for c in live:
+                q, _ = poly_divmod(cols[c][r], cols[cmin][r])
+                if c != cmin and q:
+                    cols[c] = _col_sub(cols[c], q, cols[cmin])
+                    sub(u0, c, q, cmin)
+        acnt -= 1
+        piv = live[0]
+        cols[piv], cols[acnt] = cols[acnt], cols[piv]
+        u0[piv], u0[acnt] = u0[acnt], u0[piv]
+    out, u0 = cols[acnt:], u0[acnt:]
+    for r in range(n):
+        inv = out[r][r].coeffs[max(out[r][r].coeffs)].inverse()
+        out[r] = [a * inv for a in out[r]]
+        u0[r] = [a * inv for a in u0[r]]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            q, _ = poly_divmod(out[j][i], out[i][i])
+            if q:
+                out[j] = _col_sub(out[j], q, out[i])
+                sub(u0, j, q, i)
+    h = LMat._of(zip(*out))
+    return (h.scale(zpow(-shift)) if shift else h), list(zip(*u0))
+
+
+def _plus_col(side, col, mark):
+    """A basis column times the mark-th power of the side's variable,
+    read in the plus variable."""
+    if side == "-":
+        col = [a.subs_zinv() for a in col]
+    return tuple(a.shift(mark) for a in col) if mark else tuple(col)
+
+
+class HermitePanelChart:
+    """The intrinsic chart on the chambers through a panel, read off the
+    basis of one chamber through it (the carrier) and the chain position
+    ``gap`` of the panel's missing type with one Hermite form: the chart
+    of the library before the root-group chart, kept as an oracle.
+
+    The carrier's chain gives the sandwich A = L_{gap-1} > M = L_gap >
+    B = L_{gap+1} with dim A/B = 2 over Q(i); the chambers through the
+    panel are the carrier with M replaced by a lattice strictly between
+    A and B.  Two basis columns p, q span A/B: A and B agree on the
+    others, and M = B + Q(i)[z] a_p, where a_k is column k with A's
+    z-mark.  The chart sends t in Q(i) to the chamber with gap lattice
+    B + Q(i)[z](u1 + t*u2), and INF to B + Q(i)[z]u2, with (u1, u2) the
+    first two columns of the Hermite form of A that are independent
+    modulo B.  The Hermite form's U(0) gives the coordinates in A/zA,
+    and the rest is Q(i) linear algebra there.  The chart depends on the
+    panel only.
+    """
+
+    def __init__(self, carrier, gap: int):
+        side, rep = carrier.side, carrier.rep
+        n = rep.nrows
+        self.side = side
+        self._rep = rep
+        if side == "+":
+            p, q = n - 1 - gap, (n - gap) % n
+        else:
+            p, q = gap, (gap - 1) % n
+        marks = lattice._marks(side, n, gap - 1)
+        # a_q = z^shift b_q (the mark of q, in the side's own variable);
+        # marks[p] is 0
+        self._p, self._q = p, q
+        self._shift = marks[q] if side == "+" else -marks[q]
+        gens = [_plus_col(side, col, m) for col, m in zip(rep.cols(), marks)]
+        self._A, u0 = hermite_form_with_u0(gens, n)
+        # rows p, q of U(0), where A = gens U: the coordinates in (a_p, a_q)
+        # of a vector of A/zA modulo the image of B
+        rp, rq = u0[p], u0[q]
+        # greedy completion of B/zA by Hermite columns: u1 = column j1, the
+        # first outside B, and u2 = column j2, the first outside B + u1;
+        # kept as their coordinates in (a_p, a_q)
+        j1 = next(j for j in range(n) if rp[j] or rq[j])
+        j2 = next(j for j in range(j1 + 1, n) if rp[j1] * rq[j] != rq[j1] * rp[j])
+        self._u1 = (rp[j1], rq[j1])
+        self._u2 = (rp[j2], rq[j2])
+        # rows taking psi in A/zA to (c1, c2) with psi = c1*u1 + c2*u2
+        # modulo B, up to one common factor
+        self._c1 = [self._u2[1] * x - self._u2[0] * y for x, y in zip(rp, rq)]
+        self._c2 = [self._u1[0] * y - self._u1[1] * x for x, y in zip(rp, rq)]
+
+    def chamber_basis(self, t) -> LMat:
+        """The carrier's basis with columns p, q replaced by a constant
+        block on a_p, a_q, so a_p moves to the line of u1 + t*u2 modulo B
+        (u2 at INF)."""
+        al, be = self._u2 if t == INF else (
+            self._u1[0] + t * self._u2[0], self._u1[1] + t * self._u2[1])
+        p, q, s = self._p, self._q, self._shift
+        cols = self._rep.cols()
+        bp, bq = cols[p], cols[q]
+        if al:
+            cols[p] = tuple(al * x + be * y.shift(s) for x, y in zip(bp, bq))
+            cols[q] = tuple(al.inverse() * y for y in bq)
+        else:
+            cols[p] = tuple(be * y.shift(s) for y in bq)
+            cols[q] = tuple(be.inverse() * x.shift(-s) for x in bp)
+        return LMat._of(zip(*cols))
+
+    def parameter_of(self, chamber):
+        """The parameter of a chamber through the panel, read off column p
+        of its representative, which lies in A and not in B."""
+        v = _plus_col(self.side, chamber.rep.col(self._p), 0)
+        psi = [x.ev0() for x in _plus_coords(self._A, v)]
+        c1 = sum((w * x for w, x in zip(self._c1, psi)), QI_ZERO)
+        c2 = sum((w * x for w, x in zip(self._c2, psi)), QI_ZERO)
+        return INF if not c1 else c2 / c1
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +497,7 @@ def test_scaled_class_is_the_hermite_form_of_the_lattice(side):
     for _ in range(20):
         n = rng.randint(2, 5)
         g = _to_plus(side, rand_unimodular(rng, n).scale(zpow(rng.randint(-2, 2))))
-        h, _ = _canonical_plus_cols(_to_plus(side, g).cols(), n)
+        h = _canonical_plus_cols(_to_plus(side, g).cols(), n)
         assert canonical_lattice(side, g) == _to_plus(side, h)
 
 
@@ -393,7 +541,7 @@ def test_class_matrices_and_their_z_multiples_are_canonical():
         h = _to_plus(c.side, c.mat)
         for k in range(-3, 4):
             hk = h.scale(zpow(k))
-            h_canon, _ = _canonical_plus_cols(hk.cols(), c.n)
+            h_canon = _canonical_plus_cols(hk.cols(), c.n)
             assert h_canon == hk
 
 
@@ -725,7 +873,7 @@ def _chart_pick_by_inverse(chart):
     one rank test per standard basis vector: a check of the pick that
     ClassPanelChart and PanelChart share."""
     n = chart.n
-    acan, _ = _canonical_plus_cols(chart._A.cols(), n)
+    acan = _canonical_plus_cols(chart._A.cols(), n)
     q = acan.inv() @ chart._B
     q0 = [[q[i, j].ev0() for j in range(n)] for i in range(n)]
     base = [[q0[i][j] for i in range(n)] for j in range(n)]
@@ -775,7 +923,7 @@ def test_chart_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# the chart from the carrier's basis against the class-based oracle
+# the Hermite-form chart against the class-based oracle
 # ---------------------------------------------------------------------------
 
 CHART_PARAMS = [GaussRat(0), GaussRat(1), GaussRat(-1), QI_I, GaussRat(2, 3), INF]
@@ -788,7 +936,7 @@ def _classes_at(side, rep):
 def test_carrier_chart_pinned_values():
     # the pinned classes of test_chart_round_trip_pinned_values, reached
     # from the standard chamber's basis
-    chart = PanelChart(Chamber("+", LMat.identity(2)), 1)
+    chart = HermitePanelChart(Chamber("+", LMat.identity(2)), 1)
     seen = set()
     for t in CHART_PARAMS:
         rep = chart.chamber_basis(t)
@@ -802,37 +950,18 @@ def test_carrier_chart_pinned_values():
 def test_carrier_chart_block_keeps_the_determinant_up_to_sign():
     for side in "+-":
         for gap in range(3):
-            chart = PanelChart(Chamber(side, LMat.identity(3)), gap)
-            for t in CHART_PARAMS:
-                assert chart.chamber_basis(t).det() in (LP_ONE, -LP_ONE)
-
-
-def test_carrier_chart_takes_one_hermite_form(monkeypatch):
-    calls = []
-    hnf = lattice._hnf_poly_cols
-
-    def counted(cols, n):
-        calls.append(n)
-        return hnf(cols, n)
-
-    monkeypatch.setattr(lattice, "_hnf_poly_cols", counted)
-    rng = random.Random(31)
-    for side in "+-":
-        carrier = Chamber(side, rand_unimodular(rng, 3))
-        for gap in range(3):
-            panel = carrier.panel(gap)
-            calls.clear()
-            for t in CHART_PARAMS:
-                assert panel_parameter(panel, panel_chamber(panel, t)) == t
-            assert len(calls) == 1
+            carrier = Chamber(side, LMat.identity(3))
+            for chart in (HermitePanelChart(carrier, gap), PanelChart(carrier, gap)):
+                for t in CHART_PARAMS:
+                    assert chart.chamber_basis(t).det() in (LP_ONE, -LP_ONE)
 
 
 @settings(max_examples=40, deadline=None)
 @given(rng=st.randoms(use_true_random=False), n=st.integers(2, 4), side=st.sampled_from("+-"))
 def test_carrier_chart_matches_the_class_based_chart(rng, n, side):
-    """For every gap of a random chamber, the chart read off its basis
-    gives the class-based chart's parameter of the carrier, and at every
-    t the same chamber and the same parameter back."""
+    """For every gap of a random chamber, the Hermite-form chart read off
+    its basis gives the class-based chart's parameter of the carrier,
+    and at every t the same chamber and the same parameter back."""
     g = rand_unimodular(rng, n)
     if side == "-":
         g = g.subs_zinv()
@@ -840,7 +969,7 @@ def test_carrier_chart_matches_the_class_based_chart(rng, n, side):
     classes = vertex_classes_of_basis(side, carrier.rep)
     for gap in range(n):
         oracle = ClassPanelChart([c for j, c in enumerate(classes) if j != gap])
-        chart = PanelChart(carrier, gap)
+        chart = HermitePanelChart(carrier, gap)
         # one Hermite form of A: the oracle's up to the z-power of its
         # classes' normalisation
         shift = int(chart._A[0, 0].val0() - oracle._A[0, 0].val0())
@@ -868,8 +997,8 @@ def _chart_setup_by_elimination(carrier, gap):
     side, rep = carrier.side, carrier.rep
     n = rep.nrows
     marks = lattice._marks(side, n, gap - 1)
-    gens = [lattice._plus_col(side, col, m) for col, m in zip(rep.cols(), marks)]
-    h, _ = _canonical_plus_cols(gens, n)
+    gens = [_plus_col(side, col, m) for col, m in zip(rep.cols(), marks)]
+    h = _canonical_plus_cols(gens, n)
     images = [[x.ev0() for x in _plus_coords(h, a)] for a in gens]
     t0 = [[col[i] for col in images] for i in range(n)]
     red, _ = rref([row + [QI_ONE if i == j else QI_ZERO for j in range(n)]
@@ -880,19 +1009,138 @@ def _chart_setup_by_elimination(carrier, gap):
 @settings(max_examples=40, deadline=None)
 @given(rng=st.randoms(use_true_random=False), n=st.integers(2, 4), side=st.sampled_from("+-"))
 def test_hermite_form_carries_u0(rng, n, side):
-    """The U(0) the Hermite form of A records inverts T(0), and its rows p,
-    q, the ones the chart reads, are the elimination's."""
+    """The U(0) the oracle's Hermite form of A records inverts T(0), and
+    its rows p, q, the ones the Hermite-form chart reads, are the
+    elimination's; its h is the library's Hermite form."""
     g = rand_unimodular(rng, n)
     if side == "-":
         g = g.subs_zinv()
     carrier = Chamber(side, g)
     eye = [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
     for gap in range(n):
-        chart = PanelChart(carrier, gap)
+        chart = HermitePanelChart(carrier, gap)
         gens, t0, t0_inv = _chart_setup_by_elimination(carrier, gap)
-        _, u0 = _canonical_plus_cols(gens, n)
+        h, u0 = hermite_form_with_u0(gens, n)
+        assert h == _canonical_plus_cols(gens, n)
         for k in (chart._p, chart._q):
             assert list(u0[k]) == t0_inv[k]
         product = [[sum((t0[i][k] * u0[k][j] for k in range(n)), QI_ZERO)
                     for j in range(n)] for i in range(n)]
         assert product == eye
+
+
+# ---------------------------------------------------------------------------
+# the root-group chart
+# ---------------------------------------------------------------------------
+
+
+def root_step(side, s, n, t) -> LMat:
+    """x_s(t) n_s: x_s(t) = 1 + t z^e E_ij with (i, j, e) = (s-1, s, 0) on
+    '+' and (s, s-1, 0) on '-' for a finite s, (n-1, 0, 1) on '+' and
+    (0, n-1, -1) on '-' for the affine node."""
+    if s < n:
+        i, j, e = (s - 1, s, 0) if side == "+" else (s, s - 1, 0)
+    else:
+        i, j, e = (n - 1, 0, 1) if side == "+" else (0, n - 1, -1)
+    rows = [[LP_ONE if a == b else 0 for b in range(n)] for a in range(n)]
+    rows[i][j] = zpow(e, t) if t else 0
+    return LMat(rows) @ weyl_matrix(word_to_affine((s,), n))
+
+
+def _proj(t):
+    """t as a point of P^1: (t, 1), and (1, 0) for INF."""
+    return (QI_ONE, QI_ZERO) if t == INF else (t, QI_ONE)
+
+
+def _bracket(x, y):
+    return x[0] * y[1] - x[1] * y[0]
+
+
+def assert_moebius(pairs):
+    """Each pair (t, u) past the first three satisfies u = f(t), for f the
+    Moebius map fitted on the first three: f keeps the cross ratio,
+    [t,t1][t3,t2] / ([t,t2][t3,t1]) for t against (t1, t2, t3), written
+    without division on points of P^1."""
+    (t1, u1), (t2, u2), (t3, u3) = [(_proj(t), _proj(u)) for t, u in pairs[:3]]
+    for t, u in pairs[3:]:
+        t, u = _proj(t), _proj(u)
+        lhs = _bracket(t, t1) * _bracket(t3, t2) * _bracket(u, u2) * _bracket(u3, u1)
+        rhs = _bracket(u, u1) * _bracket(u3, u2) * _bracket(t, t2) * _bracket(t3, t1)
+        assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_panel_chart_is_decode_on_the_standard_pair(n):
+    """On the standard pair the chart of the panel of cotype s of cp is
+    decode_coords' coordinate on the word (s,), INF included."""
+    cp, dm = Chamber("+", LMat.identity(n)), Chamber("-", LMat.identity(n))
+    for gap in range(n):
+        panel = cp.panel(gap)
+        (s,) = panel.cotype_nodes()
+        for t in CHART_PARAMS:
+            c = panel_chamber(panel, t)
+            assert c == decode_coords(cp, dm, (s,), [t])
+            assert panel_parameter(panel, c) == t
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 4), side=st.sampled_from("+-"))
+def test_panel_chamber_is_the_root_step_on_the_carrier(rng, n, side):
+    """panel_chamber(panel, t) is carrier x_s(t) n_s, representative and
+    all, at Weyl distance s from the carrier; INF is the carrier; and
+    panel_parameter reads every t back."""
+    g = rand_unimodular(rng, n)
+    carrier = Chamber(side, g if side == "+" else g.subs_zinv())
+    for gap in range(n):
+        panel = carrier.panel(gap)
+        (s,) = panel.cotype_nodes()
+        for t in CHART_PARAMS:
+            c = panel_chamber(panel, t)
+            if t == INF:
+                assert c.rep == carrier.rep and delta(carrier, c) == word_to_affine((), n)
+            else:
+                assert c.rep == carrier.rep @ root_step(side, s, n, t)
+                assert delta(carrier, c) == word_to_affine((s,), n)
+            assert panel_parameter(panel, c) == t
+
+
+def test_carrier_chart_takes_no_hermite_form(monkeypatch):
+    calls = []
+    hnf = lattice._hnf_poly_cols
+
+    def counted(cols, n):
+        calls.append(n)
+        return hnf(cols, n)
+
+    monkeypatch.setattr(lattice, "_hnf_poly_cols", counted)
+    rng = random.Random(31)
+    for side in "+-":
+        carrier = Chamber(side, rand_unimodular(rng, 3))
+        for gap in range(3):
+            panel = carrier.panel(gap)
+            for t in CHART_PARAMS:
+                assert panel_parameter(panel, panel_chamber(panel, t)) == t
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 4), side=st.sampled_from("+-"))
+def test_root_chart_is_a_moebius_change_of_the_hermite_chart(rng, n, side):
+    """On every panel of a random chamber the two charts sweep the same
+    chambers: each chart's chamber at t is the other's at the parameter
+    the other reads off it.  The root parameter is a Moebius function of
+    the Hermite one, fitted on three parameters and checked on the rest."""
+    g = rand_unimodular(rng, n)
+    carrier = Chamber(side, g if side == "+" else g.subs_zinv())
+    inv = carrier._inverse()
+    for gap in range(n):
+        old, new = HermitePanelChart(carrier, gap), PanelChart(carrier, gap)
+        pairs = []
+        for t in CHART_PARAMS:
+            c = Chamber(side, old.chamber_basis(t))
+            u = new.parameter_of(c, inv)
+            assert Chamber(side, new.chamber_basis(u)) == c
+            d = Chamber(side, new.chamber_basis(t))
+            assert Chamber(side, old.chamber_basis(old.parameter_of(d))) == d
+            pairs.append((t, u))
+        assert_moebius(pairs)
