@@ -57,11 +57,13 @@ inverts only the chambers a caller validated, each once.
 Schubert-cell coordinates are root-group coordinates: the chambers at
 Weyl distance w = s_1 ... s_l (reduced) from cp = x B+ are x x_{s_1}(t_1)
 n_{s_1} ... x_{s_l}(t_l) n_{s_l} B+, one for each t in Q(i)^l, with x the
-normalised common basis of (dm, cp) (see common_basis) and x_s(t) in the
-root group of s (see _root).  The pair keeps x on cp, so a decode after
-an encode over the same objects runs no engine.  A panel's chart is the
-same step on its carrier g: the chambers through the panel of cotype s
-are g and the g x_s(t) n_s, t in Q(i) (see panel_chamber).
+normalised common basis of (dm, cp) (see common_basis).  A panel's chart
+is the same step on its carrier g: the chambers through the panel of
+cotype s are g and the g x_s(t) n_s, t in Q(i) (see panel_chamber).  The
+step and its inverse are lattice's (_root_cols, _root_rows), and a cell
+coordinate and a panel parameter are read the same way, off the engine
+run each already makes (_read).  The pair keeps x on cp, so a decode
+after an encode over the same objects runs no engine.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ from .exactalg import (
     _scalar,
     _top_minors,
 )
-from .lattice import INF, PanelChart, _check_side, vertex_classes_of_basis
+from .lattice import INF, PanelChart, _check_side, _node_of_position, vertex_classes_of_basis
+from .lattice import _root, _root_cols, _root_rows
 from .record import Record
 
 __all__ = [
@@ -162,23 +165,6 @@ def _align(mat, det):
     return _move_cols(mat, range(1 + d, mat.nrows + 1 + d)) if d else mat
 
 
-def _node_of_position(p, n, side):
-    """Chain position of a dropped vertex -> Coxeter generator label.
-
-    The sides mark their chains from opposite ends, so the maps are
-    mirror images: on '+' position p carries node n - p, on '-' node p
-    (position 0 carries the affine node n on both)."""
-    if p == 0:
-        return n
-    return n - p if side == "+" else p
-
-
-def _position_of_node(s, n, side):
-    if s == n:
-        return 0
-    return n - s if side == "+" else s
-
-
 class Chamber:
     """A chamber of one half of the twin building, held by a normalised
     ordered basis of its lattice chain.  Each vertex class costs one
@@ -218,7 +204,7 @@ class Chamber:
     def _built(cls, side, rep: LMat, base: "Chamber", inv_of) -> "Chamber":
         """A chamber whose representative the library built as a product
         of aligned factors (a base chamber's representative, engine column
-        operations, m0^{-1}, n_w, a chart block), so its determinant is a
+        operations, m0^{-1}, n_w, root-group steps), so its determinant is a
         constant: no determinant check and no alignment.  ``inv_of(inv)``
         returns rep^{-1} from inv = base.rep^{-1} and the inverses of the
         other factors (a partial, so the chamber pickles)."""
@@ -275,15 +261,20 @@ class Chamber:
             self._classes = frozenset(self.chain_classes)
         return self._classes
 
+    def _type(self, t):
+        if not isinstance(t, int) or not 0 <= t < self.n:
+            raise DomainError(f"vertex types are 0..{self.n - 1}, got {t!r}")
+        return t
+
     def vertex(self, t: int):
-        """The vertex class of type t."""
-        return self._vertices([t])[0]
+        """The vertex class of type t; a type outside 0..n-1 raises DomainError."""
+        return self._vertices([self._type(t)])[0]
 
     def face(self, kept_types) -> "Simplex":
         return Simplex(self, kept_types)
 
     def panel(self, drop_type: int) -> "Simplex":
-        return Simplex(self, set(range(self.n)) - {drop_type})
+        return Simplex(self, set(range(self.n)) - {self._type(drop_type)})
 
     def __eq__(self, other):
         """Same side, same n, and Weyl distance 1: one engine run."""
@@ -708,11 +699,11 @@ def _common_chamber(cm: Chamber, cp: Chamber) -> Chamber:
     return Chamber._built("+", rep, cp, partial(_gate_inverse, ops, ident, lc))
 
 
-def _chart(panel: Simplex, caller) -> PanelChart:
+def _gap(panel: Simplex, caller) -> int:
     if len(panel.kept_types) != panel.n - 1:
         raise DomainError(f"{caller} needs a panel (exactly one type missing)")
     (gap,) = set(range(panel.n)) - panel.kept_types
-    return PanelChart(panel.carrier, gap)
+    return gap
 
 
 def _parameter(t):
@@ -722,15 +713,45 @@ def _parameter(t):
     return INF if t == INF else _scalar(t)
 
 
+def _unroot(side, letters, inv: LMat) -> LMat:
+    """g^{-1} inv for g = x_{s_1}(t_1) n_{s_1} ... x_{s_k}(t_k) n_{s_k}, the
+    letters being the pairs (s, t): one row step (_root_rows) per letter.
+    With inv the inverse of a basis h, this is the inverse of h g."""
+    rows = list(inv.rows)
+    for s, t in letters:
+        _root_rows(rows, s, t, side)
+    return LMat._of(rows)
+
+
+def _read(rel, word, side):
+    """Yields the root-group coordinates of word off one engine run rel =
+    _relpos(g, c), for c = g x_{s_1}(t_1) n_{s_1} ... x_{s_l}(t_l) n_{s_l}
+    B on the given side: the run writes c = g b n_w B with b in the side's
+    Borel.  For each letter s, t is b's entry at the root (i, j, e) of s,
+    at z^e, over b_jj at z^0; then b becomes n_s^{-1} x_s(-t) b n_s."""
+    n = len(rel[0])
+    v, lc = _lead_move(rel, widentity(n))
+    rows = list(_move_cols(rel[1], v, [x.inverse() for x in lc]).rows)
+    for s in word:
+        i, j, e = _root(s, n, side)
+        t = rows[i][j].coeff(e) / rows[j][j].coeff(0)
+        yield t
+        _root_rows(rows, s, t, side)
+        cols = list(zip(*rows))
+        _root_cols(cols, s, 0, side)
+        rows = list(zip(*cols))
+
+
 def panel_chamber(panel: Simplex, t) -> Chamber:
     """The chamber through a panel at chart parameter t (or INF).
 
     The chart is the root group of the panel's cotype s on its carrier g
     (see PanelChart): the chamber at t is g x_s(t) n_s, so 0 is g n_s,
-    and INF is g.  It depends on g's representative, up to an affine map
-    t -> a t + c when g is replaced by g b, b in the side's Borel.  The
-    chamber carries its inverse as two row operations on g's.  t is an
-    int, a Fraction, a GaussRat or INF; any other type raises TypeError.
+    and INF is g, the same step that decode_coords takes per letter.  It
+    depends on g's representative, up to an affine map t -> a t + c when
+    g is replaced by g b, b in the side's Borel.  The chamber carries its
+    inverse as one row step on g's (_unroot).  t is an int, a Fraction, a
+    GaussRat or INF; any other type raises TypeError.
 
     On the standard pair the chart of the panel of cotype s of cp is
     decode_coords' coordinate on the word (s,):
@@ -749,19 +770,21 @@ def panel_chamber(panel: Simplex, t) -> Chamber:
     >>> panel_chamber(panel, 3) == decode_coords(cp, dm, (1,), [3])
     True
     """
-    chart = _chart(panel, "panel_chamber")
+    chart = PanelChart(panel.carrier, _gap(panel, "panel_chamber"))
     t = _parameter(t)
+    (s,) = panel.cotype_nodes()
+    letters = () if t == INF else ((s, t),)
     return Chamber._built(
-        panel.side, chart.chamber_basis(t), panel.carrier, partial(chart.chamber_inverse, t)
+        panel.side, chart.chamber_basis(t), panel.carrier, partial(_unroot, panel.side, letters)
     )
 
 
 def panel_parameter(panel: Simplex, c: Chamber):
     """Inverse chart: the parameter at which a chamber through the panel
     sits, INF for the carrier (see panel_chamber).  The containment check
-    is one engine run, which also gives the carrier's inverse that the
-    chart reads the parameter with; a chamber outside the panel raises
-    DomainError.
+    is one engine run on (carrier, c), and the parameter is read off that
+    run the way encode_coords reads a cell coordinate (_read); a chamber
+    outside the panel raises DomainError.
 
     >>> cp, dm = standard_chamber("+", 2), standard_chamber("-", 2)
     >>> panel = cp.panel(1)
@@ -772,35 +795,18 @@ def panel_parameter(panel: Simplex, c: Chamber):
     >>> str(panel_parameter(panel, chamber_from_basis("+", weyl_matrix(word_to_affine((1,), 2)))))
     '0'
     """
-    chart = _chart(panel, "panel_parameter")
+    _gap(panel, "panel_parameter")
     if c.side != panel.side:
         raise DomainError("side mismatch")
     # c contains the panel iff it lies in the panel's residue: its Weyl
     # distance from the carrier is 1 or the panel's cotype generator.
-    (s,) = panel.cotype_nodes()
-    if delta(panel.carrier, c).window not in (widentity(c.n), wgen(s, c.n)):
+    rel = _relpos(panel.carrier, c)
+    word = panel.cotype_nodes()
+    if rel[0] == widentity(c.n):
+        return INF
+    if rel[0] != wgen(word[0], c.n):
         raise DomainError("chamber does not contain the panel")
-    return chart.parameter_of(c, panel.carrier._inverse())
-
-
-def _root(s, n):
-    """(i, j, e) with x_s(t) = 1 + t z^e E_ij, the root group of B+ that
-    the generator s moves: (s-1, s, 0) finite, (n-1, 0, 1) affine."""
-    return (s - 1, s, 0) if s < n else (n - 1, 0, 1)
-
-
-def _unroot(letters, mat: LMat) -> LMat:
-    """g^{-1} mat for g = x_{s_1}(t_1) n_{s_1} ... x_{s_k}(t_k) n_{s_k}, the
-    letters being the pairs (s, t): for each in turn the row operation
-    row_i -= t z^e row_j, then a row move by n_s^{-1}."""
-    n = mat.nrows
-    rows = list(mat.rows)
-    for s, t in letters:
-        i, j, e = _root(s, n)
-        if t:
-            rows[i] = _col_sub(rows[i], _lp({e: t}), rows[j])
-        rows = _moved(rows, wgen(s, n), None, 1)
-    return LMat._of(rows)
+    return next(_read(rel, word, panel.side))
 
 
 def _twin_apartment(cp: Chamber, dm: Chamber) -> Chamber:
@@ -824,9 +830,9 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
     a reduced word of delta(cp, e) (default: its normal form): the t with
     e = x x_{s_1}(t_1) n_{s_1} ... n_{s_l} B+ (see the module notes).
 
-    One engine run on (x, e) writes e = x b n_w B+ with b in B+.  Then for
-    each letter s, t is b's entry at the root of s over the diagonal
-    entry of its column at z^0, and b becomes n_s^{-1} x_s(-t) b n_s.
+    One engine run on (x, e), and the coordinates are read off it as
+    panel_parameter reads a panel's (_read): one row step and one column
+    move per letter.
 
     >>> cp, dm = standard_chamber("+", 2), standard_chamber("-", 2)
     >>> e = chamber_from_basis("+", LMat([[1, 3], [0, 1]]) @ weyl_matrix(word_to_affine((1,), 2)))
@@ -835,26 +841,17 @@ def encode_coords(cp: Chamber, dm: Chamber, e: Chamber, word=None):
     """
     if cp.side != "+" or dm.side != "-" or e.side != "+":
         raise DomainError("encode_coords takes (plus, minus, plus) chambers")
-    n = cp.n
     rel = _relpos(_twin_apartment(cp, dm), e)
     welt = AffineWeylElt.from_window(rel[0])
     if word is None:
         word = affine_to_word(welt)
     else:
         word = tuple(word)
-        if word_to_affine(word, n) != welt:
+        if word_to_affine(word, cp.n) != welt:
             raise DomainError("word does not spell the Weyl distance")
         if welt.length() != len(word):
             raise DomainError("word is not reduced")
-    v, lc = _lead_move(rel, widentity(n))
-    b = _move_cols(rel[1], v, [x.inverse() for x in lc])
-    coords = []
-    for s in word:
-        i, j, k = _root(s, n)
-        t = b[i, j].coeff(k) / b[j, j].coeff(0)
-        coords.append(t)
-        b = _move_cols(_unroot([(s, t)], b), wgen(s, n))
-    return coords
+    return list(_read(rel, word, "+"))
 
 
 def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
@@ -863,8 +860,8 @@ def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
     the word and encode_coords gives it back.  A coordinate INF skips its
     letter's factor (the gallery stays), so it lands in a lower cell.  A
     coordinate is an int, a Fraction, a GaussRat or INF; any other type
-    raises TypeError.  The representative is x after a column operation
-    and a column move per letter, and it carries its inverse (_unroot).
+    raises TypeError.  The representative is x after one root-group step
+    (_root_cols) per letter, and it carries its inverse (_unroot).
 
     >>> cp, dm = standard_chamber("+", 2), standard_chamber("-", 2)
     >>> print(decode_coords(cp, dm, (1,), [3]).rep)
@@ -878,10 +875,9 @@ def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
     """
     if cp.side != "+" or dm.side != "-":
         raise DomainError("decode_coords takes (plus, minus) chambers")
-    n = cp.n
     x = _twin_apartment(cp, dm)
     word = tuple(word)
-    welt = word_to_affine(word, n)
+    welt = word_to_affine(word, cp.n)
     if welt.length() != len(word):
         raise DomainError("word is not reduced")
     if len(word) != len(coords):
@@ -889,8 +885,5 @@ def decode_coords(cp: Chamber, dm: Chamber, word, coords) -> Chamber:
     letters = tuple((s, t) for s, t in zip(word, map(_parameter, coords)) if t != INF)
     cols = x.rep.cols()
     for s, t in letters:
-        i, j, e = _root(s, n)
-        if t:
-            cols[j] = _col_sub(cols[j], _lp({e: -t}), cols[i])
-        cols = _moved(cols, wgen(s, n), None, -1)
-    return Chamber._built("+", LMat._of(zip(*cols)), x, partial(_unroot, letters))
+        _root_cols(cols, s, t, "+")
+    return Chamber._built("+", LMat._of(zip(*cols)), x, partial(_unroot, "+", letters))

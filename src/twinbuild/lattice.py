@@ -1,15 +1,21 @@
 """Lattices over Q(i)[z] (plus side) and Q(i)[1/z] (minus side) inside the
 Laurent vector space, their projective classes, types, membership,
-incidence, and the projective-line charts on panels.
+incidence, the side conventions of chambers and the root-group step.
 
 The minus side reuses the plus-side code through the substitution z -> 1/z;
 module-level computations (Hermite forms, membership, incidence) are
 side-symmetric.  Ordered-basis conventions (which columns carry the
 z-marks in a chamber chain) differ between the sides so that each
 standard chain is stabilized by its Borel subgroup; see
-vertex_classes_of_basis.  A panel chart is the root group of the panel's
-cotype acting on two columns of one chamber through the panel: it takes
-no Hermite form and computes no vertex class.
+vertex_classes_of_basis.  The chain position of a panel's missing type
+gives its cotype node (_node_of_position).
+
+The root-group step g -> g x_s(t) n_s is written once, here, for both
+sides: _root is the root-group table, _root_cols the step on columns and
+_root_rows its inverse on rows.  A panel chart (PanelChart) is one step
+on its carrier, a Schubert-cell coordinate list one step per letter on
+the common basis (building.decode_coords), and both carry their inverses
+as row steps.  No step takes a Hermite form or computes a vertex class.
 
 Invariant, by construction: a LatticeClass is built from generators, any
 of them, and its ``mat`` is the canonical form it computes (upper
@@ -28,7 +34,6 @@ import math
 from .errors import DomainError, NotInvertibleError
 from .exactalg import (
     LMat,
-    LP_ZERO,
     LaurentPoly,
     QI_ONE,
     Z,
@@ -306,76 +311,78 @@ def _marks(side, n, j):
 
 
 # ---------------------------------------------------------------------------
-# Panel charts
+# Side conventions and the root-group step
 # ---------------------------------------------------------------------------
 
 
+def _node_of_position(p, n, side):
+    """Chain position of a dropped vertex -> Coxeter generator label.
+
+    The sides mark their chains from opposite ends, so the maps are
+    mirror images: on '+' position p carries node n - p, on '-' node p
+    (position 0 carries the affine node n on both)."""
+    if p == 0:
+        return n
+    return n - p if side == "+" else p
+
+
+def _position_of_node(s, n, side):
+    if s == n:
+        return 0
+    return n - s if side == "+" else s
+
+
+def _root(s, n, side):
+    """(i, j, e) with x_s(t) = 1 + t z^e E_ij, the root group of the side's
+    Borel that the generator s moves: (s-1, s, 0), and (n-1, 0, 1) at the
+    affine node s = n, on '+'; the transposed entry at z^-e on '-'."""
+    i, j, e = (s - 1, s, 0) if s < n else (n - 1, 0, 1)
+    return (i, j, e) if side == "+" else (j, i, -e)
+
+
+def _root_cols(cols, s, t, side):
+    """cols x_s(t) n_s, in place on a list of n columns: column i becomes
+    t b_i + z^-e b_j and column j becomes z^e b_i, for (i, j, e) =
+    _root(s, n, side); t = 0 gives cols n_s."""
+    i, j, e = _root(s, len(cols), side)
+    bi, bj = cols[i], cols[j]
+    if t:
+        bj = _col_sub(bj, _lp({e: -t}), bi)
+    cols[i] = [a.shift(-e) for a in bj] if e else bj
+    cols[j] = [a.shift(e) for a in bi] if e else bi
+
+
+def _root_rows(rows, s, t, side):
+    """(x_s(t) n_s)^-1 rows, in place on a list of n rows, the inverse of
+    _root_cols: row i becomes z^e r_j and row j becomes z^-e r_i - t r_j."""
+    i, j, e = _root(s, len(rows), side)
+    ri, rj = rows[i], rows[j]
+    if t:
+        ri = _col_sub(ri, _lp({e: t}), rj)
+    rows[i] = [a.shift(e) for a in rj] if e else rj
+    rows[j] = [a.shift(-e) for a in ri] if e else ri
+
+
 class PanelChart:
-    """The projective-line chart on the chambers through a panel: the root
-    group of the panel's cotype s on the basis of one chamber through it
-    (the carrier, a building.Chamber), for the chain position ``gap`` of
-    the panel's missing type.
-
-    Two basis columns b_p, b_q move in the panel: (p, q) = (s - 1, s) on
-    '+' and (s, s - 1) on '-' for a finite s, (n - 1, 0) and (0, n - 1)
-    for the affine node.  The chamber at t in Q(i) is carrier x_s(t) n_s:
-    column p becomes t b_p + z^h b_q and column q becomes z^{-h} b_p, with
-    h = -1 ('+') or 1 ('-') at the affine node and 0 otherwise, so t = 0
-    is carrier n_s.  INF is the carrier itself.  The chamber at t carries
-    its inverse as two row operations on the carrier's
-    (``chamber_inverse``).
-
-    The chart depends on the carrier's representative: carrier b, for b
-    in the side's Borel, gives the same chambers at parameters moved by
-    an affine map t -> a t + c.
+    """The projective-line chart on the chambers through a panel, for the
+    chain position ``gap`` of its missing type on one chamber through it
+    (the carrier, a building.Chamber): the chamber at t in Q(i) is
+    carrier x_s(t) n_s, one step _root_cols by the panel's cotype s, so 0
+    is carrier n_s; INF is the carrier.  building.panel_parameter reads t
+    back as encode_coords reads a cell coordinate.  Replacing the carrier
+    by carrier b, b in the side's Borel, moves t by some t -> a t + c.
     """
 
     def __init__(self, carrier, gap: int):
-        n = carrier.n
         self._rep = carrier.rep
-        if carrier.side == "+":
-            self._p, self._q = n - 1 - gap, (n - gap) % n
-            self._h = -1 if gap == 0 else 0
-        else:
-            self._p, self._q = gap, (gap - 1) % n
-            self._h = 1 if gap == 0 else 0
+        self._side = carrier.side
+        self._s = _node_of_position(gap, carrier.n, carrier.side)
 
     def chamber_basis(self, t) -> LMat:
-        """The representative of the chamber at parameter t (Q(i) or INF):
-        carrier x_s(t) n_s, the carrier's basis with columns p, q
-        replaced, so the determinant stays the carrier's up to sign."""
+        """The representative carrier x_s(t) n_s of the chamber at t (Q(i)
+        or INF), whose determinant is the carrier's up to sign."""
         if t == INF:
             return self._rep
-        p, q, h = self._p, self._q, self._h
         cols = self._rep.cols()
-        bp, bq = cols[p], cols[q]
-        cols[p] = tuple(t * x + y.shift(h) for x, y in zip(bp, bq))
-        cols[q] = tuple(x.shift(-h) for x in bp)
+        _root_cols(cols, self._s, t, self._side)
         return LMat._of(zip(*cols))
-
-    def chamber_inverse(self, t, inv: LMat) -> LMat:
-        """The inverse of chamber_basis(t), for inv the inverse of the
-        carrier's basis: rows p, q of inv become z^{-h} row_q and
-        z^h row_p - t row_q."""
-        if t == INF:
-            return inv
-        p, q, h = self._p, self._q, self._h
-        rows = list(inv.rows)
-        rp, rq = rows[p], rows[q]
-        rows[p] = [y.shift(-h) for y in rq]
-        rows[q] = [x.shift(h) - t * y for x, y in zip(rp, rq)]
-        return LMat._of(rows)
-
-    def parameter_of(self, chamber, inv: LMat):
-        """Inverse chart: the parameter (INF allowed) of a chamber through
-        the panel, for inv the inverse of the carrier's basis.  Column p
-        of the chamber's representative is al b_p + be z^h b_q modulo the
-        chain lattice at position gap + 1, which every chamber through the
-        panel shares, and t = al / be: al is the z^0 coefficient of row p
-        of inv against that column, be the z^h coefficient of row q."""
-        col = chamber.rep.col(self._p)
-        al, be = (
-            sum((a * b for a, b in zip(inv.rows[k], col)), LP_ZERO).coeff(e)
-            for k, e in ((self._p, 0), (self._q, self._h))
-        )
-        return INF if not be else al / be

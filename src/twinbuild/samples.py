@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .building import chamber_from_basis, weyl_matrix
 from .coxeter import word_to_affine
-from .exactalg import GaussRat, LMat, LP_ONE, LP_ZERO, LaurentPoly
+from .exactalg import GaussRat, LMat, LP_ONE, LP_ZERO, LaurentPoly, _col_sub
 from .veronese import SubspaceFlag, projector_of, sl_loop_pair
 
 __all__ = [
@@ -66,13 +66,13 @@ def _diag_torus(rng, n, span=2):
 
 
 def rand_borel(rng, n, side, deg=2, steps=4):
-    """A random element of B+ or B-: a product of admissible elementary
-    matrices and a determinant-1 constant diagonal.
+    """A random element of B+ or B-: a determinant-1 constant diagonal
+    times admissible elementary matrices, applied as column operations.
 
     Admissible z-exponents: on '+', d >= 0 above the diagonal and d >= 1
     below; on '-', d <= -1 above the diagonal and d <= 0 below.
     """
-    m = _diag_torus(rng, n)
+    cols = _diag_torus(rng, n).cols()
     for _ in range(steps):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -85,14 +85,14 @@ def rand_borel(rng, n, side, deg=2, steps=4):
         c = rand_gauss(rng)
         if not c:
             continue
-        m = m @ elementary(n, i, j, LaurentPoly({d: c}))
-    return m
+        cols[j] = _col_sub(cols[j], LaurentPoly({d: -c}), cols[i])
+    return LMat._of(zip(*cols))
 
 
 def rand_sl(rng, n, deg=2, steps=5):
     """A random determinant-1 matrix over the Laurent ring: a product of
-    unrestricted elementary matrices."""
-    m = LMat.identity(n)
+    unrestricted elementary matrices, applied as column operations."""
+    cols = LMat.identity(n).cols()
     for _ in range(steps):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -102,8 +102,8 @@ def rand_sl(rng, n, deg=2, steps=5):
         c = rand_gauss(rng)
         if not c:
             continue
-        m = m @ elementary(n, i, j, LaurentPoly({d: c}))
-    return m
+        cols[j] = _col_sub(cols[j], LaurentPoly({d: -c}), cols[i])
+    return LMat._of(zip(*cols))
 
 
 def rand_affine_word(rng, n, maxlen=8):

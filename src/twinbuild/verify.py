@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 
 from .building import (
-    _position_of_node,
     borel_membership,
     bruhat_factors,
     chamber_from_basis,
@@ -41,7 +40,7 @@ from .coxeter import (
 )
 from .errors import DomainError
 from .exactalg import GaussRat, LMat, LaurentPoly, LP_ONE, LP_ZERO, QI_ONE
-from .lattice import INF
+from .lattice import INF, _position_of_node
 from .record import Record
 from .samples import (
     rand_affine_word,

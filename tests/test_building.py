@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from twinbuild import building, exactalg
+from twinbuild import building, exactalg, lattice
 from twinbuild.building import (
     Chamber,
     _common_chamber,
@@ -180,6 +180,21 @@ def test_empty_face_rejected():
     c = standard_chamber("+", 3)
     with pytest.raises(DomainError):
         c.face(())
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_a_type_outside_the_chain_is_rejected(side):
+    """A vertex or a dropped type outside 0..n-1 raises DomainError: it
+    neither drops nothing (a "panel" keeping every type) nor wraps round
+    the chain."""
+    c = standard_chamber(side, 3)
+    for t in (-1, 3, 7):
+        with pytest.raises(DomainError, match="vertex types"):
+            c.panel(t)
+        with pytest.raises(DomainError, match="vertex types"):
+            c.vertex(t)
+    assert c.panel(2).kept_types == {0, 1}
+    assert c.vertex(2) == c.chain_classes[2]
 
 
 # ---------------------------------------------------------------------------
@@ -1228,6 +1243,48 @@ def test_round_trip_runs_the_engine_twice(monkeypatch):
             back = decode_coords(cp, cm, word, encode_coords(cp, cm, e, word))
             assert (len(runs), len(charts)) == (2, 0)
             assert back == e
+
+
+def test_each_letter_and_each_panel_chamber_is_one_root_step(monkeypatch):
+    """The root-group step is lattice's, taken once per use: a decode of k
+    letters makes k column steps (an INF letter none), a panel chamber
+    one (the carrier itself at INF none), and panel_parameter reads its
+    parameter off its one engine run, the containment check."""
+    steps, runs = [], []
+    root_cols, relpos = lattice._root_cols, building._relpos
+
+    def counted_cols(cols, s, t, side):
+        steps.append(s)
+        root_cols(cols, s, t, side)
+
+    def counted_relpos(c, d):
+        runs.append(None)
+        return relpos(c, d)
+
+    for owner in (lattice, building):
+        monkeypatch.setattr(owner, "_root_cols", counted_cols)
+    monkeypatch.setattr(building, "_relpos", counted_relpos)
+    rng = random.Random(3301)
+    n = 3
+    cm, cp = rand_opposite_pair(rng, n)
+    for word in [(1,), (3, 1), (1, 2, 3), (1, 2, 3, 1)]:
+        steps.clear()
+        decode_coords(cp, cm, word, [rand_gauss(rng) for _ in word])
+        assert steps == list(word)
+        steps.clear()
+        decode_coords(cp, cm, word, [INF] + [GaussRat(1)] * (len(word) - 1))
+        assert steps == list(word[1:])
+    for side in "+-":
+        carrier = chamber_from_basis(side, rand_sl(rng, n))
+        for gap in range(n):
+            panel = carrier.panel(gap)
+            for t in (GaussRat(0), GaussRat(2, 3), INF):
+                steps.clear()
+                c = panel_chamber(panel, t)
+                assert steps == ([] if t == INF else list(panel.cotype_nodes()))
+                runs.clear()
+                assert panel_parameter(panel, c) == t
+                assert len(runs) == 1
 
 
 def test_a_long_gallery_of_carried_inverses_is_walked_without_recursion():

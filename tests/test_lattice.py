@@ -1104,6 +1104,25 @@ def test_panel_chamber_is_the_root_step_on_the_carrier(rng, n, side):
             assert panel_parameter(panel, c) == t
 
 
+@settings(max_examples=30, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 4), side=st.sampled_from("+-"))
+def test_the_root_step_is_the_matmul_by_x_s_n_s(rng, n, side):
+    """_root_cols is rep x_s(t) n_s against the matmul oracle, for every s
+    (the affine node included) on both sides, and _root_rows inverts it:
+    applied to the rows of rep^{-1} it gives the inverse of the step."""
+    rep = rand_unimodular(rng, n)
+    inv = rep.inv()
+    for s in range(1, n + 1):
+        for t in CHART_PARAMS[:-1]:
+            cols = rep.cols()
+            lattice._root_cols(cols, s, t, side)
+            stepped = LMat._of(zip(*cols))
+            assert stepped == rep @ root_step(side, s, n, t)
+            rows = list(inv.rows)
+            lattice._root_rows(rows, s, t, side)
+            assert LMat._of(rows) @ stepped == LMat.identity(n)
+
+
 def test_carrier_chart_takes_no_hermite_form(monkeypatch):
     calls = []
     hnf = lattice._hnf_poly_cols
@@ -1128,19 +1147,20 @@ def test_carrier_chart_takes_no_hermite_form(monkeypatch):
 def test_root_chart_is_a_moebius_change_of_the_hermite_chart(rng, n, side):
     """On every panel of a random chamber the two charts sweep the same
     chambers: each chart's chamber at t is the other's at the parameter
-    the other reads off it.  The root parameter is a Moebius function of
-    the Hermite one, fitted on three parameters and checked on the rest."""
+    the other reads off it.  The root chart is panel_chamber and
+    panel_parameter on the panel.  The root parameter is a Moebius
+    function of the Hermite one, fitted on three parameters and checked
+    on the rest."""
     g = rand_unimodular(rng, n)
     carrier = Chamber(side, g if side == "+" else g.subs_zinv())
-    inv = carrier._inverse()
     for gap in range(n):
-        old, new = HermitePanelChart(carrier, gap), PanelChart(carrier, gap)
+        old, panel = HermitePanelChart(carrier, gap), carrier.panel(gap)
         pairs = []
         for t in CHART_PARAMS:
             c = Chamber(side, old.chamber_basis(t))
-            u = new.parameter_of(c, inv)
-            assert Chamber(side, new.chamber_basis(u)) == c
-            d = Chamber(side, new.chamber_basis(t))
+            u = panel_parameter(panel, c)
+            assert panel_chamber(panel, u) == c
+            d = panel_chamber(panel, t)
             assert Chamber(side, old.chamber_basis(old.parameter_of(d))) == d
             pairs.append((t, u))
         assert_moebius(pairs)
