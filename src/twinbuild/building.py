@@ -156,13 +156,9 @@ def _move_rows(mat: LMat, u, coeffs=None) -> LMat:
     return LMat._of(_moved(mat.rows, u, coeffs, 1))
 
 
-def _align(mat, det):
-    """Rotate and scale a representative with determinant c z^d until d is
-    0 (mat itself if it is): right multiplication by the window (1 + d,
-    ..., n + d), the power of the chain shift of either side that does it
-    (the '+' one is the window (0, ..., n - 1), the '-' one its inverse)."""
-    d = int(det.val0())
-    return _move_cols(mat, range(1 + d, mat.nrows + 1 + d)) if d else mat
+def _moved_inverse(inv_of, u):
+    """(mat n_u)^{-1} = _move_rows(mat^{-1}, u), with inv_of() = mat^{-1}."""
+    return _move_rows(inv_of(), u)
 
 
 class Chamber:
@@ -176,8 +172,8 @@ class Chamber:
     as a lazy product of known pieces (see the module notes): the inverse
     of its base chamber ``_base`` and ``_inv_of``, which takes that to its
     own.  A chamber a caller validated has no base and computes it from
-    the minor table, reusing the top minor chain of its determinant check
-    when its basis needed no alignment (``LMat._inv_from``).
+    the top minor chain of its determinant check (``LMat._inv_from``),
+    and moves rows when its basis needed alignment.
 
     A plus chamber cp that encode_coords or decode_coords paired with an
     opposite minus chamber dm keeps (dm, the normalised common basis) in
@@ -194,11 +190,14 @@ class Chamber:
         det = _chain_det(minors)
         if not det.is_unit_monomial():
             raise NotInvertibleError("chamber representative is degenerate")
-        aligned = _align(rep, det)
-        if aligned is rep:
-            self._set(side, rep, None, partial(rep._inv_from, minors))
-        else:
-            self._set(side, aligned, None, aligned.inv)
+        inv_of = partial(rep._inv_from, minors)
+        d = int(det.val0())
+        if d:
+            # Normalise (module notes): n_u is the power of the chain shift
+            # that takes the determinant valuation d to 0.
+            u = range(1 + d, rep.nrows + 1 + d)
+            rep, inv_of = _move_cols(rep, u), partial(_moved_inverse, inv_of, u)
+        self._set(side, rep, None, inv_of)
 
     @classmethod
     def _built(cls, side, rep: LMat, base: "Chamber", inv_of) -> "Chamber":

@@ -6,6 +6,13 @@ schema-versioned JSON envelope (``--format json``)::
     {"schema": "twinbuild/1", "command": ..., "parameters": ...,
      "result": ...}
 
+``parameters`` echoes every option of the command, as given (a string
+stays the string typed, an integer option its integer), with its default
+when omitted: the parsed command line less the command path and
+``--format``.  Option groups that several commands share (``--n``,
+``--cminus``, ``--cplus``; ``--basis``, ``--keep``; ``--type``) are
+defined once, and ``--help`` lists them first, after ``--format``.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 domain error, 4 internal error (an unexpected exception, that is a
 bug; its envelope code is ``internal``).  A malformed value (a matrix,
@@ -45,6 +52,10 @@ from .errors import (
 )
 
 SCHEMA = "twinbuild/1"
+
+# The parsed options that are not parameters: the command path, the
+# output format and the handler.
+_NOT_PARAMETERS = ("command", "sub", "format", "func")
 
 _ERROR_CODES = {
     NotInvertibleError: "not-invertible",
@@ -177,20 +188,9 @@ def _chamber_arg(text, side, n):
     return chamber_from_basis(side, _parse_matrix(text))
 
 
-def _face_arg(basis_text, keep_text, side):
-    from .building import Simplex, chamber_from_basis
-
-    carrier = chamber_from_basis(side, _parse_matrix(basis_text))
-    keep = {int(t) for t in keep_text.split(",")}
-    return Simplex(carrier, keep)
-
-
-def _bool_str(b):
-    return "true" if b else "false"
-
-
 # ---------------------------------------------------------------------------
-# command handlers: each returns (parameters, json result, text, exit code)
+# command handlers: each returns (json result, text), and verify also its
+# exit code; main echoes the parsed options as the parameters
 # ---------------------------------------------------------------------------
 
 
@@ -200,38 +200,20 @@ def _cmd_coxeter(args):
     M = _parse_coxeter_type(args.type)
     if args.sub == "reduce":
         word = reduce_word(_parse_word(args.word), M)
-        return (
-            {"type": args.type, "word": args.word},
-            {"word": list(word)},
-            _word_str(word),
-            0,
-        )
+        return {"word": list(word)}, _word_str(word)
     if args.sub == "length":
         ell = word_length(_parse_word(args.word), M)
-        return {"type": args.type, "word": args.word}, {"length": ell}, str(ell), 0
+        return {"length": ell}, str(ell)
     if args.sub == "bruhat":
         leq = bruhat_leq(_parse_word(args.v), _parse_word(args.w), M)
-        return (
-            {"type": args.type, "v": args.v, "w": args.w},
-            {"leq": leq},
-            _bool_str(leq),
-            0,
-        )
+        return {"leq": leq}, json.dumps(leq)
     # cosets
     J = _parse_generators(args.quotient)
     within = _parse_generators(args.within) if args.within else None
     reps = min_coset_reps(M, J, args.max_length, within=within)
-    params = {
-        "type": args.type,
-        "quotient": sorted(J),
-        "within": sorted(within) if within else None,
-        "max_length": args.max_length,
-    }
     return (
-        params,
         {"representatives": [list(w) for w in reps]},
         "\n".join(_word_str(w) for w in reps),
-        0,
     )
 
 
@@ -241,61 +223,37 @@ def _cmd_delta(args):
     c = _chamber_arg(args.c, args.side, args.n)
     d = chamber_from_basis(args.side, _parse_matrix(args.d))
     word = delta_word(c, d)
-    params = {"side": args.side, "c": args.c, "d": args.d}
-    return params, {"word": list(word)}, _word_str(word), 0
+    return {"word": list(word)}, _word_str(word)
 
 
 def _cmd_codelta(args):
-    from .building import codelta_word
+    """codelta, and opposite: whether the codistance is the identity."""
+    from .building import codelta_word, opposite
 
     cm = _chamber_arg(args.cminus, "-", args.n)
     cp = _chamber_arg(args.cplus, "+", args.n)
+    if args.command == "opposite":
+        opp = opposite(cm, cp)
+        return {"opposite": opp}, json.dumps(opp)
     word = codelta_word(cm, cp)
-    params = {"cminus": args.cminus, "cplus": args.cplus, "n": args.n}
-    return params, {"word": list(word)}, _word_str(word), 0
-
-
-def _cmd_opposite(args):
-    from .building import opposite
-
-    cm = _chamber_arg(args.cminus, "-", args.n)
-    cp = _chamber_arg(args.cplus, "+", args.n)
-    opp = opposite(cm, cp)
-    params = {"cminus": args.cminus, "cplus": args.cplus, "n": args.n}
-    return params, {"opposite": opp}, _bool_str(opp), 0
+    return {"word": list(word)}, _word_str(word)
 
 
 def _cmd_project(args):
-    from .building import chamber_from_basis, project
+    """project, and project-twin: the gate of a chamber on the other side."""
+    from .building import Simplex, chamber_from_basis, project, project_twin
     from .exactalg import mat_to_json
 
-    face = _face_arg(args.basis, args.keep, args.side)
-    c = chamber_from_basis(args.side, _parse_matrix(args.chamber))
-    gate = project(face, c)
-    params = {
-        "side": args.side,
-        "basis": args.basis,
-        "keep": args.keep,
-        "chamber": args.chamber,
-    }
-    return params, {"chamber": mat_to_json(gate.rep)}, _matrix_text(gate.rep), 0
-
-
-def _cmd_project_twin(args):
-    from .building import chamber_from_basis, project_twin
-    from .exactalg import mat_to_json
-
-    face = _face_arg(args.basis, args.keep, args.side)
-    other = "-" if args.side == "+" else "+"
-    c = chamber_from_basis(other, _parse_matrix(args.chamber))
-    gate = project_twin(face, c)
-    params = {
-        "side": args.side,
-        "basis": args.basis,
-        "keep": args.keep,
-        "chamber": args.chamber,
-    }
-    return params, {"chamber": mat_to_json(gate.rep)}, _matrix_text(gate.rep), 0
+    carrier = chamber_from_basis(args.side, _parse_matrix(args.basis))
+    face = Simplex(carrier, {int(t) for t in args.keep.split(",")})
+    if args.command == "project":
+        c = chamber_from_basis(args.side, _parse_matrix(args.chamber))
+        gate = project(face, c)
+    else:
+        other = "-" if args.side == "+" else "+"
+        c = chamber_from_basis(other, _parse_matrix(args.chamber))
+        gate = project_twin(face, c)
+    return {"chamber": mat_to_json(gate.rep)}, _matrix_text(gate.rep)
 
 
 def _cmd_coords(args):
@@ -310,53 +268,35 @@ def _cmd_coords(args):
         coords = encode_coords(cp, cm, e, word=word)
         if word is None:
             word = delta_word(cp, e)
-        params = {"n": args.n, "chamber": args.chamber, "word": args.word}
-        result = {
-            "word": list(word),
-            "coords": [_param_str(t) for t in coords],
-        }
-        text = f"word: {_word_str(word)}\ncoords: " + ",".join(
-            _param_str(t) for t in coords
-        )
-        return params, result, text, 0
+        shown = [_param_str(t) for t in coords]
+        text = f"word: {_word_str(word)}\ncoords: " + ",".join(shown)
+        return {"word": list(word), "coords": shown}, text
     word = _parse_word(args.word)
     coords = [_parse_param(t) for t in args.coords.split(",")] if args.coords else []
     e = decode_coords(cp, cm, word, coords)
-    params = {"n": args.n, "word": args.word, "coords": args.coords}
-    return params, {"chamber": mat_to_json(e.rep)}, _matrix_text(e.rep), 0
+    return {"chamber": mat_to_json(e.rep)}, _matrix_text(e.rep)
 
 
 def _cmd_poincare(args):
     from .cells import bott_equivalence_check, loop_poincare, schubert_poincare
 
+    if args.sub == "bott-check":
+        ok = bott_equivalence_check(args.k, args.deg)
+        return {"equivalent": ok}, json.dumps(ok)
     if args.sub == "schubert":
         M = _parse_coxeter_type(args.type)
-        J = _parse_generators(args.quotient) if args.quotient else frozenset()
+        J = _parse_generators(args.quotient)
         series = schubert_poincare(M, J, _parse_word(args.w), args.truncation)
-        params = {
-            "type": args.type,
-            "quotient": sorted(J),
-            "w": args.w,
-            "truncation": args.truncation,
-        }
-    elif args.sub == "loop":
+        text = str(series)
+    else:  # loop
         series = loop_poincare(args.n, args.deg)
-        params = {"n": args.n, "deg": args.deg}
-    else:  # bott-check
-        ok = bott_equivalence_check(args.k, args.deg)
-        return (
-            {"k": args.k, "deg": args.deg},
-            {"equivalent": ok},
-            _bool_str(ok),
-            0,
-        )
+        text = json.dumps(list(series.coeffs), separators=(",", ":"))
     result = {
         "coefficients": list(series.coeffs),
         "series": str(series),
         "truncation": series.truncation,
     }
-    text = str(series) if args.sub == "schubert" else json.dumps(list(series.coeffs), separators=(",", ":"))
-    return params, result, text, 0
+    return result, text
 
 
 def _cmd_veronese(args):
@@ -366,8 +306,7 @@ def _cmd_veronese(args):
     if args.sub == "spherical":
         flag = _parse_flag(args.flag)
         x = spherical_veronese(flag, _parse_weights(args.weights))
-        params = {"flag": args.flag, "weights": args.weights}
-        return params, {"matrix": mat_to_json(x)}, _matrix_text(x), 0
+        return {"matrix": mat_to_json(x)}, _matrix_text(x)
     if args.sub == "affine":
         if args.loop:
             g = _parse_matrix(args.loop)
@@ -375,13 +314,11 @@ def _cmd_veronese(args):
             check_rank(args.n)
             g = LMat.identity(args.n)
         x = affine_veronese_vertex(g, args.k)
-        params = {"n": args.n, "k": args.k, "loop": args.loop}
-        return params, {"matrix": mat_to_json(x)}, _matrix_text(x), 0
+        return {"matrix": mat_to_json(x)}, _matrix_text(x)
     # caveat
     x = _parse_matrix(args.x) if args.x else None
     ok = caveat_check(args.n, args.deg, x)
-    params = {"n": args.n, "deg": args.deg, "x": args.x}
-    return params, {"no_truncated_kernel": ok}, _bool_str(ok), 0
+    return {"no_truncated_kernel": ok}, json.dumps(ok)
 
 
 def _cmd_verify(args):
@@ -399,13 +336,8 @@ def _cmd_verify(args):
     for r in results:
         lines.append(str(r))
         lines.extend(f"  {m}" for m in r.messages)
-    params = {"suite": args.suite, "seed": args.seed, "count": args.count}
-    return (
-        params,
-        {"suites": [r.as_dict() for r in results], "failed": failed},
-        "\n".join(lines),
-        0 if failed == 0 else 1,
-    )
+    result = {"suites": [r.as_dict() for r in results], "failed": failed}
+    return result, "\n".join(lines), 0 if failed == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +346,18 @@ def _cmd_verify(args):
 
 
 def _build_parser():
+    # Option groups shared by several commands, each defined once.
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
+    ctype = argparse.ArgumentParser(add_help=False)
+    ctype.add_argument("--type", required=True, help="A<k> or A~<k>")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--n", type=int, default=None)
+    pair.add_argument("--cminus", default=None)
+    pair.add_argument("--cplus", default=None)
+    face = argparse.ArgumentParser(add_help=False)
+    face.add_argument("--basis", required=True, help="carrier chamber basis")
+    face.add_argument("--keep", required=True, help="kept chain positions")
 
     p = argparse.ArgumentParser(
         prog="twinbuild",
@@ -426,17 +368,14 @@ def _build_parser():
     cox = sub.add_parser("coxeter", help="words, lengths, Bruhat order, cosets")
     coxsub = cox.add_subparsers(dest="sub", required=True)
     for name in ("reduce", "length"):
-        q = coxsub.add_parser(name, parents=[fmt])
-        q.add_argument("--type", required=True, help="A<k> or A~<k>")
+        q = coxsub.add_parser(name, parents=[fmt, ctype])
         q.add_argument("--word", required=True)
         q.set_defaults(func=_cmd_coxeter)
-    q = coxsub.add_parser("bruhat", parents=[fmt])
-    q.add_argument("--type", required=True)
+    q = coxsub.add_parser("bruhat", parents=[fmt, ctype])
     q.add_argument("--v", required=True)
     q.add_argument("--w", required=True)
     q.set_defaults(func=_cmd_coxeter)
-    q = coxsub.add_parser("cosets", parents=[fmt])
-    q.add_argument("--type", required=True)
+    q = coxsub.add_parser("cosets", parents=[fmt, ctype])
     q.add_argument("--quotient", required=True, help="J=<comma list>")
     q.add_argument("--within", default=None, help="K=<comma list>")
     q.add_argument("--max-length", type=int, default=12)
@@ -449,46 +388,28 @@ def _build_parser():
     q.add_argument("--d", required=True, help="basis matrix")
     q.set_defaults(func=_cmd_delta)
 
-    q = sub.add_parser("codelta", parents=[fmt], help="twin codistance")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--cminus", default=None)
-    q.add_argument("--cplus", default=None)
+    q = sub.add_parser("codelta", parents=[fmt, pair], help="twin codistance")
+    q.set_defaults(func=_cmd_codelta)
+    q = sub.add_parser("opposite", parents=[fmt, pair], help="codistance identity test")
     q.set_defaults(func=_cmd_codelta)
 
-    q = sub.add_parser("opposite", parents=[fmt], help="codistance identity test")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--cminus", default=None)
-    q.add_argument("--cplus", default=None)
-    q.set_defaults(func=_cmd_opposite)
-
-    q = sub.add_parser("project", parents=[fmt], help="same-side gate")
+    q = sub.add_parser("project", parents=[fmt, face], help="same-side gate")
     q.add_argument("--side", choices=("+", "-"), default="+")
-    q.add_argument("--basis", required=True, help="carrier chamber basis")
-    q.add_argument("--keep", required=True, help="kept chain positions")
     q.add_argument("--chamber", required=True)
     q.set_defaults(func=_cmd_project)
-
-    q = sub.add_parser("project-twin", parents=[fmt], help="twin gate")
+    q = sub.add_parser("project-twin", parents=[fmt, face], help="twin gate")
     q.add_argument("--side", choices=("+", "-"), default="-",
                    help="side of the face")
-    q.add_argument("--basis", required=True)
-    q.add_argument("--keep", required=True)
     q.add_argument("--chamber", required=True, help="chamber on the other side")
-    q.set_defaults(func=_cmd_project_twin)
+    q.set_defaults(func=_cmd_project)
 
     coords = sub.add_parser("coords", help="Schubert-cell coordinates")
     csub = coords.add_subparsers(dest="sub", required=True)
-    q = csub.add_parser("encode", parents=[fmt])
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--cplus", default=None)
-    q.add_argument("--cminus", default=None)
+    q = csub.add_parser("encode", parents=[fmt, pair])
     q.add_argument("--chamber", required=True)
     q.add_argument("--word", default=None, help="reduced word (default: normal form)")
     q.set_defaults(func=_cmd_coords)
-    q = csub.add_parser("decode", parents=[fmt])
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--cplus", default=None)
-    q.add_argument("--cminus", default=None)
+    q = csub.add_parser("decode", parents=[fmt, pair])
     q.add_argument("--word", required=True)
     q.add_argument("--coords", required=True,
                    help="comma list of Gaussian rationals, one per letter: "
@@ -499,8 +420,7 @@ def _build_parser():
 
     poin = sub.add_parser("poincare", help="cell-counting series")
     psub = poin.add_subparsers(dest="sub", required=True)
-    q = psub.add_parser("schubert", parents=[fmt])
-    q.add_argument("--type", required=True)
+    q = psub.add_parser("schubert", parents=[fmt, ctype])
     q.add_argument("--quotient", default="", help="J=<comma list>")
     q.add_argument("--w", required=True)
     q.add_argument("--truncation", type=int, default=None)
@@ -565,7 +485,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     name = _command_name(args)
     try:
-        params, result, text, code = args.func(args)
+        result, text, *code = args.func(args)
     except TwinbuildError as exc:
         for cls in type(exc).__mro__:
             if cls in _ERROR_CODES:
@@ -592,6 +512,7 @@ def main(argv=None) -> int:
         )
         return 4
     if args.format == "json":
+        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
         envelope = {
             "schema": SCHEMA,
             "command": name,
@@ -601,7 +522,7 @@ def main(argv=None) -> int:
         print(json.dumps(envelope, sort_keys=True))
     else:
         print(text)
-    return code
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -542,12 +542,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(e == 0 for e in self.coeffs)
 
-    def ev0(self):
-        """Evaluate at z = 0; defined only when val0 >= 0."""
-        if self.coeffs and self.val0() < 0:
-            raise DomainError("pole at z = 0")
-        return self.coeffs.get(0, QI_ZERO)
-
     def coeff(self, e: int):
         return self.coeffs.get(e, QI_ZERO)
 

@@ -21,10 +21,10 @@ Invariant, by construction: a LatticeClass is built from generators, any
 of them, and its ``mat`` is the canonical form it computes (upper
 triangular, monic monomial diagonal, least exponent 0; through z -> 1/z
 on '-').  So is every z^k multiple of it, since the canonical form is
-unique and commutes with the z-shift.  Class matrices and their
-``scaled`` multiples serve as they are, for back substitution and
-determinant valuations; Hermite forms are taken only of modules given by
-arbitrary generators.
+unique and commutes with the z-shift.  Class matrices and their z^k
+multiples serve as they are, for back substitution and determinant
+valuations; Hermite forms are taken only of modules given by arbitrary
+generators.
 """
 
 from __future__ import annotations
@@ -118,10 +118,6 @@ class LatticeClass(Record):
         the diagonal of the triangular canonical form."""
         val = LaurentPoly.val0 if self.side == "+" else LaurentPoly.val_inf
         return sum(int(val(self.mat[i, i])) for i in range(self.n))
-
-    def scaled(self, k: int) -> LMat:
-        """Representative z^k * mat (in the side's own variable)."""
-        return self.mat.scale(zpow(k) if self.side == "+" else zpow(-k))
 
 
 # ---------------------------------------------------------------------------

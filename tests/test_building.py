@@ -1064,12 +1064,15 @@ def test_built_chambers_match_the_validating_constructor_on_dense_bases():
         ["z", "z", "z"],          # det z^3: scaled, not rotated
         ["2", "1", "(i)"],        # constant det 2i: kept as it is
         ["1", "1", "1"],
+        ["z^-5", "1", "1"],       # det z^-5: rotated and scaled
+        ["z^4", "z", "(i)"],      # det i z^5
     ],
 )
 def test_chamber_inverse_is_the_inverse_of_its_representative(entries):
     """The inverse a chamber keeps is rep^{-1} of its aligned
     representative, also where alignment rotated or scaled the basis (the
-    minor chain of the basis as given must not be reused there)."""
+    minor chain of the basis as given inverts that basis, and its rows are
+    then moved)."""
     rng = random.Random(len("".join(entries)))
     g = rand_sl(rng, 3) @ LMat.diag([P(e) for e in entries])
     for side in "+-":
@@ -1078,6 +1081,26 @@ def test_chamber_inverse_is_the_inverse_of_its_representative(entries):
         assert inv == c.rep.inv()
         assert c.rep @ inv == LMat.identity(3)
         assert c._inverse() is inv
+
+
+def test_an_unaligned_chamber_builds_one_minor_chain(monkeypatch):
+    """Building a chamber whose basis needs alignment and inverting it
+    takes the top minor chain once: the inverse of the basis as given
+    comes from the chain of its determinant check, then moves rows."""
+    calls = []
+    top_minors = exactalg._top_minors
+
+    def counted(rows):
+        calls.append(None)
+        return top_minors(rows)
+
+    monkeypatch.setattr(exactalg, "_top_minors", counted)
+    monkeypatch.setattr(building, "_top_minors", counted)
+    for side in "+-":
+        calls.clear()
+        c = chamber_from_basis(side, LMat.diag([P("z^3"), LP_ONE]))
+        c._inverse()
+        assert len(calls) == 1
 
 
 def test_chamber_inverse_on_dense_bases():

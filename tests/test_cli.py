@@ -5,6 +5,7 @@ much faster than spawning subprocesses; one smoke test at the bottom checks
 that ``python3 -m twinbuild`` is wired up at all.
 """
 
+import argparse
 import functools
 import json
 import pathlib
@@ -209,7 +210,9 @@ def test_coords_decode_accepts_infinity(capsys):
     assert code == 0
     assert json.loads(out) == {
         "command": "coords.decode",
-        "parameters": {"coords": "INF", "n": 2, "word": "1"},
+        "parameters": {
+            "cminus": None, "coords": "INF", "cplus": None, "n": 2, "word": "1",
+        },
         "result": {"chamber": [["1", "0"], ["0", "1"]]},
         "schema": "twinbuild/1",
     }
@@ -245,7 +248,9 @@ def test_coords_decode_at_zero_gives_the_apartment_chamber(capsys):
     assert code == 0
     assert json.loads(out) == {
         "command": "coords.decode",
-        "parameters": {"coords": "0", "n": 2, "word": "1"},
+        "parameters": {
+            "cminus": None, "coords": "0", "cplus": None, "n": 2, "word": "1",
+        },
         "result": {"chamber": [["0", "1"], ["1", "0"]]},
         "schema": "twinbuild/1",
     }
@@ -285,6 +290,84 @@ def test_json_envelope_shape(capsys):
     assert doc["command"] == "poincare.loop"
     assert doc["parameters"] == {"n": 4, "deg": 6}
     assert doc["result"]["coefficients"] == [1, 0, 1, 0, 2, 0, 3]
+
+
+# One argv per leaf command, with the options its envelope echoes: every
+# option of the command, as given, with its default when omitted.
+_LEAF_PARAMETERS = [
+    (("coxeter", "reduce", "--type", "A2", "--word", "1,1,2"), {"type", "word"}),
+    (("coxeter", "length", "--type", "A2", "--word", "1,2,1"), {"type", "word"}),
+    (("coxeter", "bruhat", "--type", "A2", "--v", "1", "--w", "1,2,1"), {"type", "v", "w"}),
+    (("coxeter", "cosets", "--type", "A3", "--quotient", "J=1"),
+     {"type", "quotient", "within", "max_length"}),
+    (("delta", "--n", "2", "--d", "1,0;z,1"), {"side", "n", "c", "d"}),
+    (("codelta", "--n", "2"), {"n", "cminus", "cplus"}),
+    (("opposite", "--n", "2"), {"n", "cminus", "cplus"}),
+    (("project", "--basis", "1,0;0,1", "--keep", "0", "--chamber", "1,0;1,1"),
+     {"side", "basis", "keep", "chamber"}),
+    (("project-twin", "--basis", "1,0;0,1", "--keep", "0", "--chamber", "1,0;1,1"),
+     {"side", "basis", "keep", "chamber"}),
+    (("coords", "encode", "--n", "2", "--chamber", "1,0;z,1"),
+     {"n", "cminus", "cplus", "chamber", "word"}),
+    (("coords", "decode", "--n", "2", "--word", "1", "--coords", "0"),
+     {"n", "cminus", "cplus", "word", "coords"}),
+    (("poincare", "schubert", "--type", "A3", "--w", "1"),
+     {"type", "quotient", "w", "truncation"}),
+    (("poincare", "loop", "--n", "2", "--deg", "2"), {"n", "deg"}),
+    (("poincare", "bott-check", "--k", "2", "--deg", "2"), {"k", "deg"}),
+    (("veronese", "spherical", "--flag", "1,0", "--weights", "1"), {"flag", "weights"}),
+    (("veronese", "affine", "--n", "2", "--k", "1"), {"n", "k", "loop"}),
+    (("veronese", "caveat", "--n", "2", "--deg", "2"), {"n", "deg", "x"}),
+    (("verify", "cell-series", "--count", "1"), {"suite", "seed", "count"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, keys", _LEAF_PARAMETERS, ids=[" ".join(a[:2]).split(" --")[0] for a, _ in _LEAF_PARAMETERS]
+)
+def test_parameters_echo_every_option_of_the_command(capsys, argv, keys):
+    """A success envelope echoes each option of its command, as given or
+    at its default, and nothing else: not the command path, the format or
+    the handler."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    assert set(doc["parameters"]) == keys
+
+
+def test_every_leaf_command_has_a_parameter_case():
+    """The table above names every leaf command of the parser."""
+    from twinbuild.cli import _build_parser
+
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return [path]
+        return [leaf for name, q in subs[0].choices.items() for leaf in leaves(q, path + (name,))]
+
+    paths = leaves(_build_parser(), ())
+    assert len(paths) == len(_LEAF_PARAMETERS)
+    for path in paths:
+        assert any(argv[:len(path)] == path for argv, _ in _LEAF_PARAMETERS), path
+
+
+def test_parameters_are_the_options_as_given(capsys):
+    """Generator sets are echoed as typed, and an omitted option as its
+    default."""
+    _, out, _ = run_cli(
+        capsys, "coxeter", "cosets", "--type", "A~3", "--quotient", "J=2,4",
+        "--within", "K=1,2,4", "--format", "json",
+    )
+    assert json.loads(out)["parameters"] == {
+        "type": "A~3", "quotient": "J=2,4", "within": "K=1,2,4", "max_length": 12,
+    }
+    _, out, _ = run_cli(
+        capsys, "poincare", "schubert", "--type", "A3", "--w", "1", "--format", "json",
+    )
+    assert json.loads(out)["parameters"] == {
+        "type": "A3", "quotient": "", "w": "1", "truncation": None,
+    }
 
 
 def test_json_output_is_deterministic(capsys):

@@ -69,7 +69,7 @@ def canonical_lattice(side, gens) -> LMat:
     det = gens.det()
     k, r = divmod(int(det.val0() if side == "+" else det.val_inf()) - c.det_val(), c.n)
     assert r == 0
-    return c.scaled(k)
+    return c.mat.scale(zpow(k) if side == "+" else zpow(-k))
 
 
 def assert_canonical_class(c):
@@ -244,7 +244,7 @@ class ClassPanelChart:
         coords = [_plus_coords(self._A, b) for b in self._B.cols()]
         if None in coords:
             raise DomainError("panel chain does not close up periodically")
-        self._Q0 = [[col[i].ev0() for col in coords] for i in range(n)]
+        self._Q0 = [[col[i].coeff(0) for col in coords] for i in range(n)]
         # greedy completion of colspan Q0 by standard basis vectors: the
         # pivot columns of [Q0 | 1] past Q0
         _, piv = rref([row + [QI_ONE if i == j else QI_ZERO for j in range(n)]
@@ -297,7 +297,7 @@ class ClassPanelChart:
             coords = _plus_coords(self._A, mat.col(c))
             if coords is None:
                 raise DomainError("class is not between the panel's neighbours")
-            psi = [x.ev0() for x in coords]
+            psi = [x.coeff(0) for x in coords]
             sol = solve_right(sys_rows, psi)
             if sol is None:
                 raise DomainError("class is not between the panel's neighbours")
@@ -440,7 +440,7 @@ class HermitePanelChart:
         """The parameter of a chamber through the panel, read off column p
         of its representative, which lies in A and not in B."""
         v = _plus_col(self.side, chamber.rep.col(self._p), 0)
-        psi = [x.ev0() for x in _plus_coords(self._A, v)]
+        psi = [x.coeff(0) for x in _plus_coords(self._A, v)]
         c1 = sum((w * x for w, x in zip(self._c1, psi)), QI_ZERO)
         c2 = sum((w * x for w, x in zip(self._c2, psi)), QI_ZERO)
         return INF if not c1 else c2 / c1
@@ -491,8 +491,9 @@ def test_canonical_idempotent_random():
 
 @pytest.mark.parametrize("side", ["+", "-"])
 def test_scaled_class_is_the_hermite_form_of_the_lattice(side):
-    # LatticeClass(s, g).scaled(k), k = (val det g - det_val())/n, is the
-    # Hermite form of the lattice g spans, taken directly.
+    # The class matrix of LatticeClass(s, g) times z^k (z^-k on '-'),
+    # k = (val det g - det_val())/n, is the Hermite form of the lattice g
+    # spans, taken directly.
     rng = random.Random(41)
     for _ in range(20):
         n = rng.randint(2, 5)
@@ -795,7 +796,7 @@ def test_adapted_basis_random_round_trip():
         chain = []
         for j, c in enumerate(classes):
             k = (d0 + j - c.det_val()) // n
-            chain.append(c.scaled(k))
+            chain.append(c.mat.scale(zpow(k) if side == "+" else zpow(-k)))
         b = adapted_basis(side, chain)
         assert vertex_classes_of_basis(side, b) == classes
 
@@ -875,7 +876,8 @@ def _chart_pick_by_inverse(chart):
     n = chart.n
     acan = _canonical_plus_cols(chart._A.cols(), n)
     q = acan.inv() @ chart._B
-    q0 = [[q[i, j].ev0() for j in range(n)] for i in range(n)]
+    assert all(not a or a.val0() >= 0 for row in q.rows for a in row)  # B in A
+    q0 = [[q[i, j].coeff(0) for j in range(n)] for i in range(n)]
     base = [[q0[i][j] for i in range(n)] for j in range(n)]
     rank0 = len(rref([list(r) for r in zip(*base)])[1])
     picked = []
@@ -999,7 +1001,7 @@ def _chart_setup_by_elimination(carrier, gap):
     marks = lattice._marks(side, n, gap - 1)
     gens = [_plus_col(side, col, m) for col, m in zip(rep.cols(), marks)]
     h = _canonical_plus_cols(gens, n)
-    images = [[x.ev0() for x in _plus_coords(h, a)] for a in gens]
+    images = [[x.coeff(0) for x in _plus_coords(h, a)] for a in gens]
     t0 = [[col[i] for col in images] for i in range(n)]
     red, _ = rref([row + [QI_ONE if i == j else QI_ZERO for j in range(n)]
                    for i, row in enumerate(t0)])
