@@ -478,7 +478,7 @@ def _relpos(c: Chamber, d: Chamber):
         raise DomainError("dimension mismatch")
     n = c.n
     a = c._inverse() @ d.rep
-    cols = [list(a.col(j)) for j in range(n)]
+    cols = list(map(list, zip(*a.rows)))
     leads, ops = _reduce(cols, c.side == "+", d.side == "+")
     u = tuple(i + 1 - n * e for e, i, _ in leads)
     if sum(e for e, _, _ in leads):

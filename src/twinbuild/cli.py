@@ -18,7 +18,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 bug; its envelope code is ``internal``).  A malformed value (a matrix,
 word, scalar or parameter that does not parse) is a usage error; with
 ``--format json`` it prints an error envelope with code ``usage``; so
-does an unknown ``verify`` suite name.  An argument list that argparse
+do an unknown ``verify`` suite name and a basis matrix whose size
+differs from a given ``--n``.  An argument list that argparse
 itself rejects (an unknown command or option, a missing required
 option, a non-integer ``--n``) fails before ``--format`` is read, so
 argparse's message goes to stderr as text, with exit code 2 and no
@@ -185,7 +186,10 @@ def _chamber_arg(text, side, n):
             raise ValueError("give --n or an explicit basis matrix")
         check_rank(n)
         return standard_chamber(side, n)
-    return chamber_from_basis(side, _parse_matrix(text))
+    m = _parse_matrix(text)
+    if n is not None and m.nrows != n:
+        raise ValueError(f"a {m.nrows}x{m.ncols} basis does not match --n {n}")
+    return chamber_from_basis(side, m)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +222,10 @@ def _cmd_coxeter(args):
 
 
 def _cmd_delta(args):
-    from .building import chamber_from_basis, delta_word
+    from .building import delta_word
 
     c = _chamber_arg(args.c, args.side, args.n)
-    d = chamber_from_basis(args.side, _parse_matrix(args.d))
+    d = _chamber_arg(args.d, args.side, args.n)
     word = delta_word(c, d)
     return {"word": list(word)}, _word_str(word)
 
@@ -257,13 +261,13 @@ def _cmd_project(args):
 
 
 def _cmd_coords(args):
-    from .building import chamber_from_basis, decode_coords, delta_word, encode_coords
+    from .building import decode_coords, delta_word, encode_coords
     from .exactalg import mat_to_json
 
     cp = _chamber_arg(args.cplus, "+", args.n)
     cm = _chamber_arg(args.cminus, "-", args.n)
     if args.sub == "encode":
-        e = chamber_from_basis("+", _parse_matrix(args.chamber))
+        e = _chamber_arg(args.chamber, "+", args.n)
         word = _parse_word(args.word) if args.word is not None else None
         coords = encode_coords(cp, cm, e, word=word)
         if word is None:

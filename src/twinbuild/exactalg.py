@@ -26,10 +26,12 @@ The operators on polynomials and matrices:
 * ``sharp`` (conjugate transpose composed with z -> 1/z),
 * ``iota`` (coefficientwise conjugation),
 * exact determinants, and inverses of matrices whose determinant is a
-  unit c*z^k.  Both come from one memoised Laplace expansion: tables of
-  the minors on each set of columns, extended a row at a time, cost about
-  n*2^(n-1) Laurent products each, where cofactor expansion costs about
-  e*n! (and n^2 times that for the adjugate).
+  unit c*z^k.  Both come from one memoised Laplace expansion: a chain of
+  tables of the minors on each set of columns starts at the row table and
+  is extended a row at a time, about n*2^(n-1) Laurent products each,
+  where cofactor expansion costs about e*n! (and n^2 times that for the
+  adjugate).  The inverse's first and last cofactor rows are minors
+  already in its two chains.
 
 A constant matrix over Q(i) is an LMat with constant entries and uses
 the same operators, so there is one matrix product (``@``), one
@@ -821,7 +823,7 @@ class LMat:
         return tuple(self.rows[i][j] for i in range(self.nrows))
 
     def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+        return list(zip(*self.rows))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -867,7 +869,7 @@ class LMat:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        ocolumns = [[b.coeffs for b in other.col(j)] for j in range(other.ncols)]
+        ocolumns = [[b.coeffs for b in col] for col in zip(*other.rows)]
         out = []
         for row in self.rows:
             row = [a.coeffs for a in row]
@@ -947,7 +949,9 @@ class LMat:
 
     def _inv_from(self, top) -> "LMat":
         """``inv`` of a square matrix, given its top minor chain
-        ``_top_minors(self.rows)``."""
+        ``_top_minors(self.rows)``.  Cofactor rows 0 and n-1 sit beside the
+        empty minor: they are minors in ``bottom[0]`` and ``top[n-1]``,
+        signed on the integer triples, with no product."""
         rows, n = self.rows, self.nrows
         full = (1 << n) - 1
         d = _chain_det(top)
@@ -955,19 +959,25 @@ class LMat:
             raise NotInvertibleError(
                 f"determinant {poly_to_str(d)} is not a unit c*z^k"
             )
-        # bottom[i]: minors of rows i+1..n-1, built bottom-up and so in
-        # reversed row order.
-        bottom = [_ONE_TABLE]
-        for row in reversed(rows[1:]):
-            bottom.append(_extend_minors(bottom[-1], row))
-        bottom.reverse()
+        # bottom[i]: minors of rows i+1..n-1, built from the last row up and
+        # so in reversed row order; (-1)^(m(m-1)/2), m = n-1-i, undoes that.
+        bottom = _minor_chain(rows[:0:-1])[::-1]
         (e, c), = d.coeffs.items()
         dinv = None if d == LP_ONE else zpow(-e, c.inverse())
         out = [[LP_ZERO] * n for _ in range(n)]
-        for i in range(n):
+        edges = ((0, bottom[0], (n - 1) * (n - 2) // 2), (n - 1, top[n - 1], n - 1))
+        for i, table, flip in edges:
+            for j in range(n):
+                if (f := table.get(full ^ (1 << j))) is not None:
+                    odd = (flip + j) % 2
+                    if dinv is not None:
+                        f = _poly_of(_mul_acc({}, f.coeffs, dinv.coeffs, odd))
+                    elif odd:
+                        f = _lp({k: _qi(-q.a, -q.b, q.d) for k, q in f.coeffs.items()})
+                    out[j][i] = f
+        for i in range(1, n - 1):
             above, below = top[i], bottom[i]
             m = n - 1 - i
-            # (-1)^(m(m-1)/2) undoes the reversed row order of ``below``.
             flip = (i + m * (m - 1) // 2) % 2
             for j in range(n):
                 rest = full ^ (1 << j)
@@ -1003,18 +1013,24 @@ def _check_shape(rows):
 
 # Minors are memoised in tables: dicts from a column bitmask S to the
 # nonzero minor on the rows added so far and the columns in S; a zero
-# minor is not stored.  Each table costs about n*2^(n-1) Laurent
-# products, against e*n! for cofactor expansion.
+# minor is not stored.  A chain starts at the empty minor 1 and the row
+# table (the first row's nonzero entries by column), then takes one
+# ``_extend_minors`` pass per further row, about n*2^(n-1) products each.
 _ONE_TABLE = {0: LP_ONE}
 
 
-def _top_minors(rows):
-    """The top minor chain of a square matrix's rows: entry i is the minor
-    table of rows 0..i-1, so the last entry holds the determinant."""
-    top = [_ONE_TABLE]
-    for row in rows:
-        top.append(_extend_minors(top[-1], row))
-    return top
+def _minor_chain(rows):
+    """Entry i is the minor table of rows[:i]."""
+    chain = [_ONE_TABLE]
+    if rows:
+        chain.append({1 << c: a for c, a in enumerate(rows[0]) if a})
+        for row in rows[1:]:
+            chain.append(_extend_minors(chain[-1], row))
+    return chain
+
+
+# The top chain of a square matrix (its last entry holds the determinant).
+_top_minors = _minor_chain
 
 
 def _chain_det(top) -> LaurentPoly:

@@ -258,7 +258,7 @@ def incident(c1: LatticeClass, c2: LatticeClass) -> bool:
 
 def _contains(outer: LMat, inner: LMat) -> bool:
     """Is every column of inner in the module of the plus form outer?"""
-    return all(_member_plus(outer, inner.col(j)) for j in range(inner.ncols))
+    return all(_member_plus(outer, col) for col in zip(*inner.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1115,10 +1115,12 @@ def test_chamber_inverse_on_dense_bases():
 
 def test_minor_table_passes_per_operation(monkeypatch):
     """One delta on determinant-one dense bases at n = 5 builds the top
-    minor chain of each chamber once (5 + 5 passes of _extend_minors) and
-    the bottom chain of the first chamber's inverse (4), which reuses the
-    first chamber's top chain.  One project makes as many passes: the
-    gate is a product of aligned factors and takes no determinant."""
+    minor chain of each chamber once (4 + 4 passes of _extend_minors: a
+    chain starts at its first row's entries) and the bottom chain of the
+    first chamber's inverse (3, from the last row up to row 1), which
+    reuses the first chamber's top chain.  One project makes as many
+    passes: the gate is a product of aligned factors and takes no
+    determinant."""
     rng = random.Random(2107)
     n = 5
     x = dense_basis(rng, n)
@@ -1133,11 +1135,11 @@ def test_minor_table_passes_per_operation(monkeypatch):
 
     monkeypatch.setattr(exactalg, "_extend_minors", counted)
     delta(chamber_from_basis("+", x), chamber_from_basis("+", y))
-    assert len(passes) == 14
+    assert len(passes) == 11
     passes.clear()
     c, d = chamber_from_basis("+", x), chamber_from_basis("+", y)
     project(d.panel(1), c)
-    assert len(passes) == 14
+    assert len(passes) == 11
 
 
 # ---------------------------------------------------------------------------

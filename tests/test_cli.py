@@ -336,6 +336,33 @@ def test_parameters_echo_every_option_of_the_command(capsys, argv, keys):
     assert set(doc["parameters"]) == keys
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta", "--n", "4", "--c", "1,0;0,1", "--d", "1,0;z,1"),
+        ("delta", "--n", "3", "--d", "1,0;z,1"),
+        ("codelta", "--n", "5", "--cminus", "1,0;0,1", "--cplus", "1,0;0,1"),
+        ("opposite", "--n", "3", "--cplus", "1,0;0,1"),
+        ("coords", "encode", "--n", "3", "--chamber", "1,0;z,1"),
+        ("coords", "decode", "--n", "3", "--cminus", "1,0;0,1", "--word", "1", "--coords", "0"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]).split(" --")[0] + f" n={argv[argv.index('--n') + 1]}",
+)
+def test_a_basis_of_another_size_than_n_is_a_usage_error(capsys, argv):
+    """A basis whose size differs from a given --n is a usage error, exit
+    2, with a usage envelope that validates against the schema; without
+    --format json the message goes to stderr."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    assert doc["error"]["code"] == "usage"
+    assert "does not match --n" in doc["error"]["message"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: a 2x2 basis does not match --n ")
+
+
 def test_every_leaf_command_has_a_parameter_case():
     """The table above names every leaf command of the parser."""
     from twinbuild.cli import _build_parser

@@ -504,6 +504,78 @@ def test_inv_is_the_adjugate_over_the_unit_determinant(n, data):
         )
 
 
+def assert_chain_is_the_oracle(chain, rows, ncols):
+    """Level k of a minor chain holds the minor of rows[:k] on each set of
+    k columns, by ``cofactor_det``, and no zero minor."""
+    assert len(chain) == len(rows) + 1
+    for k, table in enumerate(chain):
+        want = {}
+        for mask in range(1 << ncols):
+            if mask.bit_count() == k:
+                cols = [c for c in range(ncols) if mask >> c & 1]
+                minor = cofactor_det([[row[c] for c in cols] for row in rows[:k]])
+                if minor:
+                    want[mask] = minor
+        assert all(table.values())
+        assert table == want
+
+
+sparse_polys = st.one_of(st.just(LP_ZERO), small_polys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_minor_chains_match_the_cofactor_oracle(n, data):
+    """The top chain of a matrix with zero entries, and the bottom chain
+    that ``inv`` builds from the last row up to row 1, match the cofactor
+    oracle level by level."""
+    rows = LMat(
+        [[data.draw(sparse_polys) for _ in range(n)] for _ in range(n)]
+    ).rows
+    assert_chain_is_the_oracle(exactalg._top_minors(rows), rows, n)
+    m = data.draw(unit_det_matrices(n))
+    chains = []
+    minor_chain = exactalg._minor_chain
+
+    def recorded(below):
+        chains.append((below, minor_chain(below)))
+        return chains[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_minor_chain", recorded)
+        m.inv()
+    (below, bottom), = chains
+    assert below == m.rows[:0:-1]
+    assert_chain_is_the_oracle(bottom, below, n)
+
+
+def test_inverse_edge_rows_take_no_product(monkeypatch):
+    """At n = 2 every cofactor sits beside the empty minor: a
+    determinant-one inverse reads them off the row tables with their
+    sign and makes no product; another unit determinant makes one
+    product by its inverse per nonzero entry."""
+    calls = []
+    mul_acc = exactalg._mul_acc
+
+    def counted(*args):
+        calls.append(None)
+        return mul_acc(*args)
+
+    m = LMat([[Z + const(1), Z], [const(1), const(1)]])
+    u = LMat([[m[0, 0] * zpow(1, QI_I), m[0, 1]], [m[1, 0] * zpow(1, QI_I), m[1, 1]]])
+    top, top_u = exactalg._top_minors(m.rows), exactalg._top_minors(u.rows)
+    assert m.det() == LP_ONE and u.det() == zpow(1, QI_I)
+    monkeypatch.setattr(exactalg, "_mul_acc", counted)
+    inv = m._inv_from(top)
+    assert calls == []
+    inv_u = u._inv_from(top_u)
+    assert len(calls) == 4
+    monkeypatch.undo()
+    assert m @ inv == LMat.identity(2)
+    assert u @ inv_u == LMat.identity(2)
+
+
 @st.composite
 def cancelling_products(draw):
     """(A, B) of shapes r x k and k x c.  Each of up to two extra columns
