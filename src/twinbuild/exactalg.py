@@ -31,7 +31,8 @@ The operators on polynomials and matrices:
   is extended a row at a time, about n*2^(n-1) Laurent products each,
   where cofactor expansion costs about e*n! (and n^2 times that for the
   adjugate).  The inverse's first and last cofactor rows are minors
-  already in its two chains.
+  already in its two chains, and every cofactor meets the sign and 1/det
+  in one place (``_over_det``).
 
 A constant matrix over Q(i) is an LMat with constant entries and uses
 the same operators, so there is one matrix product (``@``), one
@@ -950,8 +951,10 @@ class LMat:
     def _inv_from(self, top) -> "LMat":
         """``inv`` of a square matrix, given its top minor chain
         ``_top_minors(self.rows)``.  Cofactor rows 0 and n-1 sit beside the
-        empty minor: they are minors in ``bottom[0]`` and ``top[n-1]``,
-        signed on the integer triples, with no product."""
+        empty minor: they are minors in ``bottom[0]`` and ``top[n-1]``.
+        Rows 1..n-2 join the two chains, their signs taken in the sums.
+        Every finished cofactor then goes through ``_over_det``, so a
+        determinant-one edge cofactor takes no product."""
         rows, n = self.rows, self.nrows
         full = (1 << n) - 1
         d = _chain_det(top)
@@ -963,18 +966,13 @@ class LMat:
         # so in reversed row order; (-1)^(m(m-1)/2), m = n-1-i, undoes that.
         bottom = _minor_chain(rows[:0:-1])[::-1]
         (e, c), = d.coeffs.items()
-        dinv = None if d == LP_ONE else zpow(-e, c.inverse())
+        dinv = None if d == LP_ONE else {-e: c.inverse()}
         out = [[LP_ZERO] * n for _ in range(n)]
         edges = ((0, bottom[0], (n - 1) * (n - 2) // 2), (n - 1, top[n - 1], n - 1))
         for i, table, flip in edges:
             for j in range(n):
                 if (f := table.get(full ^ (1 << j))) is not None:
-                    odd = (flip + j) % 2
-                    if dinv is not None:
-                        f = _poly_of(_mul_acc({}, f.coeffs, dinv.coeffs, odd))
-                    elif odd:
-                        f = _lp({k: _qi(-q.a, -q.b, q.d) for k, q in f.coeffs.items()})
-                    out[j][i] = f
+                    out[j][i] = _over_det(f, (flip + j) % 2, dinv)
         for i in range(1, n - 1):
             above, below = top[i], bottom[i]
             m = n - 1 - i
@@ -992,7 +990,7 @@ class LMat:
                         _mul_acc(acc, a.coeffs, b.coeffs, odd)
                 cof = _poly_of(acc)
                 if cof:
-                    out[j][i] = cof if dinv is None else cof * dinv
+                    out[j][i] = _over_det(cof, 0, dinv)
         return LMat._of(out)
 
     def __str__(self):
@@ -1138,6 +1136,18 @@ def _poly_of(acc) -> LaurentPoly:
     """The LaurentPoly of an accumulator of ``_mul_acc``: each nonzero sum
     normalised once by ``_qi``, the sums that cancelled dropped."""
     return _lp({e: _qi(a, b, d) for e, (a, b, d) in acc.items() if a or b})
+
+
+def _over_det(f, odd, dinv) -> LaurentPoly:
+    """The finished cofactor f, negated when ``odd``, over the unit
+    determinant: one ``_mul_acc`` by ``dinv``, the coefficients of 1/det,
+    or, when the determinant is 1 (``dinv`` None), the sign alone, taken
+    on the integer triples."""
+    if dinv is not None:
+        return _poly_of(_mul_acc({}, f.coeffs, dinv, odd))
+    if odd:
+        return _lp({k: _qi(-q.a, -q.b, q.d) for k, q in f.coeffs.items()})
+    return f
 
 
 def _shuffle_parity(s_mask, t_mask) -> int:
@@ -1303,9 +1313,3 @@ def charpoly(rows) -> LaurentPoly:
     exponents 0..n: the determinant of z*1 - A from the minor table, so
     no division."""
     return (LMat.diag([Z] * len(rows)) - LMat(rows)).det()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -594,6 +594,22 @@ def test_verify_suite_success_and_reproducibility(capsys):
     assert suite["passed"] > 0
 
 
+def test_verify_all_runs_every_suite_once_in_order(capsys):
+    """`verify all` is every suite, each once, in ``available_suites()``
+    order, and ``run_all`` is ``run_suite`` over that list."""
+    from twinbuild.verify import run_all, run_suite
+
+    code, out, _ = run_cli(
+        capsys, "verify", "all", "--seed", "0", "--count", "1", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    assert [s["suite"] for s in doc["result"]["suites"]] == list(available_suites())
+    assert doc["result"]["failed"] == 0
+    assert run_all(seed=3, count=1) == [run_suite(s, 3, 1) for s in available_suites()]
+
+
 def test_factor_certificate_envelope(capsys):
     """The factor-certificate suite passes at its default count, and its
     envelope validates against the shipped schema."""

@@ -81,11 +81,85 @@ def test_invalid_rank_rejected():
         coxeter_matrix("affine-A", 0)
 
 
-def test_unsupported_matrix_rejected_by_operations():
-    B2 = CoxeterMatrix([[1, 4], [4, 1]])
-    assert B2.kind == "unsupported"
-    with pytest.raises(DomainError):
-        reduce_word((1, 2), B2)
+def bond_table(kind, n):
+    """Independent oracle for ``CoxeterMatrix.bond``: the bond table of
+    the type written out entry by entry, rows and columns 0..rank-1."""
+    if kind == "finite-A":
+        r = n - 1
+        return [
+            [1 if i == j else (3 if abs(i - j) == 1 else 2) for j in range(r)]
+            for i in range(r)
+        ]
+    if n == 2:
+        return [[1, INFBOND], [INFBOND, 1]]
+    return [
+        [
+            1 if i == j else (3 if (abs(i - j) == 1 or {i, j} == {0, n - 1}) else 2)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def window_order(u, bound=6):
+    """The order of the window u, or ``INFBOND`` when no power up to
+    ``bound`` is the identity."""
+    power = u
+    for k in range(1, bound + 1):
+        if power == widentity(len(u)):
+            return k
+        power = wcompose(power, u)
+    return INFBOND
+
+
+@pytest.mark.parametrize("kind", ["finite-A", "affine-A"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bonds_are_the_table_and_the_group_law(kind, n):
+    """bond(i, j) is the written-out table entry and the order of
+    s_i s_j in the window group."""
+    M = CoxeterMatrix(kind, n)
+    table = bond_table(kind, n)
+    assert M.rank == len(table)
+    assert M.generators == tuple(range(1, M.rank + 1))
+    assert M.is_affine() == (kind == "affine-A")
+    for i in M.generators:
+        for j in M.generators:
+            assert M.bond(i, j) == table[i - 1][j - 1]
+            assert M.bond(i, j) == window_order(wcompose(wgen(i, n), wgen(j, n)))
+
+
+@pytest.mark.parametrize("kind", ["finite-A", "affine-A"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_coxeter_system_is_its_type(kind, n):
+    """Pickles, copies, compares and hashes by (kind, n)."""
+    M = coxeter_matrix(kind, n)
+    assert type(M) is CoxeterMatrix and (M.kind, M.n) == (kind, n)
+    for twin in (pickle.loads(pickle.dumps(M)), copy.copy(M), copy.deepcopy(M)):
+        assert type(twin) is CoxeterMatrix and twin == M
+        assert hash(twin) == hash(M) == hash((kind, n))
+    other = "affine-A" if kind == "finite-A" else "finite-A"
+    assert M != CoxeterMatrix(other, n)
+    assert M != CoxeterMatrix(kind, n + 1)
+
+
+def test_bond_rejects_a_generator_outside_the_diagram():
+    for i, j in [(0, 1), (1, 3), (-1, 1)]:
+        with pytest.raises(DomainError):
+            A2.bond(i, j)
+
+
+def test_constructor_refuses_other_kinds_and_entry_tables():
+    """A Coxeter system is built from its type only: any other kind is a
+    DomainError, and a table of entries, the form with no type, a
+    TypeError."""
+    for kind in ["unsupported", "B", "finite-B", "affine-C", "A", "affine-a", "", None, 3]:
+        with pytest.raises(DomainError):
+            CoxeterMatrix(kind, 3)
+        with pytest.raises(DomainError):
+            coxeter_matrix(kind, 3)
+    for entries in ([[1, 4], [4, 1]], [[1, 3], [3, 1]]):
+        with pytest.raises(TypeError):
+            CoxeterMatrix(entries)
 
 
 # ---------------------------------------------------------------------------

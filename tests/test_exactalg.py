@@ -497,11 +497,41 @@ def test_inv_is_the_adjugate_over_the_unit_determinant(n, data):
     assert m @ inv == LMat.identity(n)
     assert inv @ m == LMat.identity(n)
     if n <= 5:
-        (e, c), = cofactor_det(m.rows).coeffs.items()
-        dinv = LaurentPoly({-e: c.inverse()})
-        assert inv == LMat(
-            [[laurent_mul_oracle(a, dinv) for a in row] for row in cofactor_adjugate(m)]
-        )
+        assert inv == adjugate_over_det(m)
+
+
+def adjugate_over_det(m):
+    """The inverse of a unit-determinant matrix by the cofactor oracle."""
+    (e, c), = cofactor_det(m.rows).coeffs.items()
+    dinv = LaurentPoly({-e: c.inverse()})
+    return LMat(
+        [[laurent_mul_oracle(a, dinv) for a in row] for row in cofactor_adjugate(m)]
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_inverse_takes_no_laurent_product(n, data):
+    """Every cofactor, the middle rows' included, meets the sign and 1/det
+    in one ``_mul_acc``: ``inv`` of a matrix whose determinant is a unit
+    c*z^k other than 1 calls neither ``LaurentPoly.__mul__`` nor
+    ``__rmul__``, and still equals the adjugate over the determinant."""
+    m = data.draw(unit_det_matrices(n).filter(lambda m: m.det() != LP_ONE))
+    calls = []
+
+    def counted(method):
+        def wrapper(*args):
+            calls.append(method.__name__)
+            return method(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__mul__", "__rmul__"):
+            mp.setattr(LaurentPoly, name, counted(getattr(LaurentPoly, name)))
+        inv = m.inv()
+    assert calls == []
+    assert inv == adjugate_over_det(m)
 
 
 def assert_chain_is_the_oracle(chain, rows, ncols):
