@@ -32,8 +32,10 @@ never the matrix layers or the ``verify`` suites.
 
 Matrices are written ``row;row;...`` with comma-separated polynomial
 entries (``1,z;0,1``), or as a JSON array of entry strings; both parse
-back to the identical matrix.  Words are comma-separated generator
-indices (the empty string is the identity).
+back to the identical matrix.  Coordinates (or ``INF``), flag entries
+and weights are scalars of the same grammar (``exactalg.parse_scalar``),
+never polynomials or Python number literals.  Words are comma-separated
+generator indices (the empty string is the identity).
 """
 
 from __future__ import annotations
@@ -110,16 +112,10 @@ def _matrix_text(m) -> str:
 
 
 def _parse_param(text):
-    from .exactalg import parse_poly
+    from .exactalg import parse_scalar
     from .lattice import INF
 
-    text = text.strip()
-    if text.upper() == "INF":
-        return INF
-    poly = parse_poly(text)
-    if any(e != 0 for e in poly.coeffs):
-        raise ValueError(f"panel parameter {text!r} must be constant or INF")
-    return poly.coeff(0)
+    return INF if text.strip().upper() == "INF" else parse_scalar(text)
 
 
 def _param_str(t):
@@ -170,12 +166,9 @@ def _parse_flag(text):
 
 
 def _parse_weights(text):
-    from fractions import Fraction
+    from .exactalg import parse_scalar
 
-    try:
-        return [Fraction(t) for t in text.split(",")]
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in weights {text!r}") from None
+    return [parse_scalar(t) for t in text.split(",")]
 
 
 def _chamber_arg(text, side, n):
@@ -443,7 +436,8 @@ def _build_parser():
     q = vsub.add_parser("spherical", parents=[fmt])
     q.add_argument("--flag", required=True,
                    help="subspaces '|'-separated, rows ';'-separated")
-    q.add_argument("--weights", required=True, help="comma list of rationals")
+    q.add_argument("--weights", required=True,
+                   help="comma list of positive rational scalars")
     q.set_defaults(func=_cmd_veronese)
     q = vsub.add_parser("affine", parents=[fmt])
     q.add_argument("--n", type=int, required=True)

@@ -90,7 +90,7 @@ class CoxeterMatrix(Record):
     __slots__ = ("kind", "n")
 
     def __init__(self, kind: str, n: int):
-        check_rank(n)
+        n = check_rank(n)
         if kind not in ("finite-A", "affine-A"):
             raise DomainError(f"unknown Coxeter kind {kind!r}")
         object.__setattr__(self, "kind", kind)
@@ -140,7 +140,7 @@ def widentity(n):
 def wgen(i, n):
     """Window of the generator s_i (1 <= i <= n; i = n is the affine node)."""
     if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range 1..{n}")
+        raise DomainError(f"generator index {i} outside 1..{n}")
     u = list(range(1, n + 1))
     if i < n:
         u[i - 1], u[i] = u[i], u[i - 1]

@@ -4,6 +4,8 @@ Every *expected* failure (invalid input, undefined operation, verification
 mismatch) raises one of these; anything else escaping the library is a bug.
 """
 
+import operator
+
 __all__ = [
     "TwinbuildError",
     "DomainError",
@@ -43,7 +45,10 @@ class VerificationError(TwinbuildError):
     """A self-check suite found a counterexample (CLI exit code 1)."""
 
 
-def check_rank(n: int) -> None:
-    """Reject a rank parameter n < 2: SL_1 has no building."""
+def check_rank(n: int) -> int:
+    """The rank parameter n as an int: TypeError unless it is an integer
+    (``operator.index``), DomainError for n < 2 (SL_1 has no building)."""
+    n = operator.index(n)
     if n < 2:
         raise DomainError(f"rank parameter n = {n} must be at least 2")
+    return n

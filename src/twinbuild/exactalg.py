@@ -61,6 +61,15 @@ Finished rows of LaurentPoly become a matrix through ``LMat._of``.
 
 There is no floating point anywhere and no rounding ever.
 
+Text reaches the package through two regular expressions over one
+rational pattern ``[0-9]+(/[0-9]+)?``: a scalar (``parse_scalar``) is a
+sign and a rational or a parenthesised ``(a)``, ``(a+bi)`` or ``(bi)``,
+and a polynomial (``parse_poly``) is a run of signed terms ``c*z^e``
+with c a scalar less its sign.  ``poly_to_str`` and ``scalar_to_str``
+write the same grammar back.
+
+>>> parse_scalar("-(1/2-3/4i)"), parse_poly("1 - (2i)z^-1")
+(GaussRat(Fraction(-1, 2), Fraction(3, 4)), <LaurentPoly (0-2i)*z^-1 + 1>)
 >>> f = parse_poly("z^-1 + 2*z^2")
 >>> str(f.z_ddz())
 '-z^-1 + 4*z^2'
@@ -353,69 +362,61 @@ def scalar_to_str(c: GaussRat) -> str:
     return f"({c.re}{sign}{abs(c.im)}i)"
 
 
+# The number grammar.  One rational pattern serves every rational: a
+# plain scalar, a real or an imaginary part, a coefficient.  A coefficient
+# is a rational or a parenthesised Gaussian rational: a real part, an
+# imaginary part (its rational optional, ``i`` alone is 1i) or both, not
+# neither; after a real part the imaginary part's sign is required.
 _RAT = r"[0-9]+(?:/[0-9]+)?"
+_COEF = rf"""(?:
+    (?P<rat>{_RAT})
+  | \( (?!\)) (?P<real>[+-]?{_RAT})?
+    (?: (?P<isign>(?(real)[+-]|[+-]?)) (?P<imag>{_RAT})? i )? \)
+)"""
+_SCALAR_RE = re.compile(rf"(?P<sign>[+-]?) {_COEF}", re.X)
 
 
 def _fraction(text: str) -> Fraction:
-    """Fraction(text), reporting a zero denominator as a ValueError."""
+    """Fraction(text) of a matched rational, reporting a zero denominator
+    as a ValueError."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
+def _coef(m) -> GaussRat:
+    """The unsigned coefficient that a scalar or term match holds."""
+    real = m["rat"] or m["real"]
+    a = _fraction(real) if real else 0
+    if m["isign"] is None:
+        return GaussRat(a)
+    b = _fraction(m["imag"]) if m["imag"] else 1
+    return GaussRat(a, -b if m["isign"] == "-" else b)
+
+
 def parse_scalar(s: str) -> GaussRat:
-    """Parse the scalar grammar (whitespace-insensitive).
+    """Parse a scalar (whitespace-insensitive): an optional sign, then a
+    rational ``p`` or ``p/q`` of decimal digits, or a parenthesised
+    ``(a)``, ``(a+bi)``, ``(bi)`` or ``(i)`` over such rationals.  No
+    decimal point, exponent or underscore.
 
     >>> parse_scalar("  -3/2 ") == GaussRat(Fraction(-3, 2))
     True
     >>> parse_scalar("(1/2 - 3/4 i)") == GaussRat(Fraction(1, 2), Fraction(-3, 4))
     True
-    >>> parse_scalar("(2i)") == GaussRat(0, 2)
-    True
+    >>> parse_scalar("(2i)") == GaussRat(0, 2), parse_scalar("-(i)") == -QI_I
+    (True, True)
+    >>> parse_scalar("(0.5i)")
+    Traceback (most recent call last):
+    ...
+    ValueError: bad scalar: '(0.5i)'
     """
-    s = "".join(s.split())
-    neg = False
-    if s.startswith(("+", "-")):
-        neg = s[0] == "-"
-        s = s[1:]
-    if s.startswith("(") and s.endswith(")"):
-        body = s[1:-1]
-        val = _parse_complex_body(body)
-    else:
-        if not re.fullmatch(_RAT, s):
-            raise ValueError(f"bad scalar: {s!r}")
-        val = GaussRat(_fraction(s))
-    return -val if neg else val
-
-
-def _parse_complex_body(body: str) -> GaussRat:
-    if not body:
-        raise ValueError("empty scalar")
-    if not body.endswith("i"):
-        if re.fullmatch(r"[+-]?" + _RAT, body):
-            return GaussRat(_fraction(body))
-        raise ValueError(f"bad scalar body: {body!r}")
-    body = body[:-1]
-    # locate the sign separating real and imaginary parts, if any
-    split = -1
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-":
-            split = pos
-            break
-    if split == -1:
-        re_part, im_part = "0", body or "1"
-    else:
-        re_part, im_part = body[:split], body[split:]
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = _fraction(im_part)
-    if not re.fullmatch(r"[+-]?" + _RAT, re_part):
-        raise ValueError(f"bad real part: {re_part!r}")
-    return GaussRat(_fraction(re_part), im)
+    m = _SCALAR_RE.fullmatch("".join(s.split()))
+    if m is None:
+        raise ValueError(f"bad scalar: {s.strip()!r}")
+    c = _coef(m)
+    return -c if m["sign"] == "-" else c
 
 
 # ---------------------------------------------------------------------------
@@ -633,60 +634,45 @@ def poly_to_str(f: LaurentPoly) -> str:
     return out
 
 
+# A term: a sign (required after the first term), then a coefficient,
+# ``z`` with an optional exponent, or both; ``*`` only after a coefficient.
 _TERM_RE = re.compile(
-    r"^(\((?:[^()]*)\)|" + _RAT + r")?" r"(?:\*?(z(?:\^(-?[0-9]+))?))?$"
+    rf"""(?P<sign>[+-]?) (?P<coef>{_COEF})?
+    (?: (?(coef)\*?) (?P<z>z) (?:\^(?P<exp>-?[0-9]+))? )?""",
+    re.X,
 )
 
 
 def parse_poly(s: str) -> LaurentPoly:
-    """Parse the polynomial grammar (whitespace-insensitive).
+    """Parse a Laurent polynomial (whitespace-insensitive): signed terms
+    ``c``, ``z``, ``z^e``, ``c*z^e`` or ``cz^e``, with c a coefficient of
+    the scalar grammar (``parse_scalar``) less its sign and e an integer.
+    Terms of equal exponent add up.
 
     >>> parse_poly("3 + (0+1i) * z") == const(3) + const(QI_I) * Z
     True
     >>> parse_poly(poly_to_str(zpow(-3) - Z)) == zpow(-3) - Z
     True
-    >>> parse_poly("0")
-    <LaurentPoly 0>
+    >>> parse_poly("2z^-1 - z^-1 + z - z")
+    <LaurentPoly z^-1>
+    >>> parse_poly("*z")
+    Traceback (most recent call last):
+    ...
+    ValueError: bad term '*z' in polynomial '*z'
     """
     s = "".join(s.split())
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s == "0":
-        return LP_ZERO
-    # split into signed terms at top-level +/- (not inside parens, not after ^)
-    terms = []
-    depth = 0
-    start = 0
-    for pos, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and pos > 0 and s[pos - 1] not in "^*+-(":
-            terms.append(s[start:pos])
-            start = pos
-    terms.append(s[start:])
-    total = LP_ZERO
-    for t in terms:
-        sign = 1
-        if t.startswith(("+", "-")):
-            if t[0] == "-":
-                sign = -1
-            t = t[1:]
-        m = _TERM_RE.match(t)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise ValueError(f"bad term: {t!r}")
-        coef = parse_scalar(m.group(1)) if m.group(1) is not None else QI_ONE
-        if m.group(2) is None:
-            e = 0
-        elif m.group(3) is None:
-            e = 1
-        else:
-            e = int(m.group(3))
-        if sign < 0:
-            coef = -coef
-        total = total + zpow(e, coef)
-    return total
+    coeffs = {}
+    pos = 0
+    while True:
+        m = _TERM_RE.match(s, pos)
+        if (m["coef"] is None and m["z"] is None) or (pos and not m["sign"]):
+            raise ValueError(f"bad term {s[pos:]!r} in polynomial {s!r}")
+        c = QI_ONE if m["coef"] is None else _coef(m)
+        e = 0 if m["z"] is None else int(m["exp"] or 1)
+        coeffs[e] = coeffs.get(e, QI_ZERO) + (-c if m["sign"] == "-" else c)
+        pos = m.end()
+        if pos == len(s):
+            return LaurentPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------

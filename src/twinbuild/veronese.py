@@ -246,12 +246,12 @@ def unitary_loop(p: LMat) -> LMat:
 
 def sl_loop_pair(p: LMat, q: LMat) -> LMat:
     """The determinant-1 unitary loop g_P g_Q^{-1} for projectors of
-    equal rank."""
+    equal rank; g_Q^{-1} is g_Q's sharp, as g_Q is unitary."""
     if not (_is_projector(p) and _is_projector(q)):
         raise DomainError("sl_loop_pair needs two projectors")
     if p.trace() != q.trace():
         raise DomainError("sl_loop_pair needs projectors of equal rank")
-    return unitary_loop(p) @ unitary_loop(q).inv()
+    return unitary_loop(p) @ unitary_loop(q).sharp()
 
 
 def is_unitary_loop(g: LMat) -> bool:

@@ -218,15 +218,34 @@ def test_coords_decode_accepts_infinity(capsys):
     }
 
 
-@pytest.mark.parametrize("coords", ["0.5", "1,0.5", "1e3,1", "nan,INF"])
+@pytest.mark.parametrize(
+    "coords", ["0.5", "1,0.5", "1e3,1", "nan,INF", "1,(0.5i)", "1+2,1", "0*z,1"]
+)
 def test_coords_decode_of_a_float_coordinate_is_a_usage_envelope(capsys, coords):
     """A float coordinate never reaches the library from the CLI: it is a
-    usage error, with an envelope that validates against the schema."""
+    usage error, with an envelope that validates against the schema.  So
+    is a coordinate that is not one scalar (a sum, a multiple of z)."""
     import jsonschema
 
     code, out, _ = run_cli(
         capsys,
         "coords", "decode", "--n", "2", "--word", "1,2", "--coords", coords,
+        "--format", "json",
+    )
+    assert code == 2
+    doc = json.loads(out)
+    jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
+    assert doc["error"]["code"] == "usage"
+
+
+def test_decimal_weights_are_a_usage_envelope(capsys):
+    """Weights are scalars of the text grammar: a decimal weight is a
+    usage error, with an envelope that validates against the schema."""
+    import jsonschema
+
+    code, out, _ = run_cli(
+        capsys,
+        "veronese", "spherical", "--flag", "1,0", "--weights", "0.5,0.5",
         "--format", "json",
     )
     assert code == 2

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbuild.building import weyl_matrix
+from twinbuild.cells import loop_poincare
 from twinbuild.errors import DomainError
 from twinbuild.exactalg import LMat, LP_ZERO, zpow
 from twinbuild.coxeter import (
@@ -35,6 +36,7 @@ from twinbuild.coxeter import (
     word_to_window,
     window_to_word,
 )
+from twinbuild.veronese import caveat_check, pi_tls
 
 A2 = coxeter_matrix("finite-A", 3)
 A3 = coxeter_matrix("finite-A", 4)
@@ -79,6 +81,38 @@ def test_invalid_rank_rejected():
         coxeter_matrix("finite-A", 1)
     with pytest.raises(DomainError):
         coxeter_matrix("affine-A", 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CoxeterMatrix("finite-A", 3.0),
+        lambda: word_to_affine((1,), 3.0),
+        lambda: loop_poincare(2.0, 4),
+        lambda: pi_tls(2.0, 1),
+        lambda: caveat_check(2.0, 4),
+    ],
+    ids=["CoxeterMatrix", "word_to_affine", "loop_poincare", "pi_tls", "caveat_check"],
+)
+def test_a_float_rank_is_a_type_error_at_the_boundary(call):
+    """A rank argument is an integer: ``check_rank`` reads it through
+    ``operator.index``, so a float fails before any work, naming its type."""
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        call()
+
+
+def test_the_rank_is_stored_as_an_int():
+    class Three(int):
+        pass
+
+    M = CoxeterMatrix("finite-A", Three(3))
+    assert type(M.n) is int and M == A2
+
+
+@pytest.mark.parametrize("i, n", [(0, 3), (4, 3), (-1, 2), (3, 2)])
+def test_wgen_outside_the_generators_is_a_domain_error(i, n):
+    with pytest.raises(DomainError, match=f"generator index {i} outside 1..{n}"):
+        wgen(i, n)
 
 
 def bond_table(kind, n):

@@ -680,6 +680,86 @@ def test_poly_grammar_examples():
         parse_poly("z^^2")
 
 
+# The pinned grammar: text -> the scalar or polynomial it reads as, or
+# None for a rejected text.  Decimal points, exponents and underscores are
+# not rationals, in the imaginary part either; ``*`` comes only after a
+# coefficient.
+_SCALAR_TABLE = {
+    "(i)": QI_I,
+    "(-i)": -QI_I,
+    "(2i)": GaussRat(0, 2),
+    "(1/2-3/4i)": GaussRat(Fraction(1, 2), Fraction(-3, 4)),
+    "(3)": GaussRat(3),
+    "-(1+i)": GaussRat(-1, -1),
+    "(12i)": GaussRat(0, 12),
+    "(1/2i)": GaussRat(0, Fraction(1, 2)),
+    "(0.5i)": None,
+    "(1e2i)": None,
+    "(1_000i)": None,
+    "(1+.5i)": None,
+    "0.5": None,
+    "()": None,
+    "(3+)": None,
+    "(1+-2i)": None,
+    "--3": None,
+}
+_POLY_TABLE = {
+    "2z": zpow(1, GaussRat(2)),
+    "(1+i)z": zpow(1, GaussRat(1, 1)),
+    "z^-1-z^-2": zpow(-1) - zpow(-2),
+    "z-z": LP_ZERO,
+    "0": LP_ZERO,
+    "0*z": LP_ZERO,
+    "(3)": const(3),
+    "2z^-1 - z^-1": zpow(-1),
+    "*z": None,
+    "+*z^2": None,
+    "1-*z": None,
+    "2*": None,
+    "2**z": None,
+    "z2": None,
+    "1+-2": None,
+    "z^+1": None,
+    "(0.5i)*z": None,
+    "": None,
+}
+
+
+@pytest.mark.parametrize(
+    "parse, text, want",
+    [(parse_scalar, t, w) for t, w in _SCALAR_TABLE.items()]
+    + [(parse_poly, t, w) for t, w in _POLY_TABLE.items()],
+)
+def test_grammar_accepts_and_rejects_the_pinned_table(parse, text, want):
+    if want is None:
+        with pytest.raises(ValueError):
+            parse(text)
+    else:
+        assert parse(text) == want
+
+
+_GRAMMAR_PIECES = ["1", "2", "3/4", "0", "i", "z", "z^", "-1", "^2", "(", ")",
+                   "+", "-", "*", "*z", ".5", "_0", "e2", "5i)", " ", "(1", "i)"]
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.one_of(
+    st.text(alphabet="0123456789/+-()iz^*._e ", max_size=9),
+    st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=6).map("".join),
+))
+def test_no_accepted_text_has_a_decimal_or_a_bare_star(text):
+    """Whatever the scalar or the polynomial grammar accepts has no ``.``,
+    ``_`` or ``e``, and none of its terms opens with ``*``."""
+    squeezed = "".join(text.split())
+    for parse in (parse_scalar, parse_poly):
+        try:
+            parse(text)
+        except ValueError:
+            continue
+        assert not re.search(r"[._e]", squeezed)
+        assert not re.search(r"(^|[+-])\*", squeezed)
+
+
 def test_grammar_round_trip_random():
     rng = random.Random(16)
     for _ in range(200):

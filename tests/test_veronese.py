@@ -469,6 +469,27 @@ def test_unitary_loop_rejects_non_projector():
         unitary_loop(LMat([[QI_ONE, QI_ONE], [QI_ZERO, QI_ONE]]))
 
 
+def test_sl_loop_pair_inverts_g_q_by_its_sharp(monkeypatch):
+    """g_Q g_Q^# = 1 for a projector Q, so sl_loop_pair takes g_Q's sharp
+    for its inverse: the pair equals g_P g_Q^{-1} by the minor-table
+    inverse, and building it runs no inverse."""
+    rng = random.Random(37)
+    pairs = []
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n - 1)
+        pairs.append((rand_projector(rng, n, k), rand_projector(rng, n, k)))
+    inverses = []
+    inv_from = LMat._inv_from
+    monkeypatch.setattr(
+        LMat, "_inv_from", lambda self, top: inverses.append(self) or inv_from(self, top)
+    )
+    got = [sl_loop_pair(p, q) for p, q in pairs]
+    assert inverses == []
+    for (p, q), g in zip(pairs, got):
+        assert g == unitary_loop(p) @ unitary_loop(q).inv()
+
+
 def test_sl_loop_pair_rank_mismatch():
     with pytest.raises(DomainError):
         sl_loop_pair(pi_projector(3, 1), pi_projector(3, 2))
