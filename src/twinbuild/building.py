@@ -52,7 +52,12 @@ library builds carries its inverse as a lazy product of known pieces:
 G^{-1} = N^{-1} b^{-1} d.rep^{-1} replays them as row operations on d's
 inverse, then moves rows.  The common basis x = cp.rep b, the panel
 chambers and the decoded chambers invert the same way.  The minor table
-inverts only the chambers a caller validated, each once.
+inverts only the chambers a caller validated, each once.  Two chambers
+on equal representatives are at relative position 1, and the engine
+reads that off the identity's columns, with no inverse and no product:
+an opposite pair on one basis (the standard pair, every pair of
+``samples.rand_opposite_pair``) has the common basis cp.rep rescaled,
+and inverts only cp.
 
 Schubert-cell coordinates are root-group coordinates: the chambers at
 Weyl distance w = s_1 ... s_l (reduced) from cp = x B+ are x x_{s_1}(t_1)
@@ -87,6 +92,7 @@ from .errors import DomainError, NotInvertibleError, check_rank
 from .exactalg import (
     LMat,
     LP_ONE,
+    LP_ZERO,
     LaurentPoly,
     QI_ONE,
     _chain_det,
@@ -472,13 +478,17 @@ def _relpos(c: Chamber, d: Chamber):
 
     Returns (u, r, leads, ops): the window of the monomial read-off, the
     reduced matrix r = a b (b in d's Borel, the product of the engine's
-    column operations ops), and the leading monomials of r.
+    column operations ops), and the leading monomials of r.  Equal
+    representatives (by value) give a = 1 with no minor table and no
+    product, and the engine returns (1, 1, unit leads, []).
     """
     if c.n != d.n:
         raise DomainError("dimension mismatch")
     n = c.n
-    a = c._inverse() @ d.rep
-    cols = list(map(list, zip(*a.rows)))
+    if c.rep == d.rep:
+        cols = [[LP_ONE if i == j else LP_ZERO for i in range(n)] for j in range(n)]
+    else:
+        cols = list(map(list, zip(*(c._inverse() @ d.rep).rows)))
     leads, ops = _reduce(cols, c.side == "+", d.side == "+")
     u = tuple(i + 1 - n * e for e, i, _ in leads)
     if sum(e for e, _, _ in leads):
@@ -487,7 +497,10 @@ def _relpos(c: Chamber, d: Chamber):
 
 
 def _replay_cols(ops, mat: LMat) -> LMat:
-    """mat b, for b the product of the engine operations ops."""
+    """mat b, for b the product of the engine operations ops: mat itself
+    when there are none."""
+    if not ops:
+        return mat
     cols = mat.cols()
     for j2, f, jr in ops:
         cols[j2] = _col_sub(cols[j2], f, cols[jr])
@@ -495,7 +508,10 @@ def _replay_cols(ops, mat: LMat) -> LMat:
 
 
 def _replay_rows(ops, mat: LMat) -> LMat:
-    """b^{-1} mat, for b the product of the engine operations ops."""
+    """b^{-1} mat, for b the product of the engine operations ops: mat
+    itself when there are none."""
+    if not ops:
+        return mat
     rows = list(mat.rows)
     for j2, f, jr in ops:
         rows[jr] = _col_sub(rows[jr], -f, rows[j2])
@@ -684,7 +700,10 @@ def common_basis(cm: Chamber, cp: Chamber) -> LMat:
 
 def _common_chamber(cm: Chamber, cp: Chamber) -> Chamber:
     """cp held by the normalised common basis x = cm.rep r diag(lc)^{-1} =
-    cp.rep b diag(lc)^{-1}, carrying x^{-1} = diag(lc) b^{-1} cp.rep^{-1}."""
+    cp.rep b diag(lc)^{-1}, carrying x^{-1} = diag(lc) b^{-1} cp.rep^{-1}.
+    On a pair with equal representatives the engine runs on 1 and b = 1:
+    x is cp.rep rescaled, x^{-1} is diag(lc) cp.rep^{-1}, and cm is never
+    inverted."""
     if cm.side != "-" or cp.side != "+":
         raise DomainError("common_basis takes a minus chamber then a plus chamber")
     rel = _relpos(cm, cp)
@@ -727,10 +746,13 @@ def _read(rel, word, side):
     _relpos(g, c), for c = g x_{s_1}(t_1) n_{s_1} ... x_{s_l}(t_l) n_{s_l}
     B on the given side: the run writes c = g b n_w B with b in the side's
     Borel.  For each letter s, t is b's entry at the root (i, j, e) of s,
-    at z^e, over b_jj at z^0; then b becomes n_s^{-1} x_s(-t) b n_s."""
+    at z^e, over b_jj at z^0; then b becomes n_s^{-1} x_s(-t) b n_s.  The
+    columns are moved but not divided by their lead coefficients: b is
+    read up to a constant right diagonal, which cancels in each ratio
+    (both entries sit in column j) and stays diagonal through the row
+    steps and column moves."""
     n = len(rel[0])
-    v, lc = _lead_move(rel, widentity(n))
-    rows = list(_move_cols(rel[1], v, [x.inverse() for x in lc]).rows)
+    rows = list(_move_cols(rel[1], winvert(rel[0])).rows)
     for s in word:
         i, j, e = _root(s, n, side)
         t = rows[i][j].coeff(e) / rows[j][j].coeff(0)
@@ -815,7 +837,10 @@ def _twin_apartment(cp: Chamber, dm: Chamber) -> Chamber:
     until x's inverse is taken, a cycle through cp._twin.  Once cp's
     inverse is known, as after any encode, the lookup takes x's too (a
     row replay); a decode alone needs neither and leaves the cycle to
-    the collector rather than invert cp through the minor table."""
+    the collector rather than invert cp through the minor table.  On a
+    pair with equal representatives building x inverts nothing (see
+    _common_chamber), so the one minor-table inverse of a round trip is
+    cp's, taken by encode's engine run on (x, e)."""
     twin = cp._twin
     if twin is None or twin[0] is not dm:
         twin = cp._twin = (dm, _common_chamber(dm, cp))

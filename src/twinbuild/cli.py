@@ -35,7 +35,10 @@ entries (``1,z;0,1``), or as a JSON array of entry strings; both parse
 back to the identical matrix.  Coordinates (or ``INF``), flag entries
 and weights are scalars of the same grammar (``exactalg.parse_scalar``),
 never polynomials or Python number literals.  Words are comma-separated
-generator indices (the empty string is the identity).
+generator indices (the empty string is the identity).  Every integer
+(an index, a rank, ``--n``, ``--seed``, ...) is an optional minus and
+ASCII digits (``_int``): ``int`` alone would also read ``1_2`` as 12 and
+other scripts' digits as ASCII ones.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import (
@@ -74,12 +78,28 @@ _ERROR_CODES = {
 # ---------------------------------------------------------------------------
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _int(text):
+    """An integer: an optional minus and ASCII digits, surrounding spaces
+    stripped; anything else raises ValueError."""
+    digits = text.strip()
+    if not _INTEGER.fullmatch(digits):
+        raise ValueError(f"bad integer {text!r}")
+    return int(digits)
+
+
+# argparse names the type in its rejection: "invalid int value: 'x'".
+_int.__name__ = "int"
+
+
 def _parse_word(text):
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(int(t) for t in text.split(","))
+        return tuple(_int(t) for t in text.split(","))
     except ValueError:
         raise ValueError(f"bad word {text!r}; expected comma-separated integers")
 
@@ -138,7 +158,7 @@ def _parse_coxeter_type(text):
     if body.startswith("~"):
         kind = "affine-A"
         body = body[1:]
-    if not body.isdigit() or int(body) < 1:
+    if not _INTEGER.fullmatch(body) or int(body) < 1:
         raise ValueError(f"unsupported Coxeter type {text!r}")
     return coxeter_matrix(kind, int(body) + 1)
 
@@ -149,7 +169,7 @@ def _parse_generators(text):
         text = text[2:]
     if not text:
         return frozenset()
-    return frozenset(int(t) for t in text.split(","))
+    return frozenset(_int(t) for t in text.split(","))
 
 
 def _parse_flag(text):
@@ -242,7 +262,7 @@ def _cmd_project(args):
     from .exactalg import mat_to_json
 
     carrier = chamber_from_basis(args.side, _parse_matrix(args.basis))
-    face = Simplex(carrier, {int(t) for t in args.keep.split(",")})
+    face = Simplex(carrier, {_int(t) for t in args.keep.split(",")})
     if args.command == "project":
         c = chamber_from_basis(args.side, _parse_matrix(args.chamber))
         gate = project(face, c)
@@ -349,7 +369,7 @@ def _build_parser():
     ctype = argparse.ArgumentParser(add_help=False)
     ctype.add_argument("--type", required=True, help="A<k> or A~<k>")
     pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--n", type=int, default=None)
+    pair.add_argument("--n", type=_int, default=None)
     pair.add_argument("--cminus", default=None)
     pair.add_argument("--cplus", default=None)
     face = argparse.ArgumentParser(add_help=False)
@@ -375,12 +395,12 @@ def _build_parser():
     q = coxsub.add_parser("cosets", parents=[fmt, ctype])
     q.add_argument("--quotient", required=True, help="J=<comma list>")
     q.add_argument("--within", default=None, help="K=<comma list>")
-    q.add_argument("--max-length", type=int, default=12)
+    q.add_argument("--max-length", type=_int, default=12)
     q.set_defaults(func=_cmd_coxeter)
 
     q = sub.add_parser("delta", parents=[fmt], help="same-side Weyl distance")
     q.add_argument("--side", choices=("+", "-"), default="+")
-    q.add_argument("--n", type=int, default=None)
+    q.add_argument("--n", type=_int, default=None)
     q.add_argument("--c", default=None, help="basis matrix (default standard)")
     q.add_argument("--d", required=True, help="basis matrix")
     q.set_defaults(func=_cmd_delta)
@@ -420,15 +440,15 @@ def _build_parser():
     q = psub.add_parser("schubert", parents=[fmt, ctype])
     q.add_argument("--quotient", default="", help="J=<comma list>")
     q.add_argument("--w", required=True)
-    q.add_argument("--truncation", type=int, default=None)
+    q.add_argument("--truncation", type=_int, default=None)
     q.set_defaults(func=_cmd_poincare)
     q = psub.add_parser("loop", parents=[fmt])
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--deg", type=int, required=True)
+    q.add_argument("--n", type=_int, required=True)
+    q.add_argument("--deg", type=_int, required=True)
     q.set_defaults(func=_cmd_poincare)
     q = psub.add_parser("bott-check", parents=[fmt])
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--deg", type=int, required=True)
+    q.add_argument("--k", type=_int, required=True)
+    q.add_argument("--deg", type=_int, required=True)
     q.set_defaults(func=_cmd_poincare)
 
     ver = sub.add_parser("veronese", help="projector embeddings")
@@ -440,20 +460,20 @@ def _build_parser():
                    help="comma list of positive rational scalars")
     q.set_defaults(func=_cmd_veronese)
     q = vsub.add_parser("affine", parents=[fmt])
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--n", type=_int, required=True)
+    q.add_argument("--k", type=_int, required=True)
     q.add_argument("--loop", default=None, help="unitary loop matrix")
     q.set_defaults(func=_cmd_veronese)
     q = vsub.add_parser("caveat", parents=[fmt])
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--deg", type=int, required=True)
+    q.add_argument("--n", type=_int, required=True)
+    q.add_argument("--deg", type=_int, required=True)
     q.add_argument("--x", default=None, help="sharp-fixed traceless matrix")
     q.set_defaults(func=_cmd_veronese)
 
     q = sub.add_parser("verify", parents=[fmt], help="seeded self-check suites")
     q.add_argument("suite", help="a suite name, or all")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--count", type=int, default=None)
+    q.add_argument("--seed", type=_int, default=0)
+    q.add_argument("--count", type=_int, default=None)
     q.set_defaults(func=_cmd_verify)
 
     return p

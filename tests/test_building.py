@@ -1207,11 +1207,12 @@ def test_carried_inverses_invert_the_representative(seed, n):
 
 def test_round_trip_inverts_only_the_callers_chambers(monkeypatch):
     """encode then decode at n = 2, 3 (words of length 2), and the final
-    comparison, take the minor-table inverse of dm (the engine run of the
-    common basis) and cp (the common basis's inverse, for the engine run
-    of encode) only, once each: e is never the left chamber of an engine
-    run, and every chamber the library builds carries its inverse.  The
-    minor table stays the oracle for validated chambers (see
+    comparison, take the minor-table inverse of cp (the common basis's
+    inverse, for the engine run of encode) only, once: dm and cp share
+    one basis, so the common basis's engine run is on 1 and inverts
+    nothing; e is never the left chamber of an engine run, and every
+    chamber the library builds carries its inverse.  The minor table
+    stays the oracle for validated chambers (see
     test_minor_table_passes_per_operation)."""
     rng = random.Random(2801)
     inverted = []
@@ -1230,8 +1231,141 @@ def test_round_trip_inverts_only_the_callers_chambers(monkeypatch):
             inverted.clear()
             coords = encode_coords(cp, cm, e, word)
             assert decode_coords(cp, cm, word, coords) == e
-            assert len(inverted) == 2
-            assert {id(m) for m in inverted} == {id(cp.rep), id(cm.rep)}
+            assert len(inverted) == 1
+            assert {id(m) for m in inverted} == {id(cp.rep)}
+
+
+def engine_on_the_product(c, d):
+    """The oracle route of _relpos: the minor-table (or carried) inverse
+    of c times d.rep, then the engine, with no shortcut for equal
+    representatives."""
+    n = c.n
+    cols = [list(col) for col in zip(*(c._inverse() @ d.rep).rows)]
+    leads, ops = building._reduce(cols, c.side == "+", d.side == "+")
+    u = tuple(i + 1 - n * e for e, i, _ in leads)
+    return u, LMat._of(zip(*cols)), leads, ops
+
+
+def common_basis_by_the_product(cm, cp):
+    """The oracle route of common_basis: x = cp.rep b, b the product of
+    the engine's operations on cm.rep^{-1} cp.rep as elementary matrices,
+    each column divided by its top-most nonzero entry at its lowest
+    exponent."""
+    n = cp.n
+    _, _, _, ops = engine_on_the_product(cm, cp)
+    x = cp.rep
+    for j2, f, jr in ops:
+        x = x @ elementary(n, jr, j2, -f)
+    lc = [next(a.coeffs[a.val0()] for a in col if a) for col in x.cols()]
+    return x @ LMat.diag([LaurentPoly({0: c.inverse()}) for c in lc])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 4]),
+    shift=st.integers(-2, 2),
+    copy_rep=st.booleans(),
+)
+def test_equal_representatives_take_the_engine_on_one(seed, n, shift, copy_rep):
+    """Chambers on one basis, on every pair of sides, are at the relative
+    position the engine reads off c.rep^{-1} d.rep, in all four parts, with
+    no inverse taken: also when the basis needed alignment (shift != 0,
+    so each chamber moves its own columns) and when the two
+    representatives are equal but distinct objects.  The common basis of
+    such a pair is the one the product route gives."""
+    rng = random.Random(seed)
+    g = rand_sl(rng, n)
+    if shift:
+        g = g @ LMat.diag([zpow(shift)] + [LP_ONE] * (n - 1))
+    for s1 in "+-":
+        for s2 in "+-":
+            c = chamber_from_basis(s1, g)
+            d = chamber_from_basis(s2, LMat._of(g.rows) if copy_rep else g)
+            assert c.rep == d.rep and (c.rep is not d.rep) == bool(shift or copy_rep)
+            got = _relpos(c, d)
+            assert c._inv is None and d._inv is None
+            assert got == engine_on_the_product(c, d)
+    cm = chamber_from_basis("-", g)
+    cp = chamber_from_basis("+", LMat._of(g.rows) if copy_rep else g)
+    assert common_basis(cm, cp) == common_basis_by_the_product(cm, cp)
+
+
+def test_common_basis_of_a_pair_on_two_bases_is_the_product_route():
+    rng = random.Random(3801)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            g = rand_sl(rng, n)
+            cm = chamber_from_basis("-", g @ rand_borel(rng, n, "-"))
+            cp = chamber_from_basis("+", g @ rand_borel(rng, n, "+"))
+            assert cm.rep != cp.rep
+            assert common_basis(cm, cp) == common_basis_by_the_product(cm, cp)
+
+
+def test_a_round_trip_on_one_basis_inverts_and_multiplies_once(monkeypatch):
+    """encode then decode over a pair on one basis take one minor-table
+    inverse, cp's (for x's carried inverse), and one Laurent product,
+    x^{-1} e.rep: the common basis's engine run is on 1.  A pair on two
+    bases (cm = g b-) still takes two of each: cm's inverse and
+    cm.rep^{-1} cp.rep for the common basis."""
+    inverted, products = [], []
+    inv_from, matmul = LMat._inv_from, LMat.__matmul__
+
+    def counted_inv(self, top):
+        inverted.append(self)
+        return inv_from(self, top)
+
+    def counted_matmul(self, other):
+        products.append(None)
+        return matmul(self, other)
+
+    # A chamber binds its _inv_from when it is built.
+    monkeypatch.setattr(LMat, "_inv_from", counted_inv)
+    rng = random.Random(3802)
+    for n in (2, 3):
+        for word in [(1, 2), (2, 1), (n, 1), (1, n)]:
+            one = rand_opposite_pair(rng, n)
+            g = rand_sl(rng, n)
+            two = chamber_from_basis("-", g @ rand_borel(rng, n, "-")), chamber_from_basis("+", g)
+            for (cm, cp), count in ((one, 1), (two, 2)):
+                w = word_to_affine(word, n)
+                e = chamber_from_basis("+", cp.rep @ rand_borel(rng, n, "+") @ weyl_matrix(w))
+                inverted.clear()
+                products.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(LMat, "__matmul__", counted_matmul)
+                    back = decode_coords(cp, cm, word, encode_coords(cp, cm, e, word))
+                assert back == e
+                assert (len(inverted), len(products)) == (count, count)
+                want = [cp.rep] if count == 1 else [cm.rep, cp.rep]
+                assert [id(m) for m in inverted] == [id(m) for m in want]
+
+
+def test_coordinates_are_read_up_to_a_constant_right_diagonal():
+    """_read gives the same coordinates off r and off r D, for a random
+    constant invertible diagonal D (the lead coefficients scaled to
+    match): on cell coordinates (plus side) and on panel parameters
+    (both sides)."""
+    rng = random.Random(3803)
+    cases = []
+    for n in (2, 3):
+        for _ in range(4):
+            cm, cp = rand_opposite_pair(rng, n)
+            w = word_to_affine(rand_affine_word(rng, n, 5), n)
+            e = chamber_from_basis("+", cp.rep @ rand_borel(rng, n, "+") @ weyl_matrix(w))
+            cases.append((_relpos(_common_chamber(cm, cp), e), delta_word(cp, e), "+"))
+            for side in "+-":
+                carrier = rand_chamber(rng, n, side)
+                panel = carrier.panel(rng.randrange(n))
+                c = panel_chamber(panel, rand_gauss(rng))
+                cases.append((_relpos(carrier, c), panel.cotype_nodes(), side))
+    for (u, r, leads, ops), word, side in cases:
+        scale = [rand_gauss(rng) or GaussRat(1) for _ in u]
+        r_d = r @ LMat.diag([LaurentPoly({0: c}) for c in scale])
+        leads_d = [(e, i, c * k) for (e, i, c), k in zip(leads, scale)]
+        got = list(building._read((u, r_d, leads_d, ops), word, side))
+        assert got == list(building._read((u, r, leads, ops), word, side))
+        assert len(got) == len(word)
 
 
 def round_trip_case(rng, n, word):
@@ -1621,14 +1755,20 @@ def test_a_short_decode_on_a_fresh_pair_leaves_cp_uninverted():
     """A decode of any length needs no inverse of cp, so the common basis
     it keeps does not force one (it leaves the cycle through x's base to
     the collector); an encode that follows takes cp's inverse and then
-    x's, dropping x's reference to cp."""
+    x's, dropping x's reference to cp.  For the empty word the decoded
+    chamber's representative equals x's, so that encode is an engine run
+    on 1 and takes no inverse at all."""
     rng = random.Random(2908)
     for word in [(), (1,), (3,), (1, 2), (3, 1, 2)]:
         cm, cp, e = round_trip_case(rng, 3, word)
         back = decode_coords(cp, cm, word, [GaussRat(1)] * len(word))
         assert cp._inv is None and cp._twin[0] is cm
         coords = encode_coords(cp, cm, back, word)
-        assert cp._inv is not None and cp._twin[1]._base is None
+        if word:
+            assert cp._inv is not None and cp._twin[1]._base is None
+        else:
+            assert back.rep == cp._twin[1].rep
+            assert cp._inv is None and cp._twin[1]._base is cp
         assert coords == [GaussRat(1)] * len(word)
 
 

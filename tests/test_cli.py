@@ -909,6 +909,75 @@ def test_negative_coset_length_is_a_domain_error(capsys):
     }
 
 
+# Integers that int() reads but the CLI does not: an underscore between
+# digits, and a digit of another script (Arabic-Indic four).
+_NOT_ASCII_INTEGERS = ("1_2", "\u0664")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coxeter", "length", "--type", "A~11", "--word", "1_2"),
+        ("coxeter", "length", "--type", "A2", "--word", "\u0661"),
+        ("coxeter", "length", "--type", "A\u0661", "--word", "1"),
+        ("coxeter", "cosets", "--type", "A~1_1", "--quotient", "J=1"),
+        ("coxeter", "cosets", "--type", "A3", "--quotient", "J=1_0"),
+        ("coxeter", "cosets", "--type", "A3", "--quotient", "J=1", "--within", "K=\u0662"),
+        ("poincare", "schubert", "--type", "A3", "--quotient", "J=\u0661", "--w", "1"),
+        ("project", "--basis", "1,0;0,1", "--keep", "\u0660", "--chamber", "1,0;1,1"),
+        ("coords", "decode", "--n", "2", "--word", "1_1", "--coords", "0"),
+    ],
+)
+def test_a_word_generator_keep_or_type_integer_is_ascii_digits(capsys, argv):
+    """Words, generator sets, --keep and the rank of --type read an
+    optional minus and ASCII digits: '1_2' and other scripts' digits are a
+    usage error, exit 2 with a usage envelope, where int() read them."""
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    assert doc["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize("bad", _NOT_ASCII_INTEGERS)
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("poincare", "loop", "--deg", "1"), "--n"),
+        (("poincare", "loop", "--n", "4"), "--deg"),
+        (("poincare", "bott-check", "--deg", "2"), "--k"),
+        (("poincare", "schubert", "--type", "A3", "--w", "1"), "--truncation"),
+        (("coxeter", "cosets", "--type", "A3", "--quotient", "J=1"), "--max-length"),
+        (("veronese", "affine", "--k", "1"), "--n"),
+        (("veronese", "caveat", "--n", "2"), "--deg"),
+        (("delta", "--d", "1,0;z,1"), "--n"),
+        (("codelta",), "--n"),
+        (("verify", "cell-series", "--count", "1"), "--seed"),
+        (("verify", "cell-series"), "--count"),
+    ],
+)
+def test_an_integer_option_is_ascii_digits(capsys, argv, option, bad):
+    """The integer options are rejected by argparse, before --format is
+    read: exit 2, its message on stderr and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, bad, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"argument {option}: invalid int value: {bad!r}" in err
+
+
+def test_integers_keep_their_sign_and_surrounding_spaces(capsys):
+    """A minus and spaces around an integer still read as before."""
+    _, out, _ = run_cli(capsys, "coxeter", "length", "--type", " A~2 ", "--word", " 1 , 2,3 ")
+    assert out == "3\n"
+    _, out, _ = run_cli(capsys, "poincare", "loop", "--n", " 4", "--deg", "6 ")
+    assert out == "[1,0,1,0,2,0,3]\n"
+    code, out, _ = run_cli(
+        capsys, "coxeter", "reduce", "--type", "A2", "--word", "1,-1", "--format", "json",
+    )
+    assert code == 3 and json.loads(out)["error"]["code"] == "domain-error"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the argument grammar of coxeter, poincare, veronese and verify
 # ---------------------------------------------------------------------------
