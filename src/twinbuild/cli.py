@@ -18,12 +18,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 bug; its envelope code is ``internal``).  A malformed value (a matrix,
 word, scalar or parameter that does not parse) is a usage error; with
 ``--format json`` it prints an error envelope with code ``usage``; so
-do an unknown ``verify`` suite name and a basis matrix whose size
-differs from a given ``--n``.  An argument list that argparse
-itself rejects (an unknown command or option, a missing required
-option, a non-integer ``--n``) fails before ``--format`` is read, so
-argparse's message goes to stderr as text, with exit code 2 and no
-envelope.
+do an unknown ``verify`` suite name and a basis, ``--loop`` or
+``--x`` matrix that is not n x n for a given ``--n``.  An argument list
+that argparse itself rejects (an unknown command or option, a missing
+required option, a non-integer ``--n``) fails before ``--format`` is
+read, so argparse's message goes to stderr as text, with exit code 2
+and no envelope.
 
 This module imports only ``errors`` at the top: each command handler
 (and each parsing helper) imports what it runs when it runs, so
@@ -191,6 +191,15 @@ def _parse_weights(text):
     return [parse_scalar(t) for t in text.split(",")]
 
 
+def _matrix_arg(text, n, what):
+    """The matrix of ``text``; a usage error unless it is n x n, when n
+    is given."""
+    m = _parse_matrix(text)
+    if n is not None and (m.nrows, m.ncols) != (n, n):
+        raise ValueError(f"a {m.nrows}x{m.ncols} {what} does not match --n {n}")
+    return m
+
+
 def _chamber_arg(text, side, n):
     from .building import chamber_from_basis, standard_chamber
 
@@ -199,10 +208,7 @@ def _chamber_arg(text, side, n):
             raise ValueError("give --n or an explicit basis matrix")
         check_rank(n)
         return standard_chamber(side, n)
-    m = _parse_matrix(text)
-    if n is not None and m.nrows != n:
-        raise ValueError(f"a {m.nrows}x{m.ncols} basis does not match --n {n}")
-    return chamber_from_basis(side, m)
+    return chamber_from_basis(side, _matrix_arg(text, n, "basis"))
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +332,14 @@ def _cmd_veronese(args):
         return {"matrix": mat_to_json(x)}, _matrix_text(x)
     if args.sub == "affine":
         if args.loop:
-            g = _parse_matrix(args.loop)
+            g = _matrix_arg(args.loop, args.n, "loop")
         else:
             check_rank(args.n)
             g = LMat.identity(args.n)
         x = affine_veronese_vertex(g, args.k)
         return {"matrix": mat_to_json(x)}, _matrix_text(x)
     # caveat
-    x = _parse_matrix(args.x) if args.x else None
+    x = _matrix_arg(args.x, args.n, "matrix") if args.x else None
     ok = caveat_check(args.n, args.deg, x)
     return {"no_truncated_kernel": ok}, json.dumps(ok)
 
@@ -465,9 +471,13 @@ def _build_parser():
     q.add_argument("--loop", default=None, help="unitary loop matrix")
     q.set_defaults(func=_cmd_veronese)
     q = vsub.add_parser("caveat", parents=[fmt])
-    q.add_argument("--n", type=_int, required=True)
-    q.add_argument("--deg", type=_int, required=True)
-    q.add_argument("--x", default=None, help="sharp-fixed traceless matrix")
+    q.add_argument("--n", type=_int, required=True, help="rank: X is n x n")
+    q.add_argument("--deg", type=_int, required=True,
+                   help="the bound N: every lambda in (1/n)Z with |lambda| <= N "
+                   "is tried, on vectors with z-support [2-N, N-2]")
+    q.add_argument("--x", default=None,
+                   help="sharp-fixed traceless n x n matrix (default "
+                   "diag(a,..,a,(1-n)a) with a = z + 1/z)")
     q.set_defaults(func=_cmd_veronese)
 
     q = sub.add_parser("verify", parents=[fmt], help="seeded self-check suites")

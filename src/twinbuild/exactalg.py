@@ -37,8 +37,11 @@ The operators on polynomials and matrices:
 A constant matrix over Q(i) is an LMat with constant entries and uses
 the same operators, so there is one matrix product (``@``), one
 determinant (the minor table; ``charpoly`` is det(t*1 - A), with no
-division) and one inverse (``inv``).  The one field elimination is
-``rref`` on rows of GaussRat, behind ``kernel_basis``.
+division) and one inverse (``inv``).  There are two field eliminations:
+``rref`` on dense rows of GaussRat, behind ``kernel_basis``, for the
+small systems of subspaces and eigenspaces; and ``sparse_rank`` on rows
+held as dicts from column to GaussRat, for the banded eigenvector
+systems of ``veronese.caveat_check``, where it returns only the rank.
 
 Every Laurent product and difference runs through one of two integer
 kernels.  ``_mul_acc`` adds products into unreduced integer triples and
@@ -106,6 +109,7 @@ __all__ = [
     "LMat",
     "mat_to_json",
     "rref",
+    "sparse_rank",
     "kernel_basis",
     "charpoly",
 ]
@@ -1182,6 +1186,47 @@ def rref(rows):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def sparse_rank(rows) -> int:
+    """The rank of sparse rows over Q(i): each row a dict from column (an
+    int) to GaussRat, zero entries left out or dropped here.
+
+    The columns are eliminated in ascending order, each on the shortest
+    row still holding it, so a banded system keeps its band and the work
+    follows the nonzero entries, not rows times columns.
+    """
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    holders = {}
+    for k, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(k)
+    rank = 0
+    for c in sorted(holders):
+        live = holders[c]
+        if not live:
+            continue
+        p = min(live, key=lambda k: (len(rows[k]), k))
+        pivot = rows[p]
+        for col in pivot:
+            holders[col].discard(p)
+        inv = pivot.pop(c).inverse()
+        pivot = [(col, x * inv) for col, x in pivot.items()]
+        for k in tuple(live):
+            row = rows[k]
+            f = row.pop(c)
+            for col, x in pivot:
+                y = row.get(col)
+                y = -f * x if y is None else y - f * x
+                if y:
+                    row[col] = y
+                    holders[col].add(k)
+                elif col in row:
+                    del row[col]
+                    holders[col].discard(k)
+        live.clear()
+        rank += 1
+    return rank
 
 
 def kernel_basis(rows):

@@ -16,6 +16,7 @@ here takes square roots.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import DomainError, NotInImageError, check_rank
@@ -32,6 +33,7 @@ from .exactalg import (
     kernel_basis,
     qi_roots,
     rref,
+    sparse_rank,
 )
 from .record import Record
 
@@ -323,16 +325,6 @@ def barycentric_affine_veronese(g: LMat, weights) -> LMat:
 # ---------------------------------------------------------------------------
 
 
-def _support_window(x: LMat):
-    lo = hi = 0
-    for i in range(x.nrows):
-        for j in range(x.ncols):
-            for e in x[i, j].coeffs:
-                lo = min(lo, e)
-                hi = max(hi, e)
-    return lo, hi
-
-
 def caveat_check(n, bound, x: LMat | None = None) -> bool:
     """Does z d/dz - X - lambda have trivial interior-window kernel for
     every candidate eigenvalue lambda in (1/n) Z with |lambda| <= bound?
@@ -345,9 +337,18 @@ def caveat_check(n, bound, x: LMat | None = None) -> bool:
 
     Vectors are truncated to z-support [-bound+2, bound-2] and the
     equations cover the full image window, so boundary artifacts cannot
-    fake a kernel.
+    fake a kernel.  The system is banded: the unknown v_i[z^m] meets
+    only the equations at z^(m+e) for e in X's exponent support, and
+    only its diagonal entry m - lambda depends on lambda.  So it is built
+    once as sparse rows, with the top z-level as the first columns, and
+    each lambda is decided by ``sparse_rank``: the kernel is trivial
+    exactly when the rank is the number of unknowns.
     """
     check_rank(n)
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise TypeError(f"the bound must be an integer: {bound!r}") from None
     if x is None:
         a = LaurentPoly({1: QI_ONE, -1: QI_ONE})
         x = LMat.diag([a] * (n - 1) + [a * (1 - n)])
@@ -358,25 +359,20 @@ def caveat_check(n, bound, x: LMat | None = None) -> bool:
     lo, hi = -bound + 2, bound - 2
     if lo > hi:
         raise DomainError("bound too small for an interior window")
-    elo, ehi = _support_window(x)
-    out_lo, out_hi = lo + min(elo, 0), hi + max(ehi, 0)
-    unknowns = [(m, i) for m in range(lo, hi + 1) for i in range(n)]
-    col_of = {u: c for c, u in enumerate(unknowns)}
+    # Column (hi - m) * n + i is v_i[z^m]; the equation at z^k, row r,
+    # is keyed (k, r) and holds -X[r, i][z^(k - m)].
+    unknowns = [(m, i, (hi - m) * n + i) for m in range(lo, hi + 1) for i in range(n)]
+    system = {}
+    for m, i, c in unknowns:
+        for r in range(n):
+            for e, coeff in x[r, i].coeffs.items():
+                system.setdefault((m + e, r), {})[c] = -coeff
     for j in range(-n * bound, n * bound + 1):
         lam = GaussRat(Fraction(j, n))
-        rows = [
-            [QI_ZERO] * len(unknowns)
-            for _ in range((out_hi - out_lo + 1) * n)
-        ]
-
-        def row_of(m, i):
-            return (m - out_lo) * n + i
-
-        for (m, i), c in col_of.items():
-            rows[row_of(m, i)][c] = rows[row_of(m, i)][c] + GaussRat(m) - lam
-            for r in range(n):
-                for e, coeff in x[r, i].coeffs.items():
-                    rows[row_of(m + e, r)][c] = rows[row_of(m + e, r)][c] - coeff
-        if kernel_basis(rows):
+        rows = dict(system)
+        for m, i, c in unknowns:
+            row = rows[m, i] = dict(system.get((m, i), {}))
+            row[c] = row.get(c, QI_ZERO) + (m - lam)
+        if sparse_rank(rows.values()) < len(unknowns):
             return False
     return True

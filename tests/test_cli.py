@@ -382,6 +382,44 @@ def test_a_basis_of_another_size_than_n_is_a_usage_error(capsys, argv):
     assert err.startswith("usage error: a 2x2 basis does not match --n ")
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("veronese", "affine", "--n", "3", "--k", "1", "--loop", "1,0;0,1"), "2x2 loop"),
+        (("veronese", "affine", "--n", "2", "--k", "1", "--loop", "1,0,0;0,1,0"), "2x3 loop"),
+        (("veronese", "caveat", "--n", "3", "--deg", "4", "--x", "z+z^-1,0;0,-z-z^-1"),
+         "2x2 matrix"),
+        (("veronese", "caveat", "--n", "1", "--deg", "4", "--x", "z+z^-1,0;0,-z-z^-1"),
+         "2x2 matrix"),
+    ],
+    ids=["affine n=3", "affine 2x3", "caveat n=3", "caveat n=1"],
+)
+def test_a_veronese_matrix_of_another_size_than_n_is_a_usage_error(capsys, argv, what):
+    """A --loop or --x that is not n x n is a usage error, exit 2, as a
+    basis is: no run at the matrix's own size echoing the other n."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    doc = json.loads(out)
+    _envelope_validator().validate(doc)
+    assert doc["error"] == {
+        "code": "usage", "message": f"a {what} does not match --n {argv[3]}",
+    }
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: a {what} does not match --n {argv[3]}\n"
+
+
+def test_veronese_matrices_of_size_n_run(capsys):
+    assert run_cli(capsys, "veronese", "affine", "--n", "2", "--k", "1",
+                   "--loop", "1,0;0,1") == (0, "1/2,0;0,-1/2\n", "")
+    assert run_cli(capsys, "veronese", "caveat", "--n", "2", "--deg", "4",
+                   "--x", "1/2,0;0,-1/2") == (0, "false\n", "")
+    code, out, _ = run_cli(capsys, "veronese", "caveat", "--n", "2", "--deg", "4",
+                           "--x", "z+z^-1,0;0,-z-z^-1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"no_truncated_kernel": True}
+
+
 def test_every_leaf_command_has_a_parameter_case():
     """The table above names every leaf command of the parser."""
     from twinbuild.cli import _build_parser
@@ -1085,7 +1123,7 @@ def _fuzz_veronese_argv(draw):
         if draw(st.booleans()):
             argv += ["--loop", draw(_fuzz_matrix_text(n))]
         return argv
-    argv = ["veronese", "caveat", "--n", str(n), "--deg", draw(_fuzz_small_int(-1, 2))]
+    argv = ["veronese", "caveat", "--n", str(n), "--deg", draw(_fuzz_small_int(-1, 6))]
     if draw(st.booleans()):
         argv += ["--x", draw(_fuzz_matrix_text(n))]
     return argv
@@ -1104,11 +1142,9 @@ def test_fuzzed_coxeter_poincare_veronese_commands_exit_cleanly(capsys, argv):
 def _fuzz_verify_argv(draw):
     """argv of verify: a suite name (or a wrong one), a count and maybe a
     seed.  The count is always given (at most 2), since a suite's default
-    count takes up to two seconds; ``all`` and ``caveat-window`` are left
-    out, since they take about a second even at count 1, and the other
-    suites run the same parsing and envelope code."""
-    fast = [s for s in available_suites() if s != "caveat-window"]
-    suite = draw(_mostly(st.sampled_from(fast)))
+    count takes up to two seconds; ``all`` is left out, since it runs
+    every suite in turn, and each suite is drawn on its own."""
+    suite = draw(_mostly(st.sampled_from(available_suites())))
     argv = ["verify", suite, "--count", draw(_fuzz_small_int(-1, 2))]
     if draw(st.booleans()):
         argv += ["--seed", draw(_fuzz_small_int(-3, 50))]

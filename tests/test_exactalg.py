@@ -38,6 +38,7 @@ from twinbuild.exactalg import (
     poly_to_str,
     qi_roots,
     rref,
+    sparse_rank,
     zpow,
 )
 from twinbuild import exactalg
@@ -1032,6 +1033,48 @@ def test_rref_kernel_solve():
     for v in ker:
         for row in rows:
             assert sum((a * x for a, x in zip(row, v)), QI_ZERO) == QI_ZERO
+
+
+@st.composite
+def sparse_systems(draw):
+    """(sparse rows, number of columns): a random system over Q(i) with
+    small or non-real entries, some explicit zeros, empty rows and rows
+    repeated or scaled from earlier ones."""
+    ncols = draw(st.integers(1, 7))
+    entry = gauss_parts.map(lambda parts: GaussRat(*parts))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "random", "empty", "repeat"]))
+        if kind == "repeat" and rows:
+            base = draw(st.sampled_from(rows))
+            factor = draw(entry)
+            rows.append({c: x * factor for c, x in base.items()})
+        elif kind == "empty":
+            rows.append({})
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+            rows.append({c: draw(entry) for c in cols})
+    return rows, ncols
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(system=sparse_systems())
+def test_sparse_rank_is_the_number_of_rref_pivots(system):
+    """``sparse_rank`` agrees with the dense elimination on the same rows,
+    and leaves its argument as it was."""
+    rows, ncols = system
+    kept = [dict(row) for row in rows]
+    dense = [[row.get(c, QI_ZERO) for c in range(ncols)] for row in rows]
+    assert sparse_rank(rows) == len(rref(dense)[1])
+    assert rows == kept
+
+
+def test_sparse_rank_examples():
+    two = GaussRat(2)
+    assert sparse_rank([]) == 0
+    assert sparse_rank([{}, {0: QI_ZERO}]) == 0
+    assert sparse_rank([{0: QI_ONE, 3: two}, {0: two, 3: GaussRat(4)}]) == 1
+    assert sparse_rank([{0: QI_ONE, 1: QI_I}, {0: QI_I, 1: -QI_ONE}, {1: QI_ONE}]) == 2
 
 
 def charpoly_oracle(rows):

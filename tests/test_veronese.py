@@ -24,8 +24,11 @@ from twinbuild.exactalg import (
     QI_ONE,
     QI_ZERO,
     charpoly,
+    kernel_basis,
     qi_roots,
+    rref,
 )
+from twinbuild import veronese
 from twinbuild.lattice import LatticeClass
 from twinbuild.veronese import (
     SubspaceFlag,
@@ -671,6 +674,54 @@ def test_pi_tls_is_the_recentred_coordinate_projector(n):
 # ---------------------------------------------------------------------------
 
 
+def default_caveat_x(n):
+    """caveat_check's default X = diag(a,..,a,(1-n)a), a = z + 1/z."""
+    a = LaurentPoly({1: QI_ONE, -1: QI_ONE})
+    return LMat.diag([a] * (n - 1) + [a * (1 - n)])
+
+
+def _support_window(x):
+    lo = hi = 0
+    for i in range(x.nrows):
+        for j in range(x.ncols):
+            for e in x[i, j].coeffs:
+                lo = min(lo, e)
+                hi = max(hi, e)
+    return lo, hi
+
+
+def dense_caveat_rows(n, bound, x, lam):
+    """The system of z d/dz - X - lam as dense GaussRat rows: one column
+    per unknown v_i[z^m], m in [2 - bound, bound - 2], in the order
+    (m, i); one row per equation (k, r) of the whole image window, in the
+    same order, all-zero rows included."""
+    lo, hi = -bound + 2, bound - 2
+    elo, ehi = _support_window(x)
+    out_lo, out_hi = lo + min(elo, 0), hi + max(ehi, 0)
+    unknowns = [(m, i) for m in range(lo, hi + 1) for i in range(n)]
+    rows = [[QI_ZERO] * len(unknowns) for _ in range((out_hi - out_lo + 1) * n)]
+
+    def row_of(m, i):
+        return (m - out_lo) * n + i
+
+    for c, (m, i) in enumerate(unknowns):
+        rows[row_of(m, i)][c] = rows[row_of(m, i)][c] + GaussRat(m) - lam
+        for r in range(n):
+            for e, coeff in x[r, i].coeffs.items():
+                rows[row_of(m + e, r)][c] = rows[row_of(m + e, r)][c] - coeff
+    return rows
+
+
+def dense_caveat(n, bound, x=None):
+    """The oracle for caveat_check: every lambda in (1/n)Z with |lambda|
+    <= bound, ascending, by ``kernel_basis`` on the dense rows."""
+    x = default_caveat_x(n) if x is None else x
+    for j in range(-n * bound, n * bound + 1):
+        if kernel_basis(dense_caveat_rows(n, bound, x, GaussRat(Fraction(j, n)))):
+            return False
+    return True
+
+
 def test_caveat_flag_image_has_kernel():
     assert caveat_check(2, 6, pi_tls(2, 1)) is False
 
@@ -683,3 +734,102 @@ def test_caveat_scaled_example_n3():
     a = LaurentPoly({1: QI_ONE, -1: QI_ONE})
     x = LMat.diag([a * 2, a * 2, a * (-4)])
     assert caveat_check(3, 8, x) is True
+
+
+@pytest.mark.parametrize(
+    "n, bound, image, want",
+    [(2, 6, True, False), (2, 8, False, True), (3, 8, False, True),
+     (2, 4, False, True), (2, 4, True, False)],
+    ids=["suite-image", "suite-n2", "suite-n3", "bench-default", "bench-image"],
+)
+def test_caveat_matches_the_dense_oracle_on_the_suite_and_benchmark_cases(
+    n, bound, image, want
+):
+    x = pi_tls(n, 1) if image else None
+    assert caveat_check(n, bound, x) is want
+    assert dense_caveat(n, bound, x) is want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bound", [2, 4, 5])
+def test_caveat_matches_the_dense_oracle_on_coordinate_projectors(n, bound):
+    for k in range(n + 1):
+        x = pi_tls(n, k)
+        assert caveat_check(n, bound, x) is dense_caveat(n, bound, x) is False
+
+
+def test_caveat_matches_the_dense_oracle_on_gauge_images():
+    rng = random.Random(16)
+    for _ in range(6):
+        n = rng.choice([2, 3])
+        k = rng.randrange(n)
+        bound = rng.choice([3, 4, 5])
+        x = affine_veronese_vertex(rand_det1_loop(rng, n), k)
+        assert caveat_check(n, bound, x) is dense_caveat(n, bound, x)
+
+
+@st.composite
+def sharp_fixed_traceless(draw, n):
+    """A random sharp-fixed traceless n x n matrix: Y + Y# recentred, for
+    Y with exponents in [-2, 2] and small Gaussian integer entries; or a
+    constant real traceless diagonal with entries in (1/n)Z or (1/(n+1))Z,
+    which has eigenvectors z^m e_i exactly in the first case."""
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([n, n + 1]))
+        d = [Fraction(draw(st.integers(-2 * den, 2 * den)), den) for _ in range(n - 1)]
+        return LMat.diag([GaussRat(t) for t in d] + [GaussRat(-sum(d))])
+    part = st.integers(-2, 2)
+    entry = st.dictionaries(
+        st.integers(-2, 2), st.builds(GaussRat, part, part), max_size=2
+    ).map(LaurentPoly)
+    y = LMat([[draw(entry) for _ in range(n)] for _ in range(n)])
+    y = y + y.sharp()
+    return y - LMat.diag([y.trace() * Fraction(1, n)] * n)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.sampled_from([2, 3]), bound=st.integers(2, 6), data=st.data())
+def test_caveat_matches_the_dense_oracle_on_random_matrices(n, bound, data):
+    x = data.draw(sharp_fixed_traceless(n))
+    assert x.sharp() == x and x.trace() == LP_ZERO
+    assert caveat_check(n, bound, x) is dense_caveat(n, bound, x)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_default_x_has_full_column_rank_at_every_lambda(n):
+    """The default X's top coefficient X_top is invertible.  The
+    equations at the level just above the window read -X_top v_top = 0,
+    so the top level of v vanishes, and level by level all of v: the
+    system has full column rank for every lambda, not only those tried."""
+    x = default_caveat_x(n)
+    top = [[x[i, j].coeff(1) for j in range(n)] for i in range(n)]
+    assert len(rref(top)[1]) == n
+    bound = 5
+    width = 2 * bound - 3
+    for j in range(-3 * n * bound, 3 * n * bound + 1):
+        rows = dense_caveat_rows(n, bound, x, GaussRat(Fraction(j, n)))
+        assert [row[-n:] for row in rows[-n:]] == [[-t for t in row] for row in top]
+        assert all(not any(row[:-n]) for row in rows[-n:])
+        assert len(rref(rows)[1]) == width * n
+
+
+def test_caveat_stops_at_the_first_lambda_with_a_kernel(monkeypatch):
+    """lambda runs up from -bound in steps of 1/n and the first one with
+    a kernel ends the check: for Pi_1^tls at n = 2, bound 6, the window
+    [-4, 4] holds z^-4 e_1 at lambda = -4 - 1/2, the fourth tried."""
+    ranks = []
+    real = veronese.sparse_rank
+    monkeypatch.setattr(veronese, "sparse_rank", lambda rows: ranks.append(real(rows)) or ranks[-1])
+    assert caveat_check(2, 6, pi_tls(2, 1)) is False
+    assert ranks == [18, 18, 18, 17]
+
+
+@pytest.mark.parametrize("bound", [4.0, "4", None, Fraction(4)])
+def test_a_bound_that_is_not_an_integer_is_a_type_error_before_any_system(
+    monkeypatch, bound
+):
+    monkeypatch.setattr(veronese, "sparse_rank", None)
+    with pytest.raises(TypeError, match="bound must be an integer"):
+        caveat_check(2, bound)
+    with pytest.raises(TypeError, match="bound must be an integer"):
+        caveat_check(2, bound, LMat.identity(3))
