@@ -120,7 +120,6 @@ __all__ = [
     "codelta_word",
     "opposite",
     "simplex_delta",
-    "simplex_codelta",
     "project",
     "project_twin",
     "common_basis",
@@ -614,24 +613,13 @@ class TwinPosition(Record):
         object.__setattr__(self, "right", right)
 
 
-def _double_coset_position(x: Simplex, y: Simplex) -> TwinPosition:
-    j, k = x.cotype_nodes(), y.cotype_nodes()
-    u = _relpos(x.carrier, y.carrier)[0]
-    return TwinPosition(j, _window_word(min_double_coset_rep(u, set(j), set(k))), k)
-
-
 def simplex_delta(x: Simplex, y: Simplex) -> TwinPosition:
     """W_J w W_K position of two same-side simplices."""
     if x.side != y.side:
         raise DomainError("simplex_delta needs simplices on the same side")
-    return _double_coset_position(x, y)
-
-
-def simplex_codelta(x: Simplex, y: Simplex) -> TwinPosition:
-    """W_J w W_K coposition of two opposite-side simplices."""
-    if x.side == y.side:
-        raise DomainError("simplex_codelta needs simplices on opposite sides")
-    return _double_coset_position(x, y)
+    j, k = x.cotype_nodes(), y.cotype_nodes()
+    u = _relpos(x.carrier, y.carrier)[0]
+    return TwinPosition(j, _window_word(min_double_coset_rep(u, set(j), set(k))), k)
 
 
 # ---------------------------------------------------------------------------

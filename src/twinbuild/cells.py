@@ -2,12 +2,12 @@
 
 A parabolic quotient W/W_J decomposes into cells, one per coset, of
 real dimension panel_dim times the length of the minimal coset
-representative (panel_dim = 2 for the complex quotients, whose panels
-are projective lines).  This module counts those cells: Poincare series
-of Schubert varieties (Bruhat intervals), of the based-loop quotient of
-the affine system, and the coefficientwise comparison of the two that
-underlies the classical low-degree equivalence between Gr_k(C^{2k}) and
-the loop space.
+representative; panel_dim is one integer for every generator (2 for the
+complex quotients, whose panels are projective lines).  This module
+counts those cells: Poincare series of Schubert varieties (Bruhat
+intervals), of the based-loop quotient of the affine system, and the
+coefficientwise comparison of the two that underlies the classical
+low-degree equivalence between Gr_k(C^{2k}) and the loop space.
 """
 
 from .coxeter import (
@@ -17,7 +17,6 @@ from .coxeter import (
     coset_act,
     coset_min_split,
     coxeter_matrix,
-    generalized_length,
     wdescents_right,
     widentity,
     window_to_word,
@@ -72,13 +71,6 @@ class PoincareSeries(Record):
                 cs[d] += 1
         return cls(cs, truncation)
 
-    def coefficient(self, d: int) -> int:
-        if not 0 <= d <= self.truncation:
-            raise DomainError(
-                f"degree {d} outside the computed window 0..{self.truncation}"
-            )
-        return self.coeffs[d]
-
     def cell_dims(self):
         """The multiset of cell dimensions, sorted ascending.
 
@@ -113,10 +105,9 @@ class PoincareSeries(Record):
 
 
 def cell_dim(M: CoxeterMatrix, J, w, panel_dim=2) -> int:
-    """Dimension of the Schubert cell of the coset w W_J.
-
-    ``panel_dim`` is a uniform integer weight, or a mapping from
-    generators to weights (which must agree across odd bonds).
+    """Dimension of the Schubert cell of the coset w W_J: ``panel_dim``
+    (an int, the real dimension of a panel) times the length of the
+    minimal coset representative.
 
     >>> M = coxeter_matrix("finite-A", 4)
     >>> cell_dim(M, {1, 3}, (2, 1, 3, 2))
@@ -126,9 +117,7 @@ def cell_dim(M: CoxeterMatrix, J, w, panel_dim=2) -> int:
     """
     J = _check_subset(J, M)
     u, _ = coset_min_split(word_to_window(w, M), J)
-    if isinstance(panel_dim, int):
-        return panel_dim * wlength(u)
-    return generalized_length(window_to_word(u, M), M, panel_dim)
+    return panel_dim * wlength(u)
 
 
 def schubert_poincare(M: CoxeterMatrix, J, w, truncation=None) -> PoincareSeries:

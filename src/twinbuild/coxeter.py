@@ -2,10 +2,9 @@
 
 These are the Weyl groups of the paper's buildings (of SL_n over C and
 over the Laurent polynomials), and the only kinds: a ``CoxeterMatrix``
-is its type (kind, n) and reads its bond orders off it.
-Words, deterministic normal forms, length and weighted length, Bruhat
-order, parabolic coset enumeration, and the affine Weyl group elements
-the building uses.
+is its type (kind, n), and its Coxeter graph is read off the type.
+Words, deterministic normal forms, length, Bruhat order, parabolic coset
+enumeration, and the affine Weyl group elements the building uses.
 
 Group elements are *windows*: the tuple (u(1), ..., u(n)) of a
 bijection u: Z -> Z with
@@ -32,20 +31,14 @@ False
 
 from __future__ import annotations
 
-import math
-
 from .errors import DomainError, check_rank
 from .record import Record
 
-INFBOND = math.inf
-
 __all__ = [
-    "INFBOND",
     "CoxeterMatrix",
     "coxeter_matrix",
     "reduce_word",
     "word_length",
-    "generalized_length",
     "bruhat_leq",
     "min_coset_reps",
     "longest_element",
@@ -76,15 +69,14 @@ class CoxeterMatrix(Record):
     """The Coxeter system of a type: A_{n-1} (kind ``"finite-A"``, the
     path on the generators 1..n-1) or affine A_{n-1} (kind ``"affine-A"``,
     the cycle on 1..n).  n is the matrix size of SL_n and the window size
-    of the permutation model.  The bond orders m_ij are read off the type:
-    1 on the diagonal, 3 between neighbours (in the affine cycle, for
-    n >= 3, 1 and n are neighbours too), ``INFBOND`` for affine A_1, and
-    2 otherwise.
+    of the permutation model.  So s_i s_j has order 3 between neighbours
+    (in the affine cycle, for n >= 3, 1 and n are neighbours too), order
+    2 between other distinct generators, and infinite order in affine A_1.
 
-    >>> CoxeterMatrix("affine-A", 2).bond(1, 2)
-    inf
-    >>> CoxeterMatrix("finite-A", 4).bond(1, 3)
-    2
+    >>> CoxeterMatrix("affine-A", 3).generators
+    (1, 2, 3)
+    >>> CoxeterMatrix("finite-A", 4).rank
+    3
     """
 
     __slots__ = ("kind", "n")
@@ -106,19 +98,6 @@ class CoxeterMatrix(Record):
 
     def is_affine(self) -> bool:
         return self.kind == "affine-A"
-
-    def bond(self, i: int, j: int):
-        r = self.rank
-        if not (1 <= i <= r and 1 <= j <= r):
-            raise DomainError(f"generator index outside 1..{r}")
-        if i == j:
-            return 1
-        gap = abs(i - j)
-        if self.is_affine():
-            if r == 2:
-                return INFBOND
-            gap = min(gap, r - gap)
-        return 3 if gap == 1 else 2
 
 
 def coxeter_matrix(kind: str, n: int) -> CoxeterMatrix:
@@ -266,31 +245,6 @@ def reduce_word(word, M: CoxeterMatrix):
 def word_length(word, M: CoxeterMatrix) -> int:
     """Coxeter length of the element spelled by the word."""
     return wlength(word_to_window(word, M))
-
-
-def generalized_length(word, M: CoxeterMatrix, weights):
-    """Weighted length: sum of weights over a reduced expression.
-
-    ``weights`` maps every generator index to a value in an abelian group;
-    well-definedness requires equal weights across bonds of finite odd
-    order, which is validated.
-    """
-    for i in M.generators:
-        if i not in weights:
-            raise DomainError(f"missing weight for generator {i}")
-    for i in M.generators:
-        for j in M.generators:
-            if i < j:
-                m = M.bond(i, j)
-                if m != INFBOND and m % 2 == 1 and weights[i] != weights[j]:
-                    raise DomainError(
-                        f"weights must agree across the odd bond {i}-{j}"
-                    )
-    reduced = reduce_word(word, M)
-    total = 0
-    for i in reduced:
-        total = total + weights[i]
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,8 @@ class LaurentPoly:
     Exponents are ints and coefficients Gaussian rationals; an int or
     Fraction coefficient is read as one (``_as_qi``), any other type of
     exponent or coefficient raises TypeError, and zero coefficients are
-    never stored.
+    never stored.  A constant equals its coefficient as a scalar
+    (``LP_ZERO == 0``) and hashes as it.
 
     >>> str(Z + zpow(-1))
     'z^-1 + z'
@@ -514,6 +515,10 @@ class LaurentPoly:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # A constant (0 included) equals its coefficient as a scalar, so
+        # it hashes as that scalar.
+        if self.is_constant():
+            return hash(self.coeff(0))
         return hash(tuple(sorted(self.coeffs.items())))
 
     def __bool__(self):
@@ -809,9 +814,6 @@ class LMat:
         cols = [tuple(map(LMat._entry, col)) for col in cols]
         _check_shape(cols)
         return LMat._of(zip(*cols))
-
-    def col(self, j: int):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
 
     def cols(self):
         return list(zip(*self.rows))

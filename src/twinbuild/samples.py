@@ -9,19 +9,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .building import chamber_from_basis, weyl_matrix
-from .coxeter import word_to_affine
-from .exactalg import GaussRat, LMat, LP_ONE, LP_ZERO, LaurentPoly, _col_sub
+from .building import chamber_from_basis
+from .exactalg import GaussRat, LMat, LP_ZERO, LaurentPoly, _col_sub
 from .veronese import SubspaceFlag, projector_of, sl_loop_pair
 
 __all__ = [
     "rand_gauss",
     "rand_unit",
-    "elementary",
     "rand_borel",
     "rand_sl",
     "rand_affine_word",
-    "rand_chamber",
     "rand_opposite_pair",
     "rand_invertible_const",
     "rand_flag",
@@ -46,13 +43,6 @@ def rand_unit(rng, span=2):
         c = rand_gauss(rng, span)
         if c:
             return c
-
-
-def elementary(n, i, j, p):
-    """Identity plus the Laurent polynomial p in entry (i, j), i != j."""
-    rows = [[LP_ONE if a == b else LP_ZERO for b in range(n)] for a in range(n)]
-    rows[i][j] = LaurentPoly(p) if not isinstance(p, LaurentPoly) else p
-    return LMat(rows)
 
 
 def _diag_torus(rng, n, span=2):
@@ -109,14 +99,6 @@ def rand_sl(rng, n, deg=2, steps=5):
 def rand_affine_word(rng, n, maxlen=8):
     """A random word in the affine generators 1..n (not always reduced)."""
     return tuple(rng.randint(1, n) for _ in range(rng.randint(0, maxlen)))
-
-
-def rand_chamber(rng, n, side, deg=2, maxlen=6):
-    """A random chamber: a random group element times a random Weyl
-    representative applied to the standard chamber."""
-    g = rand_sl(rng, n, deg)
-    w = word_to_affine(rand_affine_word(rng, n, maxlen), n)
-    return chamber_from_basis(side, g @ weyl_matrix(w))
 
 
 def rand_opposite_pair(rng, n, deg=2):

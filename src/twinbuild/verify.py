@@ -23,6 +23,7 @@ from .building import (
     encode_coords,
     opposite,
     panel_chamber,
+    panel_parameter,
     project_twin,
     standard_chamber,
     weyl_matrix,
@@ -190,7 +191,8 @@ def _suite_factor_certificate(col, rng, count):
 
 def _suite_twin_axioms(col, rng, count):
     """Shortening across panels (Tw2) and adjacent-chamber existence in
-    both directions (Tw3), on constructed rank-3 instances."""
+    both directions (Tw3), on constructed rank-3 instances.  The Tw2
+    sweep also reads each panel chamber's parameter back."""
     n = 3
     sweep = (GaussRat(0), GaussRat(1), GaussRat(0, 1), INF)
     done = 0
@@ -208,6 +210,7 @@ def _suite_twin_axioms(col, rng, count):
         ok = codelta(cm, cp) == w
         for t in sweep:
             e = panel_chamber(pan, t)
+            ok = ok and panel_parameter(pan, e) == t
             if e != cp:
                 ok = ok and codelta(cm, e) == ws
         col.check(ok, f"Tw2 case {done}")

@@ -242,6 +242,11 @@ def unitary_loop(p: LMat) -> LMat:
     P; satisfies g_P sharp(g_P) = 1 and det g_P = z^rank(P)."""
     if not _is_projector(p):
         raise DomainError("unitary_loop needs a constant self-adjoint projector")
+    return _loop_of(p)
+
+
+def _loop_of(p: LMat) -> LMat:
+    """g_P = 1 + (z-1) P for a p already checked to be a projector."""
     zm1 = LaurentPoly({1: QI_ONE, 0: -QI_ONE})
     return LMat.identity(p.nrows) + p.scale(zm1)
 
@@ -253,7 +258,7 @@ def sl_loop_pair(p: LMat, q: LMat) -> LMat:
         raise DomainError("sl_loop_pair needs two projectors")
     if p.trace() != q.trace():
         raise DomainError("sl_loop_pair needs projectors of equal rank")
-    return unitary_loop(p) @ unitary_loop(q).sharp()
+    return _loop_of(p) @ _loop_of(q).sharp()
 
 
 def is_unitary_loop(g: LMat) -> bool:

@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from twinbuild.building import standard_chamber, weyl_matrix
@@ -1140,11 +1140,11 @@ def test_fuzzed_coxeter_poincare_veronese_commands_exit_cleanly(capsys, argv):
 
 @st.composite
 def _fuzz_verify_argv(draw):
-    """argv of verify: a suite name (or a wrong one), a count and maybe a
-    seed.  The count is always given (at most 2), since a suite's default
-    count takes up to two seconds; ``all`` is left out, since it runs
-    every suite in turn, and each suite is drawn on its own."""
-    suite = draw(_mostly(st.sampled_from(available_suites())))
+    """argv of verify: a suite name, ``all`` (or a wrong one), a count and
+    maybe a seed.  The count is always given (at most 2), since a suite's
+    default count takes up to two seconds; at that count ``all`` takes
+    about a quarter of a second."""
+    suite = draw(_mostly(st.sampled_from(("all",) + available_suites())))
     argv = ["verify", suite, "--count", draw(_fuzz_small_int(-1, 2))]
     if draw(st.booleans()):
         argv += ["--seed", draw(_fuzz_small_int(-3, 50))]
@@ -1153,6 +1153,7 @@ def _fuzz_verify_argv(draw):
 
 @settings(max_examples=60, **_FUZZ_SETTINGS)
 @given(argv=_fuzz_verify_argv())
+@example(argv=["verify", "all", "--count", "2", "--seed", "7"])
 def test_fuzzed_verify_commands_exit_cleanly(capsys, argv):
     """verify ends in exit 0 (every suite passes), 2 or 3, never in a
     traceback or an internal error; a count of 0 or less is a domain

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 import random
 
@@ -12,7 +13,6 @@ from twinbuild.cells import loop_poincare
 from twinbuild.errors import DomainError
 from twinbuild.exactalg import LMat, LP_ZERO, zpow
 from twinbuild.coxeter import (
-    INFBOND,
     AffineWeylElt,
     CoxeterMatrix,
     affine_to_word,
@@ -20,7 +20,6 @@ from twinbuild.coxeter import (
     coset_act,
     coset_min_split,
     coxeter_matrix,
-    generalized_length,
     longest_element,
     min_coset_reps,
     min_double_coset_rep,
@@ -55,25 +54,35 @@ def all_words(gens, max_len):
 # ---------------------------------------------------------------------------
 
 
+def order_of_pair(i, j, n):
+    """The order of s_i s_j in the window group of size n."""
+    return window_order(wcompose(wgen(i, n), wgen(j, n)))
+
+
 def test_finite_a_path_diagram():
-    assert A3.bond(1, 2) == 3
-    assert A3.bond(2, 3) == 3
-    assert A3.bond(1, 3) == 2
-    assert all(A3.bond(i, i) == 1 for i in A3.generators)
-    assert A3.kind == "finite-A" and A3.n == 4
+    assert order_of_pair(1, 2, 4) == 3
+    assert order_of_pair(2, 3, 4) == 3
+    assert order_of_pair(1, 3, 4) == 2
+    assert all(order_of_pair(i, i, 4) == 1 for i in A3.generators)
+    assert A3.kind == "finite-A" and A3.n == 4 and A3.generators == (1, 2, 3)
 
 
 def test_affine_a2_infinity_bond():
-    assert AF2.bond(1, 2) == INFBOND
-    assert AF2.is_affine()
+    """s_1 s_2 has infinite order in affine A_1: its powers grow in length."""
+    u = wcompose(wgen(1, 2), wgen(2, 2))
+    power = u
+    for k in range(1, 20):
+        assert wlength(power) == 2 * k
+        power = wcompose(power, u)
+    assert AF2.is_affine() and AF2.generators == (1, 2)
 
 
 def test_affine_a4_cycle():
     for i in range(1, 5):
         j = i % 4 + 1
-        assert AF4.bond(i, j) == 3
-    assert AF4.bond(1, 3) == 2
-    assert AF4.bond(2, 4) == 2
+        assert order_of_pair(i, j, 4) == 3
+    assert order_of_pair(1, 3, 4) == 2
+    assert order_of_pair(2, 4, 4) == 2
 
 
 def test_invalid_rank_rejected():
@@ -116,8 +125,8 @@ def test_wgen_outside_the_generators_is_a_domain_error(i, n):
 
 
 def bond_table(kind, n):
-    """Independent oracle for ``CoxeterMatrix.bond``: the bond table of
-    the type written out entry by entry, rows and columns 0..rank-1."""
+    """The Coxeter matrix of the type written out entry by entry, rows and
+    columns 0..rank-1."""
     if kind == "finite-A":
         r = n - 1
         return [
@@ -125,7 +134,7 @@ def bond_table(kind, n):
             for i in range(r)
         ]
     if n == 2:
-        return [[1, INFBOND], [INFBOND, 1]]
+        return [[1, math.inf], [math.inf, 1]]
     return [
         [
             1 if i == j else (3 if (abs(i - j) == 1 or {i, j} == {0, n - 1}) else 2)
@@ -136,21 +145,22 @@ def bond_table(kind, n):
 
 
 def window_order(u, bound=6):
-    """The order of the window u, or ``INFBOND`` when no power up to
+    """The order of the window u, or ``math.inf`` when no power up to
     ``bound`` is the identity."""
     power = u
     for k in range(1, bound + 1):
         if power == widentity(len(u)):
             return k
         power = wcompose(power, u)
-    return INFBOND
+    return math.inf
 
 
 @pytest.mark.parametrize("kind", ["finite-A", "affine-A"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_bonds_are_the_table_and_the_group_law(kind, n):
-    """bond(i, j) is the written-out table entry and the order of
-    s_i s_j in the window group."""
+    """Each entry of the written-out Coxeter matrix of the type is the
+    order of s_i s_j in the window group, so the type's generators span
+    the graph it names."""
     M = CoxeterMatrix(kind, n)
     table = bond_table(kind, n)
     assert M.rank == len(table)
@@ -158,8 +168,7 @@ def test_bonds_are_the_table_and_the_group_law(kind, n):
     assert M.is_affine() == (kind == "affine-A")
     for i in M.generators:
         for j in M.generators:
-            assert M.bond(i, j) == table[i - 1][j - 1]
-            assert M.bond(i, j) == window_order(wcompose(wgen(i, n), wgen(j, n)))
+            assert order_of_pair(i, j, n) == table[i - 1][j - 1]
 
 
 @pytest.mark.parametrize("kind", ["finite-A", "affine-A"])
@@ -176,10 +185,12 @@ def test_a_coxeter_system_is_its_type(kind, n):
     assert M != CoxeterMatrix(kind, n + 1)
 
 
-def test_bond_rejects_a_generator_outside_the_diagram():
-    for i, j in [(0, 1), (1, 3), (-1, 1)]:
-        with pytest.raises(DomainError):
-            A2.bond(i, j)
+def test_a_word_outside_the_diagram_is_a_domain_error():
+    """A2 has the generators 1, 2: 3 is a generator of the window group
+    of size 3 (the affine one), but not of the type."""
+    for word in [(0, 1), (1, 3), (-1, 1)]:
+        with pytest.raises(DomainError, match="outside 1..2"):
+            word_to_window(word, A2)
 
 
 def test_constructor_refuses_other_kinds_and_entry_tables():
@@ -259,44 +270,6 @@ def test_normal_form_is_lex_least_reduced_word():
                 by_elt[u] = w
     for u, least in by_elt.items():
         assert window_to_word(u, A3) == least
-
-
-# ---------------------------------------------------------------------------
-# generalized length
-# ---------------------------------------------------------------------------
-
-
-def test_generalized_length_weight_one_is_length():
-    rng = random.Random(1)
-    ones = {i: 1 for i in AF4.generators}
-    twos = {i: 2 for i in AF4.generators}
-    zeros = {i: 0 for i in AF4.generators}
-    for _ in range(30):
-        w = tuple(rng.choice(AF4.generators) for _ in range(rng.randint(0, 8)))
-        ell = word_length(w, AF4)
-        assert generalized_length(w, AF4, ones) == ell
-        assert generalized_length(w, AF4, zeros) == 0
-        assert generalized_length(w, AF4, twos) == 2 * ell
-
-
-def test_generalized_length_odd_bond_constraint():
-    with pytest.raises(DomainError):
-        generalized_length((1,), A2, {1: 1, 2: 5})
-    # even/infinite bonds allow distinct weights
-    assert generalized_length((1, 2, 1, 2), AF2, {1: 1, 2: 5}) == 12
-
-
-def test_generalized_length_reduced_expression_independent():
-    rng = random.Random(2)
-    weights = {i: 2 for i in A3.generators}
-    for _ in range(200):
-        w = tuple(rng.choice(A3.generators) for _ in range(rng.randint(0, 10)))
-        u = word_to_window(w, A3)
-        # two reduced expressions: the normal form, and a braid-moved variant
-        nf = window_to_word(u, A3)
-        assert generalized_length(w, A3, weights) == generalized_length(
-            nf, A3, weights
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -914,6 +914,20 @@ outside_scalars = st.one_of(
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
+@given(outside_scalars)
+@example(0)
+@example(10**30)
+@example(GaussRat(0, 1))
+def test_a_constant_polynomial_hashes_as_the_scalar_it_equals(s):
+    """LaurentPoly({0: s}) == s (LP_ZERO == 0 for s = 0), so the two hash
+    alike and a set holding both holds one element."""
+    c, q = LaurentPoly({0: s}), exactalg._as_qi(s)
+    assert c == s and c == q
+    assert hash(c) == hash(s) == hash(q)
+    assert len({s, c}) == 1 and len({c, q}) == 1
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(f=laurent_polys, g=laurent_polys, c=outside_scalars, cancel=st.booleans())
 @example(  # (1/2 + 1/3 z)(1/3 - 2/9 z): the z terms 1/9 - 1/9 cancel
     f=LaurentPoly({0: GaussRat(Fraction(1, 2)), 1: GaussRat(Fraction(1, 3))}),

@@ -130,7 +130,7 @@ def rand_unimodular(rng, n, ops=6, dmin=-2, dmax=2, scalings=True):
     """A random lattice basis: elementary column operations on the identity,
     optionally followed by monomial column scalings (determinant stays a
     unit either way)."""
-    cols = [list(LMat.identity(n).col(j)) for j in range(n)]
+    cols = [list(c) for c in LMat.identity(n).cols()]
     for _ in range(ops):
         i, j = rng.sample(range(n), 2)
         c = rand_gauss(rng)
@@ -175,7 +175,7 @@ def _adapted_cols(cans):
     for j in range(n):
         pick = None
         for c in range(n):
-            v = cans[j].col(c)
+            v = cans[j].cols()[c]
             if not _member_plus(nexts[j], v):
                 pick = v
                 break
@@ -253,8 +253,8 @@ class ClassPanelChart:
         if len(picked) != 2:
             raise DomainError("panel sandwich is not two-dimensional")
         self._j1, self._j2 = picked
-        self._u1 = self._A.col(self._j1)
-        self._u2 = self._A.col(self._j2)
+        self._u1 = self._A.cols()[self._j1]
+        self._u2 = self._A.cols()[self._j2]
 
     def _gap_vector(self, t):
         """The generator the chart adds to B: u1 + t*u2, or u2 at inf."""
@@ -294,7 +294,7 @@ class ClassPanelChart:
             for i in range(n)
         ]
         for c in range(n):
-            coords = _plus_coords(self._A, mat.col(c))
+            coords = _plus_coords(self._A, mat.cols()[c])
             if coords is None:
                 raise DomainError("class is not between the panel's neighbours")
             psi = [x.coeff(0) for x in coords]
@@ -439,7 +439,7 @@ class HermitePanelChart:
     def parameter_of(self, chamber):
         """The parameter of a chamber through the panel, read off column p
         of its representative, which lies in A and not in B."""
-        v = _plus_col(self.side, chamber.rep.col(self._p), 0)
+        v = _plus_col(self.side, chamber.rep.cols()[self._p], 0)
         psi = [x.coeff(0) for x in _plus_coords(self._A, v)]
         c1 = sum((w * x for w, x in zip(self._c1, psi)), QI_ZERO)
         c2 = sum((w * x for w, x in zip(self._c2, psi)), QI_ZERO)
@@ -700,21 +700,21 @@ def test_membership_random_combinations():
         v = [P("0")] * n
         for j in range(n):
             c = _to_plus(side, zpow(rng.randint(0, 2), rand_gauss(rng)))
-            col = g.col(j)
+            col = g.cols()[j]
             v = [a + c * b for a, b in zip(v, col)]
         assert member(side, g, v)
         # coordinates in a basis are unique, so one coordinate with a
         # z^-1 (a z on '-') puts the vector outside
         j = rng.randrange(n)
         off = _to_plus(side, zpow(-1))
-        bad = [a + off * b for a, b in zip(v, g.col(j))]
+        bad = [a + off * b for a, b in zip(v, g.cols()[j])]
         assert not member(side, g, bad)
         # class representatives are polynomial, so a z^-1 entry is outside
         c = LatticeClass("+", _to_plus(side, g)).mat
         j = next(
-            j for j in range(n) if any(a and a.val0() == 0 for a in c.col(j))
+            j for j in range(n) if any(a and a.val0() == 0 for a in c.cols()[j])
         )
-        bad = [a.shift(-1) for a in c.col(j)]
+        bad = [a.shift(-1) for a in c.cols()[j]]
         assert not member("+", c, bad)
 
 

@@ -493,9 +493,31 @@ def test_sl_loop_pair_inverts_g_q_by_its_sharp(monkeypatch):
         assert g == unitary_loop(p) @ unitary_loop(q).inv()
 
 
+def test_sl_loop_pair_checks_each_projector_once(monkeypatch):
+    """sl_loop_pair checks p and q once each and builds both loops from
+    the checked projectors: two projector checks, not four."""
+    checked = []
+    is_projector = veronese._is_projector
+    monkeypatch.setattr(
+        veronese, "_is_projector", lambda m: checked.append(m) or is_projector(m)
+    )
+    p, q = pi_projector(2, 1), projector_of([[1, 0]])
+    g = sl_loop_pair(p, q)
+    assert checked == [p, q]
+    assert g == unitary_loop(p) @ unitary_loop(q).sharp()
+
+
 def test_sl_loop_pair_rank_mismatch():
     with pytest.raises(DomainError):
         sl_loop_pair(pi_projector(3, 1), pi_projector(3, 2))
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["p", "q"])
+def test_sl_loop_pair_rejects_a_non_projector(first):
+    bad = LMat([[QI_ONE, QI_ONE], [QI_ZERO, QI_ONE]])
+    good = pi_projector(2, 1)
+    with pytest.raises(DomainError, match="sl_loop_pair needs two projectors"):
+        sl_loop_pair(*((bad, good) if first else (good, bad)))
 
 
 def test_gauge_constant_unitary_is_conjugation():
