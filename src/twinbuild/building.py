@@ -45,10 +45,12 @@ element, project_twin its longest.
 
 The engine records its column operations, so each run also returns b:
 ``bruhat_factors`` gives the Iwahori-Bruhat factorisation (same sides) or
-the Birkhoff factorisation (opposite sides).  A gate is c.rep r N = d.rep
-b N (r = c.rep^{-1} d.rep b the reduced matrix, N monomial), built by
-replaying the operations on the columns of d.rep, and every chamber the
-library builds carries its inverse as a lazy product of known pieces:
+the Birkhoff factorisation (opposite sides).  It returns its reduced
+columns, not a matrix, and rescans only the column an operation changed.
+A gate is c.rep r N = d.rep b N (r = c.rep^{-1} d.rep b the reduced
+matrix, N monomial), built by replaying the operations on the columns
+of d.rep, and every chamber the library builds carries its inverse as a
+lazy product of known pieces:
 G^{-1} = N^{-1} b^{-1} d.rep^{-1} replays them as row operations on d's
 inverse, then moves rows.  The common basis x = cp.rep b, the panel
 chambers and the decoded chambers invert the same way.  The minor table
@@ -67,8 +69,9 @@ is the same step on its carrier g: the chambers through the panel of
 cotype s are g and the g x_s(t) n_s, t in Q(i) (see panel_chamber).  The
 step and its inverse are lattice's (_root_cols, _root_rows), and a cell
 coordinate and a panel parameter are read the same way, off the engine
-run each already makes (_read).  The pair keeps x on cp, so a decode
-after an encode over the same objects runs no engine.
+run each already makes (_read, which moves columns inside the rows).
+The pair keeps x on cp, so a decode after an encode over the same
+objects runs no engine.
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ def _moved(vecs, u, coeffs, sign):
     for j, v in enumerate(u):
         k, r = divmod(v - 1, n)
         c, vec, k = coeffs[j] if coeffs else QI_ONE, vecs[r], sign * k
-        if c != QI_ONE:
+        if c.b or c.a != c.d:
             vec = [_lp({e + k: c * x for e, x in a.coeffs.items()}) for a in vec]
         elif k:
             vec = [a.shift(k) for a in vec]
@@ -147,23 +150,23 @@ def _moved(vecs, u, coeffs, sign):
     return out
 
 
-def _move_cols(mat: LMat, u, coeffs=None) -> LMat:
-    """mat n_u diag(coeffs), by moving columns: column j of the product is
-    c z^{-k} times column r of mat, where u(j) - 1 = r + n k and c is
-    coeffs[j]."""
-    return LMat._of(zip(*_moved(mat.cols(), u, coeffs, -1)))
+def _move_cols(cols, u, coeffs=None) -> LMat:
+    """mat n_u diag(coeffs), for the columns of mat, by moving columns:
+    column j of the product is c z^{-k} times column r of mat, where
+    u(j) - 1 = r + n k and c is coeffs[j]."""
+    return LMat._of(zip(*_moved(cols, u, coeffs, -1)))
 
 
-def _move_rows(mat: LMat, u, coeffs=None) -> LMat:
-    """diag(coeffs) n_u^{-1} mat, by moving rows: row j of the product is
-    c z^k times row r of mat, where u(j) - 1 = r + n k and c is coeffs[j].
-    So (mat n_u diag(c))^{-1} = _move_rows(mat^{-1}, u, 1/c)."""
-    return LMat._of(_moved(mat.rows, u, coeffs, 1))
+def _move_rows(rows, u, coeffs=None) -> LMat:
+    """diag(coeffs) n_u^{-1} mat, for the rows of mat, by moving rows: row j
+    of the product is c z^k times row r of mat, where u(j) - 1 = r + n k and
+    c is coeffs[j].  So (mat n_u diag(c))^{-1} = _move_rows(mat^{-1}.rows, u, 1/c)."""
+    return LMat._of(_moved(rows, u, coeffs, 1))
 
 
 def _moved_inverse(inv_of, u):
     """(mat n_u)^{-1} = _move_rows(mat^{-1}, u), with inv_of() = mat^{-1}."""
-    return _move_rows(inv_of(), u)
+    return _move_rows(inv_of().rows, u)
 
 
 class Chamber:
@@ -201,7 +204,7 @@ class Chamber:
             # Normalise (module notes): n_u is the power of the chain shift
             # that takes the determinant valuation d to 0.
             u = range(1 + d, rep.nrows + 1 + d)
-            rep, inv_of = _move_cols(rep, u), partial(_moved_inverse, inv_of, u)
+            rep, inv_of = _move_cols(rep.cols(), u), partial(_moved_inverse, inv_of, u)
         self._set(side, rep, None, inv_of)
 
     @classmethod
@@ -306,16 +309,14 @@ def standard_chamber(side, n: int) -> Chamber:
 
 
 class Simplex:
-    """A face of a chamber: the vertex classes at the kept types."""
+    """A face of a chamber: the vertex classes at the kept types (0..n-1)."""
 
     __slots__ = ("carrier", "kept_types")
 
     def __init__(self, carrier: Chamber, kept_types):
-        kept = frozenset(kept_types)
+        kept = frozenset(map(carrier._type, kept_types))
         if not kept:
             raise DomainError("empty face")
-        if not kept <= set(range(carrier.n)):
-            raise DomainError("kept types must be vertex types 0..n-1")
         self.carrier = carrier
         self.kept_types = kept
 
@@ -392,7 +393,7 @@ def weyl_matrix(elt: AffineWeylElt) -> LMat:
     [0, z^-1]
     [z, 0]
     """
-    return _move_cols(LMat.identity(len(elt.window)), elt.window)
+    return _move_cols(LMat.identity(len(elt.window)).cols(), elt.window)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +421,9 @@ def weyl_matrix(elt: AffineWeylElt) -> LMat:
 # reduced column's leading point strictly increases in key order and the
 # exponents stay inside a window fixed by the determinant, so the loop
 # terminates with all leading rows distinct.  Reading off the leading
-# monomials gives the relative position.
+# monomials gives the relative position.  Only the reduced column changes
+# in an operation, so the engine keeps every column's lead and rescans
+# just the columns it reduced.
 #
 # Each operation col_j2 -= f col_jr is recorded as (j2, f, jr), so b, the
 # product of the operations, is known without a matrix product: replayed
@@ -443,10 +446,11 @@ def _lead(col, key_plus):
 def _reduce(cols, key_plus, ops_plus):
     """Reduce columns in place until leading rows are distinct; returns
     the final leadings [(exponent, row, coefficient)] and the operations
-    [(j2, f, jr)] in the order they were made."""
+    [(j2, f, jr)] in the order they were made.  Each column is scanned
+    (``_lead``) once at the start and once after each operation on it."""
     ops = []
+    leads = [_lead(c, key_plus) for c in cols]
     while True:
-        leads = [_lead(c, key_plus) for c in cols]
         byrow = {}
         for j, (e, i, _) in enumerate(leads):
             byrow.setdefault(i, []).append(j)
@@ -468,6 +472,7 @@ def _reduce(cols, key_plus, ops_plus):
             e2, _, c2 = leads[j2]
             f = LaurentPoly({e2 - er: c2 / cr})
             cols[j2] = _col_sub(cols[j2], f, cols[jr])
+            leads[j2] = _lead(cols[j2], key_plus)
             ops.append((j2, f, jr))
 
 
@@ -475,11 +480,12 @@ def _relpos(c: Chamber, d: Chamber):
     """Normal form of a = c.rep^{-1} d.rep relative to (c's Borel, d's
     Borel).
 
-    Returns (u, r, leads, ops): the window of the monomial read-off, the
-    reduced matrix r = a b (b in d's Borel, the product of the engine's
-    column operations ops), and the leading monomials of r.  Equal
-    representatives (by value) give a = 1 with no minor table and no
-    product, and the engine returns (1, 1, unit leads, []).
+    Returns (u, cols, leads, ops): the window of the monomial read-off,
+    the engine's columns of the reduced matrix r = a b (b in d's Borel, the
+    product of the engine's column operations ops; no LMat is built for
+    r), and the leading monomials of r.  Equal representatives (by value)
+    give a = 1 with no minor table and no product, and the engine returns
+    (1, the columns of 1, unit leads, []).
     """
     if c.n != d.n:
         raise DomainError("dimension mismatch")
@@ -492,29 +498,25 @@ def _relpos(c: Chamber, d: Chamber):
     u = tuple(i + 1 - n * e for e, i, _ in leads)
     if sum(e for e, _, _ in leads):
         raise DomainError("read-off shifts do not sum to 0; not an affine Weyl element")
-    return u, LMat._of(zip(*cols)), leads, ops
+    return u, cols, leads, ops
 
 
-def _replay_cols(ops, mat: LMat) -> LMat:
-    """mat b, for b the product of the engine operations ops: mat itself
-    when there are none."""
-    if not ops:
-        return mat
-    cols = mat.cols()
+def _replay_cols(ops, cols):
+    """The columns of mat b, for the list ``cols`` of mat's columns
+    (changed in place and returned) and b the product of the engine
+    operations ops."""
     for j2, f, jr in ops:
         cols[j2] = _col_sub(cols[j2], f, cols[jr])
-    return LMat._of(zip(*cols))
+    return cols
 
 
-def _replay_rows(ops, mat: LMat) -> LMat:
-    """b^{-1} mat, for b the product of the engine operations ops: mat
-    itself when there are none."""
-    if not ops:
-        return mat
-    rows = list(mat.rows)
+def _replay_rows(ops, rows):
+    """The rows of b^{-1} mat, for the list ``rows`` of mat's rows (changed
+    in place and returned) and b the product of the engine operations
+    ops."""
     for j2, f, jr in ops:
         rows[jr] = _col_sub(rows[jr], -f, rows[j2])
-    return LMat._of(rows)
+    return rows
 
 
 def _lead_move(rel, w):
@@ -531,17 +533,18 @@ def _gate(side, d: Chamber, rel, w) -> Chamber:
     """The chamber c.rep b_L n_w on the given side, for rel = _relpos(c, d):
     c.rep b_L is the basis of an apartment through c, with c at the
     identity, and this is its chamber at w.  As c.rep r = d.rep b, its
-    representative is G = d.rep b N, N = n_v diag(lc)^{-1}, and it carries
-    G^{-1} = N^{-1} b^{-1} d.rep^{-1}."""
+    representative is G = d.rep b N, N = n_v diag(lc)^{-1}: the operations
+    replayed on d.rep's columns, which are then moved and scaled, one
+    matrix built.  It carries G^{-1} = N^{-1} b^{-1} d.rep^{-1}."""
     v, lc = _lead_move(rel, w)
-    rep = _move_cols(_replay_cols(rel[3], d.rep), v, [x.inverse() for x in lc])
+    rep = _move_cols(_replay_cols(rel[3], d.rep.cols()), v, [x.inverse() for x in lc])
     return Chamber._built(side, rep, d, partial(_gate_inverse, rel[3], v, lc))
 
 
 def _gate_inverse(ops, v, lc, inv: LMat) -> LMat:
     """N^{-1} b^{-1} inv, for b the product of ops and N = n_v diag(lc)^{-1}
     (see _gate)."""
-    return _move_rows(_replay_rows(ops, inv), v, lc)
+    return _move_rows(_replay_rows(ops, list(inv.rows)), v, lc)
 
 
 def bruhat_factors(c: Chamber, d: Chamber):
@@ -559,11 +562,12 @@ def bruhat_factors(c: Chamber, d: Chamber):
     (0, True)
     """
     rel = _relpos(c, d)
-    u, r, leads, ops = rel
+    u, cols, leads, ops = rel
     v, lc = _lead_move(rel, widentity(c.n))
-    b_l = _move_cols(r, v, [x.inverse() for x in lc])
+    b_l = _move_cols(cols, v, [x.inverse() for x in lc])
     t = LMat.diag([x for _, _, x in leads])
-    return b_l, AffineWeylElt.from_window(u), t, _replay_cols(ops, LMat.identity(c.n))
+    b = LMat.from_cols(_replay_cols(ops, LMat.identity(c.n).cols()))
+    return b_l, AffineWeylElt.from_window(u), t, b
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +702,10 @@ def _common_chamber(cm: Chamber, cp: Chamber) -> Chamber:
     if rel[0] != widentity(cm.n):
         raise DomainError("chambers are not opposite")
     ops = rel[3]
-    x = _replay_cols(ops, cp.rep)
-    lc = [next(a.coeffs[a.val0()] for a in col if a) for col in x.cols()]
+    cols = _replay_cols(ops, cp.rep.cols())
+    lc = [next(a.coeffs[a.val0()] for a in col if a) for col in cols]
     ident = widentity(cm.n)
-    rep = _move_cols(x, ident, [c.inverse() for c in lc])
+    rep = _move_cols(cols, ident, [c.inverse() for c in lc])
     return Chamber._built("+", rep, cp, partial(_gate_inverse, ops, ident, lc))
 
 
@@ -734,21 +738,22 @@ def _read(rel, word, side):
     _relpos(g, c), for c = g x_{s_1}(t_1) n_{s_1} ... x_{s_l}(t_l) n_{s_l}
     B on the given side: the run writes c = g b n_w B with b in the side's
     Borel.  For each letter s, t is b's entry at the root (i, j, e) of s,
-    at z^e, over b_jj at z^0; then b becomes n_s^{-1} x_s(-t) b n_s.  The
+    at z^e, over b_jj at z^0; then b becomes n_s^{-1} x_s(-t) b n_s: a row
+    step, then n_s as a swap inside each row (entry i takes z^-e times
+    entry j, entry j z^e times entry i; see _root_cols).  The engine's
     columns are moved but not divided by their lead coefficients: b is
     read up to a constant right diagonal, which cancels in each ratio
     (both entries sit in column j) and stays diagonal through the row
     steps and column moves."""
     n = len(rel[0])
-    rows = list(_move_cols(rel[1], winvert(rel[0])).rows)
+    rows = [list(row) for row in zip(*_moved(rel[1], winvert(rel[0]), None, -1))]
     for s in word:
         i, j, e = _root(s, n, side)
         t = rows[i][j].coeff(e) / rows[j][j].coeff(0)
         yield t
         _root_rows(rows, s, t, side)
-        cols = list(zip(*rows))
-        _root_cols(cols, s, 0, side)
-        rows = list(zip(*cols))
+        for row in rows:
+            row[i], row[j] = (row[j].shift(-e), row[i].shift(e)) if e else (row[j], row[i])
 
 
 def panel_chamber(panel: Simplex, t) -> Chamber:

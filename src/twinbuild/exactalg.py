@@ -45,16 +45,17 @@ systems of ``veronese.caveat_check``, where it returns only the rank.
 
 Every Laurent product and difference runs through one of two integer
 kernels.  ``_mul_acc`` adds products into unreduced integer triples and
-``_poly_of`` normalises each finished coefficient once: ``f * g``, the
-entries of a matrix product, the minor tables and the cofactors of
-``inv``.  ``_mul_sub`` adds -q*b into ``a`` on the same integer triples
-and normalises each touched coefficient once: ``f - g`` (as f - 1*g), the
-remainder of ``poly_divmod`` (and so ``divexact``, ``poly_gcd`` and
-``qi_roots``), and through ``_col_sub`` the column operations of the
-lattice Hermite form, its back substitution and the building's reduction
-engine.  Neither kernel builds a temporary LaurentPoly or a per-term
-GaussRat, so they do not show in counts of GaussRat operator calls.  Sums
-``f + g`` add coefficient by coefficient, and scaling by a monomial z^k
+``_poly_of`` (``_coeffs_of`` for a bare coefficient dict) normalises each
+finished coefficient once: ``f * g``, the entries of a matrix product,
+the minor tables and the cofactors of ``inv``.  ``_mul_sub`` adds -q*b
+into ``a`` on the same integer triples and normalises each touched
+coefficient once: ``f - g`` (as f - 1*g), the remainder of
+``poly_divmod`` (and so ``divexact``, ``poly_gcd`` and ``qi_roots``),
+and through ``_col_sub`` the column operations of the lattice Hermite
+form, its back substitution and the building's reduction engine.
+Neither kernel builds a temporary LaurentPoly or a per-term GaussRat, so
+they do not show in counts of GaussRat operator calls.  Sums ``f + g``
+add coefficient by coefficient, and scaling by a monomial z^k
 (``LMat.scale``) shifts exponents.
 
 Values from outside reach a polynomial or a matrix through one coercion:
@@ -979,9 +980,8 @@ class LMat:
                     b = below.get(t_mask)
                     if b is not None:
                         odd = (flip + j + _shuffle_parity(s_mask, t_mask)) % 2
-                        _mul_acc(acc, a.coeffs, b.coeffs, odd)
-                cof = _poly_of(acc)
-                if cof:
+                        _mul_acc(acc, a, b, odd)
+                if cof := _coeffs_of(acc):
                     out[j][i] = _over_det(cof, 0, dinv)
         return LMat._of(out)
 
@@ -1002,18 +1002,21 @@ def _check_shape(rows):
 
 
 # Minors are memoised in tables: dicts from a column bitmask S to the
-# nonzero minor on the rows added so far and the columns in S; a zero
-# minor is not stored.  A chain starts at the empty minor 1 and the row
+# coefficient dict of the nonzero minor on the rows added so far and the
+# columns in S (a zero minor is not stored), the form ``_mul_acc`` reads;
+# no table or dict is changed once built.  Only the determinant
+# (``_chain_det``) and the finished cofactors of ``inv`` (``_over_det``)
+# become LaurentPolys.  A chain starts at the empty minor 1 and the row
 # table (the first row's nonzero entries by column), then takes one
 # ``_extend_minors`` pass per further row, about n*2^(n-1) products each.
-_ONE_TABLE = {0: LP_ONE}
+_ONE_TABLE = {0: LP_ONE.coeffs}
 
 
 def _minor_chain(rows):
     """Entry i is the minor table of rows[:i]."""
     chain = [_ONE_TABLE]
     if rows:
-        chain.append({1 << c: a for c, a in enumerate(rows[0]) if a})
+        chain.append({1 << c: a.coeffs for c, a in enumerate(rows[0]) if a.coeffs})
         for row in rows[1:]:
             chain.append(_extend_minors(chain[-1], row))
     return chain
@@ -1025,19 +1028,20 @@ _top_minors = _minor_chain
 
 def _chain_det(top) -> LaurentPoly:
     """The determinant read off a top minor chain."""
-    return top[-1].get((1 << (len(top) - 1)) - 1, LP_ZERO)
+    return _lp(top[-1].get((1 << (len(top) - 1)) - 1, {}))
 
 
 def _extend_minors(table, row):
     """The minor table after appending ``row`` below the rows of ``table``.
 
     Laplace expansion along the new last row: on columns S + {c}, the entry
-    in column c carries the sign (-1)^(number of columns of S past c).
+    in column c carries the sign (-1)^(number of columns of S past c).  The
+    sums are normalised as by ``_coeffs_of``, inline: a call per minor costs
+    a measurable share of a dense determinant.
     """
-    entries = [(c, 1 << c, a.coeffs) for c, a in enumerate(row) if a]
+    entries = [(c, 1 << c, a.coeffs) for c, a in enumerate(row) if a.coeffs]
     accs = {}
     for s_mask, minor in table.items():
-        minor = minor.coeffs
         for c, bit, a in entries:
             if s_mask & bit:
                 continue
@@ -1046,7 +1050,10 @@ def _extend_minors(table, row):
             if acc is None:
                 acc = accs[key] = {}
             _mul_acc(acc, a, minor, (s_mask >> c).bit_count() & 1)
-    return {key: p for key, acc in accs.items() if (p := _poly_of(acc)).coeffs}
+    return {
+        key: p for key, acc in accs.items()
+        if (p := {e: _qi(a, b, d) for e, (a, b, d) in acc.items() if a or b})
+    }
 
 
 def _mul_acc(acc, f, g, negate=False):
@@ -1119,27 +1126,32 @@ def _col_sub(col_a, q, col_b):
     are."""
     q = q.coeffs
     return [
-        _lp(_mul_sub(dict(a.coeffs), q, b.coeffs)) if b else a
+        _lp(_mul_sub(dict(a.coeffs), q, b.coeffs)) if b.coeffs else a
         for a, b in zip(col_a, col_b)
     ]
 
 
+def _coeffs_of(acc) -> dict:
+    """The coefficient dict of an accumulator of ``_mul_acc``: each nonzero
+    sum normalised once by ``_qi``, the sums that cancelled dropped."""
+    return {e: _qi(a, b, d) for e, (a, b, d) in acc.items() if a or b}
+
+
 def _poly_of(acc) -> LaurentPoly:
-    """The LaurentPoly of an accumulator of ``_mul_acc``: each nonzero sum
-    normalised once by ``_qi``, the sums that cancelled dropped."""
-    return _lp({e: _qi(a, b, d) for e, (a, b, d) in acc.items() if a or b})
+    """The LaurentPoly of an accumulator of ``_mul_acc`` (``_coeffs_of``)."""
+    return _lp(_coeffs_of(acc))
 
 
 def _over_det(f, odd, dinv) -> LaurentPoly:
-    """The finished cofactor f, negated when ``odd``, over the unit
-    determinant: one ``_mul_acc`` by ``dinv``, the coefficients of 1/det,
-    or, when the determinant is 1 (``dinv`` None), the sign alone, taken
-    on the integer triples."""
+    """The finished cofactor of coefficient dict f, negated when ``odd``,
+    over the unit determinant: one ``_mul_acc`` by ``dinv``, the
+    coefficients of 1/det, or, when the determinant is 1 (``dinv`` None),
+    the sign alone, taken on the integer triples."""
     if dinv is not None:
-        return _poly_of(_mul_acc({}, f.coeffs, dinv, odd))
+        return _poly_of(_mul_acc({}, f, dinv, odd))
     if odd:
-        return _lp({k: _qi(-q.a, -q.b, q.d) for k, q in f.coeffs.items()})
-    return f
+        return _lp({k: _qi(-q.a, -q.b, q.d) for k, q in f.items()})
+    return _lp(f)
 
 
 def _shuffle_parity(s_mask, t_mask) -> int:

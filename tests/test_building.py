@@ -6,6 +6,7 @@ import gc
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from twinbuild import building, exactalg, lattice
 from twinbuild.building import (
     Chamber,
+    Simplex,
     _common_chamber,
     _gate,
     _relpos,
@@ -207,6 +209,23 @@ def test_a_type_outside_the_chain_is_rejected(side):
             c.vertex(t)
     assert c.panel(2).kept_types == {0, 1}
     assert c.vertex(2) == c.chain_classes[2]
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_a_kept_type_is_checked_as_a_vertex_type(side):
+    """Simplex reads each kept type as Chamber.vertex reads a type: a
+    float (1.0 too, though it equals 1), a string or a type outside 0..n-1
+    raises DomainError naming it, so no face holds a type that classes,
+    project or project_twin would misread."""
+    c = standard_chamber(side, 3)
+    for bad in (1.0, 2.5, "1", -1, 3, None):
+        for kept in ([bad], [bad, 2], [0, 2, bad]):
+            with pytest.raises(DomainError, match=r"vertex types are 0\.\.2, got " + re.escape(repr(bad))):
+                Simplex(c, kept)
+            with pytest.raises(DomainError, match="vertex types"):
+                c.face(kept)
+    face = Simplex(c, [1, 2, 1])
+    assert face.kept_types == {1, 2} and face.classes == {c.vertex(1), c.vertex(2)}
 
 
 # ---------------------------------------------------------------------------
@@ -1238,15 +1257,90 @@ def test_round_trip_inverts_only_the_callers_chambers(monkeypatch):
             assert {id(m) for m in inverted} == {id(cp.rep)}
 
 
-def engine_on_the_product(c, d):
+def engine_on_the_product(c, d, reduce=building._reduce):
     """The oracle route of _relpos: the minor-table (or carried) inverse
-    of c times d.rep, then the engine, with no shortcut for equal
-    representatives."""
+    of c times d.rep, then the engine (``reduce``), with no shortcut for
+    equal representatives.  Returns (u, the reduced columns, leads, ops)."""
     n = c.n
     cols = [list(col) for col in zip(*(c._inverse() @ d.rep).rows)]
-    leads, ops = building._reduce(cols, c.side == "+", d.side == "+")
+    leads, ops = reduce(cols, c.side == "+", d.side == "+")
     u = tuple(i + 1 - n * e for e, i, _ in leads)
-    return u, LMat._of(zip(*cols)), leads, ops
+    return u, cols, leads, ops
+
+
+def full_rescan_reduce(cols, key_plus, ops_plus):
+    """The reduction engine as it was before it kept its leads, the oracle
+    of building._reduce: every pass scans every column (building._lead),
+    then the admissible column of the first clashing row reduces the
+    others."""
+    ops = []
+    while True:
+        leads = [building._lead(c, key_plus) for c in cols]
+        byrow = {}
+        for j, (e, i, _) in enumerate(leads):
+            byrow.setdefault(i, []).append(j)
+        clash = next((js for js in byrow.values() if len(js) > 1), None)
+        if clash is None:
+            return leads, ops
+        if ops_plus:
+            jr = min(clash, key=lambda j: (leads[j][0], j))
+        else:
+            jr = min(clash, key=lambda j: (-leads[j][0], -j))
+        er, _, cr = leads[jr]
+        for j2 in clash:
+            if j2 != jr:
+                e2, _, c2 = leads[j2]
+                f = LaurentPoly({e2 - er: c2 / cr})
+                cols[j2] = exactalg._col_sub(cols[j2], f, cols[jr])
+                ops.append((j2, f, jr))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    sides=st.sampled_from(["++", "+-", "-+", "--"]),
+    planted=st.booleans(),
+)
+def test_the_engine_keeps_the_leads_a_full_rescan_finds(seed, n, sides, planted):
+    """_relpos, whose engine rescans only the column an operation changed,
+    returns the window, reduced columns, leads and operations of the
+    full-rescan engine, on planted pairs (x b, x n_w b') and random pairs,
+    with one _lead scan per column and one per operation, never more than
+    the full rescan.  An operation beyond the oracle's count fails at once,
+    so an engine whose leads go stale stops instead of looping."""
+    rng = random.Random(seed)
+    if planted:
+        x = rand_sl(rng, n)
+        w = word_to_affine(rand_affine_word(rng, n, n + 2), n)
+        c = chamber_from_basis(sides[0], x @ rand_borel(rng, n, sides[0]))
+        d = chamber_from_basis(sides[1], x @ weyl_matrix(w) @ rand_borel(rng, n, sides[1]))
+    else:
+        c, d = rand_chamber(rng, n, sides[0]), rand_chamber(rng, n, sides[1])
+    c._inverse()
+    scans, made = [], []
+    lead, col_sub = building._lead, building._col_sub
+
+    def counted(col, key_plus):
+        scans.append(None)
+        return lead(col, key_plus)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(building, "_lead", counted)
+        want = engine_on_the_product(c, d, full_rescan_reduce)
+        full = len(scans)
+
+        def bounded(col_a, f, col_b):
+            made.append(None)
+            assert len(made) <= len(want[3]), "more operations than the full rescan"
+            return col_sub(col_a, f, col_b)
+
+        mp.setattr(building, "_col_sub", bounded)
+        scans.clear()
+        got = _relpos(c, d)
+    event(f"operations: {min(len(want[3]), 4)}")
+    assert got == want
+    assert len(scans) == n + len(got[3]) <= full
 
 
 def common_basis_by_the_product(cm, cp):
@@ -1345,10 +1439,10 @@ def test_a_round_trip_on_one_basis_inverts_and_multiplies_once(monkeypatch):
 
 
 def test_coordinates_are_read_up_to_a_constant_right_diagonal():
-    """_read gives the same coordinates off r and off r D, for a random
-    constant invertible diagonal D (the lead coefficients scaled to
-    match): on cell coordinates (plus side) and on panel parameters
-    (both sides)."""
+    """_read gives the same coordinates off the engine's columns of r and
+    of r D, for a random constant invertible diagonal D (the lead
+    coefficients scaled to match): on cell coordinates (plus side) and on
+    panel parameters (both sides)."""
     rng = random.Random(3803)
     cases = []
     for n in (2, 3):
@@ -1362,12 +1456,12 @@ def test_coordinates_are_read_up_to_a_constant_right_diagonal():
                 panel = carrier.panel(rng.randrange(n))
                 c = panel_chamber(panel, rand_gauss(rng))
                 cases.append((_relpos(carrier, c), panel.cotype_nodes(), side))
-    for (u, r, leads, ops), word, side in cases:
+    for (u, cols, leads, ops), word, side in cases:
         scale = [rand_gauss(rng) or GaussRat(1) for _ in u]
-        r_d = r @ LMat.diag([LaurentPoly({0: c}) for c in scale])
+        cols_d = [[a * k for a in col] for col, k in zip(cols, scale)]
         leads_d = [(e, i, c * k) for (e, i, c), k in zip(leads, scale)]
-        got = list(building._read((u, r_d, leads_d, ops), word, side))
-        assert got == list(building._read((u, r, leads, ops), word, side))
+        got = list(building._read((u, cols_d, leads_d, ops), word, side))
+        assert got == list(building._read((u, cols, leads, ops), word, side))
         assert len(got) == len(word)
 
 
@@ -1478,15 +1572,17 @@ def test_built_chambers_pickle_with_their_inverse():
 @pytest.mark.parametrize("sides", ["++", "+-", "-+", "--"])
 def test_recorded_operations_give_b_and_its_inverse(sides):
     """The operations of one engine run, replayed on the columns of 1,
-    give bruhat_factors' b with a b = r; replayed as row operations they
-    give b^{-1} (the minor-table inverse)."""
+    give bruhat_factors' b with a b = r, r the matrix of the engine's
+    columns; replayed as row operations they give b^{-1} (the
+    minor-table inverse)."""
     rng = random.Random(2802)
     for n in (2, 3, 4):
         c, d = rand_chamber(rng, n, sides[0]), rand_chamber(rng, n, sides[1])
-        _, r, _, ops = _relpos(c, d)
+        _, cols, _, ops = _relpos(c, d)
+        r = LMat.from_cols(cols)
         b_l, w, t, b = bruhat_factors(c, d)
         assert c.rep.inv() @ d.rep @ b == r == b_l @ weyl_matrix(w) @ t
-        assert _replay_rows(ops, LMat.identity(n)) == b.inv()
+        assert LMat._of(_replay_rows(ops, list(LMat.identity(n).rows))) == b.inv()
         assert borel_membership(sides[1], b)
 
 

@@ -3,12 +3,14 @@ import itertools
 import math
 import pickle
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbuild.building import weyl_matrix
+from twinbuild.building import decode_coords, standard_chamber, weyl_matrix
 from twinbuild.cells import loop_poincare
 from twinbuild.errors import DomainError
 from twinbuild.exactalg import LMat, LP_ZERO, zpow
@@ -191,6 +193,37 @@ def test_a_word_outside_the_diagram_is_a_domain_error():
     for word in [(0, 1), (1, 3), (-1, 1)]:
         with pytest.raises(DomainError, match="outside 1..2"):
             word_to_window(word, A2)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    label=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-3, 5).map(str),
+        st.fractions(),
+    )
+)
+@example(label=1.5)
+@example(label=2.0)
+@example(label="2")
+@example(label=Fraction(1))
+def test_a_generator_label_that_is_not_an_integer_is_a_type_error(label):
+    """A generator label is read through ``operator.index``, as the rank
+    is: a float, a numeric string or a Fraction, also one equal to a label
+    in range, raises a TypeError naming it, in a word (word_to_affine,
+    word_to_window, and so decode_coords) and in a subset
+    (min_coset_reps), instead of being truncated to an int."""
+    cp, dm = standard_chamber("+", 3), standard_chamber("-", 3)
+    calls = [
+        lambda: word_to_affine((label,), 3),
+        lambda: word_to_window((1, label), A2),
+        lambda: min_coset_reps(AF4, {label}, 1),
+        lambda: min_coset_reps(AF4, [1], 1, within=[1, label]),
+        lambda: decode_coords(cp, dm, (label,), [1]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="generator label must be an integer, got " + re.escape(repr(label))):
+            call()
 
 
 def test_constructor_refuses_other_kinds_and_entry_tables():

@@ -536,8 +536,9 @@ def test_inverse_takes_no_laurent_product(n, data):
 
 
 def assert_chain_is_the_oracle(chain, rows, ncols):
-    """Level k of a minor chain holds the minor of rows[:k] on each set of
-    k columns, by ``cofactor_det``, and no zero minor."""
+    """Level k of a minor chain holds the coefficient dict of the minor of
+    rows[:k] on each set of k columns, by ``cofactor_det``, and no zero
+    minor."""
     assert len(chain) == len(rows) + 1
     for k, table in enumerate(chain):
         want = {}
@@ -546,8 +547,8 @@ def assert_chain_is_the_oracle(chain, rows, ncols):
                 cols = [c for c in range(ncols) if mask >> c & 1]
                 minor = cofactor_det([[row[c] for c in cols] for row in rows[:k]])
                 if minor:
-                    want[mask] = minor
-        assert all(table.values())
+                    want[mask] = minor.coeffs
+        assert all(type(f) is dict and f for f in table.values())
         assert table == want
 
 
