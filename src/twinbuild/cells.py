@@ -10,6 +10,8 @@ coefficientwise comparison of the two that underlies the classical
 low-degree equivalence between Gr_k(C^{2k}) and the loop space.
 """
 
+from collections import Counter
+
 from .coxeter import (
     CoxeterMatrix,
     _check_subset,
@@ -23,7 +25,7 @@ from .coxeter import (
     wlength,
     word_to_window,
 )
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .record import Record
 
 __all__ = [
@@ -50,10 +52,10 @@ class PoincareSeries(Record):
     __slots__ = ("coeffs", "truncation")
 
     def __init__(self, coeffs, truncation):
-        truncation = int(truncation)
+        truncation = _integer(truncation, "truncation degree")
         if truncation < 0:
             raise DomainError("truncation degree must be >= 0")
-        cs = [int(c) for c in coeffs]
+        cs = [_integer(c, "Poincare coefficient") for c in coeffs]
         if any(c < 0 for c in cs):
             raise DomainError("Poincare coefficients must be nonnegative")
         if len(cs) > truncation + 1:
@@ -65,11 +67,9 @@ class PoincareSeries(Record):
     @classmethod
     def from_dims(cls, dims, truncation):
         """Count a multiset of cell dimensions into a series."""
-        cs = [0] * (truncation + 1)
-        for d in dims:
-            if 0 <= d <= truncation:
-                cs[d] += 1
-        return cls(cs, truncation)
+        truncation = _integer(truncation, "truncation degree")
+        counts = Counter(_integer(d, "cell dimension") for d in dims)
+        return cls([counts[d] for d in range(truncation + 1)], truncation)
 
     def cell_dims(self):
         """The multiset of cell dimensions, sorted ascending.
@@ -84,6 +84,7 @@ class PoincareSeries(Record):
 
     def agrees_through(self, other: "PoincareSeries", degree: int) -> bool:
         """Coefficientwise equality for all degrees <= degree."""
+        degree = _integer(degree, "degree")
         if degree > self.truncation or degree > other.truncation:
             raise DomainError("comparison degree exceeds a truncation window")
         return self.coeffs[: degree + 1] == other.coeffs[: degree + 1]
@@ -115,6 +116,7 @@ def cell_dim(M: CoxeterMatrix, J, w, panel_dim=2) -> int:
     >>> cell_dim(M, {1, 3}, ())
     0
     """
+    panel_dim = _integer(panel_dim, "panel dimension")
     J = _check_subset(J, M)
     u, _ = coset_min_split(word_to_window(w, M), J)
     return panel_dim * wlength(u)
@@ -144,6 +146,7 @@ def schubert_poincare(M: CoxeterMatrix, J, w, truncation=None) -> PoincareSeries
     word = window_to_word(u, M)
     if truncation is None:
         truncation = 2 * len(word)
+    truncation = _integer(truncation, "truncation degree")
     top = truncation // 2
     # cell -> length.  The cells reached so far form a lower Bruhat ideal:
     # a shorter s*v is in it already, so a new cell met from length l has
@@ -164,6 +167,7 @@ def loop_poincare(n: int, truncation: int) -> PoincareSeries:
     >>> print(loop_poincare(2, 6))
     1 + t^2 + t^4 + t^6
     """
+    truncation = _integer(truncation, "truncation degree")
     if truncation < 0:
         raise DomainError("truncation degree must be >= 0")
     M = coxeter_matrix("affine-A", n)
@@ -189,6 +193,8 @@ def bott_equivalence_check(k: int, through_degree: int) -> bool:
     >>> bott_equivalence_check(2, 6)
     False
     """
+    k = _integer(k, "k")
+    through_degree = _integer(through_degree, "degree")
     if k < 1:
         raise DomainError("k must be >= 1")
     if through_degree < 0:

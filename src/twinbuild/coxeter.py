@@ -31,9 +31,7 @@ False
 
 from __future__ import annotations
 
-import operator
-
-from .errors import DomainError, check_rank
+from .errors import DomainError, _integer, check_rank
 from .record import Record
 
 __all__ = [
@@ -191,20 +189,12 @@ def wdescents_right(u):
 # ---------------------------------------------------------------------------
 
 
-def _label(i) -> int:
-    """A generator label as an int (``operator.index``, as ``check_rank``
-    reads n); any other type raises TypeError naming the label."""
-    try:
-        return operator.index(i)
-    except TypeError:
-        raise TypeError(f"generator label must be an integer, got {i!r}") from None
-
-
 def _word_window(word, rank, n):
     """Multiply out a word over the generators 1..rank into a window of
     size n."""
     u = widentity(n)
-    for i in map(_label, word):
+    for i in word:
+        i = _integer(i, "generator label")
         if not 1 <= i <= rank:
             raise DomainError(f"generator index {i} outside 1..{rank}")
         u = wcompose(u, wgen(i, n))
@@ -290,7 +280,7 @@ def bruhat_leq(v, w, M: CoxeterMatrix) -> bool:
 
 
 def _check_subset(J, M: CoxeterMatrix):
-    J = frozenset(map(_label, J))
+    J = frozenset(_integer(i, "generator label") for i in J)
     for i in J:
         if not 1 <= i <= M.rank:
             raise DomainError(f"generator index {i} outside 1..{M.rank}")

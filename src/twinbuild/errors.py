@@ -45,6 +45,14 @@ class VerificationError(TwinbuildError):
     """A self-check suite found a counterexample (CLI exit code 1)."""
 
 
+def _integer(x, what) -> int:
+    """``x`` as an int (``operator.index``), else TypeError naming it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {x!r}") from None
+
+
 def check_rank(n: int) -> int:
     """The rank parameter n as an int: TypeError unless it is an integer
     (``operator.index``), DomainError for n < 2 (SL_1 has no building)."""

@@ -37,11 +37,11 @@ The operators on polynomials and matrices:
 A constant matrix over Q(i) is an LMat with constant entries and uses
 the same operators, so there is one matrix product (``@``), one
 determinant (the minor table; ``charpoly`` is det(t*1 - A), with no
-division) and one inverse (``inv``).  There are two field eliminations:
-``rref`` on dense rows of GaussRat, behind ``kernel_basis``, for the
-small systems of subspaces and eigenspaces; and ``sparse_rank`` on rows
-held as dicts from column to GaussRat, for the banded eigenvector
-systems of ``veronese.caveat_check``, where it returns only the rank.
+division) and one inverse (``inv``).  There is one field elimination,
+``_echelon``, on rows held as dicts from column to GaussRat:
+``sparse_rank`` counts its pivots (for ``veronese.caveat_check``), and
+``rref`` adds back substitution on dense GaussRat rows, behind
+``kernel_basis``.
 
 Every Laurent product and difference runs through one of two integer
 kernels.  ``_mul_acc`` adds products into unreduced integer triples and
@@ -1170,52 +1170,23 @@ def mat_to_json(m: LMat):
 
 
 # ---------------------------------------------------------------------------
-# Field elimination (lists of GaussRat rows), characteristic polynomials
+# Field elimination (sparse GaussRat rows), characteristic polynomials
 # and their rational roots
 # ---------------------------------------------------------------------------
 
 
-def rref(rows):
-    """Reduced row echelon form of GaussRat rows; returns (new_rows,
-    pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def sparse_rank(rows) -> int:
-    """The rank of sparse rows over Q(i): each row a dict from column (an
-    int) to GaussRat, zero entries left out or dropped here.
-
-    The columns are eliminated in ascending order, each on the shortest
-    row still holding it, so a banded system keeps its band and the work
-    follows the nonzero entries, not rows times columns.
-    """
+def _echelon(rows):
+    """The forward pass of the one elimination over Q(i), on rows held as
+    dicts from column to GaussRat: {pivot column: the rest of its
+    normalised pivot row, as (column, value) pairs}.  Each column, in
+    ascending order, is pivoted on the shortest row still holding it, so
+    a banded system keeps its band.  The argument is not changed."""
     rows = [{c: x for c, x in row.items() if x} for row in rows]
     holders = {}
     for k, row in enumerate(rows):
         for c in row:
             holders.setdefault(c, set()).add(k)
-    rank = 0
+    echelon = {}
     for c in sorted(holders):
         live = holders[c]
         if not live:
@@ -1225,8 +1196,8 @@ def sparse_rank(rows) -> int:
         for col in pivot:
             holders[col].discard(p)
         inv = pivot.pop(c).inverse()
-        pivot = [(col, x * inv) for col, x in pivot.items()]
-        for k in tuple(live):
+        pivot = echelon[c] = [(col, x * inv) for col, x in pivot.items()]
+        for k in live:
             row = rows[k]
             f = row.pop(c)
             for col, x in pivot:
@@ -1238,9 +1209,37 @@ def sparse_rank(rows) -> int:
                 elif col in row:
                     del row[col]
                     holders[col].discard(k)
-        live.clear()
-        rank += 1
-    return rank
+    return echelon
+
+
+def rref(rows):
+    """Reduced row echelon form of GaussRat rows of one length (else
+    ValueError): (the reduced rows, padded with zero rows; the pivot
+    columns).  ``_echelon`` is the forward pass; each pivot is then
+    cleared from the rows above it in descending pivot order."""
+    rows = [dict(enumerate(r)) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("rref needs rows of one length")
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    reduced = {}
+    for c in reversed(pivots):
+        row = reduced[c] = dict(echelon[c])
+        for col in [col for col in row if col in reduced]:
+            x = row.pop(col)
+            for j, y in reduced[col].items():
+                row[j] = row.get(j, QI_ZERO) - x * y
+    dense = [[reduced[c].get(j, QI_ZERO) for j in range(ncols)] for c in pivots]
+    for r, c in enumerate(pivots):
+        dense[r][c] = QI_ONE
+    return dense + [[QI_ZERO] * ncols for _ in range(len(rows) - len(pivots))], pivots
+
+
+def sparse_rank(rows) -> int:
+    """The rank of rows held as dicts from column (an int) to GaussRat:
+    the number of pivots of ``_echelon``, without back substitution."""
+    return len(_echelon(rows))
 
 
 def kernel_basis(rows):

@@ -16,10 +16,9 @@ here takes square roots.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
-from .errors import DomainError, NotInImageError, check_rank
+from .errors import DomainError, NotInImageError, _integer, check_rank
 from .exactalg import (
     GaussRat,
     LMat,
@@ -110,20 +109,20 @@ class SubspaceFlag(Record):
 def perp(v, n=None):
     """Orthogonal complement for <x,y> = sum conj(x_i) y_i.
 
-    Takes a subspace (vectors or canonical rows) and returns canonical
-    rows; takes a SubspaceFlag and returns the reversed flag of
-    complements."""
+    Takes a subspace (vectors or canonical rows, all of length n, which
+    defaults to the first's; the zero subspace's complement is all of
+    Q(i)^n) and returns canonical rows; takes a SubspaceFlag and returns
+    the reversed flag of complements."""
     if isinstance(v, SubspaceFlag):
         return SubspaceFlag(v.n, [perp(s, v.n) for s in reversed(v.steps)])
-    rows = subspace(v)
+    v = [list(x) for x in v]
     if n is None:
-        if not rows:
+        if not v:
             raise DomainError("cannot infer the ambient dimension of 0")
-        n = len(rows[0])
-    if not rows:
-        return subspace([[QI_ONE if i == j else QI_ZERO for j in range(n)]
-                         for i in range(n)])
-    conj_rows = [[x.conj for x in r] for r in rows]
+        n = len(v[0])
+    if any(len(x) != n for x in v):
+        raise DomainError(f"perp needs vectors of {n} entries")
+    conj_rows = [[x.conj for x in r] for r in subspace(v)] or [[QI_ZERO] * n]
     return subspace(kernel_basis(conj_rows))
 
 
@@ -350,10 +349,7 @@ def caveat_check(n, bound, x: LMat | None = None) -> bool:
     exactly when the rank is the number of unknowns.
     """
     check_rank(n)
-    try:
-        bound = operator.index(bound)
-    except TypeError:
-        raise TypeError(f"the bound must be an integer: {bound!r}") from None
+    bound = _integer(bound, "the bound")
     if x is None:
         a = LaurentPoly({1: QI_ONE, -1: QI_ONE})
         x = LMat.diag([a] * (n - 1) + [a * (1 - n)])

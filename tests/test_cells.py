@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,39 @@ def test_series_validation():
 def test_series_from_dims_drops_beyond_window():
     s = PoincareSeries.from_dims([0, 2, 2, 9], 4)
     assert s.coeffs == (1, 0, 2, 0, 0)
+
+
+not_integers = st.one_of(
+    st.floats(-8, 8),
+    st.integers(-8, 8).map(str),
+    st.builds(Fraction, st.integers(-16, 16), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(bad=not_integers)
+def test_an_integer_argument_that_is_not_an_integer_is_a_type_error(bad):
+    """Every integer argument is read with ``operator.index``.  A float or
+    numeric string coefficient or truncation was truncated by ``int``
+    (``PoincareSeries([1.9, "2"], 2.7)`` was ``PoincareSeries([1, 2, 0],
+    2)``), a float panel_dim gave a float dimension, and a float degree
+    elsewhere ended in a TypeError about sequences."""
+    M = coxeter_matrix("finite-A", 3)
+    calls = [
+        lambda: PoincareSeries([1, bad], 4),
+        lambda: PoincareSeries([1], bad),
+        lambda: PoincareSeries.from_dims([0, bad], 4),
+        lambda: PoincareSeries.from_dims([0, 2], bad),
+        lambda: PoincareSeries([1], 4).agrees_through(PoincareSeries([1], 4), bad),
+        lambda: cell_dim(M, set(), (1, 2), bad),
+        lambda: schubert_poincare(M, {2}, (2, 1), bad),
+        lambda: loop_poincare(2, bad),
+        lambda: bott_equivalence_check(bad, 3),
+        lambda: bott_equivalence_check(2, bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="must be an integer, got " + re.escape(repr(bad))):
+            call()
 
 
 def test_series_strings():

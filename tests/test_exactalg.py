@@ -43,6 +43,7 @@ from twinbuild.exactalg import (
 )
 from twinbuild import exactalg
 from twinbuild.exactalg import _col_sub, _mul_sub
+from twinbuild.veronese import subspace
 
 
 def rand_gauss(rng, span=4):
@@ -1036,6 +1037,93 @@ def test_lmat_rejects_bad_shapes():
 # ---------------------------------------------------------------------------
 
 
+def dense_rref(rows):
+    """Reduced row echelon form by the dense pivot loop (each column on
+    the first row below the last pivot, cleared from every other row):
+    the oracle for ``rref``, ``sparse_rank`` and ``caveat_check``, sharing
+    no code with the sparse elimination."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def triples(rows):
+    """GaussRat rows as nested lists of their integer triples."""
+    return [[(x.a, x.b, x.d) for x in row] for row in rows]
+
+
+@st.composite
+def dense_systems(draw):
+    """Rows of one length n <= 6, at most 2n of them, spanned by a planted
+    basis of random rank (zero included) or drawn freely, with small and
+    non-real entries."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(QI_ZERO), gauss_parts.map(lambda parts: GaussRat(*parts)))
+    basis = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+    rows = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        if basis and draw(st.booleans()):
+            row = [QI_ZERO] * n
+            for b in basis:
+                f = draw(entry)
+                row = [x + f * y for x, y in zip(row, b)]
+        else:
+            row = [draw(entry) for _ in range(n)]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(rows=dense_systems())
+@example(rows=[])
+@example(rows=[[QI_ZERO, QI_ZERO], [QI_ZERO, QI_ZERO]])
+@example(rows=[[QI_ONE, QI_I, GaussRat(2)], [QI_I, -QI_ONE, GaussRat(0, 2)], [QI_ZERO, QI_ONE, QI_ONE]])
+def test_rref_is_the_dense_pivot_loop(rows):
+    """``rref`` gives what the dense loop gives, as integer triples: the
+    reduced rows, the zero rows padding them and the pivot columns; and
+    it leaves its argument as it was."""
+    kept = triples(rows)
+    red, pivots = rref(rows)
+    want, want_pivots = dense_rref(rows)
+    assert pivots == want_pivots
+    assert triples(red) == triples(want)
+    assert triples(rows) == kept
+
+
+def test_ragged_rows_are_a_value_error():
+    """Rows of unequal length were read silently (the entries past the
+    first row's length dropped) or ended in a bare IndexError."""
+    one, two, three = GaussRat(1), GaussRat(2), GaussRat(3)
+    for rows in ([[one], [two, three]], [[one, two], [three]]):
+        with pytest.raises(ValueError, match="rows of one length"):
+            rref(rows)
+        with pytest.raises(ValueError, match="rows of one length"):
+            kernel_basis(rows)
+    with pytest.raises(ValueError, match="rows of one length"):
+        subspace([[1], [2, 3]])
+    with pytest.raises(ValueError, match="rows of one length"):
+        subspace([[1, 2], [3]])
+
+
 def test_rref_kernel_solve():
     rows = [
         [GaussRat(1), GaussRat(2), GaussRat(3)],
@@ -1080,7 +1168,7 @@ def test_sparse_rank_is_the_number_of_rref_pivots(system):
     rows, ncols = system
     kept = [dict(row) for row in rows]
     dense = [[row.get(c, QI_ZERO) for c in range(ncols)] for row in rows]
-    assert sparse_rank(rows) == len(rref(dense)[1])
+    assert sparse_rank(rows) == len(dense_rref(dense)[1])
     assert rows == kept
 
 

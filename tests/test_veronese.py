@@ -24,7 +24,6 @@ from twinbuild.exactalg import (
     QI_ONE,
     QI_ZERO,
     charpoly,
-    kernel_basis,
     qi_roots,
     rref,
 )
@@ -47,6 +46,8 @@ from twinbuild.veronese import (
     subspace,
     unitary_loop,
 )
+
+from test_exactalg import dense_rref
 
 
 def rand_gauss(rng, span=2):
@@ -223,6 +224,24 @@ def test_subspace_flag_is_an_immutable_value():
 
 def test_perp_coordinate():
     assert perp([[1, 0, 0]], 3) == subspace([[0, 1, 0], [0, 0, 1]])
+
+
+def test_perp_needs_vectors_of_length_n():
+    """A given n was ignored when the vectors had another length: the
+    complement of a 3-vector "in Q(i)^2" came back as two 3-vectors, and
+    that of a zero 3-vector as the rows of the 2x2 identity."""
+    with pytest.raises(DomainError, match="perp needs vectors of 2 entries"):
+        perp([[1, 0, 0]], 2)
+    with pytest.raises(DomainError, match="perp needs vectors of 2 entries"):
+        perp([[0, 0, 0]], 2)
+    with pytest.raises(DomainError, match="perp needs vectors of 3 entries"):
+        perp([[1, 0, 0], [0, 1]], 3)
+    with pytest.raises(DomainError, match="perp needs vectors of 3 entries"):
+        perp([[1, 0, 0], [0, 1]])
+    with pytest.raises(DomainError, match="cannot infer"):
+        perp([])
+    # A zero vector gives its length: the complement is everything.
+    assert perp([[0, 0]]) == perp([[0, 0]], 2) == subspace([[1, 0], [0, 1]])
 
 
 def test_perp_involution_and_direct_sum():
@@ -736,10 +755,12 @@ def dense_caveat_rows(n, bound, x, lam):
 
 def dense_caveat(n, bound, x=None):
     """The oracle for caveat_check: every lambda in (1/n)Z with |lambda|
-    <= bound, ascending, by ``kernel_basis`` on the dense rows."""
+    <= bound, ascending, by the rank of the dense rows under the dense
+    pivot loop, which shares no code with the sparse elimination."""
     x = default_caveat_x(n) if x is None else x
     for j in range(-n * bound, n * bound + 1):
-        if kernel_basis(dense_caveat_rows(n, bound, x, GaussRat(Fraction(j, n)))):
+        rows = dense_caveat_rows(n, bound, x, GaussRat(Fraction(j, n)))
+        if len(dense_rref(rows)[1]) < len(rows[0]):
             return False
     return True
 
