@@ -54,9 +54,9 @@ def _integer(x, what) -> int:
 
 
 def check_rank(n: int) -> int:
-    """The rank parameter n as an int: TypeError unless it is an integer
-    (``operator.index``), DomainError for n < 2 (SL_1 has no building)."""
-    n = operator.index(n)
+    """The rank parameter n as an int: TypeError naming it unless it is an
+    integer (``_integer``), DomainError for n < 2 (SL_1 has no building)."""
+    n = _integer(n, "rank parameter n")
     if n < 2:
         raise DomainError(f"rank parameter n = {n} must be at least 2")
     return n

@@ -12,7 +12,9 @@ A Gaussian rational is stored as (a + b*i)/d: three Python ints with
 gcd(a, b, d) == 1 and d > 0, so the arithmetic is integer arithmetic and
 a gcd is taken only when the denominator is not 1 (the common case of
 integer entries skips it).  ``re`` and ``im`` read the parts back as
-``Fraction``s.
+``Fraction``s.  GaussRat is immutable, so ``_qi``, which builds every
+result, hands out one shared instance (the table ``_SMALL``, fixed at
+import) for each Gaussian integer with both parts in -8..8.
 
 >>> x = GaussRat(Fraction(1, 2), Fraction(1, 2)) * 2    # (1+i)/2 * 2
 >>> (x.a, x.b, x.d), x.re
@@ -31,8 +33,9 @@ The operators on polynomials and matrices:
   is extended a row at a time, about n*2^(n-1) Laurent products each,
   where cofactor expansion costs about e*n! (and n^2 times that for the
   adjugate).  The inverse's first and last cofactor rows are minors
-  already in its two chains, and every cofactor meets the sign and 1/det
-  in one place (``_over_det``).
+  already in its two chains, the others join them with signs read off
+  the column masks by popcounts, and every cofactor meets the sign and
+  1/det in one place (``_over_det``).
 
 A constant matrix over Q(i) is an LMat with constant entries and uses
 the same operators, so there is one matrix product (``@``), one
@@ -46,8 +49,9 @@ division) and one inverse (``inv``).  There is one field elimination,
 Every Laurent product and difference runs through one of two integer
 kernels.  ``_mul_acc`` adds products into unreduced integer triples and
 ``_poly_of`` (``_coeffs_of`` for a bare coefficient dict) normalises each
-finished coefficient once: ``f * g``, the entries of a matrix product,
-the minor tables and the cofactors of ``inv``.  ``_mul_sub`` adds -q*b
+finished coefficient once: ``f * g``, the entries of a matrix product
+(which multiplies each nonzero a_ik only by the nonzero b_kj), the minor
+tables and the cofactors of ``inv``.  ``_mul_sub`` adds -q*b
 into ``a`` on the same integer triples and normalises each touched
 coefficient once: ``f - g`` (as f - 1*g), the remainder of
 ``poly_divmod`` (and so ``divexact``, ``poly_gcd`` and ``qi_roots``),
@@ -297,7 +301,8 @@ _gcd = math.gcd
 
 
 def _qi(a, b, d):
-    """The GaussRat (a + b*i)/d, normalised; d must be nonzero."""
+    """The GaussRat (a + b*i)/d, normalised (d nonzero); a Gaussian
+    integer with both parts in -8..8 is its shared instance in ``_SMALL``."""
     if d != 1:
         g = _gcd(a, b, d)
         if d < 0:
@@ -306,6 +311,8 @@ def _qi(a, b, d):
             a //= g
             b //= g
             d //= g
+    if d == 1 and -9 < a < 9 and -9 < b < 9:
+        return _SMALL[17 * a + b + 144]
     x = _new(GaussRat)
     _set_a(x, a)
     _set_b(x, b)
@@ -346,9 +353,11 @@ def _div(x, y):
     )
 
 
-QI_ZERO = GaussRat(0)
-QI_ONE = GaussRat(1)
-QI_I = GaussRat(0, 1)
+# a + b*i for a, b in -8..8 at index 17a + b + 144, fixed at import.
+_SMALL = [GaussRat(a, b) for a in range(-8, 9) for b in range(-8, 9)]
+QI_ZERO = _qi(0, 0, 1)
+QI_ONE = _qi(1, 0, 1)
+QI_I = _qi(0, 1, 1)
 
 
 def scalar_to_str(c: GaussRat) -> str:
@@ -863,18 +872,17 @@ class LMat:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        ocolumns = [[b.coeffs for b in col] for col in zip(*other.rows)]
+        # Each nonzero a_ik meets the nonzero b_kj of row k, held as (j, coefficient
+        # dict) pairs, in column j's accumulator: every entry sums in ascending k.
+        orows = [[(j, b.coeffs) for j, b in enumerate(row) if b.coeffs] for row in other.rows]
         out = []
         for row in self.rows:
-            row = [a.coeffs for a in row]
-            out_row = []
-            for colv in ocolumns:
-                acc = {}
-                for f, g in zip(row, colv):
-                    if f and g:
-                        _mul_acc(acc, f, g)
-                out_row.append(_poly_of(acc))
-            out.append(out_row)
+            accs = [{} for _ in range(other.ncols)]
+            for a, orow in zip(row, orows):
+                if f := a.coeffs:
+                    for j, g in orow:
+                        _mul_acc(accs[j], f, g)
+            out.append([_poly_of(acc) if acc else LP_ZERO for acc in accs])
         return LMat._of(out)
 
     def iota(self) -> "LMat":
@@ -945,9 +953,14 @@ class LMat:
         """``inv`` of a square matrix, given its top minor chain
         ``_top_minors(self.rows)``.  Cofactor rows 0 and n-1 sit beside the
         empty minor: they are minors in ``bottom[0]`` and ``top[n-1]``.
-        Rows 1..n-2 join the two chains, their signs taken in the sums.
-        Every finished cofactor then goes through ``_over_det``, so a
-        determinant-one edge cofactor takes no product."""
+        Rows 1..n-2 join the two chains: each mask S of ``above`` meets,
+        for each column j it leaves free, the rest T in ``below``; every
+        cofactor sums its terms in ``above`` order.  The sign needs the
+        parity of the pairs s > t, s in S, t in T: s has s columns below
+        it, [j < s] of them j, so it is popcount(S & odd columns) +
+        popcount(S >> (j+1)) + |S|(|S|-1)/2.  Every finished cofactor then
+        goes through ``_over_det``, so a determinant-one edge cofactor
+        takes no product."""
         rows, n = self.rows, self.nrows
         full = (1 << n) - 1
         d = _chain_det(top)
@@ -966,21 +979,23 @@ class LMat:
             for j in range(n):
                 if (f := table.get(full ^ (1 << j))) is not None:
                     out[j][i] = _over_det(f, (flip + j) % 2, dinv)
+        cols = [(j, 1 << j) for j in range(n)]
+        odd_cols = sum(1 << j for j in range(1, n, 2))
         for i in range(1, n - 1):
             above, below = top[i], bottom[i]
             m = n - 1 - i
-            flip = (i + m * (m - 1) // 2) % 2
-            for j in range(n):
-                rest = full ^ (1 << j)
-                acc = {}
-                for s_mask, a in above.items():
-                    if s_mask & ~rest:
+            flip = i + m * (m - 1) // 2 + i * (i - 1) // 2
+            accs = [{} for _ in range(n)]
+            for s_mask, a in above.items():
+                base = flip + (s_mask & odd_cols).bit_count()
+                for j, bit in cols:
+                    if s_mask & bit:
                         continue
-                    t_mask = rest ^ s_mask
-                    b = below.get(t_mask)
+                    b = below.get(full ^ bit ^ s_mask)
                     if b is not None:
-                        odd = (flip + j + _shuffle_parity(s_mask, t_mask)) % 2
-                        _mul_acc(acc, a, b, odd)
+                        odd = (base + j + (s_mask >> (j + 1)).bit_count()) & 1
+                        _mul_acc(accs[j], a, b, odd)
+            for j, acc in enumerate(accs):
                 if cof := _coeffs_of(acc):
                     out[j][i] = _over_det(cof, 0, dinv)
         return LMat._of(out)
@@ -1006,9 +1021,12 @@ def _check_shape(rows):
 # columns in S (a zero minor is not stored), the form ``_mul_acc`` reads;
 # no table or dict is changed once built.  Only the determinant
 # (``_chain_det``) and the finished cofactors of ``inv`` (``_over_det``)
-# become LaurentPolys.  A chain starts at the empty minor 1 and the row
-# table (the first row's nonzero entries by column), then takes one
-# ``_extend_minors`` pass per further row, about n*2^(n-1) products each.
+# become LaurentPolys; the sums of ``_extend_minors`` take their small
+# coefficients from ``_SMALL``, and ``_inv_from`` reads the sign of each
+# pair of minors it joins off their masks.  A chain starts at the empty
+# minor 1 and the row table (the first row's nonzero entries by column),
+# then takes one ``_extend_minors`` pass per further row, about
+# n*2^(n-1) products each.
 _ONE_TABLE = {0: LP_ONE.coeffs}
 
 
@@ -1152,16 +1170,6 @@ def _over_det(f, odd, dinv) -> LaurentPoly:
     if odd:
         return _lp({k: _qi(-q.a, -q.b, q.d) for k, q in f.items()})
     return _lp(f)
-
-
-def _shuffle_parity(s_mask, t_mask) -> int:
-    """Parity of the pairs s > t with s in S and t in T (disjoint masks)."""
-    count = 0
-    while t_mask:
-        low = t_mask & -t_mask
-        count += (s_mask & ~(2 * low - 1)).bit_count()
-        t_mask ^= low
-    return count % 2
 
 
 def mat_to_json(m: LMat):

@@ -18,9 +18,11 @@ default).
 Every instance runs on both sides, R rounds, the side that goes first
 alternating from one call to the next, and each side keeps its least
 time per instance.  The script prints, per operation kind (the stratum
-name before its size, e.g. ``delta``) and per workload, the summed
-minima of the two sides and their ratio tree/base (below 1: the tree is
-faster), then whether every result's digest matched across the sides.
+name before its size, e.g. ``delta``), per stratum (e.g. ``delta.n7``,
+so a saving that depends on n shows where it lands) and per workload,
+the summed minima of the two sides and their ratio tree/base (below 1:
+the tree is faster), then whether every result's digest matched across
+the sides.
 It exits 1 when a digest differs.
 
 Separate processes of one unchanged commit can differ by tens of percent
@@ -99,13 +101,14 @@ def main(argv=None):
             if digests[0] != digests[1]:
                 differ.add(k)
 
-    kinds, totals = defaultdict(lambda: [0.0, 0.0]), defaultdict(lambda: [0.0, 0.0])
+    kinds, strata, totals = (defaultdict(lambda: [0.0, 0.0]) for _ in range(3))
     for k, (name, stratum, _) in enumerate(pools[0]):
         for side in (0, 1):
             kinds[f"{name}:{stratum.name.split('.')[0]}"][side] += best[side][k]
+            strata[f"{name}:{stratum.name}"][side] += best[side][k]
             totals[name][side] += best[side][k]
     print(f"{'kind':<28} {'base ms':>10} {'tree ms':>10} {'tree/base':>10}")
-    for label, (b, t) in list(kinds.items()) + list(totals.items()):
+    for label, (b, t) in [*kinds.items(), *strata.items(), *totals.items()]:
         print(f"{label:<28} {b * 1e3:10.2f} {t * 1e3:10.2f} {t / b:10.3f}")
     if differ:
         for k in sorted(differ):

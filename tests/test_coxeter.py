@@ -107,8 +107,8 @@ def test_invalid_rank_rejected():
 )
 def test_a_float_rank_is_a_type_error_at_the_boundary(call):
     """A rank argument is an integer: ``check_rank`` reads it through
-    ``operator.index``, so a float fails before any work, naming its type."""
-    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+    ``errors._integer``, so a float fails before any work, naming its value."""
+    with pytest.raises(TypeError, match=r"^rank parameter n must be an integer, got [23]\.0$"):
         call()
 
 

@@ -103,6 +103,38 @@ def test_gaussrat_pickles_and_copies():
         assert (twin.a, twin.b, twin.d) == (1, -6, 2)
 
 
+def test_small_gaussian_integers_are_shared_and_invisible():
+    """``_qi`` returns one instance for each Gaussian integer with both
+    parts in -8..8, also after normalisation; any other value is a fresh
+    object.  Sharing shows in no value: shared and fresh instances compare,
+    hash, print, copy and pickle alike, and a shared one cannot be changed."""
+    qi = exactalg._qi
+    for a in range(-8, 9):
+        for b in range(-8, 9):
+            x = qi(a, b, 1)
+            assert x is qi(a, b, 1) is qi(2 * a, 2 * b, 2) is qi(-3 * a, -3 * b, -3)
+            fresh = GaussRat(a, b)
+            assert x is not fresh and x == fresh and hash(x) == hash(fresh)
+            assert repr(x) == repr(fresh) and str(x) == str(fresh)
+    assert qi(2, 4, 2) is qi(1, 2, 1)
+    assert GaussRat(3) + 4 is qi(7, 0, 1)
+    assert GaussRat(1, 2) * GaussRat(1, -2) is qi(5, 0, 1)
+    outside = [(9, 0, 1), (0, -9, 1), (-9, 8, 1), (100, 3, 1), (1, 2, 3), (0, 1, 2), (18, 8, 2)]
+    for a, b, d in outside:
+        x, y = qi(a, b, d), qi(a, b, d)
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert x == GaussRat(Fraction(a, d), Fraction(b, d))
+    assert QI_ZERO is qi(0, 0, 1) and QI_ONE is qi(1, 0, 1) and QI_I is qi(0, 1, 1)
+    for x in (QI_ZERO, QI_ONE, QI_I, qi(-8, 8, 1)):
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(twin) is GaussRat and twin == x
+            assert (twin.a, twin.b, twin.d) == (x.a, x.b, x.d)
+        for field in ("a", "b", "d"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(x, field, 2)
+    assert (QI_ONE.a, QI_ONE.b, QI_ONE.d) == (1, 0, 1)
+
+
 @pytest.mark.parametrize(
     "x",
     [
@@ -609,6 +641,49 @@ def test_inverse_edge_rows_take_no_product(monkeypatch):
     assert u @ inv_u == LMat.identity(2)
 
 
+def _shuffle_parity(s_mask, t_mask) -> int:
+    """Parity of the pairs s > t with s in S and t in T (disjoint masks)."""
+    count = 0
+    while t_mask:
+        low = t_mask & -t_mask
+        count += (s_mask & ~(2 * low - 1)).bit_count()
+        t_mask ^= low
+    return count % 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_join_signs_match_the_pair_count_loop(n):
+    """Every join term of the middle cofactor rows of ``_inv_from`` carries
+    the sign (-1)^(i + m(m-1)/2 + j + pairs(S, T)), m = n-1-i, with the
+    pairs counted by the loop ``_shuffle_parity``: for every mask S of
+    every size 1..n-2 and every column j it leaves free.  The minor tables
+    are made up so that minor S of ``above`` is z^(S << n) and minor T of
+    ``below`` is z^T: each join term lands on an exponent of its own, so
+    its sign is the sign of that coefficient."""
+    full = (1 << n) - 1
+    masks = [[s for s in range(1 << n) if s.bit_count() == k] for k in range(n + 1)]
+    top = [{s: {s << n: QI_ONE} for s in level} for level in masks[:n]]
+    top.append({full: {0: QI_ONE}})
+    chain = [{t: {t: QI_ONE} for t in level} for level in masks[:n]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_minor_chain", lambda rows: chain)
+        inv = LMat.identity(n)._inv_from(top)
+    seen = 0
+    for i in range(1, n - 1):
+        m = n - 1 - i
+        for j in range(n):
+            rest = full ^ (1 << j)
+            want = {}
+            for s in masks[i]:
+                if not s & ~rest:
+                    t = rest ^ s
+                    odd = (i + m * (m - 1) // 2 + j + _shuffle_parity(s, t)) % 2
+                    want[(s << n) + t] = -QI_ONE if odd else QI_ONE
+            assert inv[j, i].coeffs == want
+            seen += len(want)
+    assert seen == sum(math.comb(n, i) * (n - i) for i in range(1, n - 1))
+
+
 @st.composite
 def cancelling_products(draw):
     """(A, B) of shapes r x k and k x c.  Each of up to two extra columns
@@ -626,9 +701,32 @@ def cancelling_products(draw):
     return LMat(a), LMat(b)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(ab=cancelling_products())
+@st.composite
+def sparse_products(draw):
+    """(A, B) of shapes r x k and k x c, entries zero half the time, some
+    rows and columns of either factor wholly zero, and one right factor
+    in five the zero matrix."""
+    r, k, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = [[draw(sparse_polys) for _ in range(k)] for _ in range(r)]
+    b = [[draw(sparse_polys) for _ in range(c)] for _ in range(k)]
+    for rows, width in ((a, k), (b, c)):
+        for i in draw(st.sets(st.integers(0, len(rows) - 1))):
+            rows[i] = [LP_ZERO] * width
+        for j in draw(st.sets(st.integers(0, width - 1))):
+            for row in rows:
+                row[j] = LP_ZERO
+    if draw(st.integers(0, 4)) == 0:
+        b = [[LP_ZERO] * c for _ in range(k)]
+    return LMat(a), LMat(b)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ab=st.one_of(cancelling_products(), sparse_products()))
+@example(ab=(LMat([[Z, LP_ZERO], [LP_ONE, Z]]), LMat.zeros(2, 3)))
+@example(ab=(LMat([[LP_ZERO, Z]]), LMat([[LP_ONE, Z], [LP_ZERO, LP_ZERO]])))
 def test_matmul_matches_entrywise_sum_of_products(ab):
+    """Every entry is the sum of the oracle's products over k, and an
+    entry with no pair of nonzero factors is ``LP_ZERO`` itself."""
     a, b = ab
     got = a @ b
     assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
@@ -641,6 +739,10 @@ def test_matmul_matches_entrywise_sum_of_products(ab):
         for row in a.rows
     ]
     assert got == LMat(want)
+    for i, row in enumerate(a.rows):
+        for j, col in enumerate(b.cols()):
+            if not any(x and y for x, y in zip(row, col)):
+                assert got[i, j] is LP_ZERO
 
 
 def test_inverse_of_unit_determinant_matrix():
