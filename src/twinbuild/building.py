@@ -96,7 +96,6 @@ from .exactalg import (
     LMat,
     LP_ONE,
     LP_ZERO,
-    LaurentPoly,
     QI_ONE,
     _chain_det,
     _col_sub,
@@ -308,7 +307,7 @@ def standard_chamber(side, n: int) -> Chamber:
     return Chamber(side, LMat.identity(n))
 
 
-class Simplex:
+class Simplex(Record):
     """A face of a chamber: the vertex classes at the kept types (0..n-1)."""
 
     __slots__ = ("carrier", "kept_types")
@@ -317,8 +316,7 @@ class Simplex:
         kept = frozenset(map(carrier._type, kept_types))
         if not kept:
             raise DomainError("empty face")
-        self.carrier = carrier
-        self.kept_types = kept
+        Record.__init__(self, carrier, kept)
 
     @property
     def side(self):
@@ -470,7 +468,7 @@ def _reduce(cols, key_plus, ops_plus):
             if j2 == jr:
                 continue
             e2, _, c2 = leads[j2]
-            f = LaurentPoly({e2 - er: c2 / cr})
+            f = _lp({e2 - er: c2 / cr})
             cols[j2] = _col_sub(cols[j2], f, cols[jr])
             leads[j2] = _lead(cols[j2], key_plus)
             ops.append((j2, f, jr))
@@ -610,11 +608,6 @@ class TwinPosition(Record):
     representative word framed by the two residues' generator sets."""
 
     __slots__ = ("left", "word", "right")
-
-    def __init__(self, left: tuple, word: tuple, right: tuple):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "right", right)
 
 
 def simplex_delta(x: Simplex, y: Simplex) -> TwinPosition:

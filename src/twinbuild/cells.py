@@ -61,8 +61,7 @@ class PoincareSeries(Record):
         if len(cs) > truncation + 1:
             raise DomainError("coefficient list exceeds the truncation degree")
         cs.extend([0] * (truncation + 1 - len(cs)))
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "truncation", truncation)
+        Record.__init__(self, tuple(cs), truncation)
 
     @classmethod
     def from_dims(cls, dims, truncation):

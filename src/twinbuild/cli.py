@@ -49,28 +49,13 @@ import os
 import re
 import sys
 
-from .errors import (
-    DomainError,
-    NotInImageError,
-    NotInvertibleError,
-    TwinbuildError,
-    VerificationError,
-    check_rank,
-)
+from .errors import TwinbuildError, check_rank
 
 SCHEMA = "twinbuild/1"
 
 # The parsed options that are not parameters: the command path, the
 # output format and the handler.
 _NOT_PARAMETERS = ("command", "sub", "format", "func")
-
-_ERROR_CODES = {
-    NotInvertibleError: "not-invertible",
-    NotInImageError: "not-in-image",
-    VerificationError: "verification",
-    DomainError: "domain-error",
-    TwinbuildError: "error",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +500,8 @@ def main(argv=None) -> int:
     try:
         result, text, *code = args.func(args)
     except TwinbuildError as exc:
-        for cls in type(exc).__mro__:
-            if cls in _ERROR_CODES:
-                err_code = _ERROR_CODES[cls]
-                break
-        _print_error(args.format, name, err_code, str(exc))
-        return 1 if isinstance(exc, VerificationError) else 3
+        _print_error(args.format, name, exc.code, str(exc))
+        return exc.exit_code
     except (ValueError, json.JSONDecodeError) as exc:
         if args.format == "json":
             _print_error("json", name, "usage", str(exc))

@@ -85,8 +85,7 @@ class CoxeterMatrix(Record):
         n = check_rank(n)
         if kind not in ("finite-A", "affine-A"):
             raise DomainError(f"unknown Coxeter kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
+        Record.__init__(self, kind, n)
 
     @property
     def rank(self) -> int:
@@ -415,25 +414,21 @@ class AffineWeylElt(Record):
     __slots__ = ("window",)
 
     def __init__(self, perm: tuple, shifts: tuple):
+        perm = [_integer(p, "perm entry") for p in perm]
+        shifts = [_integer(k, "shift") for k in shifts]
         n = len(perm)
-        if sorted(perm) != list(range(1, n + 1)):
-            raise DomainError("perm is not a permutation of 1..n")
-        if len(shifts) != n or sum(shifts) != 0:
-            raise DomainError("shifts must have length n and sum 0")
-        object.__setattr__(
-            self, "window", tuple(p - n * shifts[p - 1] for p in perm)
-        )
+        _check_element(perm, len(shifts), sum(shifts))
+        Record.__init__(self, tuple([p - n * shifts[p - 1] for p in perm]))
 
     @staticmethod
     def from_window(u) -> "AffineWeylElt":
-        u = tuple(u)
+        u = tuple([_integer(v, "window entry") for v in u])
         n = len(u)
-        if sorted(v % n for v in u) != list(range(n)):
-            raise DomainError("perm is not a permutation of 1..n")
-        if sum(u) != n * (n + 1) // 2:
-            raise DomainError("shifts must have length n and sum 0")
+        # u(j) = pi(j) - n k_{pi(j)}: pi(j) = (u(j) - 1) % n + 1, and the
+        # shifts sum to (n(n+1)/2 - sum(u)) / n.
+        _check_element([(v - 1) % n + 1 for v in u], n, n * (n + 1) // 2 - sum(u))
         elt = object.__new__(AffineWeylElt)
-        object.__setattr__(elt, "window", u)
+        Record.__init__(elt, u)
         return elt
 
     @staticmethod
@@ -475,6 +470,17 @@ class AffineWeylElt(Record):
 
     def __reduce__(self):
         return AffineWeylElt, (self.perm, self.shifts)
+
+
+def _check_element(perm, shifts_len, shifts_sum):
+    """The one check of both constructors of AffineWeylElt: DomainError
+    unless perm is a permutation of 1..n and the shifts (of the given
+    length and sum; n times their sum will do) have length n and sum 0."""
+    n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise DomainError("perm is not a permutation of 1..n")
+    if shifts_len != n or shifts_sum:
+        raise DomainError("shifts must have length n and sum 0")
 
 
 def word_to_affine(word, n: int) -> AffineWeylElt:

@@ -2,6 +2,7 @@
 
 Every *expected* failure (invalid input, undefined operation, verification
 mismatch) raises one of these; anything else escaping the library is a bug.
+Each class carries the CLI's envelope ``code`` and its ``exit_code``.
 """
 
 import operator
@@ -19,6 +20,9 @@ __all__ = [
 class TwinbuildError(Exception):
     """Base class for all errors raised by this package."""
 
+    code = "error"
+    exit_code = 3
+
 
 class DomainError(TwinbuildError):
     """The operation is undefined for these inputs.
@@ -28,9 +32,13 @@ class DomainError(TwinbuildError):
     a generator index outside the diagram.
     """
 
+    code = "domain-error"
+
 
 class NotInvertibleError(DomainError):
     """A matrix that must be invertible (over the ring at hand) is not."""
+
+    code = "not-invertible"
 
 
 class NotInImageError(DomainError):
@@ -40,9 +48,14 @@ class NotInImageError(DomainError):
     spectrum or defective eigenspaces.
     """
 
+    code = "not-in-image"
+
 
 class VerificationError(TwinbuildError):
-    """A self-check suite found a counterexample (CLI exit code 1)."""
+    """A self-check suite found a counterexample."""
+
+    code = "verification"
+    exit_code = 1
 
 
 def _integer(x, what) -> int:

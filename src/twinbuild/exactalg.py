@@ -67,6 +67,11 @@ Values from outside reach a polynomial or a matrix through one coercion:
 ``_as_poly`` reads a LaurentPoly or such a scalar as a LaurentPoly.
 Finished rows of LaurentPoly become a matrix through ``LMat._of``.
 
+GaussRat, LaurentPoly and LMat are ``Record``s.  The trusted
+constructors ``_qi``, ``_lp`` and ``LMat._of`` skip the checks and write
+the slots of a fresh instance through their descriptors, and write no
+other, so shared values (``_SMALL``, ``LP_ONE``, ``Z``) never change.
+
 There is no floating point anywhere and no rounding ever.
 
 Text reaches the package through two regular expressions over one
@@ -92,6 +97,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, NotInvertibleError
+from .record import Record
 
 __all__ = [
     "GaussRat",
@@ -127,7 +133,7 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 
 
-class GaussRat:
+class GaussRat(Record):
     """An element (a + b*i)/d of Q(i), stored as three Python ints.
 
     The triple is normalised: gcd(a, b, d) == 1 and d > 0, so equal
@@ -160,12 +166,7 @@ class GaussRat:
             # With d = lcm(rd, id), gcd(a, b, d) is already 1.
             d = math.lcm(rd, id_)
             a, b = re.numerator * (d // rd), im.numerator * (d // id_)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_d(self, d)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("GaussRat is immutable")
+        Record.__init__(self, a, b, d)
 
     def __reduce__(self):
         return GaussRat, (self.re, self.im)
@@ -291,8 +292,7 @@ class GaussRat:
         return f"GaussRat({self.re!r}, {self.im!r})"
 
 
-# GaussRat.__setattr__ refuses assignment; the slot descriptors set the
-# fields of a new instance directly.
+# The slot setters of the trusted constructors (module notes).
 _new = object.__new__
 _set_a = GaussRat.a.__set__
 _set_b = GaussRat.b.__set__
@@ -438,7 +438,7 @@ def parse_scalar(s: str) -> GaussRat:
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly:
+class LaurentPoly(Record):
     """A finite sum of c*z^e with exponents in Z, stored sparsely.
 
     Exponents are ints and coefficients Gaussian rationals; an int or
@@ -468,13 +468,7 @@ class LaurentPoly:
                     raise TypeError(f"bad coefficient: {c!r}")
                 if q:
                     d[e] = q
-        object.__setattr__(self, "coeffs", d)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return LaurentPoly, (self.coeffs,)
+        Record.__init__(self, d)
 
     def __add__(self, other):
         o = _as_poly(other)
@@ -552,7 +546,7 @@ class LaurentPoly:
 
     def z_ddz(self) -> "LaurentPoly":
         """The Euler operator: sum c_e z^e  ->  sum e*c_e z^e."""
-        return LaurentPoly({e: e * c for e, c in self.coeffs.items()})
+        return _lp({e: e * c for e, c in self.coeffs.items() if e})
 
     def conj_coeffs(self) -> "LaurentPoly":
         """Coefficientwise complex conjugation (z untouched)."""
@@ -754,7 +748,7 @@ def divexact(f: LaurentPoly, g: LaurentPoly):
 # ---------------------------------------------------------------------------
 
 
-class LMat:
+class LMat(Record):
     """A rectangular matrix of LaurentPoly entries (usually square).
 
     >>> g = LMat.diag([Z, zpow(-1)])
@@ -771,7 +765,7 @@ class LMat:
     def __init__(self, rows):
         rows = tuple(tuple(map(self._entry, row)) for row in rows)
         _check_shape(rows)
-        self._store(rows)
+        Record.__init__(self, rows, len(rows), len(rows[0]))
 
     @classmethod
     def _of(cls, rows) -> "LMat":
@@ -779,17 +773,12 @@ class LMat:
         of rows whose entries are already LaurentPoly, so nothing is
         coerced or checked.  Every constructor but ``LMat(...)`` ends
         here; ``diag`` and ``from_cols`` coerce and check the shape first."""
-        m = object.__new__(cls)
-        m._store(tuple(map(tuple, rows)))
+        m = _new(cls)
+        rows = tuple(map(tuple, rows))
+        _set_rows(m, rows)
+        _set_nrows(m, len(rows))
+        _set_ncols(m, len(rows[0]))
         return m
-
-    def _store(self, rows):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", len(rows[0]))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("LMat is immutable")
 
     def __reduce__(self):
         return LMat, (self.rows,)
@@ -1007,6 +996,11 @@ class LMat:
 
     def __repr__(self):
         return f"<LMat {self.nrows}x{self.ncols}>"
+
+
+_set_rows = LMat.rows.__set__
+_set_nrows = LMat.nrows.__set__
+_set_ncols = LMat.ncols.__set__
 
 
 def _check_shape(rows):
@@ -1348,7 +1342,7 @@ def _degree(p: LaurentPoly) -> int:
 
 
 def _derivative(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly({e - 1: e * c for e, c in p.coeffs.items() if e})
+    return _lp({e - 1: e * c for e, c in p.coeffs.items() if e})
 
 
 def _sign_at(coeffs, x: Fraction) -> int:

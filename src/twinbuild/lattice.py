@@ -102,8 +102,7 @@ class LatticeClass(Record):
         v = min(a.val0() for row in h.rows for a in row if a)
         if v:
             h = h.scale(zpow(-int(v)))
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "mat", _to_plus(side, h))
+        Record.__init__(self, side, _to_plus(side, h))
 
     @property
     def n(self):

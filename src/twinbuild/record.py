@@ -4,20 +4,22 @@
 dataclass: its fields are its ``__slots__``, in order; instances compare
 equal only to instances of the same class with equal fields, hash as
 the tuple of their fields, print as ``Name(field=value, ...)``, refuse
-attribute assignment and pickle and copy through their positional
-constructor.  Subclasses set their fields in ``__init__`` with
-``object.__setattr__``.  (Importing ``dataclasses`` would load
-``inspect``, ``ast``, ``dis`` and ``tokenize`` at every CLI start.)
+assignment and deletion, and pickle and copy through their positional
+constructor.  ``Record.__init__`` sets the fields once, positionally: a
+subclass that checks its arguments calls it last, and a second call on a
+live value raises AttributeError.  The trusted constructors ``_qi``,
+``_lp`` and ``LMat._of`` of ``exactalg`` alone write the slots of a fresh
+instance directly.  (Importing ``dataclasses`` would load ``inspect``,
+``ast``, ``dis`` and ``tokenize`` at every CLI start.)
 
 >>> class Pair(Record):
 ...     __slots__ = ("x", "y")
-...     def __init__(self, x, y):
-...         object.__setattr__(self, "x", x)
-...         object.__setattr__(self, "y", y)
->>> Pair(1, 2)
-Pair(x=1, y=2)
->>> Pair(1, 2) == Pair(1, 2), hash(Pair(1, 2)) == hash((1, 2))
-(True, True)
+>>> p = Pair(1, 2)
+>>> p, p == Pair(1, 2), hash(p) == hash((1, 2))
+(Pair(x=1, y=2), True, True)
+>>> p.__init__(3, 4)
+Traceback (most recent call last):
+AttributeError: Pair is immutable
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ __all__ = ["Record"]
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *fields):
+        slots = self.__slots__
+        if len(fields) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} fields")
+        if hasattr(self, slots[0]):
+            raise AttributeError(f"{type(self).__name__} is immutable")
+        for name, value in zip(slots, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -76,13 +76,6 @@ _MAX_MESSAGES = 5
 class SuiteResult(Record):
     __slots__ = ("name", "seed", "passed", "failed", "messages")
 
-    def __init__(self, name: str, seed: int, passed: int, failed: int, messages: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "failed", failed)
-        object.__setattr__(self, "messages", messages)
-
     @property
     def ok(self) -> bool:
         return self.failed == 0

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import DomainError, NotInImageError, _integer, check_rank
 from .exactalg import (
-    GaussRat,
     LMat,
     LP_ONE,
     LP_ZERO,
@@ -95,8 +94,7 @@ class SubspaceFlag(Record):
         for small, big in zip(steps, steps[1:]):
             if not _contains(big, small):
                 raise DomainError("flag subspaces must be nested")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "steps", steps)
+        Record.__init__(self, n, steps)
 
     @property
     def dims(self):
@@ -289,7 +287,9 @@ def gauge(g: LMat, x: LMat) -> LMat:
 
 
 def pi_projector(n, k) -> LMat:
-    """The coordinate projector onto span(e_1..e_k)."""
+    """The coordinate projector onto span(e_1..e_k); n and k are read by
+    ``_integer``."""
+    n, k = _integer(n, "matrix size n"), _integer(k, "projector rank k")
     if not 0 <= k <= n:
         raise DomainError("projector rank out of range")
     return LMat.diag([LP_ONE] * k + [LP_ZERO] * (n - k))
@@ -369,7 +369,7 @@ def caveat_check(n, bound, x: LMat | None = None) -> bool:
             for e, coeff in x[r, i].coeffs.items():
                 system.setdefault((m + e, r), {})[c] = -coeff
     for j in range(-n * bound, n * bound + 1):
-        lam = GaussRat(Fraction(j, n))
+        lam = _scalar(Fraction(j, n))
         rows = dict(system)
         for m, i, c in unknowns:
             row = rows[m, i] = dict(system.get((m, i), {}))

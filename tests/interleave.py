@@ -22,7 +22,8 @@ name before its size, e.g. ``delta``), per stratum (e.g. ``delta.n7``,
 so a saving that depends on n shows where it lands) and per workload,
 the summed minima of the two sides and their ratio tree/base (below 1:
 the tree is faster), then whether every result's digest matched across
-the sides.
+the sides, and last the line counts of the two sides' ``src/twinbuild``
+(the total ``wc -l src/twinbuild/*.py`` gives).
 It exits 1 when a digest differs.
 
 Separate processes of one unchanged commit can differ by tens of percent
@@ -62,6 +63,14 @@ def load(src):
     return workloads
 
 
+def src_lines(root):
+    """The number of lines of ``root``'s ``src/twinbuild/*.py``, as ``wc -l``
+    counts them (newline characters)."""
+    return sum(
+        p.read_bytes().count(b"\n") for p in (root / "src" / "twinbuild").glob("*.py")
+    )
+
+
 def pool(workloads, names, seed, count):
     """[(workload, stratum, instance)]: ``count`` instances per stratum."""
     out = []
@@ -82,9 +91,10 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     sides = ("base", "tree")
+    roots = (args.base.resolve(), ROOT)
     pools = [
         pool(load(root / "src"), args.workload, args.seed, args.instances)
-        for root in (args.base.resolve(), ROOT)
+        for root in roots
     ]
     best = [[math.inf] * len(pools[0]) for _ in sides]
     differ = set()
@@ -110,13 +120,14 @@ def main(argv=None):
     print(f"{'kind':<28} {'base ms':>10} {'tree ms':>10} {'tree/base':>10}")
     for label, (b, t) in [*kinds.items(), *strata.items(), *totals.items()]:
         print(f"{label:<28} {b * 1e3:10.2f} {t * 1e3:10.2f} {t / b:10.3f}")
-    if differ:
-        for k in sorted(differ):
-            name, stratum, _ = pools[0][k]
-            print(f"digest differs: {name}:{stratum.name} instance {k}")
-        return 1
-    print(f"digests match on all {len(pools[0])} instances")
-    return 0
+    for k in sorted(differ):
+        name, stratum, _ = pools[0][k]
+        print(f"digest differs: {name}:{stratum.name} instance {k}")
+    if not differ:
+        print(f"digests match on all {len(pools[0])} instances")
+    base_lines, tree_lines = map(src_lines, roots)
+    print(f"src/twinbuild lines: base {base_lines}, tree {tree_lines}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from twinbuild import errors
 from twinbuild.building import standard_chamber, weyl_matrix
-from twinbuild.cli import _ERROR_CODES, _matrix_text, _parse_matrix, main
+from twinbuild.cli import _matrix_text, _parse_matrix, main
 from twinbuild.coxeter import word_to_affine
 from twinbuild.exactalg import GaussRat, LMat, LaurentPoly, mat_to_json
 from twinbuild.verify import available_suites
@@ -708,7 +709,12 @@ def test_error_codes_listed_in_schema():
     schema = json.loads(SCHEMA_PATH.read_text())
     error = schema["oneOf"][1]["properties"]["error"]
     enum = set(error["properties"]["code"]["enum"])
-    assert set(_ERROR_CODES.values()) <= enum
+    classes = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.TwinbuildError)
+    ]
+    assert len(classes) == 5
+    assert {cls.code for cls in classes} <= enum
 
 
 def test_module_entry_point_smoke():

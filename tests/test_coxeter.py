@@ -544,10 +544,12 @@ def test_affine_composition_associative():
 
 
 def test_affine_shift_sum_zero_enforced():
-    with pytest.raises(DomainError):
-        AffineWeylElt((1, 2), (1, 0))
-    with pytest.raises(DomainError):
-        AffineWeylElt((1, 1), (0, 0))
+    for shifts in ((1, 0), (0, 0, 0)):
+        with pytest.raises(DomainError, match="shifts must have length n and sum 0"):
+            AffineWeylElt((1, 2), shifts)
+    for perm in ((1, 1), (0, 1)):
+        with pytest.raises(DomainError, match="perm is not a permutation"):
+            AffineWeylElt(perm, (0, 0))
 
 
 def test_window_conversion_round_trip():
@@ -565,6 +567,24 @@ def test_from_window_rejects_non_elements():
         AffineWeylElt.from_window((1, 3))
     with pytest.raises(DomainError, match="sum 0"):
         AffineWeylElt.from_window((1, 4))
+
+
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda: AffineWeylElt((1, 2), (0.5, -0.5)), "shift"),
+        (lambda: AffineWeylElt((1.0, 2.0), (0, 0)), "perm entry"),
+        (lambda: AffineWeylElt((1, 2), (Fraction(1), -1)), "shift"),
+        (lambda: AffineWeylElt.from_window((1.0, 2.0)), "window entry"),
+        (lambda: AffineWeylElt.from_window((0, Fraction(3))), "window entry"),
+    ],
+)
+def test_affine_elements_read_integers(make, what):
+    """perm, shifts and window entries are integers, read as every integer
+    of the package is: (0.5, -0.5) would build the window (0.0, 3.0), and
+    the window (1.0, 2.0) would equal the identity."""
+    with pytest.raises(TypeError, match=f"^{what} must be an integer, got "):
+        make()
 
 
 def test_affine_words_need_rank_two():

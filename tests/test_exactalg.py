@@ -10,10 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbuild.building import chamber_from_basis
+from twinbuild.building import (
+    TwinPosition,
+    chamber_from_basis,
+    codelta,
+    delta,
+    project,
+    standard_chamber,
+)
 from twinbuild.cells import PoincareSeries
 from twinbuild.cli import _parse_matrix
-from twinbuild.coxeter import coxeter_matrix
+from twinbuild.coxeter import AffineWeylElt, coxeter_matrix
 from twinbuild.errors import DomainError, NotInvertibleError
 from twinbuild.lattice import LatticeClass
 from twinbuild.exactalg import (
@@ -43,7 +50,8 @@ from twinbuild.exactalg import (
 )
 from twinbuild import exactalg
 from twinbuild.exactalg import _col_sub, _mul_sub
-from twinbuild.veronese import subspace
+from twinbuild.verify import SuiteResult
+from twinbuild.veronese import SubspaceFlag, subspace
 
 
 def rand_gauss(rng, span=4):
@@ -152,6 +160,48 @@ def test_immutable_values_pickle_and_copy(x):
     for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
         assert repr(twin) == repr(x)
+
+
+def _face():
+    return standard_chamber("+", 3).panel(1)
+
+
+# Each value type: (a maker of a value, arguments for a second __init__).
+# GaussRat and LaurentPoly take the shared instances the kernels read.
+VALUE_TYPES = {
+    "GaussRat": (lambda: exactalg._qi(2, 0, 1), (5,)),
+    "LaurentPoly": (lambda: LP_ONE, ({0: 7},)),
+    "LMat": (lambda: LMat([[Z, 1], [0, 1]]), ([[1]],)),
+    "Simplex": (_face, (standard_chamber("+", 3), [0])),
+    "CoxeterMatrix": (lambda: coxeter_matrix("affine-A", 3), ("finite-A", 4)),
+    "AffineWeylElt": (lambda: AffineWeylElt((2, 1), (-1, 1)), ((1, 2), (0, 0))),
+    "LatticeClass": (lambda: LatticeClass("+", LMat([[Z, 1], [0, 1]])), ("-", LMat.identity(2))),
+    "TwinPosition": (lambda: TwinPosition((1,), (2,), (3,)), ((), (), ())),
+    "PoincareSeries": (lambda: PoincareSeries([1, 0, 1], 4), ([2], 1)),
+    "SubspaceFlag": (lambda: SubspaceFlag(2, [[[1, 0]]]), (2, [[[0, 1]]])),
+    "SuiteResult": (lambda: SuiteResult("x", 0, 1, 0, ()), ("y", 1, 0, 1, ("m",))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_values_refuse_assignment_deletion_and_a_second_init(name):
+    """No value changes once built: each field refuses assignment and
+    deletion, and a second constructor call is refused, so the shared
+    small Gaussian integers and polynomial constants keep their values."""
+    make, args = VALUE_TYPES[name]
+    x = make()
+    assert type(x).__name__ == name
+    for field in type(x).__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, field, getattr(x, field))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(x, field)
+    with pytest.raises(AttributeError, match="immutable"):
+        x.__init__(*args)
+    assert exactalg._qi(2, 0, 1) == 2 and exactalg._qi(1, 0, 1) + exactalg._qi(1, 0, 1) == 2
+    assert LP_ONE == 1 and str(Z) == "z" and QI_I**2 == -1
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is type(x) and twin == x
 
 
 def test_gaussrat_mul_real_and_complex_factors():
@@ -743,6 +793,34 @@ def test_matmul_matches_entrywise_sum_of_products(ab):
         for j, col in enumerate(b.cols()):
             if not any(x and y for x, y in zip(row, col)):
                 assert got[i, j] is LP_ZERO
+
+
+nonneg_polys = st.dictionaries(st.integers(0, 2), small_gauss, max_size=3).map(LaurentPoly)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    f=small_polys,
+    g=sparse_polys,
+    p=nonneg_polys,
+    q=nonneg_polys.filter(bool),
+    n=st.integers(2, 3),
+    data=st.data(),
+)
+def test_no_operation_changes_an_operand(f, g, p, q, n, data):
+    """Values share coefficient dicts (the ``_SMALL`` table, ``_ONE_TABLE =
+    {0: LP_ONE.coeffs}``, the dicts ``_lp`` takes over), so no operation may
+    change an operand's dict in place; ``_mul_sub`` changes its first
+    argument, and every caller must hand it a copy."""
+    a, b = data.draw(unit_det_matrices(n)), data.draw(unit_det_matrices(n))
+    polys = [f, g, p, q, LP_ZERO, LP_ONE, Z, *entries(a), *entries(b)]
+    before = [dict(x.coeffs) for x in polys]
+    f + g, f - g, g - f, f * g, -f, f - 1, 1 - f, f + 1, 2 * f
+    a @ b, b @ a, a.det(), a.inv(), b.inv(), a - b, a + b
+    poly_divmod(p, q), poly_divmod(q, q)
+    c, d, m = chamber_from_basis("+", a), chamber_from_basis("+", b), chamber_from_basis("-", b)
+    delta(c, d), codelta(m, c), project(d.panel(0), c), project(c.face([0]), d)
+    assert [dict(x.coeffs) for x in polys] == before
 
 
 def test_inverse_of_unit_determinant_matrix():

@@ -710,6 +710,17 @@ def test_pi_tls_is_the_recentred_coordinate_projector(n):
         pi_tls(n, n + 1)
 
 
+def test_pi_projector_reads_integers():
+    """n and k are integers: a float or a Fraction is a TypeError naming
+    the parameter, never the list arithmetic's message."""
+    assert pi_projector(2, True) == pi_projector(2, 1)
+    for bad in (1.0, Fraction(1), "1"):
+        with pytest.raises(TypeError, match=r"^projector rank k must be an integer, got "):
+            pi_projector(2, bad)
+    with pytest.raises(TypeError, match=r"^matrix size n must be an integer, got 2\.0$"):
+        pi_projector(2.0, 1)
+
+
 # ---------------------------------------------------------------------------
 # the eigenvalue caveat
 # ---------------------------------------------------------------------------
